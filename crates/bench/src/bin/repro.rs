@@ -51,8 +51,8 @@
 //!   <https://ui.perfetto.dev>), `--svg-out` a self-contained
 //!   utilization heatmap, `--trace-cap` overrides the ring capacity.
 //! * `serve` feeds a JSON job manifest to the multi-tenant batch
-//!   inference engine (bounded queue, deadline-aware admission, shared
-//!   characterization cache — see `docs/serving.md`) and prints per-job
+//!   inference engine (the admission ladder shared with `online`,
+//!   shared characterization cache — see `docs/serving.md`) and prints per-job
 //!   and aggregate reports; `--report-out` writes the deterministic JSON
 //!   report the CI baseline gate diffs, `--slo-out` the per-tenant SLO
 //!   report (latency quantiles, goodput, attainment, fJ-exact energy
@@ -90,8 +90,8 @@
 //!   the CI gate diffs at `--tol 0`, `--csv DIR` the per-point CSV, and
 //!   `--svg-out` a self-contained Pareto scatter SVG.
 //! * `serve`, `mem`, `online`, `profile` and `dse` validate their flags
-//!   strictly: an
-//!   unknown or out-of-place flag, or a flag missing its value, exits
+//!   strictly: an unknown or out-of-place flag, a flag missing its
+//!   value, or (for the manifest-driven ones) a missing manifest exits
 //!   with status 2 and the usage text.
 //! * `diff` compares two benchmark/metrics JSON files field-by-field and
 //!   exits nonzero when a deterministic field drifted beyond the
@@ -471,28 +471,6 @@ fn main() {
         }
     };
 
-    let run_serve = || {
-        let [manifest] = opts.files.as_slice() else {
-            die("serve requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
-        let run = serve::serve(&text).unwrap_or_else(|e| die(&e));
-        print!("{}", serve::render(&run));
-        let write_out = |path: &Option<PathBuf>, data: String| {
-            if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, data) {
-                    die(&format!("cannot write {}: {e}", path.display()));
-                }
-                eprintln!("wrote {}", path.display());
-            }
-        };
-        write_out(&opts.report_out, serve::report_json(&run));
-        write_out(&opts.slo_out, serve::slo_json(&run));
-        write_out(&opts.dash_out, bsc_bench::dashboard::dashboard_html(&run));
-        write_out(&opts.events_out, serve::events_jsonl(&run));
-    };
-
     let write_out = |path: &Option<PathBuf>, data: String| {
         if let Some(path) = path {
             if let Err(e) = std::fs::write(path, data) {
@@ -502,12 +480,26 @@ fn main() {
         }
     };
 
-    let run_online = || {
+    // Every manifest-driven subcommand takes exactly one positional file.
+    let read_manifest = |which: &str| {
         let [manifest] = opts.files.as_slice() else {
-            die_usage("online requires exactly one file argument: <manifest.json>");
+            die_usage(&format!("{which} requires exactly one file argument: <manifest.json>"));
         };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        std::fs::read_to_string(manifest)
+            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())))
+    };
+
+    let run_serve = || {
+        let run = serve::serve(&read_manifest("serve")).unwrap_or_else(|e| die(&e));
+        print!("{}", serve::render(&run));
+        write_out(&opts.report_out, serve::report_json(&run));
+        write_out(&opts.slo_out, serve::slo_json(&run));
+        write_out(&opts.dash_out, bsc_bench::dashboard::dashboard_html(&run));
+        write_out(&opts.events_out, serve::events_jsonl(&run));
+    };
+
+    let run_online = || {
+        let text = read_manifest("online");
         // A profile output upgrades the run to the self-profiled path;
         // the online report itself is identical either way.
         let profiling = opts.profile_out.is_some() || opts.folded_out.is_some();
@@ -531,11 +523,7 @@ fn main() {
     };
 
     let run_dse = || {
-        let [manifest] = opts.files.as_slice() else {
-            die_usage("dse requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("dse");
         eprintln!("sweeping dataflow x geometry x memory x precision x kind...");
         let run = dse::dse(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", dse::render(&run));
@@ -545,11 +533,7 @@ fn main() {
     };
 
     let run_profile = || {
-        let [manifest] = opts.files.as_slice() else {
-            die_usage("profile requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("profile");
         eprintln!("profiling the online simulator (deterministic counters + wall clock)...");
         let p = profile::profile(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", profile::render(&p));

@@ -24,10 +24,11 @@ use bsc_netlist::par;
 use bsc_systolic::energy::{ArrayEnergyModel, SramModel};
 use bsc_systolic::mapping::ConvShape;
 use bsc_systolic::{
-    schedule_conv_with_memory_dataflow, ArrayConfig, ArrayGeometry, DataflowKind, DramBandwidth,
-    MemConfig,
+    schedule_conv_with_memory_dataflow, ArrayConfig, ArrayGeometry, DataflowKind, MemConfig,
 };
-use bsc_telemetry::{JsonBuilder, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
+use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
+
+use crate::manifest::{array_field, err_at, mac_kind, mem_config, str_field, u64_field};
 
 /// Geometry bounds the manifest accepts: characterization cost grows
 /// with the vector length (gate count) and the schedule loops with the
@@ -137,27 +138,6 @@ impl DseRun {
     }
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-fn u64_field(
-    obj: &bsc_telemetry::JsonValue,
-    ctx: &str,
-    key: &str,
-) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(ctx, format!("{key}: expected a non-negative integer")))?;
-            Ok(Some(n as u64))
-        }
-    }
-}
-
 /// The named workload: a small fixed layer set every point shares.
 ///
 /// * `"edge3"` — the `repro mem` Table-I-style set (early wide-spatial,
@@ -178,27 +158,10 @@ pub fn workload_layers(name: &str) -> Result<Vec<(&'static str, ConvShape)>, Str
     }
 }
 
-fn parse_mem(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<MemSpec, String> {
+fn parse_mem(spec: &JsonValue, i: usize) -> Result<MemSpec, String> {
     let ctx = format!("mem[{i}]");
-    let preset = spec.get("preset").and_then(|v| v.as_str()).unwrap_or("edge");
-    let mut mem = match preset {
-        "infinite" => MemConfig::infinite(),
-        "edge" => MemConfig::edge(),
-        other => {
-            return Err(err_at(&ctx, format!("preset: unknown preset `{other}` (infinite|edge)")))
-        }
-    };
-    if let Some(bw) = u64_field(spec, &ctx, "bandwidth_bytes_per_cycle")? {
-        if bw == 0 {
-            return Err(err_at(&ctx, "bandwidth_bytes_per_cycle: must be positive"));
-        }
-        mem = mem.with_bandwidth(DramBandwidth::BytesPerCycle(bw));
-    }
-    let name = spec
-        .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("{preset}{i}"));
+    let (preset, mem) = mem_config(spec, &ctx, "preset", "edge")?;
+    let name = str_field(spec, &ctx, "name")?.map_or_else(|| format!("{preset}{i}"), str::to_owned);
     Ok(MemSpec { name, mem })
 }
 
@@ -206,20 +169,12 @@ fn parse_mem(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<MemSpec, Strin
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed JSON, unknown tags, or
-/// out-of-range parameters.
+/// Returns a human-readable message on malformed JSON, unknown tags,
+/// out-of-range parameters, or a field of the wrong JSON type.
 pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
     let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
-    let name = doc
-        .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| "dse".to_owned());
-    let workload = doc
-        .get("workload")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| "edge3".to_owned());
+    let name = str_field(&doc, "manifest", "name")?.unwrap_or("dse").to_owned();
+    let workload = str_field(&doc, "manifest", "workload")?.unwrap_or("edge3").to_owned();
     workload_layers(&workload)?;
     let period_ps = u64_field(&doc, "manifest", "period_ps")?
         .filter(|p| *p >= 1)
@@ -228,7 +183,7 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
         .filter(|s| *s >= 1)
         .unwrap_or(48) as usize;
 
-    let dataflows = match doc.get("dataflows").and_then(|v| v.as_array()) {
+    let dataflows = match array_field(&doc, "manifest", "dataflows")? {
         None => DataflowKind::ALL.to_vec(),
         Some([]) => return Err("dataflows: expected a non-empty array".into()),
         Some(a) => a
@@ -249,7 +204,7 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
             .collect::<Result<Vec<_>, _>>()?,
     };
 
-    let geometries = match doc.get("geometries").and_then(|v| v.as_array()) {
+    let geometries = match array_field(&doc, "manifest", "geometries")? {
         None => vec![ArrayGeometry::paper()],
         Some([]) => return Err("geometries: expected a non-empty array".into()),
         Some(a) => a
@@ -270,7 +225,7 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
             .collect::<Result<Vec<_>, String>>()?,
     };
 
-    let mems = match doc.get("mem").and_then(|v| v.as_array()) {
+    let mems = match array_field(&doc, "manifest", "mem")? {
         None => vec![MemSpec { name: "edge".into(), mem: MemConfig::edge() }],
         Some([]) => return Err("mem: expected a non-empty array".into()),
         Some(a) => a
@@ -280,7 +235,7 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
             .collect::<Result<Vec<_>, _>>()?,
     };
 
-    let kinds = match doc.get("kinds").and_then(|v| v.as_array()) {
+    let kinds = match array_field(&doc, "manifest", "kinds")? {
         None => MacKind::ALL.to_vec(),
         Some([]) => return Err("kinds: expected a non-empty array".into()),
         Some(a) => a
@@ -288,20 +243,15 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
             .enumerate()
             .map(|(i, v)| {
                 let ctx = format!("kinds[{i}]");
-                match v.as_str().map(str::to_ascii_lowercase).as_deref() {
-                    Some("bsc") => Ok(MacKind::Bsc),
-                    Some("lpc") => Ok(MacKind::Lpc),
-                    Some("hps") => Ok(MacKind::Hps),
-                    Some(other) => {
-                        Err(err_at(&ctx, format!("unknown architecture `{other}` (bsc|lpc|hps)")))
-                    }
-                    None => Err(err_at(&ctx, "expected a string")),
-                }
+                let tag = v.as_str().ok_or_else(|| err_at(&ctx, "expected a string"))?;
+                mac_kind(tag).ok_or_else(|| {
+                    err_at(&ctx, format!("unknown architecture `{tag}` (bsc|lpc|hps)"))
+                })
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
 
-    let precisions = match doc.get("precisions").and_then(|v| v.as_array()) {
+    let precisions = match array_field(&doc, "manifest", "precisions")? {
         None => Precision::ALL.to_vec(),
         Some([]) => return Err("precisions: expected a non-empty array".into()),
         Some(a) => a

@@ -13,6 +13,7 @@ pub mod dashboard;
 pub mod diff;
 pub mod dse;
 pub mod experiments;
+mod manifest;
 pub mod memexp;
 pub mod observatory;
 pub mod online;

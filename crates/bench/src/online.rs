@@ -40,18 +40,20 @@
 //! any worker count, so `BENCH_online_baseline.json` is gated at
 //! `--tol 0`.
 
+use std::collections::BTreeMap;
+
 use bsc_accel::cluster::{
-    run_online_with_metrics, DispatchPolicy, JobTemplate, MetricsMode, OnlineConfig, OnlineReport,
-    ShardSpec, TrafficSource, EVENT_LOG_CAP,
+    run_online_with_metrics, DispatchPolicy, MetricsMode, OnlineConfig, OnlineReport, ShardSpec,
+    TrafficSource, EVENT_LOG_CAP,
 };
 use bsc_accel::des::{ArrivalProcess, DiurnalSegment};
-use bsc_accel::systolic::mem::{DramBandwidth, MemConfig};
-use bsc_accel::{AcceleratorConfig, PrecisionPolicy, TenantId};
-use bsc_mac::MacKind;
 use bsc_telemetry::profile::Profiler;
-use bsc_telemetry::{JsonBuilder, MetricsSnapshot, Telemetry};
+use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, Telemetry};
 
-use crate::serve::{lookup_network, parse_tenants, write_slo_tenants};
+use crate::manifest::{
+    accel_config, array_field, err_at, job_template, jsonl, mem_config, object_field,
+    parse_tenants, render_tenants, str_field, u64_field, write_queue_wait, write_slo_tenants,
+};
 
 /// The result of one online run: the deterministic report plus the
 /// metrics snapshot.
@@ -65,77 +67,22 @@ pub struct OnlineRun {
     pub metrics: MetricsSnapshot,
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-fn u64_field(
-    obj: &bsc_telemetry::JsonValue,
-    ctx: &str,
-    key: &str,
-) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(ctx, format!("{key}: expected a non-negative integer")))?;
-            Ok(Some(n as u64))
-        }
-    }
-}
-
-fn parse_shard(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<ShardSpec, String> {
+fn parse_shard(spec: &JsonValue, i: usize) -> Result<ShardSpec, String> {
     let ctx = format!("cluster.shards[{i}]");
-    let name = spec
-        .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("shard{i}"));
-    let kind = match spec
-        .get("kind")
-        .and_then(|v| v.as_str())
-        .unwrap_or("bsc")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "bsc" => MacKind::Bsc,
-        "lpc" => MacKind::Lpc,
-        "hps" => MacKind::Hps,
-        other => return Err(err_at(&ctx, format!("unknown architecture `{other}`"))),
-    };
-    let quick = matches!(spec.get("quick"), Some(bsc_telemetry::JsonValue::Bool(true)));
-    let mut accel =
-        if quick { AcceleratorConfig::quick(kind) } else { AcceleratorConfig::paper(kind) };
-    let mut mem = match spec.get("mem").and_then(|v| v.as_str()) {
-        None | Some("infinite") => MemConfig::infinite(),
-        Some("edge") => MemConfig::edge(),
-        Some(other) => {
-            return Err(err_at(&ctx, format!("mem: unknown preset `{other}` (infinite|edge)")))
-        }
-    };
-    if let Some(bw) = u64_field(spec, &ctx, "bandwidth_bytes_per_cycle")? {
-        if bw == 0 {
-            return Err(err_at(&ctx, "bandwidth_bytes_per_cycle: must be positive"));
-        }
-        mem = mem.with_bandwidth(DramBandwidth::BytesPerCycle(bw));
-    }
-    accel = accel.with_mem(mem);
-    Ok(ShardSpec { name, accel })
+    let name = str_field(spec, &ctx, "name")?.map_or_else(|| format!("shard{i}"), str::to_owned);
+    let (_, mem) = mem_config(spec, &ctx, "mem", "infinite")?;
+    Ok(ShardSpec { name, accel: accel_config(spec, &ctx)?.with_mem(mem) })
 }
 
-fn parse_arrivals(
-    spec: &bsc_telemetry::JsonValue,
-    ctx: &str,
-) -> Result<ArrivalProcess, String> {
-    let arrivals = spec.get("arrivals").ok_or_else(|| err_at(ctx, "missing `arrivals`"))?;
-    let mean = |obj: &bsc_telemetry::JsonValue, c: &str| -> Result<u64, String> {
+fn parse_arrivals(spec: &JsonValue, ctx: &str) -> Result<ArrivalProcess, String> {
+    let arrivals =
+        object_field(spec, ctx, "arrivals")?.ok_or_else(|| err_at(ctx, "missing `arrivals`"))?;
+    let mean = |obj: &JsonValue, c: &str| -> Result<u64, String> {
         u64_field(obj, c, "mean_interarrival_cycles")?
             .filter(|m| *m >= 1)
             .ok_or_else(|| err_at(c, "mean_interarrival_cycles: expected a positive integer"))
     };
-    match arrivals.get("process").and_then(|v| v.as_str()).unwrap_or("poisson") {
+    match str_field(arrivals, ctx, "process")?.unwrap_or("poisson") {
         "poisson" => Ok(ArrivalProcess::Poisson {
             mean_interarrival_cycles: mean(arrivals, ctx)?,
         }),
@@ -152,9 +99,7 @@ fn parse_arrivals(
             })
         }
         "diurnal" => {
-            let segs = arrivals
-                .get("segments")
-                .and_then(|v| v.as_array())
+            let segs = array_field(arrivals, ctx, "segments")?
                 .filter(|a| !a.is_empty())
                 .ok_or_else(|| err_at(ctx, "segments: expected a non-empty array"))?;
             let mut segments = Vec::with_capacity(segs.len());
@@ -183,14 +128,14 @@ fn parse_arrivals(
 /// # Errors
 ///
 /// Returns a human-readable message on malformed JSON, unknown
-/// networks / precisions / policies, or out-of-range parameters.
+/// networks / precisions / policies, out-of-range parameters, or a
+/// field of the wrong JSON type.
 pub fn parse_online_manifest(text: &str) -> Result<OnlineConfig, String> {
     let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
-    let cluster = doc.get("cluster").ok_or("manifest: missing `cluster` object")?;
+    let cluster = object_field(&doc, "manifest", "cluster")?
+        .ok_or("manifest: missing `cluster` object")?;
 
-    let shard_specs = cluster
-        .get("shards")
-        .and_then(|v| v.as_array())
+    let shard_specs = array_field(cluster, "cluster", "shards")?
         .filter(|a| !a.is_empty())
         .ok_or("cluster.shards: expected a non-empty array")?;
     let mut shards = Vec::with_capacity(shard_specs.len());
@@ -198,7 +143,7 @@ pub fn parse_online_manifest(text: &str) -> Result<OnlineConfig, String> {
         shards.push(parse_shard(spec, i)?);
     }
 
-    let policy = match cluster.get("policy").and_then(|v| v.as_str()) {
+    let policy = match str_field(cluster, "cluster", "policy")? {
         None => DispatchPolicy::LeastOutstanding,
         Some(s) => s.parse::<DispatchPolicy>().map_err(|e| err_at("cluster.policy", e))?,
     };
@@ -224,49 +169,15 @@ pub fn parse_online_manifest(text: &str) -> Result<OnlineConfig, String> {
 
     let tenants = parse_tenants(&doc)?;
 
-    let source_specs = doc
-        .get("sources")
-        .and_then(|v| v.as_array())
+    let source_specs = array_field(&doc, "manifest", "sources")?
         .filter(|a| !a.is_empty())
         .ok_or("manifest: missing non-empty `sources` array")?;
+    let mut networks = BTreeMap::new();
     let mut sources = Vec::with_capacity(source_specs.len());
     for (i, spec) in source_specs.iter().enumerate() {
         let ctx = format!("sources[{i}]");
-        let net_name = spec
-            .get("network")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| err_at(&ctx, "missing `network`"))?;
-        let network = lookup_network(net_name).map_err(|e| err_at(&ctx, e))?;
-        let name = spec
-            .get("name")
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("source{i}"));
-        let precision = match spec.get("precision").and_then(|v| v.as_str()) {
-            None => PrecisionPolicy::AsTrained,
-            Some(s) => s
-                .parse::<PrecisionPolicy>()
-                .map_err(|e| err_at(&ctx, format!("precision: {e}")))?,
-        };
-        let tenant = spec
-            .get("tenant")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| err_at(&ctx, "tenant: expected a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "default".into());
-        let slo = tenants.get(&tenant).copied();
         sources.push(TrafficSource {
-            template: JobTemplate {
-                name,
-                tenant: TenantId::new(tenant),
-                network,
-                precision,
-                deadline_cycles: u64_field(spec, &ctx, "deadline_cycles")?,
-                slo,
-            },
+            template: job_template(spec, &ctx, format!("source{i}"), &tenants, &mut networks)?,
             process: parse_arrivals(spec, &ctx)?,
         });
     }
@@ -404,30 +315,7 @@ pub fn render(run: &OnlineRun) -> String {
     for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
         let _ = writeln!(out, "  engine.jobs{labels} {total}");
     }
-    for t in &r.slo.tenants {
-        let verdict = match &t.attainment {
-            Some(a) if a.attained => "SLO met".to_string(),
-            Some(a) => format!(
-                "SLO MISSED (p99 {}, goodput {})",
-                if a.latency_p99_ok { "ok" } else { "over" },
-                if a.goodput_ok { "ok" } else { "under" },
-            ),
-            None => "no target".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "tenant {:<12} {} submitted / {} completed / {} rejected / {} shed, latency p99 {} cyc, goodput {:.2}, {:.1} pJ — {}",
-            t.tenant,
-            t.submitted,
-            t.completed,
-            t.rejected,
-            t.shed,
-            t.latency.p99,
-            t.goodput,
-            t.energy_fj as f64 / 1e3,
-            verdict,
-        );
-    }
+    render_tenants(&mut out, &r.slo);
     if r.events_truncated > 0 {
         let _ = writeln!(
             out,
@@ -538,20 +426,7 @@ pub fn report_json(run: &OnlineRun) -> String {
     }
     j.end_object();
 
-    j.key("queue_wait_cycles").begin_object();
-    match run.metrics.histogram("engine.queue.wait_cycles") {
-        Some(h) => {
-            j.key("count").u64(h.count);
-            j.key("max").u64(h.max);
-            j.key("p50").f64(h.p50().unwrap_or(0.0));
-            j.key("p95").f64(h.p95().unwrap_or(0.0));
-            j.key("p99").f64(h.p99().unwrap_or(0.0));
-        }
-        None => {
-            j.key("count").u64(0);
-        }
-    }
-    j.end_object();
+    write_queue_wait(&mut j, &run.metrics);
 
     // Wall clock (`engine.run_online_ns`) is deliberately omitted: the
     // report is byte-compared across worker counts, so every field must
@@ -563,8 +438,7 @@ pub fn report_json(run: &OnlineRun) -> String {
 }
 
 /// Machine-readable per-tenant SLO report, sharing the exact tenant
-/// layout of `repro serve`'s `--slo-out` (see
-/// [`write_slo_tenants`](crate::serve)) under a cluster header.
+/// layout of `repro serve`'s `--slo-out` under a cluster header.
 pub fn slo_json(run: &OnlineRun) -> String {
     let slo = &run.report.slo;
     let mut j = JsonBuilder::new();
@@ -621,14 +495,7 @@ pub fn events_jsonl(run: &OnlineRun) -> String {
         j.end_object();
         lines.push(j.finish());
     }
-
-    let mut out = String::new();
-    for line in lines {
-        bsc_telemetry::parse_json(&line).expect("event line must be strict RFC 8259 JSON");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+    jsonl(lines)
 }
 
 /// Chrome trace-event timeline of the online run: **one process (track
@@ -744,6 +611,7 @@ pub fn perfetto_json(run: &OnlineRun) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use bsc_mac::MacKind;
 
     pub(crate) const MANIFEST: &str = r#"{
       "cluster": {

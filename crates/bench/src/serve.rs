@@ -26,24 +26,29 @@
 //! ```
 //!
 //! `network` names a built-in benchmark (`lenet5`, `vgg16`, `resnet18`,
-//! `nas`); `precision` is a [`PrecisionPolicy`] spelling (`nas` keeps the
-//! NAS-assigned layer precisions); `count` repeats the spec N times with
-//! a `#i` suffix, sharing one `Arc`'d network.  `tenant` accounts the job
-//! to a named tenant (default `"default"`); the optional top-level
-//! `tenants` object declares per-tenant [`SloTarget`]s that the batch's
-//! SLO report measures attainment against.  The aggregate report and the
-//! SLO report are deterministic (wall-clock fields carry the `_ns`
-//! suffix the `repro diff` gate exempts), so checked-in baselines catch
+//! `nas`); `precision` is a [`bsc_accel::PrecisionPolicy`] spelling
+//! (`nas` keeps the NAS-assigned layer precisions); `count` repeats the
+//! spec N times with a `#i` suffix, sharing one `Arc`'d network.
+//! `tenant` accounts the job to a named tenant (default `"default"`);
+//! the optional top-level `tenants` object declares per-tenant
+//! [`SloTarget`]s that the batch's SLO report measures attainment
+//! against.  The job fields and the `tenants` object parse exactly like
+//! an online source's.  The aggregate report and the SLO report are
+//! deterministic (wall-clock fields carry the `_ns` suffix the
+//! `repro diff` gate exempts), so checked-in baselines catch
 //! queue-counter and numeric drift at `--tol 0`.
 
 use std::collections::BTreeMap;
 
-use bsc_accel::{
-    BatchReport, Engine, EngineConfig, InferenceJob, JobOutcome, PrecisionPolicy, SloTarget,
-};
+use bsc_accel::{BatchReport, Engine, EngineConfig, InferenceJob, JobOutcome, SloTarget};
 use bsc_mac::MacKind;
-use bsc_nn::{models, SharedNetwork};
+use bsc_nn::SharedNetwork;
 use bsc_telemetry::{JsonBuilder, MetricsSnapshot, SpanSnapshot};
+
+use crate::manifest::{
+    accel_config, array_field, err_at, job_template, jsonl, object_field, parse_tenants,
+    render_tenants, u64_field, write_queue_wait, write_slo_tenants,
+};
 
 /// A parsed manifest: engine parameters plus the job list.
 #[derive(Debug)]
@@ -73,186 +78,53 @@ pub struct ServeRun {
     pub spans: SpanSnapshot,
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-pub(crate) fn lookup_network(name: &str) -> Result<SharedNetwork, String> {
-    let net = match name.trim().to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "lenet5" | "lenet" => models::lenet5(),
-        "vgg16" | "vgg" => models::vgg16(),
-        "resnet18" | "resnet" => models::resnet18(),
-        "nas" | "nasbased" | "nasvgg" => models::nas_based(),
-        "micro" | "micromlp" => models::micro(),
-        other => return Err(format!("unknown network `{other}` (expected lenet5|vgg16|resnet18|nas|micro)")),
-    };
-    Ok(net.into_shared())
-}
-
-/// Parses the optional top-level `tenants` object shared by the serve
-/// and online manifests.
-pub(crate) fn parse_tenants(
-    doc: &bsc_telemetry::JsonValue,
-) -> Result<BTreeMap<String, SloTarget>, String> {
-    let mut tenants: BTreeMap<String, SloTarget> = BTreeMap::new();
-    if let Some(t) = doc.get("tenants") {
-        let bsc_telemetry::JsonValue::Object(members) = t else {
-            return Err("manifest: `tenants` must be an object".into());
-        };
-        for (tenant, spec) in members {
-            let ctx = format!("tenants.{tenant}");
-            let p99 = spec
-                .get("latency_p99_cycles")
-                .and_then(|v| v.as_f64())
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| {
-                    err_at(&ctx, "latency_p99_cycles: expected a non-negative integer")
-                })? as u64;
-            let min_goodput = match spec.get("min_goodput") {
-                None => 0.0,
-                Some(v) => v
-                    .as_f64()
-                    .filter(|g| (0.0..=1.0).contains(g))
-                    .ok_or_else(|| err_at(&ctx, "min_goodput: expected a number in 0..=1"))?,
-            };
-            tenants.insert(
-                tenant.clone(),
-                SloTarget { latency_p99_cycles: p99, min_goodput },
-            );
-        }
-    }
-    Ok(tenants)
-}
-
 /// Parses a serve manifest.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on malformed JSON, unknown networks,
-/// unknown precisions, or out-of-range parameters.
+/// unknown precisions, out-of-range parameters, or a field of the wrong
+/// JSON type.
 pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
     let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
-    let eng = doc.get("engine").ok_or("manifest: missing `engine` object")?;
-    let kind = match eng
-        .get("kind")
-        .and_then(|v| v.as_str())
-        .unwrap_or("bsc")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "bsc" => MacKind::Bsc,
-        "lpc" => MacKind::Lpc,
-        "hps" => MacKind::Hps,
-        other => return Err(format!("engine.kind: unknown architecture `{other}`")),
-    };
-    let quick = matches!(eng.get("quick"), Some(bsc_telemetry::JsonValue::Bool(true)));
-    let mut config = if quick { EngineConfig::quick(kind) } else { EngineConfig::paper(kind) };
-    let usize_field = |key: &str| -> Result<Option<usize>, String> {
-        match eng.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let n = v.as_f64().ok_or_else(|| format!("engine.{key}: expected a number"))?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("engine.{key}: expected a non-negative integer"));
-                }
-                Ok(Some(n as usize))
-            }
-        }
-    };
-    if let Some(cap) = usize_field("queue_capacity")? {
+    let eng = object_field(&doc, "manifest", "engine")?
+        .ok_or("manifest: missing `engine` object")?;
+    let mut config = EngineConfig::new(accel_config(eng, "engine")?);
+    if let Some(cap) = u64_field(eng, "engine", "queue_capacity")? {
         if cap == 0 {
             return Err("engine.queue_capacity: must be positive".into());
         }
-        config.queue_capacity = cap;
+        config.queue_capacity = usize::try_from(cap).unwrap_or(usize::MAX);
     }
-    if let Some(w) = usize_field("workers")? {
+    if let Some(w) = u64_field(eng, "engine", "workers")? {
         if w == 0 {
             return Err("engine.workers: must be positive".into());
         }
-        config.workers = Some(w);
+        config.workers = Some(usize::try_from(w).unwrap_or(usize::MAX));
     }
-    if let Some(limit) = usize_field("max_backlog_cycles")? {
-        config.max_backlog_cycles = Some(limit as u64);
-    }
+    config.max_backlog_cycles = u64_field(eng, "engine", "max_backlog_cycles")?;
 
     let tenants = parse_tenants(&doc)?;
 
-    let specs = doc
-        .get("jobs")
-        .and_then(|v| v.as_array())
-        .ok_or("manifest: missing `jobs` array")?;
-    let mut networks: BTreeMap<String, SharedNetwork> = BTreeMap::new();
+    let specs = array_field(&doc, "manifest", "jobs")?.ok_or("manifest: missing `jobs` array")?;
+    let mut networks = BTreeMap::new();
     let mut jobs = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let ctx = format!("jobs[{i}]");
-        let net_name = spec
-            .get("network")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| err_at(&ctx, "missing `network`"))?;
-        let network = match networks.get(net_name) {
-            Some(n) => SharedNetwork::clone(n),
-            None => {
-                let n = lookup_network(net_name).map_err(|e| err_at(&ctx, e))?;
-                networks.insert(net_name.to_string(), SharedNetwork::clone(&n));
-                n
-            }
-        };
-        let name = spec
-            .get("name")
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("job{i}"));
-        let policy = match spec.get("precision").and_then(|v| v.as_str()) {
-            None => PrecisionPolicy::AsTrained,
-            Some(s) => s
-                .parse::<PrecisionPolicy>()
-                .map_err(|e| err_at(&ctx, format!("precision: {e}")))?,
-        };
-        let deadline = match spec.get("deadline_cycles") {
-            None => None,
-            Some(v) => {
-                let n = v
-                    .as_f64()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or_else(|| err_at(&ctx, "deadline_cycles: expected a non-negative integer"))?;
-                Some(n as u64)
-            }
-        };
-        let count = match spec.get("count") {
-            None => 1,
-            Some(v) => v
-                .as_f64()
-                .filter(|n| *n >= 1.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(&ctx, "count: expected a positive integer"))?
-                as usize,
-        };
-        let tenant = spec
-            .get("tenant")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| err_at(&ctx, "tenant: expected a string"))
-            })
-            .transpose()?;
+        let t = job_template(spec, &ctx, format!("job{i}"), &tenants, &mut networks)?;
+        let count = u64_field(spec, &ctx, "count")?.unwrap_or(1);
+        if count == 0 {
+            return Err(err_at(&ctx, "count: expected a positive integer"));
+        }
         for rep in 0..count {
-            let mut job = InferenceJob::new(
-                if count == 1 { name.clone() } else { format!("{name}#{rep}") },
-                SharedNetwork::clone(&network),
-            )
-            .with_policy(policy);
-            if let Some(d) = deadline {
-                job = job.with_deadline(d);
-            }
-            if let Some(t) = &tenant {
-                job = job.with_tenant(t.clone());
-                // Submitting a job with a target declares it for the
-                // whole tenant; targets for tenants that never submit
-                // are simply unused.
-                if let Some(target) = tenants.get(t) {
-                    job = job.with_slo(*target);
-                }
-            }
-            jobs.push(job);
+            jobs.push(InferenceJob {
+                name: if count == 1 { t.name.clone() } else { format!("{}#{rep}", t.name) },
+                tenant: t.tenant.clone(),
+                network: SharedNetwork::clone(&t.network),
+                policy: t.precision,
+                deadline_cycles: t.deadline_cycles,
+                slo: t.slo,
+            });
         }
     }
     Ok(ServeManifest { engine: config, tenants, jobs })
@@ -314,31 +186,7 @@ pub fn render(run: &ServeRun) -> String {
     for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
         let _ = writeln!(out, "  engine.jobs{labels} {total}");
     }
-    // Per-tenant SLO summary.
-    for t in &run.batch.slo.tenants {
-        let verdict = match &t.attainment {
-            Some(a) if a.attained => "SLO met".to_string(),
-            Some(a) => format!(
-                "SLO MISSED (p99 {}, goodput {})",
-                if a.latency_p99_ok { "ok" } else { "over" },
-                if a.goodput_ok { "ok" } else { "under" },
-            ),
-            None => "no target".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "tenant {:<12} {} submitted / {} completed / {} rejected / {} shed, p99 {} cyc, goodput {:.2}, {:.1} pJ — {}",
-            t.tenant,
-            t.submitted,
-            t.completed,
-            t.rejected,
-            t.shed,
-            t.latency.p99,
-            t.goodput,
-            t.energy_fj as f64 / 1e3,
-            verdict,
-        );
-    }
+    render_tenants(&mut out, &run.batch.slo);
     out
 }
 
@@ -411,22 +259,7 @@ pub fn report_json(run: &ServeRun) -> String {
     j.key("engine.queue.peak_depth").i64(run.metrics.gauge("engine.queue.peak_depth"));
     j.end_object();
 
-    // Admission → dispatch waits on the virtual batch clock: cycle-domain
-    // and therefore deterministic and gated like every other count.
-    j.key("queue_wait_cycles").begin_object();
-    match run.metrics.histogram("engine.queue.wait_cycles") {
-        Some(h) => {
-            j.key("count").u64(h.count);
-            j.key("max").u64(h.max);
-            j.key("p50").f64(h.p50().unwrap_or(0.0));
-            j.key("p95").f64(h.p95().unwrap_or(0.0));
-            j.key("p99").f64(h.p99().unwrap_or(0.0));
-        }
-        None => {
-            j.key("count").u64(0);
-        }
-    }
-    j.end_object();
+    write_queue_wait(&mut j, &run.metrics);
 
     // Wall clock, reported but never gated (the `_ns` suffix).
     j.key("run_batch_ns")
@@ -461,83 +294,6 @@ pub fn slo_json(run: &ServeRun) -> String {
     let mut text = j.finish();
     text.push('\n');
     text
-}
-
-/// Writes the `tenants` array of an SLO report — the exact member
-/// layout both `repro serve` and `repro online` gate at `--tol 0`.
-pub(crate) fn write_slo_tenants(j: &mut JsonBuilder, slo: &bsc_accel::SloReport) {
-    j.key("tenants").begin_array();
-    for t in &slo.tenants {
-        j.begin_object();
-        j.key("name").string(t.tenant.as_str());
-        j.key("submitted").u64(t.submitted);
-        j.key("completed").u64(t.completed);
-        j.key("rejected").u64(t.rejected);
-        j.key("shed").u64(t.shed);
-        j.key("goodput").f64(t.goodput);
-        j.key("reject_rate").f64(t.reject_rate());
-        j.key("shed_rate").f64(t.shed_rate());
-        j.key("deadline_jobs").u64(t.deadline_jobs);
-        j.key("deadline_met").u64(t.deadline_met);
-        j.key("macs").u64(t.macs);
-        j.key("energy_fj").u64(t.energy_fj);
-
-        j.key("latency_cycles").begin_object();
-        j.key("count").u64(t.latency.count);
-        j.key("min").u64(t.latency.min);
-        j.key("max").u64(t.latency.max);
-        j.key("p50").u64(t.latency.p50);
-        j.key("p95").u64(t.latency.p95);
-        j.key("p99").u64(t.latency.p99);
-        j.end_object();
-
-        j.key("rejected_by_reason").begin_object();
-        for (reason, n) in &t.rejected_by_reason {
-            j.key(reason).u64(*n);
-        }
-        j.end_object();
-        j.key("shed_by_reason").begin_object();
-        for (reason, n) in &t.shed_by_reason {
-            j.key(reason).u64(*n);
-        }
-        j.end_object();
-
-        j.key("energy_by_precision").begin_object();
-        for (precision, fj) in &t.energy_by_precision {
-            j.key(precision).u64(*fj);
-        }
-        j.end_object();
-
-        if let Some(target) = &t.target {
-            j.key("target").begin_object();
-            j.key("latency_p99_cycles").u64(target.latency_p99_cycles);
-            j.key("min_goodput").f64(target.min_goodput);
-            j.end_object();
-        }
-        if let Some(a) = &t.attainment {
-            j.key("attainment").begin_object();
-            j.key("latency_p99_ok").bool(a.latency_p99_ok);
-            j.key("goodput_ok").bool(a.goodput_ok);
-            j.key("attained").bool(a.attained);
-            j.key("p99_ratio").f64(a.p99_ratio);
-            j.key("burn_rate").f64(a.burn_rate);
-            j.end_object();
-        }
-
-        j.key("windows").begin_array();
-        for w in &t.windows {
-            j.begin_object();
-            j.key("window").u64(w.window);
-            j.key("start_cycle").u64(w.start_cycle);
-            j.key("completed").u64(w.completed);
-            j.key("shed").u64(w.shed);
-            j.key("macs").u64(w.macs);
-            j.end_object();
-        }
-        j.end_array();
-        j.end_object();
-    }
-    j.end_array();
 }
 
 /// Structured event log: one strict-JSON object per line, each stamped
@@ -599,14 +355,7 @@ pub fn events_jsonl(run: &ServeRun) -> String {
         j.end_object();
         lines.push(j.finish());
     }
-
-    let mut out = String::new();
-    for line in lines {
-        bsc_telemetry::parse_json(&line).expect("event line must be strict RFC 8259 JSON");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+    jsonl(lines)
 }
 
 #[cfg(test)]

@@ -9,15 +9,15 @@
 //! job-arrival and shard-completion events:
 //!
 //! 1. **Arrival** at cycle *t*: the [`DispatchPolicy`] picks a shard,
-//!    then the engine's admission ladder runs against that shard —
-//!    outstanding-job cap (`queue_full`), backlog limit (`overloaded`),
-//!    and the DMA-aware deadline lower bound
-//!    (`deadline_infeasible`, [`crate::Engine::estimate_cycles`]
-//!    semantics).  Survivors get the shard's *exact* stall-inclusive
-//!    schedule; if even that misses the absolute deadline
-//!    (`arrival + relative deadline`) the job is shed at *t* without
-//!    occupying the shard.  Dispatched jobs advance the shard's
-//!    busy-until clock and enqueue a completion event.
+//!    then the admission ladder batch mode also walks runs against
+//!    that shard, with the shard's `busy_until − t` as the backlog —
+//!    outstanding-job cap (`queue_full`), backlog + estimate limit
+//!    (`overloaded`), the DMA-aware deadline lower bound
+//!    (`deadline_infeasible`), and the shard's *exact* stall-inclusive
+//!    schedule: a job that misses the absolute deadline
+//!    (`arrival + relative deadline`) is shed at *t* without occupying
+//!    the shard.  Dispatched jobs advance the shard's busy-until clock
+//!    and enqueue a completion event.
 //! 2. **Completion** at cycle *c*: the shard's outstanding count drops;
 //!    at equal times completions precede arrivals
 //!    ([`crate::des::PRIORITY_COMPLETION`]) so freed capacity is
@@ -43,10 +43,10 @@ use bsc_telemetry::{
     LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, Registry, Telemetry,
 };
 
+use crate::admission::{AdmissionLadder, Placement, RejectReason};
 use crate::des::{ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, PRIORITY_ARRIVAL};
 use crate::engine::{
     estimate_cycles_for, schedule_cycles_for, CharacterizationCache, PrecisionPolicy,
-    RejectReason, ShedReason,
 };
 use crate::report::NetworkReport;
 use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
@@ -149,8 +149,9 @@ pub struct OnlineConfig {
     /// Per-shard cap on dispatched-but-incomplete jobs; the `queue_full`
     /// rejection.
     pub max_outstanding: u64,
-    /// Per-shard backlog limit in cycles (`busy_until − now`); the
-    /// `overloaded` rejection.  `None` disables the check.
+    /// Per-shard overload limit in cycles: an arrival whose backlog
+    /// (`busy_until − now`) plus DMA-aware estimate exceeds it is
+    /// rejected as `overloaded`.  `None` disables the check.
     pub max_backlog_cycles: Option<u64>,
     /// Cap on retained per-job decision records.  Decisions beyond the
     /// cap are dropped from [`OnlineReport::events`], counted in
@@ -391,14 +392,9 @@ pub enum MetricsMode {
 struct ShardHandles {
     completed: LocalLabeledCounter,
     shed_deadline: LocalLabeledCounter,
-    /// Indexed by reject slot: 0 = `queue_full`, 1 = `overloaded`,
-    /// 2 = `deadline_infeasible` (the [`REJECT_SLUGS`] order).
+    /// Indexed by [`RejectReason::stage`].
     rejected: [LocalLabeledCounter; 3],
 }
-
-/// Reject-reason slugs by admission-ladder slot — must match
-/// [`RejectReason::slug`] for each variant.
-const REJECT_SLUGS: [&str; 3] = ["queue_full", "overloaded", "deadline_infeasible"];
 
 /// The event loop's metric recording backend — see [`MetricsMode`].
 enum MetricSink {
@@ -439,7 +435,7 @@ impl MetricSink {
                         "engine.jobs",
                         &[("outcome", "shed"), ("reason", "deadline_missed"), ("shard", n)],
                     ),
-                    rejected: REJECT_SLUGS.map(|slug| {
+                    rejected: RejectReason::SLUGS.map(|slug| {
                         local.labeled_counter(
                             "engine.jobs",
                             &[("outcome", "rejected"), ("reason", slug), ("shard", n)],
@@ -460,17 +456,20 @@ impl MetricSink {
     }
 
     #[inline]
-    fn on_rejected(&mut self, hi: usize, slot: usize, slug: &'static str, shard_name: &str) {
-        debug_assert_eq!(REJECT_SLUGS[slot], slug);
+    fn on_rejected(&mut self, hi: usize, reason: RejectReason, shard_name: &str) {
         match self {
             MetricSink::Batched { local, rejected, shards, .. } => {
                 local.inc(*rejected);
-                local.inc_labeled(shards[hi].rejected[slot]);
+                local.inc_labeled(shards[hi].rejected[reason.stage()]);
             }
             MetricSink::Shadow(m) => {
                 m.counter("engine.jobs.rejected").inc();
                 m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "rejected"), ("reason", slug), ("shard", shard_name)])
+                    .with(&[
+                        ("outcome", "rejected"),
+                        ("reason", reason.slug()),
+                        ("shard", shard_name),
+                    ])
                     .inc();
             }
         }
@@ -695,7 +694,7 @@ pub fn run_online_with_metrics(
     // each group in one call.  Sheds *do* record a windowed sample at
     // their decision cycle, so they keep per-event records (they are
     // rare: the deadline-missed path only).
-    let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * REJECT_SLUGS.len()];
+    let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * RejectReason::SLUGS.len()];
     let mut deferred_sheds: Vec<(u32, &'static str, u64)> = Vec::new();
 
     // Depth observatory: per-shard (outstanding, backlog) sampled on the
@@ -718,6 +717,10 @@ pub fn run_online_with_metrics(
         .collect();
 
     let event_log_cap = config.event_log_cap;
+    let ladder = AdmissionLadder {
+        max_outstanding: config.max_outstanding,
+        max_backlog_cycles: config.max_backlog_cycles,
+    };
     let mut sink = match mode {
         MetricsMode::Batched => MetricSink::batched(config),
         MetricsMode::PerEventShadow => MetricSink::Shadow(m.clone()),
@@ -800,133 +803,69 @@ pub fn run_online_with_metrics(
         let backlog = shards[hi].busy_until.saturating_sub(now);
         shards[hi].peak_backlog_cycles = shards[hi].peak_backlog_cycles.max(backlog);
         funnel[hi].offered += 1;
-        let est = estimate[source * n_shards + hi];
-
-        let reject_reason = if shards[hi].outstanding >= config.max_outstanding {
-            Some(RejectReason::QueueFull {
-                capacity: config.max_outstanding as usize,
-            })
-        } else if config
-            .max_backlog_cycles
-            .is_some_and(|limit| backlog > limit)
-        {
-            Some(RejectReason::Overloaded {
-                backlog_cycles: backlog,
-                limit_cycles: config.max_backlog_cycles.unwrap_or(0),
-            })
-        } else if tmpl
-            .deadline_cycles
-            .is_some_and(|d| backlog + est > d)
-        {
-            Some(RejectReason::DeadlineInfeasible {
-                projected_cycles: backlog + est,
-                deadline_cycles: tmpl.deadline_cycles.unwrap_or(0),
-            })
-        } else {
-            None
-        };
-        if let Some(reason) = reject_reason {
-            rejected += 1;
-            shard_reports[hi].rejected += 1;
-            let slot = match reason {
-                RejectReason::QueueFull { .. } => {
-                    funnel[hi].queue_full += 1;
-                    0
+        let pair = source * n_shards + hi;
+        let deadline = tmpl.deadline_cycles;
+        let verdict = ladder
+            .admit(shards[hi].outstanding, backlog, estimate[pair], deadline)
+            .map(|_| ladder.place(now, shards[hi].busy_until, exact[pair], deadline));
+        let (outcome, reason, start, completion) = match verdict {
+            Err(reason) => {
+                rejected += 1;
+                shard_reports[hi].rejected += 1;
+                match reason {
+                    RejectReason::QueueFull { .. } => funnel[hi].queue_full += 1,
+                    RejectReason::Overloaded { .. } => funnel[hi].overloaded += 1,
+                    RejectReason::DeadlineInfeasible { .. } => {
+                        funnel[hi].deadline_infeasible += 1
+                    }
                 }
-                RejectReason::Overloaded { .. } => {
-                    funnel[hi].overloaded += 1;
-                    1
-                }
-                _ => {
-                    funnel[hi].deadline_infeasible += 1;
-                    2
-                }
-            };
-            sink.on_rejected(hi, slot, reason.slug(), shard_name);
-            reject_counts[source * REJECT_SLUGS.len() + slot] += 1;
-            // The log caps out within the first 10⁴ decisions of
-            // a multi-million-job run; skip the record (and its
-            // string formatting) entirely once it is full.
-            if event_log.len() < event_log_cap {
-                event_log.push(OnlineEvent {
-                    job: format!("{}#{seq}", tmpl.name),
-                    template: tmpl.name.clone(),
-                    tenant: tmpl.tenant.clone(),
-                    shard: shard_name.to_string(),
-                    outcome: "rejected",
-                    reason: Some(reason.slug()),
-                    arrival_cycle: now,
-                    start_cycle: now,
-                    completion_cycle: now,
-                });
-            } else {
-                events_truncated += 1;
+                sink.on_rejected(hi, reason, shard_name);
+                reject_counts[source * RejectReason::SLUGS.len() + reason.stage()] += 1;
+                ("rejected", Some(reason.slug()), now, now)
             }
-            continue;
-        }
-
-        let cycles = exact[source * n_shards + hi];
-        let start = shards[hi].busy_until.max(now);
-        let completion = start + cycles;
-        if let Some(d) = tmpl.deadline_cycles {
-            if completion > now + d {
-                let reason = ShedReason::DeadlineMissed {
-                    completion_cycle: completion,
-                    deadline_cycles: now + d,
-                };
+            Ok(Err(reason)) => {
                 shed += 1;
                 shard_reports[hi].shed += 1;
                 funnel[hi].shed_deadline += 1;
                 sink.on_shed(hi, reason.slug(), shard_name);
                 deferred_sheds.push((source as u32, reason.slug(), now));
-                if event_log.len() < event_log_cap {
-                    event_log.push(OnlineEvent {
-                        job: format!("{}#{seq}", tmpl.name),
-                        template: tmpl.name.clone(),
-                        tenant: tmpl.tenant.clone(),
-                        shard: shard_name.to_string(),
-                        outcome: "shed",
-                        reason: Some(reason.slug()),
-                        arrival_cycle: now,
-                        start_cycle: now,
-                        completion_cycle: now,
-                    });
-                } else {
-                    events_truncated += 1;
-                }
-                continue;
+                ("shed", Some(reason.slug()), now, now)
             }
-        }
-
-        // Dispatch.
-        shards[hi].busy_until = completion;
-        shards[hi].outstanding += 1;
-        shards[hi].peak_outstanding =
-            shards[hi].peak_outstanding.max(shards[hi].outstanding);
-        shards[hi].peak_backlog_cycles =
-            shards[hi].peak_backlog_cycles.max(completion - now);
-        funnel[hi].dispatched += 1;
-        *tenant_cycles.entry((source, hi)).or_default() += cycles;
-        shard_reports[hi].completed += 1;
-        shard_reports[hi].busy_cycles += cycles;
-        shard_reports[hi].last_completion_cycle =
-            shard_reports[hi].last_completion_cycle.max(completion);
-        sink.on_completed(hi, shard_name, start - now);
-        lanes.push(hi, completion);
-        completed_recs.push(CompletedRec {
-            source: source as u32,
-            shard: hi as u32,
-            arrival: now,
-            completion,
-        });
+            Ok(Ok(Placement { start, completion })) => {
+                let cycles = exact[pair];
+                let shard = &mut shards[hi];
+                shard.busy_until = completion;
+                shard.outstanding += 1;
+                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
+                shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
+                funnel[hi].dispatched += 1;
+                *tenant_cycles.entry((source, hi)).or_default() += cycles;
+                shard_reports[hi].completed += 1;
+                shard_reports[hi].busy_cycles += cycles;
+                shard_reports[hi].last_completion_cycle =
+                    shard_reports[hi].last_completion_cycle.max(completion);
+                sink.on_completed(hi, shard_name, start - now);
+                lanes.push(hi, completion);
+                completed_recs.push(CompletedRec {
+                    source: source as u32,
+                    shard: hi as u32,
+                    arrival: now,
+                    completion,
+                });
+                ("completed", None, start, completion)
+            }
+        };
+        // The log caps out within the first 10⁴ decisions of a
+        // multi-million-job run; skip the record (and its string
+        // formatting) entirely once it is full.
         if event_log.len() < event_log_cap {
             event_log.push(OnlineEvent {
                 job: format!("{}#{seq}", tmpl.name),
                 template: tmpl.name.clone(),
                 tenant: tmpl.tenant.clone(),
                 shard: shard_name.to_string(),
-                outcome: "completed",
-                reason: None,
+                outcome,
+                reason,
                 arrival_cycle: now,
                 start_cycle: start,
                 completion_cycle: completion,
@@ -1004,11 +943,11 @@ pub fn run_online_with_metrics(
     // windowed series, so grouping is exactly equivalent to the old
     // per-event walk.  Sheds need their decision cycle and fold
     // per event.
-    for (si, counts) in reject_counts.chunks(REJECT_SLUGS.len()).enumerate() {
+    for (si, counts) in reject_counts.chunks(RejectReason::SLUGS.len()).enumerate() {
         let tenant = &config.sources[si].template.tenant;
-        for (slot, &n) in counts.iter().enumerate() {
+        for (&slug, &n) in RejectReason::SLUGS.iter().zip(counts) {
             if n > 0 {
-                acc.observe_rejections(tenant, REJECT_SLUGS[slot], n);
+                acc.observe_rejections(tenant, slug, n);
             }
         }
     }
@@ -1409,6 +1348,35 @@ mod tests {
             .rejected_by_reason
             .iter()
             .any(|(slug, n)| slug == "deadline_infeasible" && *n == gold.rejected));
+    }
+
+    #[test]
+    fn an_estimate_above_the_backlog_limit_is_overloaded_on_an_idle_shard() {
+        let mut config = quick_config(DispatchPolicy::RoundRobin, Some(1));
+        config.shards.truncate(1);
+        config.sources.truncate(1);
+        let net = &config.sources[0].template.network;
+        let estimate = estimate_cycles_for(&config.shards[0].accel, net);
+        config.max_backlog_cycles = Some(estimate - 1);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert!(report.submitted > 0);
+        assert_eq!(report.funnel[0].overloaded, report.submitted, "{:?}", report.funnel[0]);
+        assert_eq!(report.completed, 0);
+        // At exactly the estimate the first arrival fits.
+        config.max_backlog_cycles = Some(estimate);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert!(report.completed > 0);
+    }
+
+    #[test]
+    fn a_deadline_near_u64_max_sheds_nothing() {
+        let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
+        config.sources[0].template.deadline_cycles = Some(u64::MAX);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let gold = report.slo.tenant("gold").expect("gold tenant present");
+        assert!(gold.completed > 0);
+        assert_eq!(gold.shed, 0);
+        assert_eq!(gold.deadline_met, gold.completed);
     }
 
     #[test]

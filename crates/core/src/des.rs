@@ -1,10 +1,10 @@
 //! Deterministic discrete-event scheduling primitives.
 //!
-//! The engine's original batch planner was a serial `for` loop over a
-//! virtual clock.  Online serving needs the same determinism with
-//! *interleaved* event streams — job arrivals from open-loop traffic
-//! generators racing shard completions — so this module provides the
-//! two building blocks both modes share:
+//! The batch engine plans on a serial `for` loop over a virtual clock,
+//! with every arrival at cycle 0.  Online serving needs the same
+//! determinism with *interleaved* event streams — job arrivals from
+//! open-loop traffic generators racing shard completions — so this
+//! module provides its two building blocks:
 //!
 //! * [`EventQueue`]: a binary-heap priority queue whose total order is
 //!   the triple `(time, priority, seq)`.  At equal times, completions

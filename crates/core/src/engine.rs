@@ -9,12 +9,12 @@
 //!   `(MacKind, CharacterizeConfig)` design **once** and shares it across
 //!   every engine, accelerator and test in the binary;
 //! * [`InferenceJob`]s (an [`Arc`]-shared network + a
-//!   [`PrecisionPolicy`] + an optional deadline in model cycles) are
-//!   admitted into a [`BoundedQueue`] — a full queue *rejects with a
-//!   reason* instead of growing without bound;
-//! * admission is deadline-aware: a job whose optimistic completion
-//!   already misses its deadline is rejected up front, and a configured
-//!   backlog limit sheds load before the array is hopelessly behind;
+//!   [`PrecisionPolicy`] + an optional deadline in model cycles) walk
+//!   the admission ladder shared with online serving: a full queue
+//!   *rejects with a reason* instead of growing without bound, a job
+//!   whose optimistic completion already misses its deadline is
+//!   rejected up front, and a configured backlog limit sheds load
+//!   before the array is hopelessly behind;
 //! * [`Engine::run_batch`] schedules the admitted jobs over the
 //!   `bsc_netlist::par` work-stealing pool and merges per-job
 //!   [`JobReport`]s **in submission order**, so results are independent
@@ -36,7 +36,8 @@ use bsc_nn::{Network, SharedNetwork};
 use bsc_systolic::mem::schedule_conv_with_memory;
 use bsc_telemetry::Telemetry;
 
-use crate::queue::BoundedQueue;
+pub use crate::admission::{RejectReason, ShedReason};
+use crate::admission::{AdmissionLadder, Placement};
 use crate::report::NetworkReport;
 use crate::slo::{window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{layer_to_conv_shape, AccelError, Accelerator, AcceleratorConfig};
@@ -279,104 +280,6 @@ impl InferenceJob {
 // Outcomes
 // ---------------------------------------------------------------------------
 
-/// Why a submission was refused at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The bounded queue is at capacity (backpressure).
-    QueueFull {
-        /// Configured queue bound.
-        capacity: usize,
-    },
-    /// Even the optimistic completion estimate misses the deadline.
-    DeadlineInfeasible {
-        /// Estimated completion cycle at admission (backlog + ideal run).
-        projected_cycles: u64,
-        /// The job's deadline.
-        deadline_cycles: u64,
-    },
-    /// Admitting the job would push the backlog past the configured
-    /// overload limit.
-    Overloaded {
-        /// Backlog the job would have created.
-        backlog_cycles: u64,
-        /// Configured backlog limit.
-        limit_cycles: u64,
-    },
-}
-
-impl RejectReason {
-    /// Machine-readable reason slug, the `reason` label of the
-    /// `engine.jobs` metric family and the key of per-tenant rate
-    /// breakdowns.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            RejectReason::QueueFull { .. } => "queue_full",
-            RejectReason::DeadlineInfeasible { .. } => "deadline_infeasible",
-            RejectReason::Overloaded { .. } => "overloaded",
-        }
-    }
-}
-
-impl std::fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            RejectReason::QueueFull { capacity } => {
-                write!(f, "queue full (capacity {capacity})")
-            }
-            RejectReason::DeadlineInfeasible { projected_cycles, deadline_cycles } => write!(
-                f,
-                "deadline infeasible (projected completion {projected_cycles} > deadline {deadline_cycles})"
-            ),
-            RejectReason::Overloaded { backlog_cycles, limit_cycles } => write!(
-                f,
-                "overloaded (backlog {backlog_cycles} cycles > limit {limit_cycles})"
-            ),
-        }
-    }
-}
-
-/// Why an admitted job was dropped at schedule time instead of run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The exact schedule (which the optimistic admission estimate
-    /// under-approximates) puts completion past the deadline.
-    DeadlineMissed {
-        /// Completion cycle the exact schedule projected.
-        completion_cycle: u64,
-        /// The job's deadline.
-        deadline_cycles: u64,
-    },
-}
-
-impl ShedReason {
-    /// Machine-readable reason slug (see [`RejectReason::slug`]).
-    pub fn slug(&self) -> &'static str {
-        match self {
-            ShedReason::DeadlineMissed { .. } => "deadline_missed",
-        }
-    }
-
-    /// The virtual-clock cycle at which the shed decision applies — the
-    /// projected completion the scheduler refused — used to place the
-    /// event on the dashboard's window axis.
-    pub fn decision_cycle(&self) -> u64 {
-        match *self {
-            ShedReason::DeadlineMissed { completion_cycle, .. } => completion_cycle,
-        }
-    }
-}
-
-impl std::fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            ShedReason::DeadlineMissed { completion_cycle, deadline_cycles } => write!(
-                f,
-                "deadline missed (scheduled completion {completion_cycle} > deadline {deadline_cycles})"
-            ),
-        }
-    }
-}
-
 /// The completed execution of one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
@@ -493,7 +396,7 @@ impl JobOutcome {
 pub struct EngineConfig {
     /// The accelerator the jobs run on.
     pub accel: AcceleratorConfig,
-    /// Bound of the admission queue (jobs).
+    /// Bound of the admission queue (jobs); must be positive.
     pub queue_capacity: usize,
     /// Worker threads for batch execution (`None` → one per available
     /// core, `Some(1)` → fully serial).  Results never depend on this.
@@ -538,7 +441,7 @@ impl EngineConfig {
     }
 }
 
-/// An admitted job waiting in the bounded queue.
+/// An admitted job waiting in the admission queue.
 #[derive(Debug)]
 struct Admitted {
     slot: usize,
@@ -702,8 +605,12 @@ pub(crate) fn schedule_cycles_for(
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
+    ladder: AdmissionLadder,
     charac: Arc<DesignCharacterization>,
-    queue: BoundedQueue<Admitted>,
+    /// Admitted jobs in submission order; never longer than
+    /// `config.queue_capacity` (the ladder's outstanding cap).
+    queue: Vec<Admitted>,
+    peak_queue_depth: usize,
     slots: Vec<Slot>,
     backlog_cycles: u64,
     slo_targets: std::collections::BTreeMap<TenantId, SloTarget>,
@@ -744,18 +651,26 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the characterization's architecture differs from the
-    /// configured MAC kind.
+    /// configured MAC kind, or on a zero queue capacity — an engine that
+    /// can never admit anything is a configuration error, not a useful
+    /// degenerate case.
     pub fn with_design(config: EngineConfig, charac: Arc<DesignCharacterization>) -> Self {
         assert_eq!(
             charac.kind(),
             config.accel.kind,
             "characterization architecture mismatch"
         );
-        let queue = BoundedQueue::new(config.queue_capacity);
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
+        let ladder = AdmissionLadder {
+            max_outstanding: config.queue_capacity as u64,
+            max_backlog_cycles: config.max_backlog_cycles,
+        };
         Engine {
             config,
+            ladder,
             charac,
-            queue,
+            queue: Vec::new(),
+            peak_queue_depth: 0,
             slots: Vec::new(),
             backlog_cycles: 0,
             slo_targets: std::collections::BTreeMap::new(),
@@ -824,8 +739,9 @@ impl Engine {
         schedule_cycles_for(&self.config.accel, net)
     }
 
-    /// Admits a job into the bounded queue, or rejects it with a reason.
-    /// Either way the decision is recorded and reappears in the next
+    /// Walks a job through the admission ladder's first three stages:
+    /// admits it into the queue, or rejects it with a reason.  Either
+    /// way the decision is recorded and reappears in the next
     /// [`Engine::run_batch`]'s outcomes, so every submission has exactly
     /// one terminal state.
     ///
@@ -835,61 +751,48 @@ impl Engine {
     /// limit would be exceeded, or the deadline is already infeasible.
     pub fn submit(&mut self, job: InferenceJob) -> Result<usize, RejectReason> {
         let slot = self.slots.len();
-        self.telemetry.metrics.counter("engine.jobs.submitted").inc();
+        let m = &self.telemetry.metrics;
+        m.counter("engine.jobs.submitted").inc();
         if let Some(target) = job.slo {
             self.slo_targets.insert(job.tenant.clone(), target);
         }
-        let reject = |this: &mut Self, name: String, tenant: TenantId, reason: RejectReason| {
-            this.telemetry.metrics.counter("engine.jobs.rejected").inc();
-            this.telemetry
-                .metrics
-                .labeled_counter("engine.jobs")
-                .with(&[("outcome", "rejected"), ("reason", reason.slug())])
-                .inc();
-            this.slots.push(Slot::Decided(JobOutcome::Rejected { name, tenant, reason }));
-            Err(reason)
-        };
-
-        if self.queue.len() >= self.queue.capacity() {
-            let reason = RejectReason::QueueFull { capacity: self.queue.capacity() };
-            return reject(self, job.name, job.tenant, reason);
-        }
         let network = job.policy.apply(&job.network);
-        let est = self.estimate_cycles(&network);
-        let projected = self.backlog_cycles + est;
-        if let Some(limit) = self.config.max_backlog_cycles {
-            if projected > limit {
-                let reason =
-                    RejectReason::Overloaded { backlog_cycles: projected, limit_cycles: limit };
-                return reject(self, job.name, job.tenant, reason);
+        // Nothing is scheduled before `run_batch`, so the backlog is the
+        // sum of the admitted jobs' estimates.
+        let verdict = self.ladder.admit(
+            self.queue.len() as u64,
+            self.backlog_cycles,
+            self.estimate_cycles(&network),
+            job.deadline_cycles,
+        );
+        let projected = match verdict {
+            Ok(projected) => projected,
+            Err(reason) => {
+                m.counter("engine.jobs.rejected").inc();
+                m.labeled_counter("engine.jobs")
+                    .with(&[("outcome", "rejected"), ("reason", reason.slug())])
+                    .inc();
+                self.slots.push(Slot::Decided(JobOutcome::Rejected {
+                    name: job.name,
+                    tenant: job.tenant,
+                    reason,
+                }));
+                return Err(reason);
             }
-        }
-        if let Some(deadline) = job.deadline_cycles {
-            if projected > deadline {
-                let reason = RejectReason::DeadlineInfeasible {
-                    projected_cycles: projected,
-                    deadline_cycles: deadline,
-                };
-                return reject(self, job.name, job.tenant, reason);
-            }
-        }
-
-        let admitted = Admitted {
+        };
+        self.queue.push(Admitted {
             slot,
             name: job.name,
             tenant: job.tenant,
             network,
             deadline_cycles: job.deadline_cycles,
-        };
-        if self.queue.push(admitted).is_err() {
-            unreachable!("capacity checked above");
-        }
+        });
+        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
         self.slots.push(Slot::Pending);
         self.backlog_cycles = projected;
-        let m = &self.telemetry.metrics;
         m.counter("engine.jobs.admitted").inc();
         m.gauge("engine.queue.depth").set(self.queue.len() as i64);
-        m.gauge("engine.queue.peak_depth").set(self.queue.peak_depth() as i64);
+        m.gauge("engine.queue.peak_depth").set(self.peak_queue_depth as i64);
         m.gauge("engine.backlog_cycles").set(self.backlog_cycles as i64);
         Ok(slot)
     }
@@ -916,53 +819,29 @@ impl Engine {
             g
         };
         let mut slots = std::mem::take(&mut self.slots);
-        let queued: Vec<Admitted> = self.queue.drain().collect();
-        let peak_queue_depth = self.queue.peak_depth();
+        let queued = std::mem::take(&mut self.queue);
+        let peak_queue_depth = self.peak_queue_depth;
         self.backlog_cycles = 0;
         let m = &self.telemetry.metrics;
         m.gauge("engine.queue.depth").set(0);
         m.gauge("engine.backlog_cycles").set(0);
 
-        // Scheduling pass on the discrete-event clock: batch mode is the
-        // degenerate DES workload where every admitted job arrives at
-        // cycle 0 in submission order and the engine is a single shard.
-        // The `(time, priority, seq)` contract of [`crate::des::EventQueue`]
-        // delivers those arrivals FIFO, so the plan — exact per-job
-        // cycles, shed decisions, queue waits — is byte-identical to the
-        // historical serial loop, and no worker is involved: the source
-        // of worker-count independence.
-        struct Planned {
-            job: Admitted,
-            start_cycle: u64,
-            completion_cycle: u64,
-        }
-        enum BatchEvent {
-            Arrive(Box<Admitted>),
-            Complete,
-        }
-        let mut events = crate::des::EventQueue::new();
-        for job in queued {
-            events.push(0, crate::des::PRIORITY_ARRIVAL, BatchEvent::Arrive(Box::new(job)));
-        }
-        let mut plan = Vec::with_capacity(events.len());
+        // Scheduling pass: batch mode is a single-shard online run with
+        // every arrival at cycle 0, in submission order, so the ladder's
+        // placement stage runs on one serial virtual clock and no worker
+        // is involved — the source of worker-count independence.
+        let mut plan: Vec<(Admitted, Placement)> = Vec::with_capacity(queued.len());
         let mut busy_until = 0u64;
-        while let Some((now, event)) = events.pop() {
-            let job = match event {
-                // Completions free the (single) shard; with one shard the
-                // busy-until gauge already encodes that, so they carry no
-                // payload here.  Online serving gives them real work.
-                BatchEvent::Complete => continue,
-                BatchEvent::Arrive(job) => *job,
-            };
+        for job in queued {
             let cycles = self.schedule_cycles(&job.network)?;
-            let start = busy_until.max(now);
-            let completion = start + cycles;
-            if let Some(deadline) = job.deadline_cycles {
-                if completion > deadline {
-                    let reason = ShedReason::DeadlineMissed {
-                        completion_cycle: completion,
-                        deadline_cycles: deadline,
-                    };
+            match self.ladder.place(0, busy_until, cycles, job.deadline_cycles) {
+                Ok(placed) => {
+                    m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES)
+                        .record(placed.start);
+                    busy_until = placed.completion;
+                    plan.push((job, placed));
+                }
+                Err(reason) => {
                     m.counter("engine.jobs.shed").inc();
                     m.labeled_counter("engine.jobs")
                         .with(&[("outcome", "shed"), ("reason", reason.slug())])
@@ -972,13 +851,8 @@ impl Engine {
                         tenant: job.tenant,
                         reason,
                     });
-                    continue;
                 }
             }
-            m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES).record(start);
-            events.push(completion, crate::des::PRIORITY_COMPLETION, BatchEvent::Complete);
-            plan.push(Planned { job, start_cycle: start, completion_cycle: completion });
-            busy_until = completion;
         }
 
         // Parallel execution: per-worker accelerators over the shared
@@ -996,29 +870,29 @@ impl Engine {
                 accel
             },
             |accel, i| {
-                let p = &plan[i];
+                let (job, placed) = &plan[i];
                 let _job_span = {
-                    let g = accel.telemetry().expect("attached").spans.begin(&format!("engine.job.{}", p.job.name));
-                    g.annotate("network", &p.job.network.name);
-                    g.annotate("start_cycle", p.start_cycle);
+                    let g = accel.telemetry().expect("attached").spans.begin(&format!("engine.job.{}", job.name));
+                    g.annotate("network", &job.network.name);
+                    g.annotate("start_cycle", placed.start);
                     g
                 };
-                accel.run_network(&p.job.network)
+                accel.run_network(&job.network)
             },
         );
 
-        for (p, report) in plan.into_iter().zip(reports) {
+        for ((job, placed), report) in plan.into_iter().zip(reports) {
             let report = report?;
             m.counter("engine.jobs.completed").inc();
             m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
             m.counter("engine.batch.macs").add(report.total_macs());
             m.counter("engine.batch.cycles").add(report.total_cycles());
-            slots[p.job.slot] = Slot::Decided(JobOutcome::Completed(JobReport {
-                name: p.job.name,
-                tenant: p.job.tenant,
-                queue_wait_cycles: p.start_cycle,
-                completion_cycle: p.completion_cycle,
-                deadline_cycles: p.job.deadline_cycles,
+            slots[job.slot] = Slot::Decided(JobOutcome::Completed(JobReport {
+                name: job.name,
+                tenant: job.tenant,
+                queue_wait_cycles: placed.start,
+                completion_cycle: placed.completion,
+                deadline_cycles: job.deadline_cycles,
                 report,
             }));
         }
@@ -1122,6 +996,24 @@ mod tests {
         assert_eq!(batch.outcomes()[2].label(), "rejected");
         // The queue bound was never exceeded.
         assert!(batch.peak_queue_depth <= 2);
+    }
+
+    #[test]
+    fn a_huge_queue_capacity_admits_and_runs_without_preallocating() {
+        let mut engine = Engine::new(
+            EngineConfig::quick(MacKind::Bsc).with_queue_capacity(usize::MAX).with_workers(1),
+        )
+        .unwrap();
+        engine.submit(InferenceJob::new("a", toy_net("t", 64, 4, Precision::Int8))).unwrap();
+        let batch = engine.run_batch().unwrap();
+        assert_eq!(batch.completed_count(), 1);
+        assert_eq!(batch.peak_queue_depth, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_queue_capacity_is_rejected() {
+        let _ = Engine::new(EngineConfig::quick(MacKind::Bsc).with_queue_capacity(0));
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! [`Accelerator`] is the one-stop API: build it for an architecture, run
 //! matrices or whole networks, and read energy-efficiency reports.
 //! [`Engine`] layers multi-tenant serving on top: a shared
-//! [`CharacterizationCache`], a bounded admission queue with
-//! deadline-aware rejection and load shedding, and deterministic batched
-//! execution over a worker pool (see `docs/serving.md`).
+//! [`CharacterizationCache`], the admission ladder (outstanding cap,
+//! backlog limit, deadline-aware rejection and load shedding) that
+//! batch and online serving share, and deterministic batched execution
+//! over a worker pool (see `docs/serving.md`).
 //!
 //! # Example
 //!
@@ -42,12 +43,12 @@
 #![warn(missing_docs)]
 
 mod accelerator;
+mod admission;
 pub mod cluster;
 pub mod compiler;
 pub mod des;
 pub mod engine;
 mod error;
-pub mod queue;
 mod report;
 pub mod slo;
 
@@ -63,7 +64,6 @@ pub use engine::{
     JobReport, PrecisionPolicy, RejectReason, ShedReason,
 };
 pub use error::AccelError;
-pub use queue::{BoundedQueue, QueueFull};
 pub use report::{render_comparison, LayerReport, NetworkReport};
 pub use slo::{
     SloAccountant, SloAttainment, SloReport, SloTarget, TenantId, TenantSlo, TenantWindow,

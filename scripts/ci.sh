@@ -10,6 +10,12 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --offline (perfbench harness)"
+# The benchmark harness is a package of its own that links the workspace
+# crates by path, so an API change can break it while the workspace
+# tests stay green.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke: repro --metrics-out"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
