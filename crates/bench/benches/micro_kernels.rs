@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the core kernels: functional vector-MAC dot
-//! products, gate-level simulation throughput, and the cycle-accurate
-//! systolic matmul.  Self-timed via [`bsc_bench::timing`].
+//! products, gate-level simulation throughput, the cycle-accurate
+//! systolic matmul and the memory-aware layer scheduler.  Self-timed via
+//! [`bsc_bench::timing`].
 
 use bsc_bench::timing::Group;
 use bsc_mac::{vector_mac, MacKind, Precision, Rng64};
@@ -97,6 +98,33 @@ fn bench_asym_dot() {
     }
 }
 
+fn bench_mem_schedule() {
+    use bsc_systolic::{schedule_conv_with_memory, MemConfig};
+    // VGG-16 on the quick BSC array: FC1 alone is 3.2M tile passes.
+    let config = ArrayConfig { pes: 4, vector_length: 8, kind: MacKind::Bsc };
+    let net = bsc_nn::models::vgg16();
+    let layers: Vec<_> = net
+        .layers
+        .iter()
+        .map(|l| (l.precision, bsc_accel::layer_to_conv_shape(&l.kind)))
+        .collect();
+    let mut group = Group::new("mem_schedule");
+    group.sample_size(10);
+    for (name, mem) in [
+        ("vgg16_quick_bsc/infinite", MemConfig::infinite()),
+        ("vgg16_quick_bsc/edge", MemConfig::edge()),
+    ] {
+        group.bench(name, || {
+            layers
+                .iter()
+                .map(|(p, shape)| {
+                    schedule_conv_with_memory(&config, &mem, *p, shape).unwrap().total_cycles
+                })
+                .sum::<u64>()
+        });
+    }
+}
+
 fn main() {
     bench_functional_dot();
     bench_gate_sim();
@@ -104,4 +132,5 @@ fn main() {
     bench_array_netlist();
     bench_compiler();
     bench_asym_dot();
+    bench_mem_schedule();
 }

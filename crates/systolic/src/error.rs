@@ -33,7 +33,8 @@ pub enum SystolicError {
     },
     /// An operand error surfaced by the vector MAC model.
     Mac(bsc_mac::MacError),
-    /// A convolution shape field was zero.
+    /// A convolution shape field was zero, or an output axis (`out_w`,
+    /// `out_h`) was empty because the kernel does not fit the padded input.
     EmptyShape(&'static str),
     /// The measured dataflow counters of a run disagreed with the
     /// closed-form prediction — a bug in the cycle model or the formulas.
@@ -62,7 +63,7 @@ impl fmt::Display for SystolicError {
                 "weight width {weights} does not match feature width {features}"
             ),
             SystolicError::Mac(e) => write!(f, "vector MAC error: {e}"),
-            SystolicError::EmptyShape(field) => write!(f, "convolution shape field `{field}` is zero"),
+            SystolicError::EmptyShape(field) => write!(f, "convolution shape `{field}` is zero"),
             SystolicError::TelemetryDivergence { field, analytic, counted } => write!(
                 f,
                 "dataflow telemetry divergence on `{field}`: analytic {analytic} vs counted {counted}"

@@ -59,7 +59,7 @@ pub use mapping::{
 };
 pub use mem::{
     schedule_conv_with_memory, schedule_conv_with_memory_dataflow, DramBandwidth,
-    FeatureReuse, MemConfig, MemoryAwareSchedule, Roofline, TilePass, Tiling,
+    FeatureReuse, MemConfig, MemoryAwareSchedule, Roofline, TilePass, TileSink, Tiling,
 };
 pub use error::SystolicError;
 pub use matrix::Matrix;

@@ -9,7 +9,7 @@
 
 use bsc_mac::Precision;
 
-use crate::mem::{MemConfig, Tiling};
+use crate::mem::{MemConfig, TileSink};
 use crate::{ArrayConfig, SystolicError};
 
 /// Shape of one convolution (or fully connected) layer.
@@ -83,14 +83,14 @@ impl ConvShape {
         }
     }
 
-    /// Output width.
+    /// Output width; 0 when the kernel is wider than the padded input.
     pub fn out_w(&self) -> usize {
-        (self.in_w + 2 * self.padding - self.kernel_w) / self.stride + 1
+        out_len(self.in_w, self.padding, self.kernel_w, self.stride)
     }
 
-    /// Output height.
+    /// Output height; 0 when the kernel is taller than the padded input.
     pub fn out_h(&self) -> usize {
-        (self.in_h + 2 * self.padding - self.kernel_h) / self.stride + 1
+        out_len(self.in_h, self.padding, self.kernel_h, self.stride)
     }
 
     /// Exact multiply-accumulate count of the layer (per input image).
@@ -125,8 +125,21 @@ impl ConvShape {
                 return Err(SystolicError::EmptyShape(name));
             }
         }
+        // A kernel that does not fit the padded input leaves no output.
+        for (axis, v) in [("out_w", self.out_w()), ("out_h", self.out_h())] {
+            if v == 0 {
+                return Err(SystolicError::EmptyShape(axis));
+            }
+        }
         Ok(())
     }
+}
+
+/// Output positions along one axis of a strided, padded convolution.
+fn out_len(input: usize, padding: usize, kernel: usize, stride: usize) -> usize {
+    (input + 2 * padding)
+        .checked_sub(kernel)
+        .map_or(0, |span| span / stride + 1)
 }
 
 /// The cycle/energy-relevant schedule of one layer on the array.
@@ -220,8 +233,9 @@ impl std::fmt::Display for DataflowKind {
 ///
 /// Implementations produce both books the rest of the stack consumes —
 /// the compute-only [`LayerSchedule`] (cycles, lane accounting, SRAM
-/// vector traffic, psum round trips) and the buffer-sized [`Tiling`]
-/// whose pass list the DMA replay in [`crate::mem`] turns into a
+/// vector traffic, psum round trips) and the buffer-sized tiling, which
+/// they stream as a residency plan plus runs of identical passes into a
+/// [`TileSink`]; the DMA replay in [`crate::mem`] folds that stream into a
 /// stall-accurate schedule.  Two invariants hold for every
 /// implementation and are pinned by tests:
 ///
@@ -237,7 +251,8 @@ pub trait Dataflow: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`SystolicError::EmptyShape`] when any shape field is zero.
+    /// Returns [`SystolicError::EmptyShape`] when any shape field is zero or
+    /// the kernel does not fit the padded input.
     fn schedule(
         &self,
         config: &ArrayConfig,
@@ -245,17 +260,21 @@ pub trait Dataflow: Sync {
         shape: &ConvShape,
     ) -> Result<LayerSchedule, SystolicError>;
 
-    /// Splits the layer into buffer-sized tile passes for the DMA replay.
+    /// Splits the layer into buffer-sized tile passes for the DMA replay:
+    /// hands `sink` the residency plan, then every pass in execution order
+    /// as runs of identical passes.
     ///
     /// The shape must already have passed validation (callers run
-    /// [`Dataflow::schedule`] first, which rejects zero fields).
+    /// [`Dataflow::schedule`] first, which rejects zero fields and empty
+    /// outputs).
     fn tile(
         &self,
         config: &ArrayConfig,
         mem: &MemConfig,
         p: Precision,
         shape: &ConvShape,
-    ) -> Tiling;
+        sink: &mut dyn TileSink,
+    );
 }
 
 /// The paper's Fig. 6 dataflow: one (kernel-offset, channel-tile, PE-tile)
@@ -299,8 +318,9 @@ impl Dataflow for WeightStationary {
         mem: &MemConfig,
         p: Precision,
         shape: &ConvShape,
-    ) -> Tiling {
-        crate::mem::tile_weight_stationary(config, mem, p, shape)
+        sink: &mut dyn TileSink,
+    ) {
+        crate::mem::tile_weight_stationary(config, mem, p, shape, sink)
     }
 }
 
@@ -324,8 +344,9 @@ impl Dataflow for OutputStationary {
         mem: &MemConfig,
         p: Precision,
         shape: &ConvShape,
-    ) -> Tiling {
-        crate::mem::tile_output_stationary(config, mem, p, shape)
+        sink: &mut dyn TileSink,
+    ) {
+        crate::mem::tile_output_stationary(config, mem, p, shape, sink)
     }
 }
 
@@ -349,8 +370,9 @@ impl Dataflow for InputStationary {
         mem: &MemConfig,
         p: Precision,
         shape: &ConvShape,
-    ) -> Tiling {
-        crate::mem::tile_input_stationary(config, mem, p, shape)
+        sink: &mut dyn TileSink,
+    ) {
+        crate::mem::tile_input_stationary(config, mem, p, shape, sink)
     }
 }
 
@@ -358,7 +380,8 @@ impl Dataflow for InputStationary {
 ///
 /// # Errors
 ///
-/// Returns [`SystolicError::EmptyShape`] when any shape field is zero.
+/// Returns [`SystolicError::EmptyShape`] when any shape field is zero or
+/// the kernel does not fit the padded input.
 pub fn schedule_conv_dataflow(
     config: &ArrayConfig,
     p: Precision,
@@ -373,7 +396,8 @@ pub fn schedule_conv_dataflow(
 ///
 /// # Errors
 ///
-/// Returns [`SystolicError::EmptyShape`] when any shape field is zero.
+/// Returns [`SystolicError::EmptyShape`] when any shape field is zero or
+/// the kernel does not fit the padded input.
 pub fn schedule_conv(
     config: &ArrayConfig,
     p: Precision,
@@ -724,6 +748,37 @@ mod tests {
                 schedule_conv_dataflow(&paper_bsc(), Precision::Int8, &shape, dataflow),
                 Err(SystolicError::EmptyShape("in_channels"))
             ));
+        }
+    }
+
+    #[test]
+    fn a_kernel_larger_than_the_padded_input_is_rejected() {
+        // A 3×3 kernel over an unpadded 2×2 map has no output pixel.
+        let shape = ConvShape::conv(8, 8, 2, 2, 3, 1, 0);
+        assert_eq!((shape.out_w(), shape.out_h()), (0, 0));
+        assert_eq!(shape.macs(), 0);
+        // Only the height misses: 6×2 input, 3×5 kernel, padding 1.
+        let short = ConvShape { kernel_h: 5, ..ConvShape::conv(8, 8, 6, 2, 3, 1, 1) };
+        assert_eq!((short.out_w(), short.out_h()), (6, 0));
+        for (shape, axis) in [(shape, "out_w"), (short, "out_h")] {
+            for dataflow in DataflowKind::ALL {
+                assert_eq!(
+                    schedule_conv_dataflow(&paper_bsc(), Precision::Int8, &shape, dataflow),
+                    Err(SystolicError::EmptyShape(axis)),
+                    "{dataflow}"
+                );
+                assert_eq!(
+                    crate::mem::schedule_conv_with_memory_dataflow(
+                        &paper_bsc(),
+                        &MemConfig::edge(),
+                        Precision::Int8,
+                        &shape,
+                        dataflow,
+                    ),
+                    Err(SystolicError::EmptyShape(axis)),
+                    "{dataflow}"
+                );
+            }
         }
     }
 

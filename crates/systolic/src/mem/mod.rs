@@ -8,12 +8,15 @@
 //! configurable bytes-per-cycle bandwidth, and a double-buffered DMA engine
 //! that prefetches the next tile while the current one computes.
 //!
-//! [`schedule_conv_with_memory`] tiles the layer with [`tiler`], replays the
-//! pass list against the DMA channel on a deterministic integer clock, and
-//! returns a [`MemoryAwareSchedule`]: the compute-only [`LayerSchedule`]
-//! plus stall/fill/drain cycles, DMA traffic, buffer high-water marks and a
-//! roofline classification.  Two invariants hold by construction and are
-//! pinned by tests:
+//! [`schedule_conv_with_memory`] streams the layer's tile passes from the
+//! dataflow's tiler as runs of identical passes, folds them against the DMA
+//! channel on a deterministic integer clock, and returns a
+//! [`MemoryAwareSchedule`]: the compute-only [`LayerSchedule`] plus
+//! stall/fill/drain cycles, DMA traffic, buffer high-water marks and a
+//! roofline classification.  Once a run settles into a steady rhythm the
+//! fold advances its remaining passes in closed form, so no pass list is
+//! ever built.  Two invariants hold by construction and are pinned by
+//! tests:
 //!
 //! * with [`MemConfig::infinite`] the schedule reproduces the compute-only
 //!   cycle count **bit-exactly** for every precision × MAC kind;
@@ -24,9 +27,11 @@ use bsc_mac::Precision;
 use crate::mapping::{ConvShape, DataflowKind, LayerSchedule};
 use crate::{ArrayConfig, SystolicError};
 
+#[cfg(test)]
+mod oracle;
 mod tiler;
 
-pub use tiler::{TilePass, Tiling};
+pub use tiler::{TilePass, TileSink, Tiling};
 
 pub(crate) use tiler::{tile_input_stationary, tile_output_stationary, tile_weight_stationary};
 
@@ -298,15 +303,18 @@ pub fn dma_cycles_lower_bound(
 
 /// Schedules one layer through the memory hierarchy.
 ///
-/// Tiles the shape per the Fig. 6 loop order, then replays the pass list
+/// Tiles the shape per the Fig. 6 loop order and replays the passes
 /// against the DMA channel: the load for pass *i + 1* is issued while pass
-/// *i* computes (at its end when a buffer cannot hold two tiles), writebacks
-/// queue behind loads on the single channel, and a pass stalls until its
-/// operands have landed.
+/// *i* computes (at its end when a buffer cannot hold two tiles),
+/// writebacks queue behind loads on the single channel, and a pass stalls
+/// until its operands have landed.  The tiler streams its passes as runs
+/// of identical passes, and the replay advances each run in closed form
+/// once it settles into a steady rhythm.
 ///
 /// # Errors
 ///
-/// Returns [`SystolicError::EmptyShape`] when any shape field is zero.
+/// Returns [`SystolicError::EmptyShape`] when any shape field is zero or
+/// the kernel does not fit the padded input.
 pub fn schedule_conv_with_memory(
     config: &ArrayConfig,
     mem: &MemConfig,
@@ -317,13 +325,14 @@ pub fn schedule_conv_with_memory(
 }
 
 /// Like [`schedule_conv_with_memory`] with an explicit dataflow: the
-/// dataflow's own tiler produces the pass list, and the same DMA replay
-/// prices it.  With [`DataflowKind::WeightStationary`] this is bit-exact
+/// dataflow's own tiler streams the passes, and the same DMA replay
+/// prices them.  With [`DataflowKind::WeightStationary`] this is bit-exact
 /// with [`schedule_conv_with_memory`].
 ///
 /// # Errors
 ///
-/// Returns [`SystolicError::EmptyShape`] when any shape field is zero.
+/// Returns [`SystolicError::EmptyShape`] when any shape field is zero or
+/// the kernel does not fit the padded input.
 pub fn schedule_conv_with_memory_dataflow(
     config: &ArrayConfig,
     mem: &MemConfig,
@@ -333,64 +342,17 @@ pub fn schedule_conv_with_memory_dataflow(
 ) -> Result<MemoryAwareSchedule, SystolicError> {
     let flow = dataflow.instance();
     let compute = flow.schedule(config, p, shape)?;
-    let tiling = flow.tile(config, mem, p, shape);
+    let mut fold = RunFold::new(mem);
+    flow.tile(config, mem, p, shape, &mut fold);
+    let (tiling, dma) = fold.finish();
 
-    let mut clock = 0u64; // when the array finishes its current pass
-    let mut dma_free = 0u64; // when the DMA channel is next free
-    let mut stall_cycles = 0u64;
-    let mut compute_cycles = 0u64;
-    let mut dma_load_cycles = 0u64;
-    let mut dma_store_cycles = 0u64;
-    let mut dma_loads = 0u64;
-    let mut dma_stores = 0u64;
-    let mut dma_load_bytes = 0u64;
-    let mut dma_store_bytes = 0u64;
+    let total_cycles = dma.at.clock.max(dma.at.dma_free);
+    let drain_cycles = total_cycles - dma.at.clock;
+    let dma_busy_cycles = dma.dma_load_cycles + dma.dma_store_cycles;
+    debug_assert!(dma.compute_cycles >= compute.cycles);
+    debug_assert_eq!(dma.compute_cycles + dma.stall_cycles, dma.at.clock);
 
-    let n = tiling.passes.len();
-    // The first tile has nothing to overlap with: its load is the fill.
-    let first = &tiling.passes[0];
-    let mut ready = mem.transfer_cycles(first.load_bytes);
-    let fill_cycles = ready;
-    dma_free = dma_free.max(ready);
-    dma_load_cycles += ready;
-    dma_loads += first.loads;
-    dma_load_bytes += first.load_bytes;
-
-    for i in 0..n {
-        let pass = &tiling.passes[i];
-        let start = clock.max(ready);
-        stall_cycles += start - clock;
-        let end = start + pass.compute_cycles;
-        compute_cycles += pass.compute_cycles;
-        if i + 1 < n {
-            let next = &tiling.passes[i + 1];
-            let t = mem.transfer_cycles(next.load_bytes);
-            // Double buffering prefetches during compute; without the spare
-            // buffer the load must wait for the pass to release its tile.
-            let earliest = if tiling.double_buffered { start } else { end };
-            dma_free = earliest.max(dma_free) + t;
-            ready = dma_free;
-            dma_load_cycles += t;
-            dma_loads += next.loads;
-            dma_load_bytes += next.load_bytes;
-        }
-        if pass.store_bytes > 0 {
-            // Writeback queues on the same channel once the chunk retires.
-            let t = mem.transfer_cycles(pass.store_bytes);
-            dma_free = dma_free.max(end) + t;
-            dma_store_cycles += t;
-            dma_stores += 1;
-            dma_store_bytes += pass.store_bytes;
-        }
-        clock = end;
-    }
-    let total_cycles = clock.max(dma_free);
-    let drain_cycles = total_cycles - clock;
-    let dma_busy_cycles = dma_load_cycles + dma_store_cycles;
-    debug_assert!(compute_cycles >= compute.cycles);
-    debug_assert_eq!(compute_cycles + stall_cycles, clock);
-
-    let roofline = if dma_busy_cycles > compute_cycles {
+    let roofline = if dma_busy_cycles > dma.compute_cycles {
         Roofline::BandwidthBound
     } else {
         Roofline::ComputeBound
@@ -398,20 +360,20 @@ pub fn schedule_conv_with_memory_dataflow(
     let peak = total_cycles.saturating_mul(config.peak_macs_per_cycle(p) as u64);
     Ok(MemoryAwareSchedule {
         compute,
-        tile_passes: n as u64,
+        tile_passes: dma.passes,
         spatial_chunks: tiling.spatial_chunks,
-        compute_cycles,
-        stall_cycles,
-        fill_cycles,
+        compute_cycles: dma.compute_cycles,
+        stall_cycles: dma.stall_cycles,
+        fill_cycles: dma.fill_cycles,
         drain_cycles,
         total_cycles,
-        dma_loads,
-        dma_stores,
-        dma_load_bytes,
-        dma_store_bytes,
+        dma_loads: dma.dma_loads,
+        dma_stores: dma.dma_stores,
+        dma_load_bytes: dma.dma_load_bytes,
+        dma_store_bytes: dma.dma_store_bytes,
         dma_busy_cycles,
-        dma_load_cycles,
-        dma_store_cycles,
+        dma_load_cycles: dma.dma_load_cycles,
+        dma_store_cycles: dma.dma_store_cycles,
         weight_high_water_bytes: tiling.weight_high_water,
         feature_high_water_bytes: tiling.feature_high_water,
         output_high_water_bytes: tiling.output_high_water,
@@ -423,6 +385,152 @@ pub fn schedule_conv_with_memory_dataflow(
             0.0
         },
     })
+}
+
+/// The replay's timestamps between two passes, plus the writeback still
+/// waiting for the channel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Channel {
+    /// When the array finishes its last pass.
+    clock: u64,
+    /// Earliest cycle the next pass's load may issue: the last pass's
+    /// start under double buffering, its end otherwise.
+    issue: u64,
+    /// When the DMA channel is next free, before `in_flight`.
+    dma_free: u64,
+    /// Transfer cycles of the last pass's writeback, which queues behind
+    /// the next pass's load and may start once the pass ends (`clock`).
+    in_flight: Option<u64>,
+}
+
+impl Channel {
+    /// The Δ by which one step moved every timestamp from `before`, when
+    /// it moved them all alike and left the in-flight store unchanged.
+    fn shift_since(&self, before: &Channel) -> Option<u64> {
+        let delta = self.clock - before.clock;
+        (self.in_flight == before.in_flight
+            && self.issue - before.issue == delta
+            && self.dma_free - before.dma_free == delta)
+            .then_some(delta)
+    }
+}
+
+/// What the fold accrues over a layer's passes.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct DmaTotals {
+    at: Channel,
+    passes: u64,
+    fill_cycles: u64,
+    stall_cycles: u64,
+    compute_cycles: u64,
+    dma_load_cycles: u64,
+    dma_store_cycles: u64,
+    dma_loads: u64,
+    dma_stores: u64,
+    dma_load_bytes: u64,
+    dma_store_bytes: u64,
+}
+
+/// The DMA replay as a fold over a tiler's runs.
+///
+/// Adjacent equal passes merge into one run.  A run advances one pass at
+/// a time until a step shifts `clock`, `issue` and `dma_free` all by the
+/// same Δ with the same store in flight.  The step only adds constants
+/// and takes maxima, so shifting its input by Δ shifts its output by Δ:
+/// every later step of the run then repeats that shift and that stall, and
+/// the remaining `k` steps add `k·Δ` to each timestamp and `k` times the
+/// step's increments to each counter.
+struct RunFold<'m> {
+    mem: &'m MemConfig,
+    tiling: Option<Tiling>,
+    /// The run being merged, not yet replayed.
+    run: Option<(TilePass, u64)>,
+    totals: DmaTotals,
+}
+
+impl<'m> RunFold<'m> {
+    fn new(mem: &'m MemConfig) -> Self {
+        RunFold { mem, tiling: None, run: None, totals: DmaTotals::default() }
+    }
+
+    /// Replays `count` copies of `pass`.
+    fn advance(&mut self, pass: TilePass, count: u64) {
+        let load = self.mem.transfer_cycles(pass.load_bytes);
+        let store = (pass.store_bytes > 0).then(|| self.mem.transfer_cycles(pass.store_bytes));
+        let double_buffered = self.tiling.is_some_and(|t| t.double_buffered);
+        let d = &mut self.totals;
+        if d.passes == 0 {
+            // The first tile has nothing to overlap with: its load is the fill.
+            d.fill_cycles = load;
+        }
+        d.passes += count;
+        d.compute_cycles += count * pass.compute_cycles;
+        d.dma_load_cycles += count * load;
+        d.dma_loads += count * pass.loads;
+        d.dma_load_bytes += count * pass.load_bytes;
+        if let Some(t) = store {
+            d.dma_store_cycles += count * t;
+            d.dma_stores += count;
+            d.dma_store_bytes += count * pass.store_bytes;
+        }
+
+        for left in (0..count).rev() {
+            let before = d.at;
+            let at = &mut d.at;
+            at.dma_free = at.issue.max(at.dma_free) + load;
+            let ready = at.dma_free;
+            if let Some(t) = at.in_flight {
+                // The last pass's writeback queues behind this load.
+                at.dma_free = at.dma_free.max(at.clock) + t;
+            }
+            let start = at.clock.max(ready);
+            let stall = start - at.clock;
+            let end = start + pass.compute_cycles;
+            // Double buffering prefetches during compute; without the spare
+            // buffer the next load must wait for this pass to release its tile.
+            at.issue = if double_buffered { start } else { end };
+            at.clock = end;
+            at.in_flight = store;
+            d.stall_cycles += stall;
+            if let Some(delta) = at.shift_since(&before) {
+                at.clock += left * delta;
+                at.issue += left * delta;
+                at.dma_free += left * delta;
+                d.stall_cycles += left * stall;
+                break;
+            }
+        }
+    }
+
+    /// Replays the last run and its writeback.
+    fn finish(mut self) -> (Tiling, DmaTotals) {
+        if let Some((pass, count)) = self.run.take() {
+            self.advance(pass, count);
+        }
+        let at = &mut self.totals.at;
+        if let Some(t) = at.in_flight.take() {
+            at.dma_free = at.dma_free.max(at.clock) + t;
+        }
+        (self.tiling.expect("every tiler plans before its first pass"), self.totals)
+    }
+}
+
+impl TileSink for RunFold<'_> {
+    fn plan(&mut self, tiling: &Tiling) {
+        self.tiling = Some(*tiling);
+    }
+
+    fn run(&mut self, pass: TilePass, count: u64) {
+        if let Some((run, n)) = &mut self.run {
+            if *run == pass {
+                *n += count;
+                return;
+            }
+        }
+        if let Some((run, n)) = self.run.replace((pass, count)) {
+            self.advance(run, n);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,12 @@
 //! buffering) in the feature buffer.  Every pass records the DMA bytes that
 //! must land before it can run and the writeback it retires, which is all
 //! the double-buffered DMA model in [`super`] needs.
+//!
+//! No tiler materializes its pass list.  Each hands a [`TileSink`] its
+//! residency plan and then its passes in execution order, as runs of
+//! identical passes: an innermost loop whose passes differ only in the
+//! chunk's final writeback is one run, so a fully connected layer's
+//! thousands of channel tiles cost two runs per PE tile.
 
 use bsc_mac::Precision;
 
@@ -19,7 +25,7 @@ use crate::ArrayConfig;
 use super::{FeatureReuse, MemConfig};
 
 /// One stationary pass plus the DMA traffic tied to it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilePass {
     /// Cycles the array computes: chunk pixels + PE-chain fill.
     pub compute_cycles: u64,
@@ -32,13 +38,23 @@ pub struct TilePass {
     pub store_bytes: u64,
 }
 
-/// The full tiling of one layer: the flat pass list in execution order plus
-/// the buffer-occupancy bookkeeping the schedule reports.
-#[derive(Debug, Clone)]
+impl TilePass {
+    /// A pass of `compute_cycles` that waits for each present transfer.
+    fn loading(compute_cycles: u64, transfers: [Option<u64>; 2]) -> TilePass {
+        let present = transfers.into_iter().flatten();
+        TilePass {
+            compute_cycles,
+            load_bytes: present.clone().sum(),
+            loads: present.count() as u64,
+            store_bytes: 0,
+        }
+    }
+}
+
+/// A layer's residency plan: the buffer-occupancy bookkeeping the schedule
+/// reports, decided before the first pass runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
-    /// Passes in execution order (outer stationary loop → chunk → inner
-    /// streaming loops; the exact nest depends on the dataflow).
-    pub passes: Vec<TilePass>,
     /// Output-row chunks per PE tile (1 when the buffers hold the layer).
     pub spatial_chunks: u64,
     /// How often feature vectors travel the DRAM channel.
@@ -51,6 +67,17 @@ pub struct Tiling {
     pub feature_high_water: u64,
     /// Peak bytes resident in the output buffer.
     pub output_high_water: u64,
+}
+
+/// Receives one layer's tiling as a tiler walks its loop nest.
+pub trait TileSink {
+    /// The residency plan, once, before the first run.
+    fn plan(&mut self, tiling: &Tiling);
+
+    /// `count ≥ 1` consecutive copies of `pass`, in execution order
+    /// (outer stationary loop → chunk → inner streaming loops; the exact
+    /// nest depends on the dataflow).
+    fn run(&mut self, pass: TilePass, count: u64);
 }
 
 /// Bytes of one SRAM vector word in the array's element format.
@@ -69,17 +96,49 @@ fn chunk_region_bytes_of(shape: &ConvShape, vb: u64, rows: u64) -> u64 {
     region_rows(shape, rows) * shape.in_w as u64 * vb
 }
 
+/// Emits one channel-tile × kernel-offset block in loop order: each
+/// channel tile runs offset 0 as `first`, then offsets 1..kernel as one
+/// run of `rest`.  Only the block's last pass retires `store_bytes`.
+/// Without an offset loop every channel tile is `first`, so the block is
+/// one run plus that last pass.
+fn emit_block(
+    sink: &mut dyn TileSink,
+    channel_tiles: u64,
+    kernel: u64,
+    first: TilePass,
+    rest: TilePass,
+    store_bytes: u64,
+) {
+    let last = if kernel == 1 {
+        if channel_tiles > 1 {
+            sink.run(first, channel_tiles - 1);
+        }
+        first
+    } else {
+        for ct in 0..channel_tiles {
+            sink.run(first, 1);
+            let run = if ct + 1 == channel_tiles { kernel - 2 } else { kernel - 1 };
+            if run > 0 {
+                sink.run(rest, run);
+            }
+        }
+        rest
+    };
+    sink.run(TilePass { store_bytes, ..last }, 1);
+}
+
 /// Tiles `shape` in mode `p` onto the buffers of `mem` under the paper's
 /// weight-stationary dataflow (Fig. 6 loop order).
 ///
 /// The shape must already have passed [`ConvShape`] validation (the caller
-/// runs `schedule_conv` first, which rejects zero fields).
+/// runs `schedule_conv` first, which rejects zero fields and empty outputs).
 pub(crate) fn tile_weight_stationary(
     config: &ArrayConfig,
     mem: &MemConfig,
     p: Precision,
     shape: &ConvShape,
-) -> Tiling {
+    sink: &mut dyn TileSink,
+) {
     let split = config.dot_length(p);
     let pes = config.pes as u64;
     let vb = vector_bytes(config);
@@ -137,9 +196,26 @@ pub(crate) fn tile_weight_stationary(
     let chunk_region_bytes =
         |rows: u64| region_rows(shape, rows) * shape.in_w as u64 * vb;
 
-    let mut passes =
-        Vec::with_capacity((pe_tiles * spatial_chunks * channel_tiles * kernel) as usize);
-    let mut output_high_water = 0u64;
+    sink.plan(&Tiling {
+        spatial_chunks,
+        feature_reuse,
+        double_buffered,
+        weight_high_water: if weights_resident {
+            weight_tile_bytes
+        } else if double_buffered {
+            2 * pes * vb
+        } else {
+            pes * vb
+        },
+        feature_high_water: match feature_reuse {
+            FeatureReuse::FullMap => full_map_bytes,
+            FeatureReuse::ChunkResident => 2 * chunk_region_bytes(chunk_rows),
+            FeatureReuse::Streamed => chunk_region_bytes(chunk_rows),
+        },
+        // The first chunk of the first PE tile holds the most psums.
+        output_high_water: chunk_rows * out_w * pes.min(shape.out_channels as u64) * mem.psum_bytes,
+    });
+
     for nt in 0..pe_tiles {
         let used_pes = if nt + 1 == pe_tiles {
             shape.out_channels as u64 - nt * pes
@@ -151,70 +227,28 @@ pub(crate) fn tile_weight_stationary(
             let rows = chunk_rows.min(out_h - row);
             row += rows;
             let chunk_spatial = rows * out_w;
-            let psum_bytes = chunk_spatial * used_pes * mem.psum_bytes;
-            output_high_water = output_high_water.max(psum_bytes);
-            for ct in 0..channel_tiles {
-                for k in 0..kernel {
-                    let mut load_bytes = 0u64;
-                    let mut loads = 0u64;
-                    // Weights: one vector per PE per pass, skipped on later
-                    // chunks when the whole PE tile stays resident.
-                    if !weights_resident || chunk == 0 {
-                        load_bytes += used_pes * vb;
-                        loads += 1;
-                    }
-                    // Features, by reuse level.
-                    match feature_reuse {
-                        FeatureReuse::FullMap => {
-                            if nt == 0 && chunk == 0 && k == 0 {
-                                load_bytes += in_pixels * vb;
-                                loads += 1;
-                            }
-                        }
-                        FeatureReuse::ChunkResident => {
-                            if k == 0 {
-                                load_bytes += chunk_region_bytes(rows);
-                                loads += 1;
-                            }
-                        }
-                        FeatureReuse::Streamed => {
-                            load_bytes += chunk_region_bytes(rows);
-                            loads += 1;
-                        }
-                    }
-                    let last_of_chunk = ct + 1 == channel_tiles && k + 1 == kernel;
-                    passes.push(TilePass {
-                        compute_cycles: chunk_spatial + used_pes - 1,
-                        load_bytes,
-                        loads,
-                        store_bytes: if last_of_chunk { psum_bytes } else { 0 },
-                    });
+            // Weights: one vector per PE per pass, skipped on later chunks
+            // when the whole PE tile stays resident.
+            let weights = (!weights_resident || chunk == 0).then_some(used_pes * vb);
+            // Features, by reuse level: offset 0 of a channel tile, then
+            // the later offsets.
+            let (first, rest) = match feature_reuse {
+                FeatureReuse::FullMap => ((nt == 0 && chunk == 0).then_some(in_pixels * vb), None),
+                FeatureReuse::ChunkResident => (Some(chunk_region_bytes(rows)), None),
+                FeatureReuse::Streamed => {
+                    (Some(chunk_region_bytes(rows)), Some(chunk_region_bytes(rows)))
                 }
-            }
+            };
+            let compute_cycles = chunk_spatial + used_pes - 1;
+            emit_block(
+                sink,
+                channel_tiles,
+                kernel,
+                TilePass::loading(compute_cycles, [weights, first]),
+                TilePass::loading(compute_cycles, [weights, rest]),
+                chunk_spatial * used_pes * mem.psum_bytes,
+            );
         }
-    }
-
-    let weight_high_water = if weights_resident {
-        weight_tile_bytes
-    } else if double_buffered {
-        2 * pes * vb
-    } else {
-        pes * vb
-    };
-    let feature_high_water = match feature_reuse {
-        FeatureReuse::FullMap => full_map_bytes,
-        FeatureReuse::ChunkResident => 2 * chunk_region_bytes(chunk_rows),
-        FeatureReuse::Streamed => chunk_region_bytes(chunk_rows),
-    };
-
-    Tiling {
-        passes,
-        spatial_chunks,
-        feature_reuse,
-        double_buffered,
-        weight_high_water,
-        feature_high_water,
-        output_high_water,
     }
 }
 
@@ -230,7 +264,8 @@ pub(crate) fn tile_output_stationary(
     mem: &MemConfig,
     p: Precision,
     shape: &ConvShape,
-) -> Tiling {
+    sink: &mut dyn TileSink,
+) {
     let split = config.dot_length(p);
     let pes = config.pes as u64;
     let vb = vector_bytes(config);
@@ -281,8 +316,22 @@ pub(crate) fn tile_output_stationary(
     // prefetch the next chunk into.
     let double_buffered = weights_resident && feature_reuse != FeatureReuse::Streamed;
 
-    let mut passes = Vec::with_capacity((pe_tiles * spatial_chunks) as usize);
-    let mut output_high_water = 0u64;
+    sink.plan(&Tiling {
+        spatial_chunks,
+        feature_reuse,
+        double_buffered,
+        weight_high_water: if weights_resident { weight_tile_bytes } else { pes * vb },
+        feature_high_water: match feature_reuse {
+            FeatureReuse::FullMap => full_map_bytes,
+            FeatureReuse::ChunkResident => {
+                2 * chunk_region_bytes_of(shape, vb, chunk_rows) * channel_tiles
+            }
+            FeatureReuse::Streamed => chunk_region_bytes_of(shape, vb, chunk_rows) * channel_tiles,
+        },
+        // The first chunk of the first PE tile holds the most outputs.
+        output_high_water: chunk_rows * out_w * pes.min(shape.out_channels as u64) * mem.psum_bytes,
+    });
+
     for nt in 0..pe_tiles {
         let used_pes = if nt + 1 == pe_tiles {
             shape.out_channels as u64 - nt * pes
@@ -294,55 +343,24 @@ pub(crate) fn tile_output_stationary(
             let rows = chunk_rows.min(out_h - row);
             row += rows;
             let chunk_spatial = rows * out_w;
-            let psum_bytes = chunk_spatial * used_pes * mem.psum_bytes;
-            output_high_water = output_high_water.max(psum_bytes);
-            let mut load_bytes = 0u64;
-            let mut loads = 0u64;
             // Weights: the PE tile's whole set streams during the pass.
-            if !weights_resident || chunk == 0 {
-                load_bytes += steps * used_pes * vb;
-                loads += 1;
-            }
+            let weights = (!weights_resident || chunk == 0).then_some(steps * used_pes * vb);
             // Features: the chunk region across every channel tile.
-            match feature_reuse {
-                FeatureReuse::FullMap => {
-                    if nt == 0 && chunk == 0 {
-                        load_bytes += full_map_bytes;
-                        loads += 1;
-                    }
-                }
+            let features = match feature_reuse {
+                FeatureReuse::FullMap => (nt == 0 && chunk == 0).then_some(full_map_bytes),
                 FeatureReuse::ChunkResident | FeatureReuse::Streamed => {
-                    load_bytes += chunk_region_bytes_of(shape, vb, rows) * channel_tiles;
-                    loads += 1;
+                    Some(chunk_region_bytes_of(shape, vb, rows) * channel_tiles)
                 }
-            }
-            passes.push(TilePass {
-                compute_cycles: chunk_spatial * steps + used_pes - 1,
-                load_bytes,
-                loads,
-                // Every pass retires its chunk: psums never span passes.
-                store_bytes: psum_bytes,
-            });
+            };
+            sink.run(
+                TilePass {
+                    // Every pass retires its chunk: psums never span passes.
+                    store_bytes: chunk_spatial * used_pes * mem.psum_bytes,
+                    ..TilePass::loading(chunk_spatial * steps + used_pes - 1, [weights, features])
+                },
+                1,
+            );
         }
-    }
-
-    let weight_high_water = if weights_resident { weight_tile_bytes } else { pes * vb };
-    let feature_high_water = match feature_reuse {
-        FeatureReuse::FullMap => full_map_bytes,
-        FeatureReuse::ChunkResident => {
-            2 * chunk_region_bytes_of(shape, vb, chunk_rows) * channel_tiles
-        }
-        FeatureReuse::Streamed => chunk_region_bytes_of(shape, vb, chunk_rows) * channel_tiles,
-    };
-
-    Tiling {
-        passes,
-        spatial_chunks,
-        feature_reuse,
-        double_buffered,
-        weight_high_water,
-        feature_high_water,
-        output_high_water,
     }
 }
 
@@ -358,7 +376,8 @@ pub(crate) fn tile_input_stationary(
     mem: &MemConfig,
     p: Precision,
     shape: &ConvShape,
-) -> Tiling {
+    sink: &mut dyn TileSink,
+) {
     let split = config.dot_length(p);
     let pes = config.pes as u64;
     let vb = vector_bytes(config);
@@ -406,15 +425,31 @@ pub(crate) fn tile_input_stationary(
     let double_buffered = (weights_resident || 2 * out_channels * vb <= mem.weight_buffer_bytes)
         && feature_reuse != FeatureReuse::Streamed;
 
-    let mut passes = Vec::new();
-    let mut output_high_water = 0u64;
+    sink.plan(&Tiling {
+        spatial_chunks,
+        feature_reuse,
+        double_buffered,
+        weight_high_water: if weights_resident {
+            weight_total_bytes
+        } else if double_buffered {
+            2 * out_channels * vb
+        } else {
+            out_channels * vb
+        },
+        feature_high_water: match feature_reuse {
+            FeatureReuse::FullMap => full_map_bytes,
+            FeatureReuse::ChunkResident => 2 * chunk_region_bytes_of(shape, vb, chunk_rows),
+            FeatureReuse::Streamed => pes * vb,
+        },
+        // The first chunk is the tallest.
+        output_high_water: chunk_rows * out_w * out_channels * mem.psum_bytes,
+    });
+
     let mut row = 0;
     for chunk in 0..spatial_chunks {
         let rows = chunk_rows.min(out_h - row);
         row += rows;
         let chunk_spatial = rows * out_w;
-        let psum_bytes = chunk_spatial * out_channels * mem.psum_bytes;
-        output_high_water = output_high_water.max(psum_bytes);
         let spatial_tiles = chunk_spatial.div_ceil(pes);
         for st in 0..spatial_tiles {
             let used_pes = if st + 1 == spatial_tiles {
@@ -422,91 +457,62 @@ pub(crate) fn tile_input_stationary(
             } else {
                 pes
             };
-            for ct in 0..channel_tiles {
-                for k in 0..kernel {
-                    let mut load_bytes = 0u64;
-                    let mut loads = 0u64;
-                    // Weights: the (ct, k) slab of out_channels vectors,
-                    // fetched once when the whole layer stays resident.
-                    if !weights_resident || (chunk == 0 && st == 0) {
-                        load_bytes += out_channels * vb;
-                        loads += 1;
-                    }
-                    // Features, by reuse level.
-                    match feature_reuse {
-                        FeatureReuse::FullMap => {
-                            if chunk == 0 && st == 0 && k == 0 {
-                                load_bytes += in_pixels * vb;
-                                loads += 1;
-                            }
-                        }
-                        FeatureReuse::ChunkResident => {
-                            if st == 0 && k == 0 {
-                                load_bytes += chunk_region_bytes_of(shape, vb, rows);
-                                loads += 1;
-                            }
-                        }
-                        FeatureReuse::Streamed => {
-                            // Exactly the vectors pinned for this pass.
-                            load_bytes += used_pes * vb;
-                            loads += 1;
-                        }
-                    }
-                    let last_of_chunk = st + 1 == spatial_tiles
-                        && ct + 1 == channel_tiles
-                        && k + 1 == kernel;
-                    passes.push(TilePass {
-                        compute_cycles: out_channels + used_pes - 1,
-                        load_bytes,
-                        loads,
-                        store_bytes: if last_of_chunk { psum_bytes } else { 0 },
-                    });
+            // Weights: the (ct, k) slab of out_channels vectors, fetched
+            // once when the whole layer stays resident.
+            let weights =
+                (!weights_resident || (chunk == 0 && st == 0)).then_some(out_channels * vb);
+            // Features, by reuse level: offset 0 of a channel tile, then
+            // the later offsets.
+            let (first, rest) = match feature_reuse {
+                FeatureReuse::FullMap => ((chunk == 0 && st == 0).then_some(in_pixels * vb), None),
+                FeatureReuse::ChunkResident => {
+                    ((st == 0).then_some(chunk_region_bytes_of(shape, vb, rows)), None)
                 }
-            }
+                // Exactly the vectors pinned for this pass.
+                FeatureReuse::Streamed => (Some(used_pes * vb), Some(used_pes * vb)),
+            };
+            let compute_cycles = out_channels + used_pes - 1;
+            // The chunk retires once its last spatial tile is done.
+            let store_bytes = if st + 1 == spatial_tiles {
+                chunk_spatial * out_channels * mem.psum_bytes
+            } else {
+                0
+            };
+            emit_block(
+                sink,
+                channel_tiles,
+                kernel,
+                TilePass::loading(compute_cycles, [weights, first]),
+                TilePass::loading(compute_cycles, [weights, rest]),
+                store_bytes,
+            );
         }
-    }
-
-    let weight_high_water = if weights_resident {
-        weight_total_bytes
-    } else if double_buffered {
-        2 * out_channels * vb
-    } else {
-        out_channels * vb
-    };
-    let feature_high_water = match feature_reuse {
-        FeatureReuse::FullMap => full_map_bytes,
-        FeatureReuse::ChunkResident => 2 * chunk_region_bytes_of(shape, vb, chunk_rows),
-        FeatureReuse::Streamed => pes * vb,
-    };
-
-    Tiling {
-        passes,
-        spatial_chunks,
-        feature_reuse,
-        double_buffered,
-        weight_high_water,
-        feature_high_water,
-        output_high_water,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::DataflowKind;
+    use crate::mem::oracle::Recorder;
     use bsc_mac::MacKind;
 
     fn paper() -> ArrayConfig {
         ArrayConfig::paper(MacKind::Bsc)
     }
 
+    fn tile(dataflow: DataflowKind, mem: &MemConfig, shape: &ConvShape) -> Recorder {
+        Recorder::tile(dataflow, &paper(), mem, Precision::Int8, shape)
+    }
+
     #[test]
     fn infinite_buffers_produce_one_chunk_per_pe_tile() {
         let shape = ConvShape::conv(64, 64, 28, 28, 3, 1, 1);
-        let t = tile_weight_stationary(&paper(), &MemConfig::infinite(), Precision::Int8, &shape);
-        assert_eq!(t.spatial_chunks, 1);
-        assert_eq!(t.feature_reuse, FeatureReuse::FullMap);
+        let t = tile(DataflowKind::WeightStationary, &MemConfig::infinite(), &shape);
+        assert_eq!(t.plan().spatial_chunks, 1);
+        assert_eq!(t.plan().feature_reuse, FeatureReuse::FullMap);
         // 2 PE tiles × 2 channel tiles × 9 kernel offsets.
-        assert_eq!(t.passes.len(), 2 * 2 * 9);
+        assert_eq!(t.passes().len(), 2 * 2 * 9);
     }
 
     #[test]
@@ -517,11 +523,11 @@ mod tests {
             output_buffer_bytes: 2 * 1024,
             ..MemConfig::infinite()
         };
-        let t = tile_weight_stationary(&paper(), &mem, Precision::Int8, &shape);
-        assert_eq!(t.spatial_chunks, 16);
-        assert!(t.output_high_water <= mem.output_buffer_bytes);
+        let t = tile(DataflowKind::WeightStationary, &mem, &shape);
+        assert_eq!(t.plan().spatial_chunks, 16);
+        assert!(t.plan().output_high_water <= mem.output_buffer_bytes);
         // Writebacks: one per (PE tile, chunk).
-        let stores = t.passes.iter().filter(|p| p.store_bytes > 0).count();
+        let stores = t.passes().iter().filter(|p| p.store_bytes > 0).count();
         assert_eq!(stores, 16);
     }
 
@@ -532,39 +538,29 @@ mod tests {
             feature_buffer_bytes: 1024, // under one row region (3×16×64 B)
             ..MemConfig::infinite()
         };
-        let t = tile_weight_stationary(&paper(), &mem, Precision::Int8, &shape);
-        assert_eq!(t.feature_reuse, FeatureReuse::Streamed);
-        assert!(!t.double_buffered);
-        assert!(t.passes.iter().all(|p| p.load_bytes > 0));
+        let t = tile(DataflowKind::WeightStationary, &mem, &shape);
+        assert_eq!(t.plan().feature_reuse, FeatureReuse::Streamed);
+        assert!(!t.plan().double_buffered);
+        assert!(t.passes().iter().all(|p| p.load_bytes > 0));
     }
 
     #[test]
     fn output_stationary_has_one_pass_per_pe_tile_when_unconstrained() {
         let shape = ConvShape::conv(64, 64, 28, 28, 3, 1, 1);
-        let t = tile_output_stationary(
-            &paper(),
-            &MemConfig::infinite(),
-            Precision::Int8,
-            &shape,
-        );
-        assert_eq!(t.spatial_chunks, 1);
+        let t = tile(DataflowKind::OutputStationary, &MemConfig::infinite(), &shape);
+        assert_eq!(t.plan().spatial_chunks, 1);
         // The whole reduction happens inside each PE tile's single pass.
-        assert_eq!(t.passes.len(), 2);
-        assert!(t.passes.iter().all(|p| p.store_bytes > 0));
+        assert_eq!(t.passes().len(), 2);
+        assert!(t.passes().iter().all(|p| p.store_bytes > 0));
     }
 
     #[test]
     fn input_stationary_passes_follow_the_spatial_tiling() {
         let shape = ConvShape::conv(64, 64, 7, 7, 1, 1, 0);
-        let t = tile_input_stationary(
-            &paper(),
-            &MemConfig::infinite(),
-            Precision::Int8,
-            &shape,
-        );
+        let t = tile(DataflowKind::InputStationary, &MemConfig::infinite(), &shape);
         // 49 pixels / 32 PEs = 2 spatial tiles × 2 channel tiles.
-        assert_eq!(t.passes.len(), 2 * 2);
-        assert_eq!(t.spatial_chunks, 1);
+        assert_eq!(t.passes().len(), 2 * 2);
+        assert_eq!(t.plan().spatial_chunks, 1);
     }
 
     #[test]
@@ -575,9 +571,9 @@ mod tests {
             output_buffer_bytes: 4 * 1024,
             ..MemConfig::infinite()
         };
-        let t = tile_input_stationary(&paper(), &mem, Precision::Int8, &shape);
-        assert_eq!(t.spatial_chunks, 16);
-        assert!(t.output_high_water <= mem.output_buffer_bytes);
+        let t = tile(DataflowKind::InputStationary, &mem, &shape);
+        assert_eq!(t.plan().spatial_chunks, 16);
+        assert!(t.plan().output_high_water <= mem.output_buffer_bytes);
     }
 
     #[test]
