@@ -38,6 +38,10 @@
 //!   event-driven incremental) and reports the characterization
 //!   wall-clock of a quick workbench; `--bench-out FILE` writes the
 //!   machine-readable `BENCH_sim.json` baseline.
+//! * `all` prints Table I and Figs 7–9 plus the telemetry probe;
+//!   `--bench-out FILE all` also writes every number behind them as the
+//!   `BENCH_paper.json` document the CI gate diffs at `--tol 0` (name
+//!   `all` explicitly: `--bench-out` alone still means `simbench`).
 //! * `mem` sweeps the memory hierarchy (buffer size x DRAM bandwidth x
 //!   precision x MAC kind) through the tiled double-buffered DMA
 //!   schedule and reports stall cycles, DMA traffic and the roofline
@@ -363,11 +367,13 @@ fn main() {
             print!("{}", experiments::render_fig7b(&pts));
         }
         write_csv("fig7_sweep.csv", experiments::fig7_csv(&pts));
+        pts
     };
     let run_fig8a = |wb: &Workbench| match experiments::fig8a(wb) {
         Ok(rows) => {
             print!("{}", experiments::render_fig8a(&rows));
             write_csv("fig8a.csv", experiments::fig8a_csv(&rows));
+            rows
         }
         Err(e) => die(&format!("fig8a failed: {e}")),
     };
@@ -375,6 +381,7 @@ fn main() {
         Ok(rows) => {
             print!("{}", experiments::render_fig8b(&rows));
             write_csv("fig8b.csv", experiments::fig8b_csv(&rows));
+            rows
         }
         Err(e) => die(&format!("fig8b failed: {e}")),
     };
@@ -382,6 +389,7 @@ fn main() {
         Ok(rows) => {
             print!("{}", experiments::render_fig9(&rows));
             write_csv("fig9.csv", experiments::fig9_csv(&rows));
+            rows
         }
         Err(e) => die(&format!("fig9 failed: {e}")),
     };
@@ -587,24 +595,33 @@ fn main() {
                 Err(e) => die(&format!("fig8b-gate failed: {e}")),
             }
         }
-        "fig7a" | "fig7b" => run_fig7(wb.expect("workbench"), &opts.which),
-        "fig8a" => run_fig8a(wb.expect("workbench")),
-        "fig8b" => run_fig8b(wb.expect("workbench")),
-        "fig9" => run_fig9(wb.expect("workbench")),
+        "fig7a" | "fig7b" => {
+            run_fig7(wb.expect("workbench"), &opts.which);
+        }
+        "fig8a" => {
+            run_fig8a(wb.expect("workbench"));
+        }
+        "fig8b" => {
+            run_fig8b(wb.expect("workbench"));
+        }
+        "fig9" => {
+            run_fig9(wb.expect("workbench"));
+        }
         "telemetry" => run_telemetry(),
         "all" => {
             let wb = wb.expect("workbench");
             run_table1();
             println!();
-            run_fig7(wb, "all");
+            let fig7 = run_fig7(wb, "all");
             println!();
-            run_fig8a(wb);
+            let fig8a = run_fig8a(wb);
             println!();
-            run_fig8b(wb);
+            let fig8b = run_fig8b(wb);
             println!();
-            run_fig9(wb);
+            let fig9 = run_fig9(wb);
             println!();
             run_telemetry();
+            write_out(&opts.bench_out, experiments::paper_json(&fig7, &fig8a, &fig8b, &fig9));
         }
         other => die(&format!(
             "unknown experiment `{other}` (expected table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|dse|trace|serve|online|profile|diff|extensions|all)"

@@ -1,6 +1,5 @@
 //! Drivers regenerating every table and figure of the paper's evaluation.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bsc_mac::ppa::{paper_period_sweep_ps, PpaError};
@@ -9,6 +8,7 @@ use bsc_nn::models;
 use bsc_systolic::energy::ArrayEnergyModel;
 use bsc_systolic::mapping::schedule_conv;
 use bsc_systolic::ArrayConfig;
+use bsc_telemetry::JsonBuilder;
 
 use crate::Workbench;
 
@@ -307,24 +307,15 @@ pub fn fig9(wb: &Workbench) -> Result<Vec<BenchmarkEfficiency>, PpaError> {
                 })
                 .sum();
             let config = ArrayConfig { pes: 32, vector_length: wb.vector_length(), kind };
-            // Cache one energy model per precision actually used.
-            let mut model_cache: BTreeMap<Precision, ArrayEnergyModel> = BTreeMap::new();
             let mut energy_fj = 0.0;
             let mut macs = 0u64;
             let mut cycles = 0u64;
             let mut util_weighted = 0.0;
             for layer in &net.layers {
-                let model = match model_cache.get(&layer.precision) {
-                    Some(m) => m.clone(),
-                    None => {
-                        let unit = wb
-                            .design(kind)
-                            .at_period_weight_stationary(layer.precision, ARRAY_PERIOD_PS)?;
-                        let m = ArrayEnergyModel::new(unit, config);
-                        model_cache.insert(layer.precision, m.clone());
-                        m
-                    }
-                };
+                let unit = wb
+                    .design(kind)
+                    .at_period_weight_stationary(layer.precision, ARRAY_PERIOD_PS)?;
+                let model = ArrayEnergyModel::new(unit, config);
                 let shape = bsc_accel::layer_to_conv_shape(&layer.kind);
                 let s = schedule_conv(&config, layer.precision, &shape)
                     .expect("benchmark layer shapes are non-empty");
@@ -468,6 +459,92 @@ pub fn fig9_csv(rows: &[BenchmarkEfficiency]) -> String {
         );
     }
     out
+}
+
+/// Serializes every number `repro all` derives from the paper's figures
+/// (Table I, each Fig. 7 sweep point, the Fig. 8a/8b/9 rows) as the
+/// `BENCH_paper.json` document CI diffs at `--tol 0`.
+///
+/// Floats are written in Rust's shortest round-trip form, so the diff
+/// compares exact bits.  Rows are indexed by position (no `design` or
+/// `name` member), and each section carries its row count, so a lost,
+/// added or reordered row is a gated drift rather than a warning.
+pub fn paper_json(
+    fig7: &[SweepPoint],
+    fig8a: &[MaxEfficiency],
+    fig8b: &[ArrayEfficiency],
+    fig9: &[BenchmarkEfficiency],
+) -> String {
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("benchmark").string("paper_figures");
+    let table1 = bsc_nn::report::table1();
+    j.key("table1_rows").u64(table1.len() as u64);
+    j.key("table1").begin_array();
+    for r in &table1 {
+        j.begin_object();
+        j.key("cnn").string(&r.cnn);
+        j.key("dataset").string(&r.dataset);
+        j.key("model_mbytes").f64(r.model_mbytes);
+        j.key("frac8").f64(r.frac8);
+        j.key("frac4").f64(r.frac4);
+        j.key("frac2").f64(r.frac2);
+        j.end_object();
+    }
+    j.end_array();
+    j.key("fig7_points").u64(fig7.len() as u64);
+    j.key("fig7").begin_array();
+    for p in fig7 {
+        j.begin_object();
+        j.key("kind").string(&p.kind.to_string());
+        j.key("bits").u64(u64::from(p.precision.bits()));
+        j.key("period_ps").f64(p.period_ps);
+        j.key("total_power_mw").f64(p.total_power_mw);
+        j.key("energy_per_mac_fj").f64(p.energy_per_mac_fj);
+        j.key("tops_per_w").f64(p.tops_per_w);
+        j.key("tops_per_mm2").f64(p.tops_per_mm2);
+        j.end_object();
+    }
+    j.end_array();
+    j.key("fig8a_rows").u64(fig8a.len() as u64);
+    j.key("fig8a").begin_array();
+    for r in fig8a {
+        j.begin_object();
+        j.key("kind").string(&r.kind.to_string());
+        j.key("bits").u64(u64::from(r.precision.bits()));
+        j.key("tops_per_w").f64(r.tops_per_w);
+        j.key("period_ps").f64(r.period_ps);
+        j.end_object();
+    }
+    j.end_array();
+    j.key("fig8b_rows").u64(fig8b.len() as u64);
+    j.key("fig8b").begin_array();
+    for r in fig8b {
+        j.begin_object();
+        j.key("kind").string(&r.kind.to_string());
+        j.key("bits").u64(u64::from(r.precision.bits()));
+        j.key("tops_per_w").f64(r.tops_per_w);
+        j.key("tops").f64(r.tops);
+        j.end_object();
+    }
+    j.end_array();
+    j.key("fig9_rows").u64(fig9.len() as u64);
+    j.key("fig9").begin_array();
+    for r in fig9 {
+        j.begin_object();
+        j.key("network").string(&r.network);
+        j.key("kind").string(&r.kind.to_string());
+        j.key("tops_per_w").f64(r.tops_per_w);
+        j.key("mapped_tops_per_w").f64(r.mapped_tops_per_w);
+        j.key("latency_ms").f64(r.latency_ms);
+        j.key("utilization").f64(r.utilization);
+        j.end_object();
+    }
+    j.end_array();
+    j.end_object();
+    let mut s = j.finish();
+    s.push('\n');
+    s
 }
 
 /// Serializes Table I as CSV.

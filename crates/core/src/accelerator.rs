@@ -324,8 +324,6 @@ impl Accelerator {
             g
         });
         let mut layers = Vec::with_capacity(net.layers.len());
-        // One energy model per precision: each is a characterization query.
-        let mut models: [Option<ArrayEnergyModel>; Precision::ALL.len()] = Default::default();
         for (i, layer) in net.layers.iter().enumerate() {
             let _layer_span = self.telemetry().map(|tel| {
                 let g = tel.spans.begin(&format!("layer.{}", layer.name));
@@ -341,10 +339,7 @@ impl Accelerator {
                 &shape,
             )?;
             let schedule = aware.compute;
-            let model = match &mut models[layer.precision as usize] {
-                Some(model) => model,
-                slot => slot.insert(self.energy_model(layer.precision)?),
-            };
+            let model = self.energy_model(layer.precision)?;
             let energy_fj = model.schedule_energy_fj(&schedule);
             if let Some(tel) = self.telemetry() {
                 tel.trace.push(bsc_telemetry::TraceEvent::TileStart {

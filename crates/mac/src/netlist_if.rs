@@ -539,6 +539,51 @@ mod tests {
         assert_eq!((a, w), (4, 2));
     }
 
+    /// `levelize` lists every live node exactly once and no dead one,
+    /// each combinational node after its operands.
+    fn assert_levelized(n: &bsc_netlist::Netlist) {
+        let order = n.levelize().expect("acyclic");
+        let live = n.live_set();
+        let mut pos = vec![usize::MAX; n.len()];
+        for (i, id) in order.iter().enumerate() {
+            assert!(live[id.index()], "dead node {id} levelized");
+            assert_eq!(pos[id.index()], usize::MAX, "{id} levelized twice");
+            pos[id.index()] = i;
+        }
+        assert_eq!(order.len(), live.iter().filter(|&&l| l).count(), "a live node is missing");
+        for &id in &order {
+            let gate = n.gate(id);
+            if !gate.is_source() {
+                for op in gate.operands() {
+                    assert!(pos[op.index()] < pos[id.index()], "{op} comes after its user {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn levelize_orders_every_live_node_once_operands_first() {
+        for kind in MacKind::ALL {
+            assert_levelized(crate::build_netlist(kind, 4).netlist());
+        }
+        // Dead logic, plus a deferred flop whose data pin reads its own
+        // output, next to an enable register (also built deferred).
+        let mut n = bsc_netlist::Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let en = n.input("en");
+        let dead = n.xor(a, b);
+        let _also_dead = n.and(dead, en);
+        let q = n.dff_deferred(false);
+        let d = n.xor(q, a);
+        n.bind_dff(q, d);
+        let r = n.dff_en(b, en, true);
+        let y = n.or(q, r);
+        let z = n.nand(y, d);
+        n.mark_output(z, "z");
+        assert_levelized(&n);
+    }
+
     #[test]
     fn pack_element_masks_twos_complement() {
         // -1 in 2 bits is 0b11; four fields of -1 fill a byte.

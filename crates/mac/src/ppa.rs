@@ -5,11 +5,14 @@
 //! This is the reproduction of the paper's §V-A flow (RTL → DC → PTPX with
 //! VCS stimulus), packaged so the systolic-array simulator and the
 //! benchmark harness can look energies up instead of re-simulating gates.
+//! Everything that does not depend on the clock period (STA, cell counts,
+//! per-kind switching energy) is computed once per characterization, so an
+//! operating-point query is arithmetic only.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bsc_synth::{analyze, CellLibrary, EffortModel, PpaReport, SynthError};
+use bsc_synth::{CellLibrary, EffortModel, PpaModel, PpaReport, SynthError};
 
 /// Process-wide count of full characterization passes (gate-level netlist
 /// build + activity testbench).  Characterization is by far the most
@@ -105,20 +108,39 @@ impl From<SynthError> for PpaError {
     }
 }
 
-/// A characterized design: its netlist plus per-mode recorded activity,
-/// ready for repeated [`DesignCharacterization::at_period`] queries.
+/// One recorded activity trace and the PPA model built from it.
+#[derive(Debug)]
+struct Mode {
+    activity: bsc_netlist::Activity,
+    model: PpaModel,
+}
+
+/// A characterized design: its netlist, the activity recorded in each
+/// precision mode under both stimulus profiles, and one [`PpaModel`] per
+/// trace — ready for repeated [`DesignCharacterization::at_period`]
+/// queries.
+///
+/// Construction runs everything that does not depend on the clock period
+/// once: the gate-level testbench (six activity traces), one STA and one
+/// cell count for the netlist, and one per-kind switching-energy sum per
+/// trace.  Each `at_period*` query then only applies the synthesis-effort
+/// multipliers for its period (tens of nanoseconds, no allocation), and
+/// returns exactly what [`bsc_synth::analyze`] would on the same netlist
+/// and trace.
 #[derive(Debug)]
 pub struct DesignCharacterization {
     kind: MacKind,
     netlist: MacNetlist,
-    activities: BTreeMap<Precision, bsc_netlist::Activity>,
-    activities_ws: BTreeMap<Precision, bsc_netlist::Activity>,
+    random: BTreeMap<Precision, Mode>,
+    weight_stationary: BTreeMap<Precision, Mode>,
+    nominal_period_ps: f64,
     config: CharacterizeConfig,
 }
 
 impl DesignCharacterization {
-    /// Builds the netlist for `kind` and records activity in all three
-    /// precision modes (random and weight-stationary profiles).
+    /// Builds the netlist for `kind`, records activity in all three
+    /// precision modes (random and weight-stationary profiles) and builds
+    /// the PPA model of each trace.
     ///
     /// Each characterization run shards its independent 64-lane stimulus
     /// batches across a scoped thread pool — every worker owns a private
@@ -166,19 +188,24 @@ impl DesignCharacterization {
             })
             .collect();
         let acts = netlist.characterize_suite(config.steps, &runs, workers)?;
-        let mut activities = BTreeMap::new();
-        let mut activities_ws = BTreeMap::new();
-        for ((p, profile, _), act) in runs.into_iter().zip(acts) {
+        // The suite's simulators already levelized the netlist, so it has
+        // no combinational cycle and the STA here cannot fail.
+        let base = PpaModel::of_netlist(netlist.netlist(), &config.library)?;
+        let mut random = BTreeMap::new();
+        let mut weight_stationary = BTreeMap::new();
+        for ((p, profile, _), activity) in runs.into_iter().zip(acts) {
+            let mode = Mode { model: base.with_activity(&activity, &config.library), activity };
             match profile {
-                StimulusProfile::Random => activities.insert(p, act),
-                StimulusProfile::WeightStationary => activities_ws.insert(p, act),
+                StimulusProfile::Random => random.insert(p, mode),
+                StimulusProfile::WeightStationary => weight_stationary.insert(p, mode),
             };
         }
         Ok(DesignCharacterization {
             kind,
             netlist,
-            activities,
-            activities_ws,
+            random,
+            weight_stationary,
+            nominal_period_ps: base.nominal_period_ps(),
             config: config.clone(),
         })
     }
@@ -186,12 +213,12 @@ impl DesignCharacterization {
     /// The recorded activity of one precision mode (random stimulus) —
     /// exposed so determinism tests can compare runs directly.
     pub fn activity(&self, p: Precision) -> &bsc_netlist::Activity {
-        &self.activities[&p]
+        &self.random[&p].activity
     }
 
     /// The recorded weight-stationary activity of one precision mode.
     pub fn activity_weight_stationary(&self, p: Precision) -> &bsc_netlist::Activity {
-        &self.activities_ws[&p]
+        &self.weight_stationary[&p].activity
     }
 
     /// The architecture characterized.
@@ -207,18 +234,26 @@ impl DesignCharacterization {
     /// PPA of one mode at one clock period (in ps), under the *both streams
     /// random* stimulus the paper's vector-unit testbench uses.
     ///
+    /// Evaluates the stored [`PpaModel`] of that trace: no STA and no
+    /// allocation, and bit-identical to [`bsc_synth::analyze`] on the same
+    /// netlist and activity.
+    ///
     /// # Errors
     ///
-    /// Returns [`SynthError::TimingInfeasible`] (wrapped) when the period is
-    /// below what upsizing can reach.
+    /// Returns [`SynthError::InvalidPeriod`] (wrapped) for a non-positive
+    /// or non-finite period, [`SynthError::NoActivity`] when the
+    /// characterization ran no stimulus steps, and
+    /// [`SynthError::TimingInfeasible`] when the period is below what
+    /// upsizing can reach.
     pub fn at_period(&self, p: Precision, period_ps: f64) -> Result<PpaReport, PpaError> {
-        self.analyze_with(&self.activities[&p], p, period_ps)
+        self.evaluate(&self.random, p, period_ps)
     }
 
     /// PPA of one mode at one clock period under *weight-stationary*
     /// stimulus (weights held, features streaming) — the activity profile
     /// of a PE inside the systolic array, where the data reuse the paper's
-    /// §IV highlights suppresses the weight-register switching.
+    /// §IV highlights suppresses the weight-register switching.  Evaluates
+    /// the stored model like [`DesignCharacterization::at_period`].
     ///
     /// # Errors
     ///
@@ -228,37 +263,23 @@ impl DesignCharacterization {
         p: Precision,
         period_ps: f64,
     ) -> Result<PpaReport, PpaError> {
-        self.analyze_with(&self.activities_ws[&p], p, period_ps)
+        self.evaluate(&self.weight_stationary, p, period_ps)
     }
 
-    fn analyze_with(
+    fn evaluate(
         &self,
-        act: &bsc_netlist::Activity,
+        modes: &BTreeMap<Precision, Mode>,
         p: Precision,
         period_ps: f64,
     ) -> Result<PpaReport, PpaError> {
-        let report = analyze(
-            self.netlist.netlist(),
-            act,
-            &self.config.library,
-            &self.config.effort,
-            period_ps,
-            self.netlist.macs_per_cycle(p) as f64,
-        )?;
-        Ok(report)
+        let macs_per_cycle = self.netlist.macs_per_cycle(p) as f64;
+        Ok(modes[&p].model.at(&self.config.effort, period_ps, macs_per_cycle)?)
     }
 
-    /// Nominal (unconstrained-synthesis) minimum clock period in ps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STA failures on cyclic netlists.
-    pub fn nominal_period_ps(&self) -> Result<f64, PpaError> {
-        Ok(bsc_synth::timing::min_period_ps(
-            self.netlist.netlist(),
-            &self.config.library,
-        )
-        .map_err(SynthError::from)?)
+    /// Nominal (unconstrained-synthesis) minimum clock period in ps, from
+    /// the STA run once at construction.
+    pub fn nominal_period_ps(&self) -> f64 {
+        self.nominal_period_ps
     }
 
     /// The maximum-energy-efficiency operating point of one mode over a
@@ -273,21 +294,7 @@ impl DesignCharacterization {
         p: Precision,
         periods_ps: &[f64],
     ) -> Result<PpaReport, PpaError> {
-        let mut best: Option<PpaReport> = None;
-        let mut last_err = None;
-        for &t in periods_ps {
-            match self.at_period(p, t) {
-                Ok(r) => {
-                    if best.as_ref().is_none_or(|b| r.tops_per_w > b.tops_per_w) {
-                        best = Some(r);
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        best.ok_or_else(|| {
-            last_err.unwrap_or(PpaError::Synth(SynthError::InvalidPeriod(f64::NAN)))
-        })
+        self.best_of(&self.random, p, periods_ps)
     }
 
     /// Like [`DesignCharacterization::best_efficiency`] but under
@@ -301,10 +308,21 @@ impl DesignCharacterization {
         p: Precision,
         periods_ps: &[f64],
     ) -> Result<PpaReport, PpaError> {
+        self.best_of(&self.weight_stationary, p, periods_ps)
+    }
+
+    /// The first report with the highest TOPS/W over `periods_ps`, or the
+    /// last error when no period is feasible.
+    fn best_of(
+        &self,
+        modes: &BTreeMap<Precision, Mode>,
+        p: Precision,
+        periods_ps: &[f64],
+    ) -> Result<PpaReport, PpaError> {
         let mut best: Option<PpaReport> = None;
         let mut last_err = None;
         for &t in periods_ps {
-            match self.at_period_weight_stationary(p, t) {
+            match self.evaluate(modes, p, t) {
                 Ok(r) => {
                     if best.as_ref().is_none_or(|b| r.tops_per_w > b.tops_per_w) {
                         best = Some(r);
@@ -324,6 +342,9 @@ impl DesignCharacterization {
 pub fn paper_period_sweep_ps() -> Vec<f64> {
     (0..9).map(|i| 800.0 + 200.0 * i as f64).collect()
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

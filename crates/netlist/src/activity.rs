@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use crate::{GateKind, NodeId, Simulator, SIM_LANES};
 
 /// Switching-activity recorder: accumulates *per-net* toggle counts
@@ -125,15 +123,17 @@ impl Activity {
         self.toggles(kind) as f64 / self.observed_cycles as f64
     }
 
-    /// Iterates over `(kind, total toggles)` in a stable order.
+    /// Iterates over `(kind, total toggles)` for every kind that toggled,
+    /// in [`GateKind`] order — one pass over the nets for all kinds.
     pub fn iter(&self) -> impl Iterator<Item = (GateKind, u64)> + '_ {
-        let mut by_kind: BTreeMap<GateKind, u64> = BTreeMap::new();
+        let mut by_kind = [0u64; GateKind::ALL.len()];
         for (&t, &k) in self.node_toggles.iter().zip(&self.kinds) {
-            if t > 0 {
-                *by_kind.entry(k).or_insert(0) += t;
-            }
+            by_kind[k as usize] += t;
         }
-        by_kind.into_iter()
+        GateKind::ALL
+            .into_iter()
+            .zip(by_kind)
+            .filter(|&(_, t)| t > 0)
     }
 
     /// Iterates over live nets with their toggle counts.
@@ -230,6 +230,51 @@ mod tests {
         sim.eval();
         act.record(&sim);
         assert!((act.toggles_per_cycle(GateKind::Not) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_kind_iterators_yield_nonzero_kinds_in_kind_order() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let q = n.dff(a, false);
+        let x = n.xor(q, a);
+        let m = n.mux(c, x, a);
+        let quiet = n.and(b, c); // b and c stay 0, so this never toggles
+        let y = n.or(m, quiet);
+        let w = n.not(y);
+        n.mark_output(w, "w");
+
+        let stats = n.stats();
+        let counted: Vec<_> = stats.iter().collect();
+        let expected: Vec<_> = GateKind::ALL
+            .into_iter()
+            .map(|k| (k, stats.count(k)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        assert_eq!(counted, expected);
+        assert!(counted.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(stats.count(GateKind::And) > 0 && stats.count(GateKind::Nand) == 0);
+
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.eval();
+        let mut act = Activity::new(&sim);
+        for v in [u64::MAX, 0x5555_5555_5555_5555, 0] {
+            sim.write(a, v);
+            sim.step();
+            act.record(&sim);
+        }
+        let toggled: Vec<_> = act.iter().collect();
+        let expected: Vec<_> = GateKind::ALL
+            .into_iter()
+            .map(|k| (k, act.toggles(k)))
+            .filter(|&(_, t)| t > 0)
+            .collect();
+        assert_eq!(toggled, expected);
+        assert!(toggled.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(toggled.iter().all(|&(k, _)| k != GateKind::And));
+        assert!(toggled.iter().any(|&(k, _)| k == GateKind::Dff));
     }
 
     #[test]

@@ -138,6 +138,22 @@ pub enum GateKind {
 }
 
 impl GateKind {
+    /// Every kind, in declaration (and `Ord`) order: `kind as usize` is
+    /// its index here, so per-kind tallies can live in a plain array.
+    pub const ALL: [GateKind; 11] = [
+        GateKind::Const,
+        GateKind::Input,
+        GateKind::Not,
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Mux,
+        GateKind::Dff,
+    ];
+
     /// All cell kinds that occupy silicon area, in a stable order.
     pub const CELLS: [GateKind; 9] = [
         GateKind::Not,

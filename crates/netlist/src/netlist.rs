@@ -378,12 +378,14 @@ impl Netlist {
         let mut order = Vec::new();
         // 0 = unvisited, 1 = on stack, 2 = done
         let mut state = vec![0u8; self.gates.len()];
-        // Iterative DFS to avoid stack overflow on deep netlists.
+        // Iterative DFS to avoid stack overflow on deep netlists.  One
+        // stack serves every start: each DFS runs until it is empty.
+        let mut stack: Vec<(NodeId, bool)> = Vec::new();
         for start in 0..self.gates.len() {
             if !live[start] || state[start] != 0 {
                 continue;
             }
-            let mut stack: Vec<(NodeId, bool)> = vec![(NodeId(start as u32), false)];
+            stack.push((NodeId(start as u32), false));
             while let Some((id, expanded)) = stack.pop() {
                 let idx = id.index();
                 if expanded {

@@ -19,7 +19,8 @@ use crate::GateKind;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GateStats {
-    counts: BTreeMap<GateKind, usize>,
+    /// Indexed by `kind as usize` (see [`GateKind::ALL`]).
+    counts: [usize; GateKind::ALL.len()],
 }
 
 impl GateStats {
@@ -29,12 +30,12 @@ impl GateStats {
     }
 
     pub(crate) fn record(&mut self, kind: GateKind) {
-        *self.counts.entry(kind).or_insert(0) += 1;
+        self.counts[kind as usize] += 1;
     }
 
     /// Number of cells of the given kind.
     pub fn count(&self, kind: GateKind) -> usize {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind as usize]
     }
 
     /// Total number of area-occupying cells (inputs and constants excluded).
@@ -47,9 +48,13 @@ impl GateStats {
         self.count(GateKind::Dff)
     }
 
-    /// Iterates over `(kind, count)` pairs in a stable order.
+    /// Iterates over the `(kind, count)` pairs with a nonzero count, in
+    /// [`GateKind`] order.
     pub fn iter(&self) -> impl Iterator<Item = (GateKind, usize)> + '_ {
-        self.counts.iter().map(|(&k, &c)| (k, c))
+        GateKind::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, c)| c > 0)
     }
 }
 

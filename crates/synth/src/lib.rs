@@ -13,7 +13,9 @@
 //!   period to cell-upsizing area/energy multipliers, emulating how DC
 //!   trades energy for speed across the paper's 0.8–2.4 ns sweep;
 //! * **Power & efficiency** — switching-activity dynamic power, leakage,
-//!   energy per operation and TOPS/W / TOPS/mm² ([`analyze`]).
+//!   energy per operation and TOPS/W / TOPS/mm² ([`analyze`]).  A
+//!   [`PpaModel`] holds the period-independent part of that analysis, so
+//!   one design is priced at many clock periods without re-running STA.
 //!
 //! The library constants are set once from public 28nm data
 //! ([`CellLibrary::smic28_like`]) and shared by all three MAC designs, so
@@ -57,4 +59,4 @@ pub use effort::EffortModel;
 pub use error::SynthError;
 pub use library::{CellLibrary, CellParams};
 pub use power::{dynamic_energy_per_cycle_fj, leakage_power_mw, render_power_report};
-pub use report::{analyze, area, render_area_report, PpaReport};
+pub use report::{analyze, area, render_area_report, PpaModel, PpaReport};

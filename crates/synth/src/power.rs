@@ -5,16 +5,18 @@ use bsc_netlist::{Activity, GateKind, GateStats};
 use crate::CellLibrary;
 
 /// Average dynamic energy consumed per clock cycle in fJ, from recorded
-/// toggle counts: `Σ_kind toggles_per_cycle(kind) × cell_energy(kind)`,
-/// plus the clock-pin energy of every live flop (paid each cycle).
+/// toggle counts: `Σ_kind toggles_per_cycle(kind) × cell_energy(kind)` in
+/// [`GateKind`] order, plus the clock-pin energy of every live flop (paid
+/// each cycle).  One pass over the nets yields every kind's total.
 pub fn dynamic_energy_per_cycle_fj(
     activity: &Activity,
     stats: &GateStats,
     lib: &CellLibrary,
 ) -> f64 {
+    let observed = activity.observed_cycles() as f64;
     let mut energy = 0.0;
-    for (kind, _) in activity.iter() {
-        energy += activity.toggles_per_cycle(kind) * lib.cell(kind).energy_fj;
+    for (kind, toggles) in activity.iter() {
+        energy += (toggles as f64 / observed) * lib.cell(kind).energy_fj;
     }
     energy += stats.flops() as f64 * lib.dff_clock_energy_fj;
     energy
@@ -23,11 +25,16 @@ pub fn dynamic_energy_per_cycle_fj(
 /// Leakage power in mW for the live cells of a design at the given area
 /// multiplier (leakage scales with cell size).
 pub fn leakage_power_mw(stats: &GateStats, lib: &CellLibrary, area_mult: f64) -> f64 {
-    let leak_nw: f64 = GateKind::CELLS
+    leakage_nw(stats, lib) * area_mult * 1e-6
+}
+
+/// Nominal leakage of the live cells in nW, summed in [`GateKind::CELLS`]
+/// order.
+pub(crate) fn leakage_nw(stats: &GateStats, lib: &CellLibrary) -> f64 {
+    GateKind::CELLS
         .iter()
         .map(|&k| stats.count(k) as f64 * lib.cell(k).leakage_nw)
-        .sum();
-    leak_nw * area_mult * 1e-6
+        .sum()
 }
 
 /// Renders a `report_power`-style breakdown: dynamic power per cell kind,

@@ -60,6 +60,41 @@ echo "==> perf regression gate: repro diff BENCH_baseline.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_baseline.json "$out/BENCH_sim.json"
 
+echo "==> paper figures gate: repro --bench-out BENCH_paper.json all"
+# Table I and every Fig 7/8a/8b/9 number at paper scale (32 PEs x L=32)
+# are a pure function of the seeded characterization, so the baseline
+# diff runs at zero tolerance.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    --bench-out "$out/BENCH_paper.json" all >/dev/null
+test -s "$out/BENCH_paper.json"
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    diff BENCH_paper.json "$out/BENCH_paper.json" --tol 0
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$out/BENCH_paper.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+counts = {"table1": "table1_rows", "fig7": "fig7_points", "fig8a": "fig8a_rows",
+          "fig8b": "fig8b_rows", "fig9": "fig9_rows"}
+for section, count in counts.items():
+    assert doc[count] == len(doc[section]) > 0, f"{section}: row count mismatch"
+# DESIGN.md section 6: BSC is the most efficient design in every mode of
+# Figs 8a and 8b and on every Fig 9 network, in both Fig 9 columns.
+def table(rows, key, col):
+    out = {}
+    for r in rows:
+        out.setdefault(r[key], {})[r["kind"]] = r[col]
+    return out
+checks = [(f"fig8a {b}-bit", t) for b, t in table(doc["fig8a"], "bits", "tops_per_w").items()]
+checks += [(f"fig8b {b}-bit", t) for b, t in table(doc["fig8b"], "bits", "tops_per_w").items()]
+for col in ("tops_per_w", "mapped_tops_per_w"):
+    checks += [(f"fig9 {n} {col}", t) for n, t in table(doc["fig9"], "network", col).items()]
+for label, t in checks:
+    assert set(t) == {"BSC", "LPC", "HPS"}, f"{label}: missing a design"
+    assert t["BSC"] > t["LPC"] and t["BSC"] > t["HPS"], f"{label}: BSC is not the most efficient {t}"
+print(f"paper gate valid ({len(doc['fig7'])} sweep points; BSC wins all {len(checks)} comparisons)")
+PY
+fi
+
 echo "==> engine serving gate: repro serve examples/serve_manifest.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     serve examples/serve_manifest.json --report-out "$out/serve_report.json" \
