@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the core kernels: functional vector-MAC dot
 //! products, gate-level simulation throughput, the cycle-accurate
-//! systolic matmul and the memory-aware layer scheduler.  Self-timed via
-//! [`bsc_bench::timing`].
+//! systolic matmul, the memory-aware layer scheduler and the online
+//! arrival sampler.  Self-timed via [`bsc_bench::timing`].
 
 use bsc_bench::timing::Group;
 use bsc_mac::{vector_mac, MacKind, Precision, Rng64};
@@ -125,6 +125,52 @@ fn bench_mem_schedule() {
     }
 }
 
+fn bench_arrival_refill() {
+    use bsc_accel::des::{ArrivalGen, ArrivalProcess, DiurnalSegment};
+    use std::collections::VecDeque;
+    // The online event loop's refill size; one sample is 1,000 refills.
+    const BATCH: usize = 64;
+    const REFILLS: usize = 1_000;
+    let mut group = Group::new("arrival_refill");
+    group.sample_size(10);
+    // The traffic mix of examples/online_manifest.json.
+    for (name, process) in [
+        ("poisson", ArrivalProcess::Poisson { mean_interarrival_cycles: 600 }),
+        (
+            "bursty",
+            ArrivalProcess::Bursty {
+                on_cycles: 50_000,
+                off_cycles: 150_000,
+                mean_interarrival_cycles: 200,
+            },
+        ),
+        (
+            "diurnal",
+            ArrivalProcess::Diurnal {
+                segments: vec![
+                    DiurnalSegment { duration_cycles: 500_000, mean_interarrival_cycles: 2_000 },
+                    DiurnalSegment { duration_cycles: 500_000, mean_interarrival_cycles: 8_000 },
+                ],
+            },
+        ),
+    ] {
+        let mut gen = ArrivalGen::new(process, 1);
+        let mut buf = VecDeque::with_capacity(BATCH);
+        let summary = group.bench(&format!("{name}_x{BATCH}"), || {
+            for _ in 0..REFILLS {
+                buf.clear();
+                gen.refill(BATCH, &mut buf);
+            }
+            buf.back().copied()
+        });
+        println!(
+            "{:<44} {:.1} ns/sample",
+            summary.name,
+            summary.mean_ns / (BATCH * REFILLS) as f64
+        );
+    }
+}
+
 fn main() {
     bench_functional_dot();
     bench_gate_sim();
@@ -133,4 +179,5 @@ fn main() {
     bench_compiler();
     bench_asym_dot();
     bench_mem_schedule();
+    bench_arrival_refill();
 }

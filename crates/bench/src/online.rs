@@ -824,4 +824,61 @@ pub(crate) mod tests {
             assert!(text.contains(tenant), "{text}");
         }
     }
+
+    /// One quick BSC shard with an unbounded horizon, fed Poisson traffic
+    /// whose clock passes `u64::MAX` within the 40-job budget.
+    fn unbounded_horizon_manifest(seed: u64, mean_interarrival_cycles: u64) -> String {
+        format!(
+            r#"{{
+              "cluster": {{
+                "seed": {seed},
+                "horizon_cycles": 18446744073709551615,
+                "max_jobs": 40,
+                "max_outstanding": 8,
+                "shards": [{{"name": "bsc0", "kind": "bsc", "quick": true}}]
+              }},
+              "sources": [
+                {{"name": "sparse", "network": "micro",
+                 "arrivals": {{"process": "poisson",
+                              "mean_interarrival_cycles": {mean_interarrival_cycles}}}}}
+              ]
+            }}"#
+        )
+    }
+
+    #[test]
+    fn a_saturated_arrival_clock_ends_the_stream_on_an_idle_shard() {
+        let manifest = unbounded_horizon_manifest(1, 1_000_000_000_000_000_000);
+        let r = online(&manifest, Some(1)).unwrap().report;
+        assert!(r.submitted < 40, "the stream ends at the saturated clock");
+        assert!(r.events.windows(2).all(|w| w[0].arrival_cycle <= w[1].arrival_cycle));
+        let exact: Vec<u64> = r
+            .events
+            .iter()
+            .filter(|e| e.outcome == "completed")
+            .map(|e| e.completion_cycle - e.start_cycle)
+            .collect();
+        assert_eq!(exact.len() as u64, r.completed);
+        assert!(exact.windows(2).all(|w| w[0] == w[1]), "one network, one schedule");
+        // Arrivals ~1e18 cycles apart find the shard idle.  A wrapped
+        // clock would queue jobs behind "earlier" ones 1.7e19 cycles out.
+        assert_eq!((r.rejected, r.shed), (0, 0));
+        let p99 = r.slo.tenants[0].latency.p99;
+        assert!(p99 <= 8 * exact[0], "p99 {p99} cycles for a {}-cycle job", exact[0]);
+    }
+
+    #[test]
+    fn depth_sampling_terminates_when_an_event_lands_near_u64_max() {
+        // Seeds whose last arrival lands within one depth stride of
+        // u64::MAX, where advancing the sample cursor overflows.
+        for seed in [7, 9] {
+            let manifest = unbounded_horizon_manifest(seed, 600_000_000_000_000_000);
+            let r = online(&manifest, Some(1)).unwrap().report;
+            assert!(r.submitted > 0);
+            for d in &r.depth {
+                assert!(d.samples.len() <= 256, "seed {seed}: {} samples", d.samples.len());
+                assert!(d.samples.windows(2).all(|w| w[0].cycle < w[1].cycle));
+            }
+        }
+    }
 }

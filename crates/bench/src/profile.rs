@@ -61,6 +61,14 @@ impl ProfileRun {
         }
         self.run.report.submitted as f64 * 1e9 / self.run_wall_ns as f64
     }
+
+    /// Wall-clock nanoseconds of the run outside every phase scope: the
+    /// event loop's own work between phases.  Phase scopes are serial and
+    /// sit inside the run, so the phases plus this remainder make up
+    /// [`ProfileRun::run_wall_ns`].
+    pub fn unattributed_ns(&self) -> u64 {
+        self.run_wall_ns.saturating_sub(self.snapshot.total_wall_ns())
+    }
 }
 
 /// Runs an online manifest with the self-profiler attached, then
@@ -93,7 +101,8 @@ pub fn profile(manifest_text: &str, workers_override: Option<usize>) -> Result<P
 }
 
 /// Aligned-text phase table: calls, deterministic work units, wall
-/// clock and wall share per phase, then the throughput line.
+/// clock and share of the run wall per phase, an `unattributed` row for
+/// the rest of the run, then the throughput line.
 pub fn render(p: &ProfileRun) -> String {
     let mut out = String::new();
     let r = &p.run.report;
@@ -102,17 +111,21 @@ pub fn render(p: &ProfileRun) -> String {
         "  {:<18} {:>12} {:>14} {:>12} {:>7}\n",
         "phase", "calls", "work units", "wall", "share"
     ));
-    let total_wall = p.snapshot.total_wall_ns().max(1);
-    for phase in &p.snapshot.phases {
+    let run_wall = p.run_wall_ns.max(1) as f64;
+    let mut row = |name: &str, calls: String, work: String, wall_ns: u64| {
         out.push_str(&format!(
             "  {:<18} {:>12} {:>14} {:>12} {:>6.1}%\n",
-            phase.name,
-            phase.calls,
-            phase.work_units(),
-            crate::timing::fmt_ns(phase.wall_ns as f64),
-            phase.wall_ns as f64 * 100.0 / total_wall as f64,
+            name,
+            calls,
+            work,
+            crate::timing::fmt_ns(wall_ns as f64),
+            wall_ns as f64 * 100.0 / run_wall,
         ));
+    };
+    for phase in &p.snapshot.phases {
+        row(&phase.name, phase.calls.to_string(), phase.work_units().to_string(), phase.wall_ns);
     }
+    row("unattributed", String::new(), String::new(), p.unattributed_ns());
     out.push_str(&format!(
         "  arrivals {} (completed {}, rejected {}, shed {})\n",
         r.submitted, r.completed, r.rejected, r.shed
@@ -169,6 +182,8 @@ pub fn profile_document(p: &ProfileRun) -> String {
     j.begin_object();
     j.key("run_wall_ns");
     j.u64(p.run_wall_ns);
+    j.key("unattributed_ns");
+    j.u64(p.unattributed_ns());
     j.key("arrivals_per_sec");
     j.f64(p.arrivals_per_sec());
     j.end_object();
@@ -245,6 +260,31 @@ mod tests {
             r.submitted + 2 * (r.rejected + r.shed) + 3 * r.completed,
             "flush-derived increment count drifted from the per-event formula"
         );
+    }
+
+    #[test]
+    fn phase_rows_and_the_unattributed_row_sum_to_the_run_wall() {
+        let p = profile(MANIFEST, Some(1)).unwrap();
+        let rows: Vec<u64> = p
+            .snapshot
+            .phases
+            .iter()
+            .map(|phase| phase.wall_ns)
+            .chain([p.unattributed_ns()])
+            .collect();
+        assert_eq!(rows.iter().sum::<u64>(), p.run_wall_ns);
+        let text = render(&p);
+        let shares: Vec<f64> = text
+            .lines()
+            .filter_map(|l| l.strip_suffix('%')?.rsplit(' ').next()?.parse().ok())
+            .collect();
+        assert_eq!(shares.len(), rows.len(), "{text}");
+        let total: f64 = shares.iter().sum();
+        assert!((total - 100.0).abs() <= 0.05 * rows.len() as f64, "shares sum to {total}%");
+        assert!(text.contains("unattributed"), "{text}");
+        let doc = bsc_telemetry::parse_json(&profile_document(&p)).unwrap();
+        let unattributed = doc.get("throughput").and_then(|t| t.get("unattributed_ns"));
+        assert_eq!(unattributed.and_then(|v| v.as_f64()), Some(p.unattributed_ns() as f64));
     }
 
     #[test]

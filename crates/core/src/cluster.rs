@@ -44,7 +44,9 @@ use bsc_telemetry::{
 };
 
 use crate::admission::{AdmissionLadder, Placement, RejectReason};
-use crate::des::{ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, PRIORITY_ARRIVAL};
+use crate::des::{
+    ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL,
+};
 use crate::engine::{
     estimate_cycles_for, schedule_cycles_for, CharacterizationCache, PrecisionPolicy,
 };
@@ -621,8 +623,12 @@ pub fn run_online_with_metrics(
     // *next* arrival (exactly as before), so push gating — horizon and
     // max_jobs — happens at the same moments and the report is
     // unchanged; a buffered timestamp past the horizon stays put as a
-    // sentinel, so a dead source is never refilled again.
+    // sentinel, so a dead source is never refilled again.  A saturated
+    // clock ends a source's stream, so the last cycle an arrival may
+    // land on is one short of `END_OF_STREAM` even for an unbounded
+    // horizon.
     const ARRIVAL_BATCH: usize = 64;
+    let last_arrival_cycle = config.horizon_cycles.min(END_OF_STREAM - 1);
     let mut arrival_bufs: Vec<VecDeque<u64>> =
         config.sources.iter().map(|_| VecDeque::with_capacity(ARRIVAL_BATCH)).collect();
     let mut arrivals_pushed = 0u64;
@@ -635,7 +641,7 @@ pub fn run_online_with_metrics(
             arrival_refills += 1;
             arrival_samples += ARRIVAL_BATCH as u64;
             let t = arrival_bufs[i][0];
-            if t <= config.horizon_cycles && arrivals_pushed < config.max_jobs {
+            if t <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
                 arrival_bufs[i].pop_front();
                 events.push(t, PRIORITY_ARRIVAL, i);
                 arrivals_pushed += 1;
@@ -747,7 +753,8 @@ pub fn run_online_with_metrics(
                     backlog_cycles: s.busy_until.saturating_sub(next_sample),
                 });
             }
-            next_sample += stride;
+            // Saturates: `next_sample == u64::MAX` is never below `now`.
+            next_sample = next_sample.saturating_add(stride);
         }
         if is_completion {
             // One lane scan pops every completion due this cycle — a
@@ -774,7 +781,7 @@ pub fn run_online_with_metrics(
                 arrival_samples += ARRIVAL_BATCH as u64;
             }
             let next = arrival_bufs[source][0];
-            if next <= config.horizon_cycles && arrivals_pushed < config.max_jobs {
+            if next <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
                 arrival_bufs[source].pop_front();
                 events.push(next, PRIORITY_ARRIVAL, source);
                 arrivals_pushed += 1;

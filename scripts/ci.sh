@@ -10,6 +10,16 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
+echo "==> arrival-sampling kernel proof (release, all 2^32 mantissa states)"
+# The lane kernel's squaring step against the reference kernel's, on
+# every state: with normalize and assemble shared, that proves the two
+# kernels equal on every u64 input.  Ignored in debug builds (too slow),
+# so check that the release run really ran it.
+proof="$(cargo test --release --offline -q -p bsc-accel --lib \
+    mantissa_step_matches_the_reference_step_on_every_state 2>&1)" || { echo "$proof"; exit 1; }
+echo "$proof"
+grep -q "1 passed" <<<"$proof" || { echo "the kernel proof did not run"; exit 1; }
+
 echo "==> cargo test --offline (perfbench harness)"
 # The benchmark harness is a package of its own that links the workspace
 # crates by path, so an API change can break it while the workspace
