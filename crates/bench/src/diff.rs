@@ -10,7 +10,10 @@
 //! fields are machine-dependent, so paths matching the default ignore
 //! patterns (`*_ns`, `*_per_sec`, `speedup`) are reported but never
 //! gated; deterministic fields (cycles, tape ops, event counts) fail
-//! the diff when they drift beyond the tolerance in either direction.
+//! the diff when they drift beyond the tolerance in either direction,
+//! or when they disappear from the current document.  A field that is
+//! new in the current document only warns, so additive regenerations
+//! still pass.
 
 use std::collections::BTreeMap;
 
@@ -49,9 +52,13 @@ pub enum FieldStatus {
     Ignored,
     /// Drifted beyond tolerance on a gated field.
     Regressed,
-    /// Present only in the baseline.
+    /// Present only in the baseline, on a gated field: the current
+    /// document lost something the baseline gates, which fails the diff.
     MissingInCurrent,
-    /// Present only in the current document.
+    /// Present only in the baseline, on an ignored (timing) field: a
+    /// warning, never a failure.
+    IgnoredMissingInCurrent,
+    /// Present only in the current document: a warning, never a failure.
     MissingInBaseline,
 }
 
@@ -94,13 +101,18 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Fields that drifted beyond tolerance on a gated path.
+    /// Gated fields that drifted beyond tolerance or disappeared from
+    /// the current document.
     pub fn regressions(&self) -> Vec<&FieldDelta> {
-        self.rows.iter().filter(|r| r.status == FieldStatus::Regressed).collect()
+        self.rows
+            .iter()
+            .filter(|r| matches!(r.status, FieldStatus::Regressed | FieldStatus::MissingInCurrent))
+            .collect()
     }
 
-    /// Whether the comparison should fail the build.  Missing fields are
-    /// warned about, not gated — baselines age as experiments grow.
+    /// Whether the comparison should fail the build.  A gated field that
+    /// disappeared fails it; a field new in the current document only
+    /// warns, so baselines can grow additively.
     pub fn regressed(&self) -> bool {
         !self.regressions().is_empty()
     }
@@ -110,7 +122,12 @@ impl DiffReport {
         self.rows
             .iter()
             .filter(|r| {
-                matches!(r.status, FieldStatus::MissingInCurrent | FieldStatus::MissingInBaseline)
+                matches!(
+                    r.status,
+                    FieldStatus::MissingInCurrent
+                        | FieldStatus::IgnoredMissingInCurrent
+                        | FieldStatus::MissingInBaseline
+                )
             })
             .collect()
     }
@@ -151,6 +168,7 @@ pub fn diff_flat(
             let b = baseline.get(path).copied();
             let c = current.get(path).copied();
             let status = match (b, c) {
+                (Some(_), None) if is_ignored(opts, path) => FieldStatus::IgnoredMissingInCurrent,
                 (Some(_), None) => FieldStatus::MissingInCurrent,
                 (None, Some(_)) => FieldStatus::MissingInBaseline,
                 (None, None) => unreachable!("path came from one of the maps"),
@@ -234,7 +252,8 @@ pub fn render_diff(report: &DiffReport, verbose: bool) -> String {
             }
             FieldStatus::Ignored => "ignored (timing)",
             FieldStatus::Regressed => "REGRESSED",
-            FieldStatus::MissingInCurrent => "missing in current",
+            FieldStatus::MissingInCurrent => "MISSING in current",
+            FieldStatus::IgnoredMissingInCurrent => "missing in current (timing)",
             FieldStatus::MissingInBaseline => "new (not in baseline)",
         };
         out.push_str(&format!(
@@ -253,7 +272,7 @@ pub fn render_diff(report: &DiffReport, verbose: bool) -> String {
         out.push_str("result: PASS — no gated field drifted beyond tolerance\n");
     } else {
         out.push_str(&format!(
-            "result: FAIL — {} gated field(s) drifted beyond ±{:.1}%\n",
+            "result: FAIL — {} gated field(s) drifted beyond ±{:.1}% or went missing\n",
             regressions.len(),
             report.tolerance * 100.0
         ));
@@ -310,13 +329,35 @@ mod tests {
     }
 
     #[test]
-    fn missing_fields_warn_but_do_not_gate() {
-        let current = r#"{"designs":[{"design":"BSC-L4","cycles":1000}],"extra":7}"#;
-        let report = diff_documents(BASE, current, &DiffOptions::default()).unwrap();
+    fn a_missing_gated_field_fails_while_new_and_timing_fields_only_warn() {
+        let status = |report: &DiffReport, path: &str| {
+            report.rows.iter().find(|r| r.path == path).map(|r| r.status)
+        };
+        // A new field in the current document only warns.
+        let added =
+            r#"{"designs":[{"design":"BSC-L4","cycles":1000,"full_ns":5.0}],"tape_ops":42,"extra":7}"#;
+        let report = diff_documents(BASE, added, &DiffOptions::default()).unwrap();
         assert!(!report.regressed());
-        let missing = report.missing();
-        assert!(missing.iter().any(|r| r.status == FieldStatus::MissingInCurrent));
-        assert!(missing.iter().any(|r| r.status == FieldStatus::MissingInBaseline));
+        assert_eq!(status(&report, "extra"), Some(FieldStatus::MissingInBaseline));
+        assert_eq!(report.missing().len(), 1);
+
+        // A gated field that disappears fails the diff.
+        let lost = r#"{"designs":[{"design":"BSC-L4","cycles":1000,"full_ns":5.0}]}"#;
+        let report = diff_documents(BASE, lost, &DiffOptions::default()).unwrap();
+        assert!(report.regressed());
+        assert_eq!(status(&report, "tape_ops"), Some(FieldStatus::MissingInCurrent));
+        assert_eq!(report.regressions().len(), 1);
+        assert!(render_diff(&report, false).contains("FAIL"));
+
+        // A missing timing field (`*_ns`) only warns.
+        let no_timing = r#"{"designs":[{"design":"BSC-L4","cycles":1000}],"tape_ops":42}"#;
+        let report = diff_documents(BASE, no_timing, &DiffOptions::default()).unwrap();
+        assert!(!report.regressed());
+        assert_eq!(
+            status(&report, "designs[BSC-L4].full_ns"),
+            Some(FieldStatus::IgnoredMissingInCurrent)
+        );
+        assert_eq!(report.missing().len(), 1);
     }
 
     #[test]

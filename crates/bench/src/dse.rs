@@ -28,13 +28,9 @@ use bsc_systolic::{
 };
 use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
 
-use crate::manifest::{array_field, err_at, mac_kind, mem_config, str_field, u64_field};
-
-/// Geometry bounds the manifest accepts: characterization cost grows
-/// with the vector length (gate count) and the schedule loops with the
-/// row count, so runaway manifests fail fast instead of hanging CI.
-const MAX_ROWS: u64 = 1024;
-const MAX_VECTOR_LENGTH: u64 = 64;
+use crate::manifest::{
+    array_field, err_at, mac_kind, mem_config, str_field, u64_field, MAX_ROWS, MAX_VECTOR_LENGTH,
+};
 
 /// One memory hierarchy under sweep: a preset plus optional bandwidth
 /// override, kept by name for reports.

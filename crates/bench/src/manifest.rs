@@ -18,6 +18,16 @@ use bsc_mac::MacKind;
 use bsc_nn::{models, SharedNetwork};
 use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot};
 
+/// Size bounds the manifest parsers enforce, so a runaway manifest
+/// fails fast with an error instead of hanging CI or exhausting memory.
+/// `dse` geometry: characterization cost grows with the vector length
+/// (gate count) and the schedule loops with the row count.
+pub(crate) const MAX_ROWS: u64 = 1024;
+pub(crate) const MAX_VECTOR_LENGTH: u64 = 64;
+/// `serve`: the most jobs a manifest may expand to once every job's
+/// `count` is applied (2^20).
+pub(crate) const MAX_SERVE_JOBS: u64 = 1 << 20;
+
 pub(crate) fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
     format!("{context}: {detail}")
 }

@@ -28,7 +28,8 @@
 //! `network` names a built-in benchmark (`lenet5`, `vgg16`, `resnet18`,
 //! `nas`); `precision` is a [`bsc_accel::PrecisionPolicy`] spelling
 //! (`nas` keeps the NAS-assigned layer precisions); `count` repeats the
-//! spec N times with a `#i` suffix, sharing one `Arc`'d network.
+//! spec N times with a `#i` suffix, sharing one `Arc`'d network (a
+//! manifest may expand to at most 2^20 jobs).
 //! `tenant` accounts the job to a named tenant (default `"default"`);
 //! the optional top-level `tenants` object declares per-tenant
 //! [`SloTarget`]s that the batch's SLO report measures attainment
@@ -47,7 +48,7 @@ use bsc_telemetry::{JsonBuilder, MetricsSnapshot, SpanSnapshot};
 
 use crate::manifest::{
     accel_config, array_field, err_at, job_template, jsonl, object_field, parse_tenants,
-    render_tenants, u64_field, write_queue_wait, write_slo_tenants,
+    render_tenants, u64_field, write_queue_wait, write_slo_tenants, MAX_SERVE_JOBS,
 };
 
 /// A parsed manifest: engine parameters plus the job list.
@@ -83,8 +84,9 @@ pub struct ServeRun {
 /// # Errors
 ///
 /// Returns a human-readable message on malformed JSON, unknown networks,
-/// unknown precisions, out-of-range parameters, or a field of the wrong
-/// JSON type.
+/// unknown precisions, out-of-range parameters, a field of the wrong
+/// JSON type, or counts that expand past 2^20 jobs (checked before any
+/// job is built).
 pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
     let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
     let eng = object_field(&doc, "manifest", "engine")?
@@ -108,7 +110,8 @@ pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
 
     let specs = array_field(&doc, "manifest", "jobs")?.ok_or("manifest: missing `jobs` array")?;
     let mut networks = BTreeMap::new();
-    let mut jobs = Vec::new();
+    let mut specs_counted = Vec::with_capacity(specs.len());
+    let mut expanded = 0u64;
     for (i, spec) in specs.iter().enumerate() {
         let ctx = format!("jobs[{i}]");
         let t = job_template(spec, &ctx, format!("job{i}"), &tenants, &mut networks)?;
@@ -116,6 +119,17 @@ pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
         if count == 0 {
             return Err(err_at(&ctx, "count: expected a positive integer"));
         }
+        expanded = expanded.saturating_add(count);
+        if expanded > MAX_SERVE_JOBS {
+            return Err(err_at(
+                &format!("{ctx}.count"),
+                format!("the manifest would expand to more than {MAX_SERVE_JOBS} jobs"),
+            ));
+        }
+        specs_counted.push((t, count));
+    }
+    let mut jobs = Vec::new();
+    for (t, count) in specs_counted {
         for rep in 0..count {
             jobs.push(InferenceJob {
                 name: if count == 1 { t.name.clone() } else { format!("{}#{rep}", t.name) },
@@ -391,6 +405,20 @@ mod tests {
         assert!(parse_manifest(&bad_net).unwrap_err().contains("alexnet"));
         let bad_precision = MANIFEST.replace("int8", "int3");
         assert!(parse_manifest(&bad_precision).unwrap_err().contains("precision"));
+    }
+
+    #[test]
+    fn a_runaway_count_is_rejected_before_any_job_is_built() {
+        let huge = MANIFEST.replace(r#""count": 2"#, r#""count": 1000000000000000"#);
+        let err = parse_manifest(&huge).unwrap_err();
+        assert!(err.starts_with("jobs[1].count:"), "{err}");
+        // The bound covers the whole expanded list: here jobs[1] reaches
+        // it exactly and jobs[2] is the spec that crosses it.
+        let at_limit = MANIFEST
+            .replace(r#""count": 2"#, &format!(r#""count": {}"#, MAX_SERVE_JOBS - 1));
+        let err = parse_manifest(&at_limit).unwrap_err();
+        assert!(err.starts_with("jobs[2].count:"), "{err}");
+        assert!(err.contains(&MAX_SERVE_JOBS.to_string()), "{err}");
     }
 
     const TENANT_MANIFEST: &str = r#"{

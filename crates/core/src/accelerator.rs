@@ -94,21 +94,21 @@ impl Accelerator {
     ///
     /// Prefer [`Accelerator::new_cached`] when several accelerators (or
     /// several tests in one binary) share a design — this constructor
-    /// always runs a fresh characterization.
+    /// characterizes through a fresh, empty cache, so it always runs a
+    /// new characterization.
     ///
     /// # Errors
     ///
     /// Propagates gate-level simulation failures.
     pub fn new(config: AcceleratorConfig) -> Result<Self, AccelError> {
-        let mut charac_cfg = config.characterize.clone();
-        charac_cfg.length = config.array.vector_length;
-        let charac = DesignCharacterization::new(config.kind, &charac_cfg)?;
-        Ok(Self::with_characterization(config, charac))
+        Self::new_cached(config, &crate::engine::CharacterizationCache::new())
     }
 
     /// Like [`Accelerator::new`], but characterizations are looked up in
     /// (and inserted into) the given cache, so each distinct design is
-    /// characterized at most once per cache.
+    /// characterized at most once per cache.  The design is
+    /// characterized at the array's vector length: the one place that
+    /// key is spelled out, for every constructor and engine.
     ///
     /// # Errors
     ///

@@ -23,18 +23,18 @@
 //!    ([`crate::des::PRIORITY_COMPLETION`]) so freed capacity is
 //!    visible to same-cycle arrivals.
 //!
-//! Every scheduling decision happens serially on the event clock.
-//! Workers enter only afterwards, to evaluate the expensive per-layer
-//! [`NetworkReport`] **once per distinct (traffic source × shard)
-//! pair** — results merge by pair index, so the whole
-//! [`OnlineReport`], including the folded [`SloReport`], is
-//! bit-identical at any worker count.  Latency is `completion −
-//! arrival` on the event clock; outcomes stream into the existing
-//! [`SloAccountant`], so per-tenant p99 / goodput / shed series come
-//! for free over 10⁵–10⁶ simulated jobs.
+//! Workers enter only before the event loop, to evaluate the expensive
+//! per-layer [`NetworkReport`] **once per (traffic source × shard)
+//! pair**; results merge by pair index, and each pair's exact cycles
+//! are read from its report.  Every scheduling decision then happens
+//! serially on the event clock, so the whole [`OnlineReport`],
+//! including the folded [`SloReport`], is bit-identical at any worker
+//! count.  Latency is `completion − arrival` on the event clock;
+//! outcomes stream into the existing [`SloAccountant`], so per-tenant
+//! p99 / goodput / shed series come for free over 10⁵–10⁶ simulated
+//! jobs.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
@@ -47,9 +47,7 @@ use crate::admission::{AdmissionLadder, Placement, RejectReason};
 use crate::des::{
     ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL,
 };
-use crate::engine::{
-    estimate_cycles_for, schedule_cycles_for, CharacterizationCache, PrecisionPolicy,
-};
+use crate::engine::{estimate_cycles_for, CharacterizationCache, PrecisionPolicy};
 use crate::report::NetworkReport;
 use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{AccelError, Accelerator, AcceleratorConfig};
@@ -161,8 +159,8 @@ pub struct OnlineConfig {
     /// `engine.decision_log.truncated` counter.  Use [`EVENT_LOG_CAP`]
     /// unless a test needs a tiny log.
     pub event_log_cap: usize,
-    /// Worker threads for the report-evaluation phase (`None` = auto).
-    /// **Never** affects results.
+    /// Worker threads for the pair-evaluation phase before the event
+    /// loop (`None` = auto).  **Never** affects results.
     pub workers: Option<usize>,
     /// The traffic sources (must be non-empty).
     pub sources: Vec<TrafficSource>,
@@ -584,22 +582,32 @@ pub fn run_online_with_metrics(
         slo: p.phase("slo-fold"),
     });
 
-    // Precision policies apply once; per-(source × shard) cycle numbers
-    // are computed up front — the event loop then runs on pure integers.
+    // Precision policies apply once, and every (source × shard) pair is
+    // evaluated once, up front: the only parallel section, merged by
+    // pair index `source * n_shards + shard`.  The event loop then runs
+    // on pure integers — the estimate and the exact cycles of each pair.
     let networks: Vec<SharedNetwork> =
         config.sources.iter().map(|s| s.template.precision.apply(&s.template.network)).collect();
     let n_shards = config.shards.len();
-    let mut estimate = vec![0u64; config.sources.len() * n_shards];
-    let mut exact = vec![0u64; config.sources.len() * n_shards];
-    {
-        let _g = phases.as_ref().map(|ph| ph.schedule.enter());
-        for (si, net) in networks.iter().enumerate() {
-            for (hi, shard) in config.shards.iter().enumerate() {
-                estimate[si * n_shards + hi] = estimate_cycles_for(&shard.accel, net);
-                exact[si * n_shards + hi] = schedule_cycles_for(&shard.accel, net)?;
-            }
-        }
-    }
+    let n_pairs = networks.len() * n_shards;
+    let g_schedule = phases.as_ref().map(|ph| ph.schedule.enter());
+    let accels = config
+        .shards
+        .iter()
+        .map(|shard| Accelerator::new_cached(shard.accel.clone(), CharacterizationCache::global()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pair_reports = bsc_netlist::par::run_indexed(n_pairs, config.workers, |pair| {
+        accels[pair % n_shards].run_network(&networks[pair / n_shards])
+    })
+    .into_iter()
+    .collect::<Result<Vec<NetworkReport>, _>>()?;
+    let estimate: Vec<u64> = (0..n_pairs)
+        .map(|pair| {
+            estimate_cycles_for(&config.shards[pair % n_shards].accel, &networks[pair / n_shards])
+        })
+        .collect();
+    let exact: Vec<u64> = pair_reports.iter().map(NetworkReport::total_cycles_with_stalls).collect();
+    drop(g_schedule);
 
     // The heap holds *arrivals only* (payload = source index); shard
     // completions live in per-lane monotone FIFOs and pop as coalesced
@@ -675,8 +683,7 @@ pub fn run_online_with_metrics(
         })
         .collect();
 
-    // One completed job, compactly: the NetworkReport is attached later,
-    // once per distinct (source × shard) pair.
+    // One completed job, compactly: its NetworkReport is the pair's.
     struct CompletedRec {
         source: u32,
         shard: u32,
@@ -885,53 +892,6 @@ pub fn run_online_with_metrics(
     // visible in every metrics export, not just in the report.
     m.counter("engine.decision_log.truncated").add(events_truncated);
 
-    // Report-evaluation phase: the only parallel section.  One
-    // NetworkReport per distinct (source × shard) pair that completed at
-    // least one job; merged by pair index, so worker count is invisible.
-    let g_schedule = phases.as_ref().map(|ph| ph.schedule.enter());
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut seen = vec![false; config.sources.len() * n_shards];
-        for rec in &completed_recs {
-            let key = rec.source as usize * n_shards + rec.shard as usize;
-            if !seen[key] {
-                seen[key] = true;
-                pairs.push((rec.source as usize, rec.shard as usize));
-            }
-        }
-        pairs.sort_unstable();
-    }
-    let mut characs: Vec<Option<Arc<bsc_mac::ppa::DesignCharacterization>>> =
-        vec![None; n_shards];
-    for &(_, hi) in &pairs {
-        if characs[hi].is_none() {
-            let mut cc = config.shards[hi].accel.characterize.clone();
-            cc.length = config.shards[hi].accel.array.vector_length;
-            characs[hi] = Some(
-                CharacterizationCache::global()
-                    .get_or_characterize(config.shards[hi].accel.kind, &cc)?,
-            );
-        }
-    }
-    let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
-        pairs.len(),
-        config.workers,
-        || (),
-        |(), i| {
-            let (si, hi) = pairs[i];
-            let accel = Accelerator::with_shared_characterization(
-                config.shards[hi].accel.clone(),
-                Arc::clone(characs[hi].as_ref().expect("characterized above")),
-            );
-            accel.run_network(&networks[si])
-        },
-    );
-    let mut pair_reports: BTreeMap<(usize, usize), NetworkReport> = BTreeMap::new();
-    for (&pair, report) in pairs.iter().zip(reports) {
-        pair_reports.insert(pair, report?);
-    }
-    drop(g_schedule);
-
     // Serial SLO fold.  Order never matters for the accountant's BTree
     // state, but folding deferred decisions then completions keeps the
     // walk obvious.  The window width derives from the full horizon —
@@ -963,7 +923,7 @@ pub fn run_online_with_metrics(
     }
     for rec in &completed_recs {
         let tmpl = &config.sources[rec.source as usize].template;
-        let report = &pair_reports[&(rec.source as usize, rec.shard as usize)];
+        let report = &pair_reports[rec.source as usize * n_shards + rec.shard as usize];
         acc.observe_completion(
             &tmpl.tenant,
             rec.completion - rec.arrival,
@@ -1003,9 +963,9 @@ pub fn run_online_with_metrics(
     };
 
     // Flush the deterministic work tallies into the profiler.  Every
-    // value below is a pure function of `config` (the parallel report
-    // phase merges by pair index), so the counter side of the profile is
-    // byte-identical at any worker count.
+    // value below is a pure function of `config` (the parallel pair
+    // evaluation merges by pair index), so the counter side of the
+    // profile is byte-identical at any worker count.
     if let Some(ph) = phases.as_ref() {
         ph.arrival.add("samples", arrival_samples);
         ph.arrival.add("refills", arrival_refills);
@@ -1055,10 +1015,10 @@ pub fn run_online_with_metrics(
         ph.admission.add("log_appends", event_log.len() as u64);
         ph.admission.add("log_dropped", events_truncated);
 
-        ph.schedule.add("cycle_tables", (config.sources.len() * n_shards) as u64);
-        ph.schedule.add("pairs_evaluated", pairs.len() as u64);
+        ph.schedule.add("cycle_tables", n_pairs as u64);
+        ph.schedule.add("pairs_evaluated", pair_reports.len() as u64);
         ph.schedule
-            .add("layers_evaluated", pair_reports.values().map(|r| r.layers().len() as u64).sum());
+            .add("layers_evaluated", pair_reports.iter().map(|r| r.layers().len() as u64).sum());
 
         ph.slo.add("observations", slo_observations);
         ph.slo.add("completions_folded", completed);
@@ -1174,6 +1134,44 @@ mod tests {
             assert_eq!(r.events, runs[0].events);
             assert_eq!(r.depth, runs[0].depth);
             assert_eq!(r.funnel, runs[0].funnel);
+        }
+    }
+
+    #[test]
+    fn every_pair_places_and_accounts_with_its_own_report() {
+        // Sources of different cost, and one shard behind finite memory.
+        let mut config = quick_config(DispatchPolicy::RoundRobin, Some(2));
+        config.sources[1].template.network = toy_net("b", 256, 24, Precision::Int8);
+        config.shards[2].accel =
+            config.shards[2].accel.clone().with_mem(bsc_systolic::MemConfig::edge());
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert_eq!(report.events_truncated, 0, "the whole run is logged");
+        // The reference: one serial evaluation per (template, shard) pair.
+        let mut reference: BTreeMap<(String, String), NetworkReport> = BTreeMap::new();
+        let mut macs = vec![0u64; config.shards.len()];
+        let mut energy_fj = vec![0u64; config.shards.len()];
+        for e in report.events.iter().filter(|e| e.outcome == "completed") {
+            let hi = config.shards.iter().position(|s| s.name == e.shard).unwrap();
+            let r = reference.entry((e.template.clone(), e.shard.clone())).or_insert_with(|| {
+                let src = config.sources.iter().find(|s| s.template.name == e.template).unwrap();
+                let t = &src.template;
+                let cache = CharacterizationCache::global();
+                Accelerator::new_cached(config.shards[hi].accel.clone(), cache)
+                    .unwrap()
+                    .run_network(&t.precision.apply(&t.network))
+                    .unwrap()
+            });
+            assert_eq!(e.completion_cycle - e.start_cycle, r.total_cycles_with_stalls(), "{}", e.job);
+            macs[hi] += r.total_macs();
+            energy_fj[hi] += r.layers().iter().map(|l| quantize_energy_fj(l.energy_fj)).sum::<u64>();
+        }
+        assert_eq!(reference.len(), config.sources.len() * config.shards.len(), "every pair ran");
+        // The pairs differ, so a mixed-up pair index cannot pass.
+        let distinct: std::collections::BTreeSet<u64> =
+            reference.values().map(NetworkReport::total_cycles_with_stalls).collect();
+        assert!(distinct.len() >= 4, "{distinct:?}");
+        for (hi, s) in report.shards.iter().enumerate() {
+            assert_eq!((s.macs, s.energy_fj), (macs[hi], energy_fj[hi]), "{}", s.name);
         }
     }
 

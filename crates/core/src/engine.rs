@@ -15,17 +15,19 @@
 //!   whose optimistic completion already misses its deadline is
 //!   rejected up front, and a configured backlog limit sheds load
 //!   before the array is hopelessly behind;
-//! * [`Engine::run_batch`] schedules the admitted jobs over the
-//!   `bsc_netlist::par` work-stealing pool and merges per-job
-//!   [`JobReport`]s **in submission order**, so results are independent
-//!   of the worker count, exactly like the sharded characterization.
+//! * [`Engine::run_batch`] evaluates each admitted job **once** —
+//!   one [`Accelerator::run_network`] call over the `bsc_netlist::par`
+//!   work-stealing pool — and then places the jobs from those reports
+//!   **in submission order**, so results are independent of the worker
+//!   count, exactly like the sharded characterization.
 //!
 //! Every scheduling decision (admit / reject / shed, queue waits, start
 //! and completion cycles) is computed on a *serial virtual clock* in
-//! submission order; the worker pool only parallelizes the per-job
-//! energy/schedule evaluation, which is pure.  A batch therefore has one
-//! deterministic outcome per job — `{completed, rejected, shed}` — at
-//! any worker count.
+//! submission order, from each report's stall-inclusive cycle count;
+//! the worker pool only parallelizes the per-job energy/schedule
+//! evaluation, which is pure.  A batch therefore has one deterministic
+//! outcome per job — `{completed, rejected, shed}` — at any worker
+//! count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -33,11 +35,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use bsc_mac::ppa::{CharacterizeConfig, DesignCharacterization};
 use bsc_mac::{MacKind, Precision};
 use bsc_nn::{Network, SharedNetwork};
-use bsc_systolic::mem::schedule_conv_with_memory;
 use bsc_telemetry::Telemetry;
 
 pub use crate::admission::{RejectReason, ShedReason};
-use crate::admission::{AdmissionLadder, Placement};
+use crate::admission::AdmissionLadder;
 use crate::report::NetworkReport;
 use crate::slo::{window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{layer_to_conv_shape, AccelError, Accelerator, AcceleratorConfig};
@@ -299,9 +300,12 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Execution cycles (excluding queue wait).
+    /// Cycles the job held the array, excluding queue wait: the
+    /// stall-inclusive [`NetworkReport::total_cycles_with_stalls`] that
+    /// placement charged, so `queue_wait_cycles + cycles()` is
+    /// `completion_cycle` under any memory hierarchy.
     pub fn cycles(&self) -> u64 {
-        self.report.total_cycles()
+        self.report.total_cycles_with_stalls()
     }
 
     /// Useful MACs.
@@ -583,23 +587,6 @@ pub(crate) fn estimate_cycles_for(accel: &AcceleratorConfig, net: &Network) -> u
         .sum()
 }
 
-/// The exact stall-inclusive schedule cycles of `net` on `accel` — the
-/// shared implementation behind [`Engine::schedule_cycles`] and the
-/// cluster dispatcher's shard occupancy bookkeeping.
-pub(crate) fn schedule_cycles_for(
-    accel: &AcceleratorConfig,
-    net: &Network,
-) -> Result<u64, AccelError> {
-    let mut cycles = 0u64;
-    for layer in &net.layers {
-        let shape = layer_to_conv_shape(&layer.kind);
-        cycles +=
-            schedule_conv_with_memory(&accel.array, &accel.mem, layer.precision, &shape)?
-                .total_cycles;
-    }
-    Ok(cycles)
-}
-
 /// The multi-tenant batch inference engine.  See the module docs for the
 /// admission / scheduling semantics.
 #[derive(Debug)]
@@ -639,10 +626,8 @@ impl Engine {
         config: EngineConfig,
         cache: &CharacterizationCache,
     ) -> Result<Self, AccelError> {
-        let mut cc = config.accel.characterize.clone();
-        cc.length = config.accel.array.vector_length;
-        let charac = cache.get_or_characterize(config.accel.kind, &cc)?;
-        Ok(Self::with_design(config, charac))
+        let accel = Accelerator::new_cached(config.accel.clone(), cache)?;
+        Ok(Self::with_design(config, accel.shared_characterization()))
     }
 
     /// Builds an engine around an already-characterized design (e.g. one
@@ -725,18 +710,24 @@ impl Engine {
         estimate_cycles_for(&self.config.accel, net)
     }
 
-    /// The exact schedule cycles of a network on this array (what
-    /// `run_network` will report), without evaluating energy.  Includes
-    /// DMA stall and drain cycles under the configured memory hierarchy,
-    /// so shedding decisions see the bandwidth-limited latency; with the
-    /// default infinite [`bsc_systolic::MemConfig`] this is exactly the
+    /// The exact schedule cycles of a network on this array: the
+    /// [`NetworkReport::total_cycles_with_stalls`] of one
+    /// [`Accelerator::run_network`] evaluation, the same number
+    /// [`Engine::run_batch`] places the job with.  Includes DMA stall and
+    /// drain cycles under the configured memory hierarchy, so shedding
+    /// decisions see the bandwidth-limited latency; with the default
+    /// infinite [`bsc_systolic::MemConfig`] this is exactly the
     /// compute-only schedule.
     ///
     /// # Errors
     ///
-    /// Propagates mapping failures.
+    /// Propagates mapping failures and an infeasible clock period.
     pub fn schedule_cycles(&self, net: &Network) -> Result<u64, AccelError> {
-        schedule_cycles_for(&self.config.accel, net)
+        let accel = Accelerator::with_shared_characterization(
+            self.config.accel.clone(),
+            Arc::clone(&self.charac),
+        );
+        accel.run_network(net).map(|report| report.total_cycles_with_stalls())
     }
 
     /// Walks a job through the admission ladder's first three stages:
@@ -797,19 +788,20 @@ impl Engine {
         Ok(slot)
     }
 
-    /// Schedules and runs every queued job, returning one terminal
+    /// Evaluates and places every queued job, returning one terminal
     /// outcome per submission since the previous batch, in submission
     /// order.
     ///
-    /// Scheduling (shed decisions, queue waits, completion cycles) runs
-    /// serially on the virtual batch clock; execution fans out over the
-    /// `bsc_netlist::par` pool with one [`Accelerator`] per worker, all
-    /// sharing this engine's characterization.  Results are identical at
-    /// any worker count.
+    /// Each job is evaluated once, by [`Accelerator::run_network`] over
+    /// the `bsc_netlist::par` pool with one [`Accelerator`] per worker,
+    /// all sharing this engine's characterization.  Placement (shed
+    /// decisions, queue waits, completion cycles) then runs serially on
+    /// the virtual batch clock from each report's stall-inclusive cycle
+    /// count.  Results are identical at any worker count.
     ///
     /// # Errors
     ///
-    /// Propagates mapping/characterization failures of any scheduled job
+    /// Propagates mapping/characterization failures of any queued job
     /// (the batch is abandoned; admission state is still consumed).
     pub fn run_batch(&mut self) -> Result<BatchReport, AccelError> {
         let _wall = self.telemetry.metrics.timer("engine.run_batch_ns");
@@ -826,42 +818,14 @@ impl Engine {
         m.gauge("engine.queue.depth").set(0);
         m.gauge("engine.backlog_cycles").set(0);
 
-        // Scheduling pass: batch mode is a single-shard online run with
-        // every arrival at cycle 0, in submission order, so the ladder's
-        // placement stage runs on one serial virtual clock and no worker
-        // is involved — the source of worker-count independence.
-        let mut plan: Vec<(Admitted, Placement)> = Vec::with_capacity(queued.len());
-        let mut busy_until = 0u64;
-        for job in queued {
-            let cycles = self.schedule_cycles(&job.network)?;
-            match self.ladder.place(0, busy_until, cycles, job.deadline_cycles) {
-                Ok(placed) => {
-                    m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES)
-                        .record(placed.start);
-                    busy_until = placed.completion;
-                    plan.push((job, placed));
-                }
-                Err(reason) => {
-                    m.counter("engine.jobs.shed").inc();
-                    m.labeled_counter("engine.jobs")
-                        .with(&[("outcome", "shed"), ("reason", reason.slug())])
-                        .inc();
-                    slots[job.slot] = Slot::Decided(JobOutcome::Shed {
-                        name: job.name,
-                        tenant: job.tenant,
-                        reason,
-                    });
-                }
-            }
-        }
-
-        // Parallel execution: per-worker accelerators over the shared
-        // characterization, merged back by plan index.
+        // Evaluation: one report per queued job, from per-worker
+        // accelerators over the shared characterization, merged back by
+        // queue index.
         let accel_cfg = self.config.accel.clone();
         let charac = Arc::clone(&self.charac);
         let telemetry = self.telemetry.clone();
         let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
-            plan.len(),
+            queued.len(),
             self.config.workers,
             || {
                 let mut accel =
@@ -870,38 +834,58 @@ impl Engine {
                 accel
             },
             |accel, i| {
-                let (job, placed) = &plan[i];
+                let job = &queued[i];
                 let _job_span = {
                     let g = accel.telemetry().expect("attached").spans.begin(&format!("engine.job.{}", job.name));
                     g.annotate("network", &job.network.name);
-                    g.annotate("start_cycle", placed.start);
                     g
                 };
                 accel.run_network(&job.network)
             },
         );
 
-        for ((job, placed), report) in plan.into_iter().zip(reports) {
+        // Placement: batch mode is a single-shard online run with every
+        // arrival at cycle 0, in submission order, so the ladder's
+        // placement stage runs on one serial virtual clock and no worker
+        // is involved — the source of worker-count independence.
+        let mut busy_until = 0u64;
+        for (job, report) in queued.into_iter().zip(reports) {
             let report = report?;
-            m.counter("engine.jobs.completed").inc();
-            m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
-            m.counter("engine.batch.macs").add(report.total_macs());
-            m.counter("engine.batch.cycles").add(report.total_cycles());
-            slots[job.slot] = Slot::Decided(JobOutcome::Completed(JobReport {
-                name: job.name,
-                tenant: job.tenant,
-                queue_wait_cycles: placed.start,
-                completion_cycle: placed.completion,
-                deadline_cycles: job.deadline_cycles,
-                report,
-            }));
+            let cycles = report.total_cycles_with_stalls();
+            let outcome = match self.ladder.place(0, busy_until, cycles, job.deadline_cycles) {
+                Ok(placed) => {
+                    m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES)
+                        .record(placed.start);
+                    busy_until = placed.completion;
+                    m.counter("engine.jobs.completed").inc();
+                    m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
+                    m.counter("engine.batch.macs").add(report.total_macs());
+                    m.counter("engine.batch.cycles").add(report.total_cycles());
+                    JobOutcome::Completed(JobReport {
+                        name: job.name,
+                        tenant: job.tenant,
+                        queue_wait_cycles: placed.start,
+                        completion_cycle: placed.completion,
+                        deadline_cycles: job.deadline_cycles,
+                        report,
+                    })
+                }
+                Err(reason) => {
+                    m.counter("engine.jobs.shed").inc();
+                    m.labeled_counter("engine.jobs")
+                        .with(&[("outcome", "shed"), ("reason", reason.slug())])
+                        .inc();
+                    JobOutcome::Shed { name: job.name, tenant: job.tenant, reason }
+                }
+            };
+            slots[job.slot] = Slot::Decided(outcome);
         }
 
         let outcomes: Vec<JobOutcome> = slots
             .into_iter()
             .map(|s| match s {
                 Slot::Decided(o) => o,
-                Slot::Pending => unreachable!("every admitted job was planned or shed"),
+                Slot::Pending => unreachable!("every admitted job was placed or shed"),
             })
             .collect();
 
@@ -961,6 +945,84 @@ mod tests {
             layers: vec![Layer::new("fc", LayerKind::Fc { fan_in, fan_out }, p)],
         }
         .into_shared()
+    }
+
+    /// The per-layer schedule loop that planned every job before
+    /// placement read the evaluated report: the reference
+    /// [`Engine::schedule_cycles`] is proven equal to.
+    fn schedule_cycles_for(accel: &AcceleratorConfig, net: &Network) -> Result<u64, AccelError> {
+        let mut cycles = 0u64;
+        for layer in &net.layers {
+            let shape = layer_to_conv_shape(&layer.kind);
+            cycles += bsc_systolic::mem::schedule_conv_with_memory(
+                &accel.array,
+                &accel.mem,
+                layer.precision,
+                &shape,
+            )?
+            .total_cycles;
+        }
+        Ok(cycles)
+    }
+
+    #[test]
+    fn schedule_cycles_equal_the_per_layer_schedule_loop() {
+        use bsc_systolic::{DramBandwidth, MemConfig};
+
+        let mems = [
+            MemConfig::infinite(),
+            MemConfig::edge(),
+            MemConfig::edge().with_bandwidth(DramBandwidth::BytesPerCycle(1)),
+        ];
+        let nets = [bsc_nn::models::lenet5().into_shared(), bsc_nn::models::micro().into_shared()];
+        let policies = [
+            PrecisionPolicy::AsTrained,
+            PrecisionPolicy::Uniform(Precision::Int2),
+            PrecisionPolicy::Uniform(Precision::Int4),
+            PrecisionPolicy::Uniform(Precision::Int8),
+        ];
+        for kind in MacKind::ALL {
+            for mem in &mems {
+                let engine = Engine::new(EngineConfig::new(
+                    AcceleratorConfig::quick(kind).with_mem(*mem),
+                ))
+                .unwrap();
+                for net in &nets {
+                    for policy in policies {
+                        let net = policy.apply(net);
+                        assert_eq!(
+                            engine.schedule_cycles(&net).unwrap(),
+                            schedule_cycles_for(&engine.config().accel, &net).unwrap(),
+                            "{kind} {} {policy} under {mem:?}",
+                            net.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn job_cycles_count_dma_stalls_so_wait_plus_cycles_is_completion() {
+        use bsc_systolic::MemConfig;
+
+        let mut engine = Engine::new(
+            EngineConfig::new(AcceleratorConfig::quick(MacKind::Bsc).with_mem(MemConfig::edge()))
+                .with_workers(2),
+        )
+        .unwrap();
+        let net = bsc_nn::models::lenet5().into_shared();
+        for (i, policy) in ["nas", "int2", "int4", "int8"].into_iter().enumerate() {
+            let job = InferenceJob::new(format!("j{i}"), Arc::clone(&net))
+                .with_policy(policy.parse().unwrap());
+            engine.submit(job).unwrap();
+        }
+        let batch = engine.run_batch().unwrap();
+        assert_eq!(batch.completed_count(), 4);
+        for r in batch.completed() {
+            assert!(r.report.total_stall_cycles() > 0, "{}: edge memory must stall", r.name);
+            assert_eq!(r.queue_wait_cycles + r.cycles(), r.completion_cycle, "{}", r.name);
+        }
     }
 
     #[test]

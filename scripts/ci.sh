@@ -80,8 +80,8 @@ test -s "$out/BENCH_paper.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_paper.json "$out/BENCH_paper.json" --tol 0
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$out/BENCH_paper.json" <<'PY'
-import json, sys
+    python3 - "$out/BENCH_paper.json" EXPERIMENTS.md <<'PY'
+import json, re, sys
 doc = json.load(open(sys.argv[1]))
 counts = {"table1": "table1_rows", "fig7": "fig7_points", "fig8a": "fig8a_rows",
           "fig8b": "fig8b_rows", "fig9": "fig9_rows"}
@@ -101,7 +101,49 @@ for col in ("tops_per_w", "mapped_tops_per_w"):
 for label, t in checks:
     assert set(t) == {"BSC", "LPC", "HPS"}, f"{label}: missing a design"
     assert t["BSC"] > t["LPC"] and t["BSC"] > t["HPS"], f"{label}: BSC is not the most efficient {t}"
-print(f"paper gate valid ({len(doc['fig7'])} sweep points; BSC wins all {len(checks)} comparisons)")
+# EXPERIMENTS.md copies the measured cells of Table I and Figs 8a, 8b
+# and 9 by hand: each must equal this document's value (or BSC's ratio
+# to it), rounded to the digits printed.
+md = open(sys.argv[2]).read().split("\n")
+def md_rows(heading):
+    i = next(i for i, l in enumerate(md) if l.startswith("## " + heading))
+    while not md[i].startswith("|"):
+        i += 1
+    rows = []
+    while md[i].startswith("|"):
+        rows.append([c.strip() for c in md[i].strip().strip("|").split("|")])
+        i += 1
+    return rows[2:]
+cells = 0
+def cell(text, value, label):
+    global cells
+    printed = re.search(r"\d+(\.\d+)?", text).group()
+    digits = len(printed.split(".")[1]) if "." in printed else 0
+    want = f"{value:.{digits}f}"
+    assert printed == want, f"EXPERIMENTS.md {label}: prints {printed}, BENCH_paper.json gives {want}"
+    cells += 1
+for r in md_rows("Table I"):
+    row = next(t for t in doc["table1"] if t["cnn"] == r[0].split(" (")[0])
+    for text, frac in zip(r[2].split("/"), ("frac8", "frac4", "frac2")):
+        cell(text, 100 * row[frac], f"Table I {r[0]} {frac}")
+    cell(r[4], row["model_mbytes"], f"Table I {r[0]} MBytes")
+for fig, ratios in (("fig8a", True), ("fig8b", False)):
+    t = table(doc[fig], "bits", "tops_per_w")
+    for r in md_rows(f"Fig. {fig[3]}({fig[4]})"):
+        eff = t[int(r[0].split("-")[0])]
+        for text, kind in zip(r[1:4], ("BSC", "LPC", "HPS")):
+            cell(text, eff[kind], f"{fig} {r[0]} {kind}")
+        if ratios:
+            cell(r[4], eff["BSC"] / eff["LPC"], f"{fig} {r[0]} BSC/LPC")
+            cell(r[5], eff["BSC"] / eff["HPS"], f"{fig} {r[0]} BSC/HPS")
+t = table(doc["fig9"], "network", "tops_per_w")
+for r in md_rows("Fig. 9"):
+    eff = t[r[0]]
+    cell(r[1], eff["BSC"], f"fig9 {r[0]} BSC")
+    cell(r[2], eff["BSC"] / eff["LPC"], f"fig9 {r[0]} BSC/LPC")
+    cell(r[3], eff["BSC"] / eff["HPS"], f"fig9 {r[0]} BSC/HPS")
+print(f"paper gate valid ({len(doc['fig7'])} sweep points; BSC wins all {len(checks)} comparisons; "
+      f"{cells} EXPERIMENTS.md cells match)")
 PY
 fi
 
