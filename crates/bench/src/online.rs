@@ -43,8 +43,8 @@
 use std::collections::BTreeMap;
 
 use bsc_accel::cluster::{
-    run_online_with_metrics, DispatchPolicy, MetricsMode, OnlineConfig, OnlineReport, ShardSpec,
-    TrafficSource, EVENT_LOG_CAP,
+    run_online_profiled, DispatchPolicy, OnlineConfig, OnlineReport, ShardSpec, TrafficSource,
+    EVENT_LOG_CAP,
 };
 use bsc_accel::des::{ArrivalProcess, DiurnalSegment};
 use bsc_telemetry::profile::Profiler;
@@ -221,37 +221,12 @@ pub fn online_profiled(
     workers_override: Option<usize>,
     profiler: Option<&Profiler>,
 ) -> Result<OnlineRun, String> {
-    online_with_metrics(manifest_text, workers_override, profiler, MetricsMode::Batched)
-}
-
-/// [`online_profiled`] under the legacy per-event metrics path
-/// ([`MetricsMode::PerEventShadow`]) — the reference side of the
-/// differential-equivalence harness in `tests/metrics_equivalence.rs`.
-/// Every document it produces is byte-identical to [`online`]'s; it
-/// exists so that equivalence stays a test, not an assumption.
-///
-/// # Errors
-///
-/// Same contract as [`online`].
-pub fn online_shadow(
-    manifest_text: &str,
-    workers_override: Option<usize>,
-) -> Result<OnlineRun, String> {
-    online_with_metrics(manifest_text, workers_override, None, MetricsMode::PerEventShadow)
-}
-
-fn online_with_metrics(
-    manifest_text: &str,
-    workers_override: Option<usize>,
-    profiler: Option<&Profiler>,
-    mode: MetricsMode,
-) -> Result<OnlineRun, String> {
     let mut config = parse_online_manifest(manifest_text)?;
     if workers_override.is_some() {
         config.workers = workers_override;
     }
     let telemetry = Telemetry::metrics_only();
-    let report = run_online_with_metrics(&config, &telemetry, profiler, mode)
+    let report = run_online_profiled(&config, &telemetry, profiler)
         .map_err(|e| err_at("online", e))?;
     bsc_accel::CharacterizationCache::global().publish(&telemetry);
     Ok(OnlineRun {

@@ -241,27 +241,6 @@ mod tests {
         assert_eq!(once, counters_of(8));
     }
 
-    /// `metric_increments` used to be *defined* as
-    /// `submitted + 2*(rejected+shed) + 3*completed` — a formula
-    /// restating what the per-event path did (1 op per offer, reject +
-    /// labeled point, completion + labeled point + histogram record).
-    /// Since PR-9 it is *derived* from the `LocalMetrics` flush (every
-    /// `inc`/`add`/`record` the batch actually buffered).  This pins the
-    /// two definitions to each other: if batching ever skips or doubles
-    /// an increment, the derived count drifts from the formula.
-    #[test]
-    fn metric_increments_flush_derivation_matches_the_legacy_formula() {
-        let p = profile(MANIFEST, Some(2)).unwrap();
-        let r = &p.run.report;
-        let admission = p.snapshot.phase("admission").unwrap();
-        assert!(r.rejected > 0 && r.completed > 0, "formula terms must be live");
-        assert_eq!(
-            admission.counter("metric_increments"),
-            r.submitted + 2 * (r.rejected + r.shed) + 3 * r.completed,
-            "flush-derived increment count drifted from the per-event formula"
-        );
-    }
-
     #[test]
     fn phase_rows_and_the_unattributed_row_sum_to_the_run_wall() {
         let p = profile(MANIFEST, Some(1)).unwrap();

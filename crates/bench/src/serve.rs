@@ -492,25 +492,33 @@ mod tests {
 
     #[test]
     fn events_jsonl_lines_parse_and_carry_span_ids() {
-        let run = serve(TENANT_MANIFEST).unwrap();
-        let log = events_jsonl(&run);
-        let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), 1 + run.batch.submitted(), "batch line + one per job");
-        let batch = bsc_telemetry::parse_json(lines[0]).expect("strict JSON");
-        assert_eq!(batch.get("event").and_then(|v| v.as_str()), Some("batch"));
-        let batch_span = batch.get("span").and_then(|v| v.as_f64()).unwrap();
-        assert!(batch_span > 0.0, "batch span recorded");
-        for line in &lines[1..] {
-            let event = bsc_telemetry::parse_json(line).expect("strict JSON");
-            assert_eq!(event.get("event").and_then(|v| v.as_str()), Some("job"));
-            assert!(event.get("tenant").is_some());
-            let outcome = event.get("outcome").and_then(|v| v.as_str()).unwrap();
-            if outcome == "completed" {
-                // Completed jobs ran inside a recorded span.  (Its
-                // parent is whatever span was innermost when the worker
-                // began it — present, but not asserted further.)
-                assert!(event.get("span").and_then(|v| v.as_f64()).unwrap() > 0.0);
-                assert!(event.get("parent_span").and_then(|v| v.as_f64()).is_some());
+        for workers in [2, 8] {
+            let manifest =
+                TENANT_MANIFEST.replace("\"workers\": 2", &format!("\"workers\": {workers}"));
+            let run = serve(&manifest).unwrap();
+            let log = events_jsonl(&run);
+            let lines: Vec<&str> = log.lines().collect();
+            assert_eq!(lines.len(), 1 + run.batch.submitted(), "batch line + one per job");
+            let batch = bsc_telemetry::parse_json(lines[0]).expect("strict JSON");
+            assert_eq!(batch.get("event").and_then(|v| v.as_str()), Some("batch"));
+            let batch_span = batch.get("span").and_then(|v| v.as_f64()).unwrap();
+            assert!(batch_span > 0.0, "batch span recorded");
+            for line in &lines[1..] {
+                let event = bsc_telemetry::parse_json(line).expect("strict JSON");
+                assert_eq!(event.get("event").and_then(|v| v.as_str()), Some("job"));
+                assert!(event.get("tenant").is_some());
+                let outcome = event.get("outcome").and_then(|v| v.as_str()).unwrap();
+                if outcome == "completed" {
+                    // Completed jobs ran inside a recorded span.
+                    assert!(event.get("span").and_then(|v| v.as_f64()).unwrap() > 0.0);
+                }
+                // Every job nests directly under the batch, whichever
+                // worker began its span.
+                assert_eq!(
+                    event.get("parent_span").and_then(|v| v.as_f64()),
+                    Some(batch_span),
+                    "workers={workers}: {line}"
+                );
             }
         }
     }

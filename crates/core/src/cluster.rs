@@ -39,15 +39,15 @@ use std::collections::{BTreeMap, VecDeque};
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
-use bsc_telemetry::{
-    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, Registry, Telemetry,
-};
+use bsc_telemetry::Telemetry;
 
 use crate::admission::{AdmissionLadder, Placement, RejectReason};
 use crate::des::{
     ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL,
 };
-use crate::engine::{estimate_cycles_for, CharacterizationCache, PrecisionPolicy};
+use crate::engine::{
+    estimate_cycles_for, CharacterizationCache, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES,
+};
 use crate::report::NetworkReport;
 use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{AccelError, Accelerator, AcceleratorConfig};
@@ -367,156 +367,13 @@ struct OnlinePhases {
     slo: PhaseHandle,
 }
 
-/// How [`run_online_with_metrics`] records per-job metrics.
-///
-/// The two modes produce **byte-identical** metrics snapshots, reports
-/// and SLO documents — `tests/metrics_equivalence.rs` pins this across
-/// policies, arrival processes and worker counts.  [`MetricsMode::Batched`]
-/// is what [`run_online`] uses; the shadow mode exists so the
-/// equivalence stays testable, not for production use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsMode {
-    /// Tally per-job counters into a lock-free [`LocalMetrics`]
-    /// accumulator (label handles interned once per shard up front) and
-    /// flush into the registry exactly once at end of run.  The hot
-    /// path takes no `Mutex` and performs no allocation.
-    Batched,
-    /// The legacy per-event path: one registry operation per counter
-    /// update, resolving names and label sets on every event.  Kept as
-    /// the differential-testing reference.
-    PerEventShadow,
-}
-
-/// Pre-interned [`LocalMetrics`] handles for one shard's labeled
-/// outcome points.
-struct ShardHandles {
-    completed: LocalLabeledCounter,
-    shed_deadline: LocalLabeledCounter,
-    /// Indexed by [`RejectReason::stage`].
-    rejected: [LocalLabeledCounter; 3],
-}
-
-/// The event loop's metric recording backend — see [`MetricsMode`].
-enum MetricSink {
-    Batched {
-        local: LocalMetrics,
-        submitted: LocalCounter,
-        rejected: LocalCounter,
-        shed: LocalCounter,
-        completed: LocalCounter,
-        wait: LocalHistogram,
-        shards: Vec<ShardHandles>,
-    },
-    Shadow(Registry),
-}
-
-impl MetricSink {
-    /// Interns every counter, labeled point and histogram the loop can
-    /// touch — names and label sets are resolved here, once per shard,
-    /// never on the hot path.  Points that never fire are skipped at
-    /// flush time, so eager interning cannot register spurious metrics.
-    fn batched(config: &OnlineConfig) -> MetricSink {
-        let mut local = LocalMetrics::new();
-        let submitted = local.counter("engine.jobs.submitted");
-        let rejected = local.counter("engine.jobs.rejected");
-        let shed = local.counter("engine.jobs.shed");
-        let completed = local.counter("engine.jobs.completed");
-        let wait = local
-            .histogram("engine.queue.wait_cycles", crate::engine::QUEUE_WAIT_BOUNDS_CYCLES);
-        let shards: Vec<ShardHandles> = config
-            .shards
-            .iter()
-            .map(|s| {
-                let n = s.name.as_str();
-                ShardHandles {
-                    completed: local
-                        .labeled_counter("engine.jobs", &[("outcome", "completed"), ("shard", n)]),
-                    shed_deadline: local.labeled_counter(
-                        "engine.jobs",
-                        &[("outcome", "shed"), ("reason", "deadline_missed"), ("shard", n)],
-                    ),
-                    rejected: RejectReason::SLUGS.map(|slug| {
-                        local.labeled_counter(
-                            "engine.jobs",
-                            &[("outcome", "rejected"), ("reason", slug), ("shard", n)],
-                        )
-                    }),
-                }
-            })
-            .collect();
-        MetricSink::Batched { local, submitted, rejected, shed, completed, wait, shards }
-    }
-
-    #[inline]
-    fn on_submitted(&mut self) {
-        match self {
-            MetricSink::Batched { local, submitted, .. } => local.inc(*submitted),
-            MetricSink::Shadow(m) => m.counter("engine.jobs.submitted").inc(),
-        }
-    }
-
-    #[inline]
-    fn on_rejected(&mut self, hi: usize, reason: RejectReason, shard_name: &str) {
-        match self {
-            MetricSink::Batched { local, rejected, shards, .. } => {
-                local.inc(*rejected);
-                local.inc_labeled(shards[hi].rejected[reason.stage()]);
-            }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.rejected").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[
-                        ("outcome", "rejected"),
-                        ("reason", reason.slug()),
-                        ("shard", shard_name),
-                    ])
-                    .inc();
-            }
-        }
-    }
-
-    #[inline]
-    fn on_shed(&mut self, hi: usize, slug: &'static str, shard_name: &str) {
-        match self {
-            MetricSink::Batched { local, shed, shards, .. } => {
-                local.inc(*shed);
-                local.inc_labeled(shards[hi].shed_deadline);
-            }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.shed").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "shed"), ("reason", slug), ("shard", shard_name)])
-                    .inc();
-            }
-        }
-    }
-
-    #[inline]
-    fn on_completed(&mut self, hi: usize, shard_name: &str, wait_cycles: u64) {
-        match self {
-            MetricSink::Batched { local, completed, wait, shards, .. } => {
-                local.inc(*completed);
-                local.inc_labeled(shards[hi].completed);
-                local.record(*wait, wait_cycles);
-            }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.completed").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "completed"), ("shard", shard_name)])
-                    .inc();
-                m.histogram("engine.queue.wait_cycles", crate::engine::QUEUE_WAIT_BOUNDS_CYCLES)
-                    .record(wait_cycles);
-            }
-        }
-    }
-}
-
 /// Runs one online-serving simulation.  See the module docs for the
 /// event semantics and determinism contract.
 ///
 /// The returned report and the metrics recorded into `telemetry` are a
 /// pure function of `config` — bit-identical at any worker count and on
-/// every platform.
+/// every platform.  The per-job metrics are a view of the report: they
+/// are published from the admission funnel once, after the event loop.
 ///
 /// # Errors
 ///
@@ -535,7 +392,7 @@ pub fn run_online(
 /// When `profiler` is `Some`, the run accumulates wall-clock time into
 /// the phases `arrival-sampling`, `dispatch`, `admission`,
 /// `schedule-eval` and `slo-fold`, plus deterministic work counters per
-/// phase (events popped, heap ops, map touches, metric increments, ...).
+/// phase (events popped, heap ops, map touches, ...).
 /// The counters are a pure function of `config` — byte-identical at any
 /// worker count — while the wall-clock side is machine-dependent and
 /// never gated.  Profiling never changes the report: the deterministic
@@ -548,23 +405,6 @@ pub fn run_online_profiled(
     config: &OnlineConfig,
     telemetry: &Telemetry,
     profiler: Option<&Profiler>,
-) -> Result<OnlineReport, AccelError> {
-    run_online_with_metrics(config, telemetry, profiler, MetricsMode::Batched)
-}
-
-/// [`run_online_profiled`] with an explicit [`MetricsMode`].  Production
-/// callers never need this — [`MetricsMode::Batched`] is the default and
-/// the two modes are byte-equivalent; it exists so the differential
-/// test harness can drive the legacy per-event path side by side.
-///
-/// # Errors
-///
-/// Same contract as [`run_online`].
-pub fn run_online_with_metrics(
-    config: &OnlineConfig,
-    telemetry: &Telemetry,
-    profiler: Option<&Profiler>,
-    mode: MetricsMode,
 ) -> Result<OnlineReport, AccelError> {
     if config.shards.is_empty() {
         return Err(AccelError::Config("online cluster needs at least one shard".into()));
@@ -665,24 +505,6 @@ pub fn run_online_with_metrics(
             peak_backlog_cycles: 0,
         })
         .collect();
-    let mut shard_reports: Vec<ShardReport> = config
-        .shards
-        .iter()
-        .map(|s| ShardReport {
-            name: s.name.clone(),
-            kind: s.accel.kind,
-            completed: 0,
-            rejected: 0,
-            shed: 0,
-            busy_cycles: 0,
-            last_completion_cycle: 0,
-            peak_outstanding: 0,
-            peak_backlog_cycles: 0,
-            macs: 0,
-            energy_fj: 0,
-        })
-        .collect();
-
     // One completed job, compactly: its NetworkReport is the pair's.
     struct CompletedRec {
         source: u32,
@@ -694,9 +516,6 @@ pub fn run_online_with_metrics(
     let mut rr_cursor = 0usize;
     let mut tenant_cycles: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
-    let mut submitted = 0u64;
-    let mut rejected = 0u64;
-    let mut shed = 0u64;
     let mut event_log: Vec<OnlineEvent> = Vec::new();
     let mut events_truncated = 0u64;
     // Deferred SLO observations (completion observations wait for the
@@ -734,10 +553,14 @@ pub fn run_online_with_metrics(
         max_outstanding: config.max_outstanding,
         max_backlog_cycles: config.max_backlog_cycles,
     };
-    let mut sink = match mode {
-        MetricsMode::Batched => MetricSink::batched(config),
-        MetricsMode::PerEventShadow => MetricSink::Shadow(m.clone()),
-    };
+    // The shard reports' outcome counts, the run's totals and the
+    // `engine.jobs*` metrics all derive from the funnel after the loop.
+    // The one per-job metric the funnel cannot hold, a dispatched job's
+    // queue wait, is bucketed here in plain integers and merged into the
+    // registry once, so the loop takes no lock and no atomic.
+    let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
+    let mut wait_buckets = vec![0u64; wait_bounds.len() + 1];
+    let (mut wait_sum, mut wait_min, mut wait_max) = (0u64, u64::MAX, 0u64);
     let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
     let mut completion_bursts = 0u64;
 
@@ -798,8 +621,6 @@ pub fn run_online_with_metrics(
         let tmpl = &config.sources[source].template;
         let seq = per_source_seq[source];
         per_source_seq[source] += 1;
-        submitted += 1;
-        sink.on_submitted();
 
         let hi = {
             let _g = phases.as_ref().map(|ph| ph.dispatch.enter());
@@ -813,7 +634,6 @@ pub fn run_online_with_metrics(
             )
         };
         let _g_admission = phases.as_ref().map(|ph| ph.admission.enter());
-        let shard_name = config.shards[hi].name.as_str();
         let backlog = shards[hi].busy_until.saturating_sub(now);
         shards[hi].peak_backlog_cycles = shards[hi].peak_backlog_cycles.max(backlog);
         funnel[hi].offered += 1;
@@ -824,8 +644,6 @@ pub fn run_online_with_metrics(
             .map(|_| ladder.place(now, shards[hi].busy_until, exact[pair], deadline));
         let (outcome, reason, start, completion) = match verdict {
             Err(reason) => {
-                rejected += 1;
-                shard_reports[hi].rejected += 1;
                 match reason {
                     RejectReason::QueueFull { .. } => funnel[hi].queue_full += 1,
                     RejectReason::Overloaded { .. } => funnel[hi].overloaded += 1,
@@ -833,15 +651,11 @@ pub fn run_online_with_metrics(
                         funnel[hi].deadline_infeasible += 1
                     }
                 }
-                sink.on_rejected(hi, reason, shard_name);
                 reject_counts[source * RejectReason::SLUGS.len() + reason.stage()] += 1;
                 ("rejected", Some(reason.slug()), now, now)
             }
             Ok(Err(reason)) => {
-                shed += 1;
-                shard_reports[hi].shed += 1;
                 funnel[hi].shed_deadline += 1;
-                sink.on_shed(hi, reason.slug(), shard_name);
                 deferred_sheds.push((source as u32, reason.slug(), now));
                 ("shed", Some(reason.slug()), now, now)
             }
@@ -854,11 +668,11 @@ pub fn run_online_with_metrics(
                 shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
                 funnel[hi].dispatched += 1;
                 *tenant_cycles.entry((source, hi)).or_default() += cycles;
-                shard_reports[hi].completed += 1;
-                shard_reports[hi].busy_cycles += cycles;
-                shard_reports[hi].last_completion_cycle =
-                    shard_reports[hi].last_completion_cycle.max(completion);
-                sink.on_completed(hi, shard_name, start - now);
+                let wait = start - now;
+                wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
+                wait_sum = wait_sum.wrapping_add(wait);
+                wait_min = wait_min.min(wait);
+                wait_max = wait_max.max(wait);
                 lanes.push(hi, completion);
                 completed_recs.push(CompletedRec {
                     source: source as u32,
@@ -877,7 +691,7 @@ pub fn run_online_with_metrics(
                 job: format!("{}#{seq}", tmpl.name),
                 template: tmpl.name.clone(),
                 tenant: tmpl.tenant.clone(),
-                shard: shard_name.to_string(),
+                shard: config.shards[hi].name.clone(),
                 outcome,
                 reason,
                 arrival_cycle: now,
@@ -892,12 +706,39 @@ pub fn run_online_with_metrics(
     // visible in every metrics export, not just in the report.
     m.counter("engine.decision_log.truncated").add(events_truncated);
 
+    // Each shard's outcomes are its funnel stages, and the run's totals
+    // sum them.  A shard's clock only ever moves to a dispatched job's
+    // completion, so it ends at the shard's last completion.
+    let mut shard_reports: Vec<ShardReport> = config
+        .shards
+        .iter()
+        .zip(&funnel)
+        .zip(&shards)
+        .map(|((spec, f), st)| ShardReport {
+            name: spec.name.clone(),
+            kind: spec.accel.kind,
+            completed: f.dispatched,
+            rejected: f.queue_full + f.overloaded + f.deadline_infeasible,
+            shed: f.shed_deadline,
+            busy_cycles: 0,
+            last_completion_cycle: st.busy_until,
+            peak_outstanding: st.peak_outstanding,
+            peak_backlog_cycles: st.peak_backlog_cycles,
+            macs: 0,
+            energy_fj: 0,
+        })
+        .collect();
+    let submitted: u64 = funnel.iter().map(|f| f.offered).sum();
+    let completed: u64 = shard_reports.iter().map(|s| s.completed).sum();
+    let rejected: u64 = shard_reports.iter().map(|s| s.rejected).sum();
+    let shed: u64 = shard_reports.iter().map(|s| s.shed).sum();
+    let makespan = shard_reports.iter().map(|s| s.last_completion_cycle).max().unwrap_or(0);
+
     // Serial SLO fold.  Order never matters for the accountant's BTree
     // state, but folding deferred decisions then completions keeps the
     // walk obvious.  The window width derives from the full horizon —
     // completions may legitimately land past the arrival horizon.
     let g_slo = phases.as_ref().map(|ph| ph.slo.enter());
-    let makespan = completed_recs.iter().map(|r| r.completion).max().unwrap_or(0);
     let horizon = config.horizon_cycles.max(makespan);
     let mut acc = SloAccountant::new(window_width_for_horizon(horizon));
     for s in &config.sources {
@@ -923,7 +764,8 @@ pub fn run_online_with_metrics(
     }
     for rec in &completed_recs {
         let tmpl = &config.sources[rec.source as usize].template;
-        let report = &pair_reports[rec.source as usize * n_shards + rec.shard as usize];
+        let pair = rec.source as usize * n_shards + rec.shard as usize;
+        let report = &pair_reports[pair];
         acc.observe_completion(
             &tmpl.tenant,
             rec.completion - rec.arrival,
@@ -932,35 +774,52 @@ pub fn run_online_with_metrics(
             report,
         );
         let sr = &mut shard_reports[rec.shard as usize];
+        sr.busy_cycles += exact[pair];
         sr.macs += report.total_macs();
         for layer in report.layers() {
             sr.energy_fj += quantize_energy_fj(layer.energy_fj);
         }
     }
-    for (sr, st) in shard_reports.iter_mut().zip(&shards) {
-        sr.peak_outstanding = st.peak_outstanding;
-        sr.peak_backlog_cycles = st.peak_backlog_cycles;
-    }
-    let completed = completed_recs.len() as u64;
     let slo_observations = acc.observations();
     let slo_report = acc.report();
     drop(g_slo);
     m.gauge("engine.online.makespan_cycles").set(makespan.min(i64::MAX as u64) as i64);
 
-    // Flush the batched per-job metrics into the registry exactly once.
-    // The profiler's `metric_increments` is *derived from the flush* —
-    // the accumulator counted every update as it happened — instead of a
-    // hand-maintained per-outcome formula that could drift from the real
-    // increment count.  The shadow mode already hit the registry per
-    // event, so it reports the classic formula (pinned equal to the
-    // derivation by a unit test).
-    let metric_increments = match &sink {
-        MetricSink::Batched { local, .. } => {
-            local.flush_into(m);
-            local.increments()
+    // Publish the per-job metrics once, as a view of the funnel: the
+    // flat totals, one `engine.jobs` point per non-zero stage of each
+    // shard, and the dispatched jobs' queue waits.  A zero count
+    // registers nothing, so only outcomes that happened appear.
+    for (name, n) in [
+        ("engine.jobs.submitted", submitted),
+        ("engine.jobs.rejected", rejected),
+        ("engine.jobs.shed", shed),
+        ("engine.jobs.completed", completed),
+    ] {
+        if n > 0 {
+            m.counter(name).add(n);
         }
-        MetricSink::Shadow(_) => submitted + 2 * (rejected + shed) + 3 * completed,
-    };
+    }
+    let [queue_full, overloaded, deadline_infeasible] = RejectReason::SLUGS;
+    for f in &funnel {
+        let points = [
+            (f.dispatched, "completed", None),
+            (f.shed_deadline, "shed", Some("deadline_missed")),
+            (f.queue_full, "rejected", Some(queue_full)),
+            (f.overloaded, "rejected", Some(overloaded)),
+            (f.deadline_infeasible, "rejected", Some(deadline_infeasible)),
+        ];
+        for (n, outcome, reason) in points {
+            if n > 0 {
+                let mut labels = vec![("outcome", outcome), ("shard", f.shard.as_str())];
+                labels.extend(reason.map(|r| ("reason", r)));
+                m.labeled_counter("engine.jobs").with(&labels).add(n);
+            }
+        }
+    }
+    if completed > 0 {
+        m.histogram("engine.queue.wait_cycles", wait_bounds)
+            .merge_bucketed(wait_bounds, &wait_buckets, completed, wait_sum, wait_min, wait_max);
+    }
 
     // Flush the deterministic work tallies into the profiler.  Every
     // value below is a pure function of `config` (the parallel pair
@@ -1007,11 +866,6 @@ pub fn run_online_with_metrics(
             _ => 0,
         };
         ph.admission.add("tenant_map_touches", completed + tf_reads);
-        // Metric updates per arrival, as counted by the accumulator
-        // itself: one `submitted` increment, two per rejection/shed
-        // (plain + labeled), three per completion (plain + labeled +
-        // wait histogram).
-        ph.admission.add("metric_increments", metric_increments);
         ph.admission.add("log_appends", event_log.len() as u64);
         ph.admission.add("log_dropped", events_truncated);
 

@@ -830,7 +830,10 @@ impl Engine {
             || {
                 let mut accel =
                     Accelerator::with_shared_characterization(accel_cfg.clone(), Arc::clone(&charac));
-                accel.attach_telemetry(telemetry.clone());
+                // Each worker's own span cursor starts at the batch span,
+                // so its job spans nest there and its layer spans under
+                // its own job.
+                accel.attach_telemetry(telemetry.fork());
                 accel
             },
             |accel, i| {
@@ -860,7 +863,7 @@ impl Engine {
                     m.counter("engine.jobs.completed").inc();
                     m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
                     m.counter("engine.batch.macs").add(report.total_macs());
-                    m.counter("engine.batch.cycles").add(report.total_cycles());
+                    m.counter("engine.batch.cycles").add(cycles);
                     JobOutcome::Completed(JobReport {
                         name: job.name,
                         tenant: job.tenant,
@@ -1023,6 +1026,12 @@ mod tests {
             assert!(r.report.total_stall_cycles() > 0, "{}: edge memory must stall", r.name);
             assert_eq!(r.queue_wait_cycles + r.cycles(), r.completion_cycle, "{}", r.name);
         }
+        // The jobs run back to back, so the busy-cycle counter (stalls
+        // included) adds up to the makespan.
+        assert_eq!(
+            engine.telemetry().metrics.snapshot().counter("engine.batch.cycles"),
+            batch.makespan_cycles()
+        );
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub mod trace;
 pub use json::{parse_json, JsonParseError, JsonValue};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, LabeledCounter, LabeledHistogram,
-    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, MetricsSnapshot,
-    QuantileSketch, Registry, ScopedTimer, SketchSnapshot, WindowCell, WindowedAggregator,
+    MetricsSnapshot, QuantileSketch, Registry, ScopedTimer, SketchSnapshot, WindowCell,
+    WindowedAggregator,
 };
 pub use perfetto::perfetto_json;
 pub use profile::{PhaseGuard, PhaseHandle, PhaseSnapshot, ProfileSnapshot, Profiler};
@@ -106,6 +106,16 @@ impl Telemetry {
         let spans = SpanCollector::new();
         let trace = TraceRing::new(trace_capacity).with_span_cursor(spans.cursor());
         Telemetry { metrics: Registry::new(), trace, spans }
+    }
+
+    /// A bundle sharing this one's registry, trace ring and span store,
+    /// with its own span cursor (see [`SpanCollector::fork`]) that the
+    /// trace ring stamps events from.  Give each worker thread one, so
+    /// spans begun concurrently never parent each other.
+    pub fn fork(&self) -> Telemetry {
+        let spans = self.spans.fork();
+        let trace = self.trace.clone().with_span_cursor(spans.cursor());
+        Telemetry { metrics: self.metrics.clone(), trace, spans }
     }
 
     /// A bundle that accumulates metrics but stores no trace events
@@ -165,6 +175,22 @@ mod tests {
         assert_eq!(snap.span_of(0), NO_SPAN);
         assert_eq!(snap.span_of(1), id);
         assert_eq!(snap.span_of(2), NO_SPAN);
+    }
+
+    #[test]
+    fn a_fork_shares_every_store_but_stamps_events_from_its_own_cursor() {
+        let tel = Telemetry::new(8);
+        let batch = tel.spans.begin("batch");
+        let fork = tel.fork();
+        let job = fork.spans.begin("job");
+        fork.trace.push(TraceEvent::VectorStall { cycle: 0, pe: 0 });
+        tel.trace.push(TraceEvent::VectorStall { cycle: 1, pe: 0 });
+        fork.metrics.counter("c").inc();
+        let snap = tel.trace.snapshot();
+        assert_eq!(snap.span_of(0), job.id());
+        assert_eq!(snap.span_of(1), batch.id());
+        assert_eq!(tel.metrics.snapshot().counter("c"), 1);
+        assert_eq!(tel.spans.snapshot().by_name("job").unwrap().parent, batch.id());
     }
 
     #[test]

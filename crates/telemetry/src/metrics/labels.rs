@@ -116,8 +116,8 @@ impl LabeledCounter {
     }
 
     /// The counter at an already-canonical `set`, created at zero on
-    /// first use.  Lets batched flushes ([`super::local::LocalMetrics`])
-    /// reuse a label set interned once instead of re-canonicalizing.
+    /// first use.  Lets a caller reuse a label set built once instead
+    /// of re-canonicalizing.
     pub fn with_set(&self, set: &LabelSet) -> Counter {
         let mut g = self.points.lock().expect("labeled counter poisoned");
         g.entry(set.clone()).or_default().clone()

@@ -7,7 +7,6 @@
 //! is only held during registration and snapshotting.
 
 pub mod labels;
-pub mod local;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -18,7 +17,6 @@ pub use labels::{
     LabelSet, LabeledCounter, LabeledHistogram, QuantileSketch, SketchSnapshot, WindowCell,
     WindowedAggregator,
 };
-pub use local::{LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
@@ -127,13 +125,15 @@ impl Histogram {
     }
 
     /// Folds a pre-bucketed batch of samples into this histogram —
-    /// equivalent to calling [`Histogram::record`] once per sample.
-    /// `bounds` must equal the histogram's own canonical bounds (callers
-    /// bucket with the same sort+dedup scheme, see
-    /// [`local::LocalMetrics`]); `min`/`max` are the batch extremes and
-    /// `count` must be non-zero so the empty-batch min sentinel never
-    /// leaks in.
-    pub(crate) fn merge_bucketed(
+    /// equivalent to calling [`Histogram::record`] once per sample.  A
+    /// hot loop can bucket its samples in plain integers and merge them
+    /// once, taking no atomic per sample.  `bounds` must equal the
+    /// histogram's own canonical (sorted, deduped) bounds, and each
+    /// sample goes to bucket `bounds.partition_point(|&b| b < sample)`,
+    /// as in [`Histogram::record`].  `sum` wraps like the atomic sum,
+    /// `min`/`max` are the batch extremes, and `count` must be non-zero
+    /// so the empty-batch min sentinel never leaks in.
+    pub fn merge_bucketed(
         &self,
         bounds: &[u64],
         buckets: &[u64],
@@ -642,6 +642,36 @@ mod tests {
         let snap = reg.snapshot();
         let h = snap.histogram("phase.load").unwrap();
         assert_eq!(h.count, 1);
+    }
+
+    #[test]
+    fn bucketed_merge_equals_recording_each_sample() {
+        // Both histograms already hold a sample, and their unsorted,
+        // duplicated bounds canonicalize to [10, 100].
+        let raw = [100, 10, 100, 10];
+        let direct = Registry::new();
+        let merged = Registry::new();
+        direct.histogram("h", &raw).record(7);
+        merged.histogram("h", &raw).record(7);
+        let samples = [0u64, 10, 11, 100, 5000, 42, u64::MAX];
+        let bounds = [10, 100];
+        let mut buckets = [0u64; 3];
+        for &v in &samples {
+            direct.histogram("h", &raw).record(v);
+            buckets[bounds.partition_point(|&b| b < v)] += 1;
+        }
+        let sum = samples.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
+        let (min, max) = (*samples.iter().min().unwrap(), *samples.iter().max().unwrap());
+        merged.histogram("h", &raw).merge_bucketed(
+            &bounds,
+            &buckets,
+            samples.len() as u64,
+            sum,
+            min,
+            max,
+        );
+        assert_eq!(merged.snapshot(), direct.snapshot());
+        assert_eq!(merged.snapshot().histogram("h").unwrap().count, 8);
     }
 
     #[test]

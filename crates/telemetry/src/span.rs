@@ -12,6 +12,11 @@
 //! Spans are RAII: [`SpanCollector::begin`] returns a [`SpanGuard`] that
 //! closes the span (and restores its parent as current) on drop.
 //!
+//! The cursor belongs to one thread of control.  Clones share it, so a
+//! worker thread takes a [`SpanCollector::fork`] instead: the same store
+//! with its own cursor, so spans begun concurrently on different threads
+//! never become each other's parents.
+//!
 //! [`TraceRing`]: crate::trace::TraceRing
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,6 +89,18 @@ impl SpanCollector {
     /// reads it on every push.
     pub fn cursor(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.current)
+    }
+
+    /// A handle on the same span store with its own cursor, starting at
+    /// this handle's innermost open span.  Spans begun through the fork
+    /// nest under that span and under each other, never under a span
+    /// opened through another cursor — one fork per worker thread.
+    pub fn fork(&self) -> SpanCollector {
+        SpanCollector {
+            inner: Arc::clone(&self.inner),
+            current: Arc::new(AtomicU64::new(self.current_id())),
+            epoch: self.epoch,
+        }
     }
 
     /// ID of the innermost open span ([`NO_SPAN`] when none is open).
@@ -255,6 +272,41 @@ mod tests {
         assert_eq!(col2.current_id(), g.id());
         drop(g);
         assert_eq!(col2.len(), 1);
+    }
+
+    #[test]
+    fn forked_cursors_keep_concurrent_spans_on_their_own_thread() {
+        use std::sync::Barrier;
+        let col = SpanCollector::new();
+        let root = col.begin("batch");
+        let barrier = Barrier::new(2);
+        let ids: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let (fork, barrier) = (col.fork(), &barrier);
+                    scope.spawn(move || {
+                        // Both threads hold their outer span open while
+                        // the other begins its inner one.
+                        let outer = fork.begin(&format!("job{t}"));
+                        barrier.wait();
+                        let inner = fork.begin(&format!("layer{t}"));
+                        barrier.wait();
+                        (outer.id(), inner.id())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(col.current_id(), root.id(), "forks never move the parent's cursor");
+        drop(root);
+        let snap = col.snapshot();
+        assert_eq!(snap.spans.len(), 5, "forks share the store");
+        let parent = |id: u64| snap.spans.iter().find(|s| s.id == id).unwrap().parent;
+        let batch = snap.by_name("batch").unwrap().id;
+        for (outer, inner) in ids {
+            assert_eq!(parent(outer), batch);
+            assert_eq!(parent(inner), outer, "a span nests under its own thread's span");
+        }
     }
 
     #[test]

@@ -319,6 +319,20 @@ for f in report["funnel"]:
               + f["shed_deadline"] + f["dispatched"])
     assert f["offered"] == stages, f"funnel of {f['shard']} does not balance"
 assert sum(f["offered"] for f in report["funnel"]) == agg["submitted"]
+# The job metrics are published from the funnel: the flat counters, the
+# funnel-stage sums and the queue-wait sample count must all restate
+# the aggregate.
+for outcome in ("submitted", "completed", "rejected", "shed"):
+    assert report["counters"][f"engine.jobs.{outcome}"] == agg[outcome], outcome
+stage_sums = {
+    "completed": sum(f["dispatched"] for f in report["funnel"]),
+    "rejected": sum(f["queue_full"] + f["overloaded"] + f["deadline_infeasible"]
+                    for f in report["funnel"]),
+    "shed": sum(f["shed_deadline"] for f in report["funnel"]),
+}
+for outcome, total in stage_sums.items():
+    assert total == agg[outcome], f"funnel stages do not sum to {outcome}"
+assert report["queue_wait_cycles"]["count"] == agg["completed"]
 counter_pids = {e["pid"] for e in trace["traceEvents"] if e.get("ph") == "C"}
 assert len(counter_pids) == len(report["shards"]), "one depth counter track per shard"
 assert report["counters"]["engine.decision_log.truncated"] == events[0]["events_truncated"]
@@ -376,10 +390,11 @@ open(sys.argv[2], "w").write(
 fi
 
 echo "==> 1e7-arrival gate: repro profile examples/profile_10m_manifest.json"
-# The batched hot path (LocalMetrics deltas, completion-burst pops,
-# arrival refills) exists to make this scale routine: ~1.03e7 arrivals
-# through the full admission/dispatch/SLO pipeline.  Counters stay a
-# pure function of the manifest, so the baseline diff runs at --tol 0.
+# The batched hot path (completion-burst pops, arrival refills, job
+# metrics published once from the funnel) exists to make this scale
+# routine: ~1.03e7 arrivals through the full admission/dispatch/SLO
+# pipeline.  Counters stay a pure function of the manifest, so the
+# baseline diff runs at --tol 0.
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     profile examples/profile_10m_manifest.json \
     --profile-out "$out/profile_10m.json" > "$out/profile_10m.txt"
@@ -397,11 +412,6 @@ phases = doc["counters"]
 assert phases["dispatch"]["events_popped"] == meta["submitted"] + meta["completed"]
 assert phases["admission"]["offered"] == meta["submitted"]
 assert phases["slo-fold"]["observations"] == meta["submitted"]
-# metric_increments is derived from the LocalMetrics flush; it must
-# still equal the legacy closed form of the per-event path.
-assert phases["admission"]["metric_increments"] == (
-    meta["submitted"] + 2 * (meta["rejected"] + meta["shed"]) + 3 * meta["completed"]
-), "flush-derived metric_increments drifted from the per-event formula"
 # Throughput datapoint: wall clock is never part of the --tol 0 gates,
 # but the batched hot path must beat the pre-batching figure (PR-8
 # measured 696474 arrivals/sec on this pipeline; see docs/profiling.md).
@@ -413,7 +423,7 @@ print(f"1e7 gate valid ({meta['submitted']} arrivals; "
 PY
 fi
 # The 1e7 report itself is byte-identical at 1, 2 and 8 workers — the
-# batched metrics flush and completion coalescing do not perturb a
+# funnel-derived metrics and completion coalescing do not perturb a
 # single exported field at any parallelism.
 for w in 1 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \

@@ -1,43 +1,37 @@
-//! Differential equivalence harness for the batched hot-path metrics.
+//! A live reference for the online engine's published metrics.
 //!
-//! PR-9 moved the online engine's per-event registry traffic
-//! (`Mutex`-guarded counter lookups, labeled-point canonicalization,
-//! atomic histogram records) onto thread-local [`LocalMetrics`] deltas
-//! that are flushed into the registry exactly once at end of run.  The
-//! legacy per-event path is kept alive behind
-//! [`MetricsMode::PerEventShadow`] — not as dead code, but as the
-//! reference side of this harness: every seeded manifest is run through
-//! **both** paths and every export that can observe a metric is
-//! compared byte-for-byte.
+//! `run_online` publishes its per-job metrics once, after the event
+//! loop, as a view of the admission funnel (plus the dispatched jobs'
+//! queue waits).  This harness rebuilds the same metrics the slow way:
+//! it runs each manifest with a decision log that keeps every arrival,
+//! folds each logged decision into a fresh [`Registry`] with one
+//! registry operation per metric per event, and compares the two
+//! snapshots byte for byte.
 //!
-//! What is compared, per (policy × worker count) cell:
+//! Per decision, the reference records:
 //!
-//! * the full metrics snapshot JSON (flat counters, gauges, histogram
-//!   buckets/sums/min/max, labeled counter families, labeled
-//!   histograms) via [`bsc_telemetry::sink::metrics_to_json`], timers
-//!   stripped — wall clock is the one legitimately nondeterministic
-//!   quantity;
-//! * the online report JSON (funnel, per-shard tallies, depth
-//!   timeline, event log);
-//! * the SLO JSON (windowed goodput/latency series, per-tenant
-//!   rejection reasons, quantile sketches).
+//! * `engine.jobs.submitted` and `engine.jobs.<outcome>`;
+//! * the `engine.jobs{outcome,reason,shard}` point of its outcome;
+//! * for a completion, `start_cycle − arrival_cycle` into
+//!   `engine.queue.wait_cycles`.
 //!
-//! A drift in any counter delta, any histogram bucket boundary, any
-//! label canonicalization or any flush-ordering detail shows up here as
-//! a byte diff, with the policy/worker cell named in the panic.
-//!
-//! [`LocalMetrics`]: bsc_telemetry::LocalMetrics
-//! [`MetricsMode::PerEventShadow`]: bsc_accel::cluster::MetricsMode
+//! A metric the run never touched is never registered, on either side,
+//! so a zero count that leaks into the publish step shows up as a byte
+//! diff, as does any swapped label, bucket or total.  The matrix covers
+//! 3 dispatch policies × 1/2/8 workers, plus one cell in which nothing
+//! completes or sheds.
 
-use bsc_bench::online::{online, online_shadow, report_json, slo_json, OnlineRun};
+use bsc_bench::online::{online, OnlineRun};
 use bsc_telemetry::sink::metrics_to_json;
+use bsc_telemetry::{MetricsSnapshot, Registry};
 
 /// Seeded manifest exercising all three arrival processes (Poisson,
 /// bursty, diurnal), heterogeneous shards, every rejection reason
 /// (queue_full via `max_outstanding`, deadline_infeasible and shed via
 /// the tight `strict` deadline, overloaded via `max_backlog_cycles`)
 /// and both SLO-tracked and untracked tenants.  The dispatch policy is
-/// substituted per test cell.
+/// substituted per test cell.  The decision log keeps every arrival
+/// (`event_log_cap` is above `max_jobs`), so the log is the whole run.
 const MANIFEST: &str = r#"{
   "cluster": {
     "policy": "least-outstanding",
@@ -46,6 +40,7 @@ const MANIFEST: &str = r#"{
     "max_jobs": 6000,
     "max_outstanding": 6,
     "max_backlog_cycles": 150000,
+    "event_log_cap": 100000,
     "workers": 2,
     "shards": [
       {"name": "bsc0", "kind": "bsc", "quick": true},
@@ -76,46 +71,95 @@ const MANIFEST: &str = r#"{
 const POLICIES: [&str; 3] = ["least-outstanding", "round-robin", "tenant-fair"];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// Every metric-observable export of one run.  Timers are stripped
-/// (wall clock), as are the `engine.cache.*` / `telemetry.characterize.*`
-/// counters: those publish the *process-global* characterization cache,
-/// which warms monotonically across the runs of this test binary and is
-/// orthogonal to the per-run metrics path under test.
-fn exports(run: &OnlineRun) -> [String; 3] {
-    let mut snap = run.metrics.without_timers();
+/// The run's metrics without timers (wall clock) and without the
+/// `engine.cache.*` / `telemetry.characterize.*` counters: those publish
+/// the *process-global* characterization cache, which warms
+/// monotonically across the runs of this test binary and is not part
+/// of the run's own metrics.
+fn published(run: &OnlineRun) -> String {
+    let mut snap: MetricsSnapshot = run.metrics.without_timers();
     snap.counters.retain(|(name, _)| {
         !name.starts_with("engine.cache.") && !name.starts_with("telemetry.characterize.")
     });
-    [metrics_to_json(&snap), report_json(run), slo_json(run)]
+    metrics_to_json(&snap)
 }
 
-/// The headline differential: batched `LocalMetrics` flush vs legacy
-/// per-event registry increments, byte-identical across all three
-/// dispatch policies, all three arrival processes (the manifest runs
-/// them concurrently) and 1/2/8 workers.
+/// Folds every logged decision of `run` into a fresh registry, one
+/// registry operation per metric per event.
+fn reference(run: &OnlineRun) -> String {
+    let r = &run.report;
+    assert_eq!(r.events_truncated, 0, "the reference needs every decision logged");
+    assert_eq!(r.events.len() as u64, r.submitted);
+    // The bucket bounds are configuration, read from the run; the
+    // samples, counts and extremes come from the log alone.
+    let bounds = run.metrics.histogram("engine.queue.wait_cycles").map(|h| h.bounds.clone());
+    let reg = Registry::new();
+    for e in &r.events {
+        reg.counter("engine.jobs.submitted").inc();
+        reg.counter(&format!("engine.jobs.{}", e.outcome)).inc();
+        let mut labels = vec![("outcome", e.outcome), ("shard", e.shard.as_str())];
+        labels.extend(e.reason.map(|reason| ("reason", reason)));
+        reg.labeled_counter("engine.jobs").with(&labels).inc();
+        if e.outcome == "completed" {
+            let bounds = bounds.as_deref().expect("a completion publishes its queue wait");
+            reg.histogram("engine.queue.wait_cycles", bounds)
+                .record(e.start_cycle - e.arrival_cycle);
+        }
+    }
+    // The run-level metrics every online run publishes.
+    reg.counter("engine.decision_log.truncated").add(r.events_truncated);
+    let makespan = r
+        .events
+        .iter()
+        .filter(|e| e.outcome == "completed")
+        .map(|e| e.completion_cycle)
+        .max()
+        .unwrap_or(0);
+    reg.gauge("engine.online.makespan_cycles").set(makespan as i64);
+    metrics_to_json(&reg.snapshot())
+}
+
+/// The headline check: the metrics published from the funnel equal a
+/// per-event fold of the decision log, across all three dispatch
+/// policies, all three arrival processes (the manifest runs them
+/// concurrently) and 1/2/8 workers.
 #[test]
-fn batched_and_per_event_paths_are_byte_identical() {
+fn published_metrics_equal_a_per_event_fold_of_the_decision_log() {
     for policy in POLICIES {
         let manifest = MANIFEST.replace("least-outstanding", policy);
         for workers in WORKERS {
             let cell = format!("policy={policy} workers={workers}");
-            let batched = online(&manifest, Some(workers)).unwrap();
-            let shadow = online_shadow(&manifest, Some(workers)).unwrap();
+            let run = online(&manifest, Some(workers)).unwrap();
             // The run must be non-trivial or the equivalence is vacuous.
-            assert!(batched.report.submitted > 1000, "{cell}: too few arrivals");
-            assert!(batched.report.completed > 0, "{cell}: nothing completed");
-            let [b_metrics, b_report, b_slo] = exports(&batched);
-            let [s_metrics, s_report, s_slo] = exports(&shadow);
-            assert_eq!(b_metrics, s_metrics, "{cell}: metrics snapshot diverged");
-            assert_eq!(b_report, s_report, "{cell}: online report diverged");
-            assert_eq!(b_slo, s_slo, "{cell}: SLO document diverged");
+            assert!(run.report.submitted > 1000, "{cell}: too few arrivals");
+            assert!(run.report.completed > 0, "{cell}: nothing completed");
+            assert!(run.report.rejected > 0, "{cell}: nothing rejected");
+            assert_eq!(published(&run), reference(&run), "{cell}: metrics diverged");
         }
     }
 }
 
-/// The differential is not vacuous: the manifest drives every outcome
-/// class the per-event path would have recorded, so each labeled family
-/// and histogram the shadow path touches is populated on both sides.
+/// The zero-count rule: a backlog limit below every estimate rejects
+/// each arrival as `overloaded`, so nothing completes or sheds, and the
+/// completed and shed counters, their labeled points and the wait
+/// histogram must stay unregistered.
+#[test]
+fn outcomes_that_never_happen_register_nothing() {
+    let manifest = MANIFEST.replace("\"max_backlog_cycles\": 150000", "\"max_backlog_cycles\": 1");
+    let run = online(&manifest, Some(2)).unwrap();
+    let r = &run.report;
+    assert!(r.submitted > 1000);
+    assert_eq!((r.completed, r.shed, r.rejected), (0, 0, r.submitted));
+    let json = published(&run);
+    assert_eq!(json, reference(&run));
+    for absent in ["engine.jobs.completed", "engine.jobs.shed", "engine.queue.wait_cycles"] {
+        assert!(!json.contains(absent), "`{absent}` registered at zero in:\n{json}");
+    }
+    assert!(json.contains("reason=overloaded"), "{json}");
+}
+
+/// The comparison is not vacuous: the manifest drives every outcome
+/// class, so each metric family the reference records is populated.
 #[test]
 fn harness_covers_every_outcome_family() {
     let run = online(MANIFEST, Some(2)).unwrap();
@@ -131,13 +175,4 @@ fn harness_covers_every_outcome_family() {
         assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
     }
     assert!(run.report.rejected > 0, "no rejections — queue_full family untested");
-}
-
-/// The shadow path is itself deterministic (two shadow runs agree), so
-/// a batched-vs-shadow diff can always be attributed to the batching.
-#[test]
-fn shadow_path_is_reproducible() {
-    let a = online_shadow(MANIFEST, Some(2)).unwrap();
-    let b = online_shadow(MANIFEST, Some(8)).unwrap();
-    assert_eq!(exports(&a), exports(&b), "shadow path varies with worker count");
 }
