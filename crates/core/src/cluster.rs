@@ -29,17 +29,23 @@
 //! are read from its report.  Every scheduling decision then happens
 //! serially on the event clock, so the whole [`OnlineReport`],
 //! including the folded [`SloReport`], is bit-identical at any worker
-//! count.  Latency is `completion − arrival` on the event clock;
-//! outcomes stream into the existing [`SloAccountant`], so per-tenant
-//! p99 / goodput / shed series come for free over 10⁵–10⁶ simulated
-//! jobs.
+//! count.
+//!
+//! Latency is `completion − arrival` on the event clock.  Every
+//! completion of one pair runs the pair's report, so its MACs, per-layer
+//! fJ and exact cycles are per-pair constants: per job the loop keeps
+//! only the latency (in the pair's [`QuantileSketch`]) and a count per
+//! completion window.  After the loop each pair folds into the
+//! [`SloAccountant`] and its shard's report once, as its constants times
+//! its completion count, after a checked-arithmetic pass has refused any
+//! run whose total MACs, fJ or busy cycles would overflow u64.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
-use bsc_telemetry::Telemetry;
+use bsc_telemetry::{QuantileSketch, Telemetry};
 
 use crate::admission::{AdmissionLadder, Placement, RejectReason};
 use crate::des::{
@@ -330,14 +336,14 @@ struct ShardState {
 }
 
 /// Chooses the shard for one arrival.  Deterministic; ties break toward
-/// the lowest index.
+/// the lowest index.  `tenant_cycles` is the arriving source's row: the
+/// cycles it has been served on each shard.
 fn choose_shard(
     policy: DispatchPolicy,
     now: u64,
     shards: &[ShardState],
     rr_cursor: &mut usize,
-    tenant_cycles: &BTreeMap<(usize, usize), u64>,
-    source: usize,
+    tenant_cycles: &[u64],
 ) -> usize {
     match policy {
         DispatchPolicy::RoundRobin => {
@@ -352,7 +358,7 @@ fn choose_shard(
             .map(|(i, _)| i)
             .unwrap_or(0),
         DispatchPolicy::TenantFair => (0..shards.len())
-            .min_by_key(|&i| (tenant_cycles.get(&(source, i)).copied().unwrap_or(0), i))
+            .min_by_key(|&i| (tenant_cycles[i], i))
             .unwrap_or(0),
     }
 }
@@ -378,7 +384,8 @@ struct OnlinePhases {
 /// # Errors
 ///
 /// Propagates characterization and mapping failures; rejects empty
-/// shard or source lists as
+/// shard or source lists, and a run whose completed MACs, energy in fJ
+/// or busy cycles total more than `u64::MAX`, as
 /// [`AccelError::Config`](crate::AccelError).
 pub fn run_online(
     config: &OnlineConfig,
@@ -505,21 +512,26 @@ pub fn run_online_profiled(
             peak_backlog_cycles: 0,
         })
         .collect();
-    // One completed job, compactly: its NetworkReport is the pair's.
-    struct CompletedRec {
-        source: u32,
-        shard: u32,
-        arrival: u64,
-        completion: u64,
-    }
-    let mut completed_recs: Vec<CompletedRec> = Vec::new();
+    // Every completion of one pair shares the pair's report, so the loop
+    // keeps only what varies per job: its latency, in the pair's sketch,
+    // and its completion window, counted per window at the horizon's
+    // width W0.  The SLO window width W derives from the makespan, known
+    // only after the loop; both are powers of two with W ≥ W0, so the
+    // fold coarsens the W0 counts exactly (⌊⌊c/W0⌋ / (W/W0)⌋ = ⌊c/W⌋).
+    // A shard's clock never moves back, so a pair's completions arrive in
+    // cycle order and its (window start, count) runs stay about as long
+    // as the number of windows.
+    let w0 = window_width_for_horizon(config.horizon_cycles);
+    let latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
+    let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
     let mut rr_cursor = 0usize;
-    let mut tenant_cycles: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    // Cycles each source has been served on each shard, indexed by pair.
+    let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
     let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
     let mut event_log: Vec<OnlineEvent> = Vec::new();
     let mut events_truncated = 0u64;
-    // Deferred SLO observations (completion observations wait for the
-    // report phase; decision bookkeeping happens here).  Rejections
+    // Deferred SLO observations (completions fold per pair after the
+    // loop; decision bookkeeping happens here).  Rejections
     // carry no per-event payload the accountant keeps — no latency
     // sample, no windowed series — so they defer as plain counts per
     // (source × reason), allocation-free; `observe_rejections` folds
@@ -629,8 +641,7 @@ pub fn run_online_profiled(
                 now,
                 &shards,
                 &mut rr_cursor,
-                &tenant_cycles,
-                source,
+                &tenant_cycles[source * n_shards..(source + 1) * n_shards],
             )
         };
         let _g_admission = phases.as_ref().map(|ph| ph.admission.enter());
@@ -667,19 +678,21 @@ pub fn run_online_profiled(
                 shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
                 shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
                 funnel[hi].dispatched += 1;
-                *tenant_cycles.entry((source, hi)).or_default() += cycles;
+                // Saturates: a run whose cycle total overflows is refused
+                // after the loop.
+                tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
                 let wait = start - now;
                 wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
                 wait_sum = wait_sum.wrapping_add(wait);
                 wait_min = wait_min.min(wait);
                 wait_max = wait_max.max(wait);
                 lanes.push(hi, completion);
-                completed_recs.push(CompletedRec {
-                    source: source as u32,
-                    shard: hi as u32,
-                    arrival: now,
-                    completion,
-                });
+                latencies[pair].record(completion - now);
+                let window = completion - completion % w0;
+                match completion_runs[pair].last_mut() {
+                    Some((start, jobs)) if *start == window => *jobs += 1,
+                    _ => completion_runs[pair].push((window, 1)),
+                }
                 ("completed", None, start, completion)
             }
         };
@@ -734,11 +747,27 @@ pub fn run_online_profiled(
     let shed: u64 = shard_reports.iter().map(|s| s.shed).sum();
     let makespan = shard_reports.iter().map(|s| s.last_completion_cycle).max().unwrap_or(0);
 
+    let g_slo = phases.as_ref().map(|ph| ph.slo.enter());
+    // Refuse a run whose completed work overflows u64.  Every tenant,
+    // precision, window and shard sum below is a part of one of these
+    // three totals, so once they fit no later addition can wrap.
+    let completed_per_pair: Vec<u64> = latencies.iter().map(QuantileSketch::count).collect();
+    checked_total(
+        "completed MACs",
+        completed_per_pair.iter().zip(&pair_reports).map(|(&n, r)| (n, r.total_macs())),
+    )?;
+    checked_total(
+        "completed energy_fj",
+        completed_per_pair.iter().zip(&pair_reports).flat_map(|(&n, r)| {
+            r.layers().iter().map(move |l| (n, quantize_energy_fj(l.energy_fj)))
+        }),
+    )?;
+    checked_total("busy cycles", completed_per_pair.iter().copied().zip(exact.iter().copied()))?;
+
     // Serial SLO fold.  Order never matters for the accountant's BTree
     // state, but folding deferred decisions then completions keeps the
     // walk obvious.  The window width derives from the full horizon —
     // completions may legitimately land past the arrival horizon.
-    let g_slo = phases.as_ref().map(|ph| ph.slo.enter());
     let horizon = config.horizon_cycles.max(makespan);
     let mut acc = SloAccountant::new(window_width_for_horizon(horizon));
     for s in &config.sources {
@@ -762,22 +791,23 @@ pub fn run_online_profiled(
     for &(si, slug, cycle) in &deferred_sheds {
         acc.observe_shed(&config.sources[si as usize].template.tenant, slug, cycle);
     }
-    for rec in &completed_recs {
-        let tmpl = &config.sources[rec.source as usize].template;
-        let pair = rec.source as usize * n_shards + rec.shard as usize;
-        let report = &pair_reports[pair];
-        acc.observe_completion(
+    // Completions fold once per pair: the pair's per-job constants times
+    // its completion count.
+    for (pair, report) in pair_reports.iter().enumerate() {
+        let tmpl = &config.sources[pair / n_shards].template;
+        acc.observe_completions(
             &tmpl.tenant,
-            rec.completion - rec.arrival,
-            rec.completion,
+            &latencies[pair],
+            &completion_runs[pair],
             tmpl.deadline_cycles.map(|_| true),
             report,
         );
-        let sr = &mut shard_reports[rec.shard as usize];
-        sr.busy_cycles += exact[pair];
-        sr.macs += report.total_macs();
+        let n = completed_per_pair[pair];
+        let sr = &mut shard_reports[pair % n_shards];
+        sr.busy_cycles += n * exact[pair];
+        sr.macs += n * report.total_macs();
         for layer in report.layers() {
-            sr.energy_fj += quantize_energy_fj(layer.energy_fj);
+            sr.energy_fj += n * quantize_energy_fj(layer.energy_fj);
         }
     }
     let slo_observations = acc.observations();
@@ -898,10 +928,25 @@ pub fn run_online_profiled(
     })
 }
 
+/// `Σ count · per_job` over `terms`, or an error naming `quantity` when
+/// the total overflows u64.
+fn checked_total(
+    quantity: &str,
+    terms: impl IntoIterator<Item = (u64, u64)>,
+) -> Result<u64, AccelError> {
+    terms
+        .into_iter()
+        .try_fold(0u64, |total, (count, per_job)| count.checked_mul(per_job)?.checked_add(total))
+        .ok_or_else(|| {
+            AccelError::Config(format!("the online run's total {quantity} overflows u64"))
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::des::ArrivalProcess;
+    use std::collections::BTreeMap;
     use bsc_mac::Precision;
     use bsc_nn::{Layer, LayerKind, Network};
 
@@ -1236,6 +1281,24 @@ mod tests {
         assert!(gold.completed > 0);
         assert_eq!(gold.shed, 0);
         assert_eq!(gold.deadline_met, gold.completed);
+    }
+
+    #[test]
+    fn run_totals_are_checked_at_the_edge_of_u64() {
+        let max = u64::MAX;
+        assert_eq!(checked_total("MACs", [(1, max)]).unwrap(), max);
+        assert_eq!(checked_total("MACs", [(1, max - 1), (1, 1)]).unwrap(), max);
+        assert_eq!(checked_total("MACs", [(0, max), (1, max - 1), (0, 7)]).unwrap(), max - 1);
+        assert_eq!(checked_total("MACs", [(max, 1)]).unwrap(), max);
+        assert_eq!(checked_total("MACs", std::iter::empty()).unwrap(), 0);
+        // One past the edge, by the sum and by the product, is an error
+        // that names the quantity.
+        for terms in [vec![(1, max), (1, 1)], vec![(1, max - 1), (2, 1)], vec![(2, max / 2 + 1)]] {
+            match checked_total("busy cycles", terms.clone()) {
+                Err(AccelError::Config(msg)) => assert!(msg.contains("busy cycles"), "{msg}"),
+                other => panic!("{terms:?} gave {other:?}"),
+            }
+        }
     }
 
     #[test]

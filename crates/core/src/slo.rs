@@ -27,6 +27,10 @@
 //! Everything here is a serial reduction over the outcome list in
 //! submission order; nothing reads wall time, so the report is
 //! bit-identical at any worker count and gated at `--tol 0` in CI.
+//! Completions that share a tenant, a deadline verdict and a report may
+//! fold as one group ([`SloAccountant::observe_completions`]): every
+//! attributed quantity is then the report's per-job constant times the
+//! group's count, and a single completion is a group of one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -289,7 +293,8 @@ impl SloAccountant {
     /// difference the caller's arrival model defines (batch: completion
     /// cycle; online: completion − arrival), `completion_cycle` places
     /// the event on the window axis, and the energy/MAC attribution is
-    /// read off the job's [`NetworkReport`].
+    /// read off the job's [`NetworkReport`].  This is the one-job case
+    /// of [`SloAccountant::observe_completions`].
     pub fn observe_completion(
         &mut self,
         tenant: &TenantId,
@@ -298,32 +303,64 @@ impl SloAccountant {
         deadline_met: Option<bool>,
         report: &NetworkReport,
     ) {
-        self.observations += 1;
+        let latency = QuantileSketch::new();
+        latency.record(latency_cycles);
+        self.observe_completions(tenant, &latency, &[(completion_cycle, 1)], deadline_met, report);
+    }
+
+    /// Streams a group of completed jobs that share one tenant, one
+    /// deadline verdict and one [`NetworkReport`] — exactly equivalent
+    /// to one [`SloAccountant::observe_completion`] call per job.
+    /// `latencies` holds one sample per job.  `completions` lists
+    /// `(cycle, jobs)` runs: `jobs` completions in the window that
+    /// holds `cycle`, so a caller may count them per window of any width
+    /// that divides this accountant's and pass each window's start
+    /// cycle.  Every attributed quantity is the report's per-job
+    /// constant times the group's job count.
+    pub fn observe_completions(
+        &mut self,
+        tenant: &TenantId,
+        latencies: &QuantileSketch,
+        completions: &[(u64, u64)],
+        deadline_met: Option<bool>,
+        report: &NetworkReport,
+    ) {
+        let n: u64 = completions.iter().map(|&(_, jobs)| jobs).sum();
+        debug_assert_eq!(latencies.count(), n, "one latency sample per completed job");
+        if n == 0 {
+            return;
+        }
+        self.observations += n;
         let acc = self.tenants.entry(tenant.clone()).or_default();
-        acc.submitted += 1;
-        acc.completed += 1;
-        acc.latency.get_or_insert_with(QuantileSketch::new).record(latency_cycles);
+        acc.submitted += n;
+        acc.completed += n;
+        acc.latency.get_or_insert_with(QuantileSketch::new).merge_from(latencies);
         if let Some(met) = deadline_met {
-            acc.deadline_jobs += 1;
+            acc.deadline_jobs += n;
             if met {
-                acc.deadline_met += 1;
+                acc.deadline_met += n;
             }
         }
-        acc.macs += report.total_macs();
+        let macs = report.total_macs();
+        acc.macs += n * macs;
         // fJ-exact attribution: quantize per layer, sum integers.
         for layer in report.layers() {
-            let fj = quantize_energy_fj(layer.energy_fj);
+            let fj = n * quantize_energy_fj(layer.energy_fj);
             acc.energy_fj += fj;
             *acc
                 .energy_by_precision
                 .entry(format!("int{}", layer.precision.bits()))
                 .or_default() += fj;
         }
-        self.windows.record(
-            completion_cycle,
-            &[("tenant", tenant.as_str()), ("outcome", "completed")],
-            report.total_macs(),
-        );
+        let width = self.windows.width_cycles();
+        for run in completions.chunk_by(|a, b| a.0 / width == b.0 / width) {
+            self.windows.record(
+                run[0].0,
+                &[("tenant", tenant.as_str()), ("outcome", "completed")],
+                macs,
+                run.iter().map(|&(_, jobs)| jobs).sum(),
+            );
+        }
     }
 
     /// Streams one admission rejection under a machine-readable reason
@@ -357,6 +394,7 @@ impl SloAccountant {
             decision_cycle,
             &[("tenant", tenant.as_str()), ("outcome", "shed")],
             0,
+            1,
         );
     }
 
@@ -542,6 +580,86 @@ mod tests {
         let t = report.tenant("free").unwrap();
         assert!(t.attainment.is_none());
         assert_eq!(t.latency.p50, 10);
+    }
+
+    fn toy_report(layers: &[(bsc_mac::Precision, u64, f64)]) -> NetworkReport {
+        let layers = layers
+            .iter()
+            .map(|&(precision, macs, energy_fj)| crate::report::LayerReport {
+                name: "layer".into(),
+                precision,
+                macs,
+                cycles: 1,
+                total_cycles: 1,
+                stall_cycles: 0,
+                roofline: bsc_systolic::Roofline::ComputeBound,
+                peak_fraction: 1.0,
+                utilization: 1.0,
+                energy_fj,
+                tops_per_w: 1.0,
+            })
+            .collect();
+        NetworkReport::new("toy".into(), bsc_mac::MacKind::Bsc, 2000.0, layers)
+    }
+
+    #[test]
+    fn grouped_completions_fold_like_one_observation_per_job() {
+        use bsc_mac::Precision::{Int2, Int4, Int8};
+        use bsc_netlist::rng::Rng64;
+        let reports = [
+            toy_report(&[(Int8, 4_096, 1_234.5), (Int4, 512, 88.49), (Int2, 7, 0.6)]),
+            toy_report(&[(Int4, 1_000, 301.7)]),
+            toy_report(&[(Int2, 33, 9.5), (Int8, 2_048, 777_777.2), (Int8, 1, 0.4)]),
+        ];
+        let tenants = [TenantId::new("a"), TenantId::new("b"), TenantId::new("c")];
+        let verdicts = [None, Some(true), Some(false)];
+        // The groups count completions at a width 8× finer than the
+        // accountant's, as the online fold does.
+        let (width, finer) = (256, 32);
+        let mut rng = Rng64::seed_from_u64(19);
+        let mut single = SloAccountant::new(width);
+        let mut grouped = SloAccountant::new(width);
+        for acc in [&mut single, &mut grouped] {
+            acc.declare_target(tenants[0].clone(), SloTarget { latency_p99_cycles: 900, min_goodput: 0.5 });
+        }
+        for group in 0..60 {
+            let tenant = &tenants[rng.gen_range(0..tenants.len())];
+            let report = &reports[rng.gen_range(0..reports.len())];
+            let met = verdicts[rng.gen_range(0..verdicts.len())];
+            // Groups of 0 and 1 jobs are part of the mix.
+            let jobs = match group % 10 {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen_range(2..40usize),
+            };
+            let mut cycle = rng.gen_range(0..4_000u64);
+            let latencies = QuantileSketch::new();
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..jobs {
+                cycle += rng.gen_range(0..300u64);
+                let latency = rng.gen_range(0..2_000u64);
+                single.observe_completion(tenant, latency, cycle, met, report);
+                latencies.record(latency);
+                let start = cycle - cycle % finer;
+                match runs.last_mut() {
+                    Some((s, n)) if *s == start => *n += 1,
+                    _ => runs.push((start, 1)),
+                }
+            }
+            grouped.observe_completions(tenant, &latencies, &runs, met, report);
+            // Interleave the other outcomes identically on both sides.
+            if group % 7 == 3 {
+                for acc in [&mut single, &mut grouped] {
+                    acc.observe_rejection(tenant, "queue_full");
+                    acc.observe_shed(tenant, "deadline_missed", cycle);
+                }
+            }
+        }
+        assert_eq!(grouped.observations(), single.observations());
+        let report = grouped.report();
+        assert_eq!(report, single.report());
+        assert_eq!(report.tenants.len(), 3, "every tenant completed jobs");
+        assert!(report.tenants.iter().all(|t| t.windows.len() > 1 && t.energy_by_precision.len() == 3));
     }
 
     #[test]

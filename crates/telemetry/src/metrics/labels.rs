@@ -24,8 +24,9 @@
 //!
 //! [`WindowedAggregator`] buckets labeled samples into tumbling windows
 //! of a fixed width on the engine's **virtual clock** (model cycles,
-//! not wall time).  Snapshots are sorted by `(window, labels)`, giving
-//! deterministic per-window time series for dashboards and gates.
+//! not wall time); one record may carry a count of equal samples.
+//! Snapshots are sorted by `(window, labels)`, giving deterministic
+//! per-window time series for dashboards and gates.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -275,7 +276,12 @@ impl QuantileSketch {
         let s = &*self.inner;
         let o = &*other.inner;
         for (mine, theirs) in s.buckets.iter().zip(&o.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+            // Most buckets of a small sketch are empty; adding zero is
+            // skipped rather than paid as an atomic write.
+            let n = theirs.load(Ordering::Relaxed);
+            if n > 0 {
+                mine.fetch_add(n, Ordering::Relaxed);
+            }
         }
         s.count.fetch_add(o.count.load(Ordering::Relaxed), Ordering::Relaxed);
         s.sum.fetch_add(o.sum.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -375,14 +381,20 @@ impl WindowedAggregator {
         self.width
     }
 
-    /// Records `value` at virtual-clock `cycle` under `labels`.
-    pub fn record(&self, cycle: u64, labels: &[(&str, &str)], value: u64) {
+    /// Records `count` samples, each of `value`, at virtual-clock
+    /// `cycle` under `labels` — exactly `count` one-sample records, so
+    /// a caller that has already counted equal samples per window
+    /// records them in one call.
+    pub fn record(&self, cycle: u64, labels: &[(&str, &str)], value: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
         let window = cycle / self.width;
         let key = (window, LabelSet::new(labels));
         let mut g = self.cells.lock().expect("window aggregator poisoned");
         let cell = g.entry(key).or_default();
-        cell.count += 1;
-        cell.sum = cell.sum.wrapping_add(value);
+        cell.count += count;
+        cell.sum = cell.sum.wrapping_add(value.wrapping_mul(count));
     }
 
     /// The per-window series, sorted by `(window, labels)`.  Window
@@ -623,8 +635,8 @@ mod tests {
         // Windows are half-open [k*width, (k+1)*width): a sample exactly
         // on the boundary opens the next window, never pads the previous.
         let w = WindowedAggregator::new(100);
-        w.record(100, &[], 5);
-        w.record(200, &[], 7);
+        w.record(100, &[], 5, 1);
+        w.record(200, &[], 7, 1);
         assert_eq!(
             w.snapshot(),
             vec![
@@ -634,15 +646,15 @@ mod tests {
         );
         // The last cycle of a window stays inside it.
         let edge = WindowedAggregator::new(100);
-        edge.record(99, &[], 1);
+        edge.record(99, &[], 1, 1);
         assert_eq!(edge.snapshot()[0].0, 0);
     }
 
     #[test]
     fn empty_windows_mid_horizon_are_omitted_not_zero_filled() {
         let w = WindowedAggregator::new(10);
-        w.record(5, &[], 1);
-        w.record(95, &[], 1);
+        w.record(5, &[], 1, 1);
+        w.record(95, &[], 1, 1);
         let snap = w.snapshot();
         assert_eq!(snap.len(), 2, "gap windows 1..=8 must not materialize");
         assert_eq!((snap[0].0, snap[1].0), (0, 9));
@@ -654,7 +666,7 @@ mod tests {
         // shares window 0 and the counts still add up.
         let w = WindowedAggregator::new(1_000_000);
         for cycle in [0, 17, 999, 314_159] {
-            w.record(cycle, &[("tenant", "a")], cycle);
+            w.record(cycle, &[("tenant", "a")], cycle, 1);
         }
         let snap = w.snapshot();
         assert_eq!(snap.len(), 1);
@@ -667,10 +679,10 @@ mod tests {
     #[test]
     fn windows_tumble_on_the_virtual_clock() {
         let w = WindowedAggregator::new(100);
-        w.record(0, &[("tenant", "a")], 1);
-        w.record(99, &[("tenant", "a")], 2);
-        w.record(100, &[("tenant", "a")], 3);
-        w.record(250, &[("tenant", "b")], 4);
+        w.record(0, &[("tenant", "a")], 1, 1);
+        w.record(99, &[("tenant", "a")], 2, 1);
+        w.record(100, &[("tenant", "a")], 3, 1);
+        w.record(250, &[("tenant", "b")], 4, 1);
         let snap = w.snapshot();
         assert_eq!(
             snap,
@@ -682,5 +694,24 @@ mod tests {
         );
         // Zero width clamps to 1 instead of dividing by zero.
         assert_eq!(WindowedAggregator::new(0).width_cycles(), 1);
+    }
+
+    #[test]
+    fn a_counted_record_equals_that_many_single_records() {
+        let counted = WindowedAggregator::new(64);
+        let single = WindowedAggregator::new(64);
+        let labels = [("tenant", "a"), ("outcome", "completed")];
+        for (cycle, value, count) in [(3, 40, 5), (70, 40, 1), (127, 9, 3), (64, 0, 2), (500, 7, 0)] {
+            counted.record(cycle, &labels, value, count);
+            for _ in 0..count {
+                single.record(cycle, &labels, value, 1);
+            }
+        }
+        assert_eq!(counted.snapshot(), single.snapshot());
+        assert_eq!(counted.snapshot()[1].2, WindowCell { count: 6, sum: 40 + 27 });
+        // The sum wraps like the one-sample sums it stands for.
+        let wrap = WindowedAggregator::new(1);
+        wrap.record(0, &[], u64::MAX, 2);
+        assert_eq!(wrap.snapshot()[0].2, WindowCell { count: 2, sum: u64::MAX - 1 });
     }
 }

@@ -267,15 +267,21 @@ test -s "$out/online_report.json"
 # so the baseline diff runs at zero tolerance.
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_online_baseline.json "$out/online_report.json" --tol 0
+# The per-tenant SLO document (latency quantiles, goodput, windows,
+# per-precision energy) is folded per (source x shard) pair; it is as
+# deterministic as the report and gated the same way.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    diff BENCH_online_slo_baseline.json "$out/online_slo.json" --tol 0
 # Worker-count independence: re-running the same manifest with 2 and 8
-# workers must reproduce the report byte for byte.
+# workers must reproduce the report and the SLO document byte for byte.
 for w in 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \
         online examples/online_manifest.json --workers "$w" \
-        --report-out "$out/online_report_w$w.json" >/dev/null
+        --report-out "$out/online_report_w$w.json" --slo-out "$out/online_slo_w$w.json" >/dev/null
     cmp "$out/online_report.json" "$out/online_report_w$w.json"
+    cmp "$out/online_slo.json" "$out/online_slo_w$w.json"
 done
-echo "online report byte-identical at 1, 2 and 8 workers"
+echo "online report and SLO document byte-identical at 1, 2 and 8 workers"
 # Strict flag parsing: unknown flags and missing values are usage
 # errors (exit 2), not silently ignored.
 set +e
@@ -422,17 +428,20 @@ print(f"1e7 gate valid ({meta['submitted']} arrivals; "
       f"{rate:.0f} arrivals/sec vs pre-batching {floor:.0f}/s = {rate/floor:.2f}x)")
 PY
 fi
-# The 1e7 report itself is byte-identical at 1, 2 and 8 workers — the
-# funnel-derived metrics and completion coalescing do not perturb a
-# single exported field at any parallelism.
+# The 1e7 report and SLO document are byte-identical at 1, 2 and 8
+# workers — the funnel-derived metrics, completion coalescing and the
+# per-pair SLO fold do not perturb a single exported field at any
+# parallelism.
 for w in 1 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \
         online examples/profile_10m_manifest.json --workers "$w" \
-        --report-out "$out/online_10m_w$w.json" >/dev/null
+        --report-out "$out/online_10m_w$w.json" --slo-out "$out/online_10m_slo_w$w.json" >/dev/null
 done
 cmp "$out/online_10m_w1.json" "$out/online_10m_w2.json"
 cmp "$out/online_10m_w1.json" "$out/online_10m_w8.json"
-echo "1e7 online report byte-identical at 1, 2 and 8 workers"
+cmp "$out/online_10m_slo_w1.json" "$out/online_10m_slo_w2.json"
+cmp "$out/online_10m_slo_w1.json" "$out/online_10m_slo_w8.json"
+echo "1e7 online report and SLO document byte-identical at 1, 2 and 8 workers"
 
 # Lints are best-effort: a toolchain without clippy must not fail the gate.
 if cargo clippy --version >/dev/null 2>&1; then

@@ -17,11 +17,26 @@
 //!
 //! A metric the run never touched is never registered, on either side,
 //! so a zero count that leaks into the publish step shows up as a byte
-//! diff, as does any swapped label, bucket or total.  The matrix covers
-//! 3 dispatch policies × 1/2/8 workers, plus one cell in which nothing
-//! completes or sheds.
+//! diff, as does any swapped label, bucket or total.
+//!
+//! The run's SLO report and shard totals get the same treatment.  The
+//! engine folds completions once per (source × shard) pair, as the
+//! pair's per-job constants times its completion count; the reference
+//! folds the log into a fresh [`SloAccountant`] one observer call per
+//! decision, with each completion's report from a serial
+//! `Accelerator::run_network`, and sums each shard's busy cycles, MACs
+//! and energy per completion.
+//!
+//! The matrix covers 3 dispatch policies × 1/2/8 workers, one cell in
+//! which nothing completes or sheds, and one whose makespan runs many
+//! times past its horizon, so the SLO windows are wider than the
+//! horizon's.
 
-use bsc_bench::online::{online, OnlineRun};
+use std::collections::BTreeMap;
+
+use bsc_accel::slo::{quantize_energy_fj, window_width_for_horizon};
+use bsc_accel::{Accelerator, CharacterizationCache, NetworkReport, SloAccountant, SloReport};
+use bsc_bench::online::{online, parse_online_manifest, OnlineRun};
 use bsc_telemetry::sink::metrics_to_json;
 use bsc_telemetry::{MetricsSnapshot, Registry};
 
@@ -119,10 +134,74 @@ fn reference(run: &OnlineRun) -> String {
     metrics_to_json(&reg.snapshot())
 }
 
-/// The headline check: the metrics published from the funnel equal a
-/// per-event fold of the decision log, across all three dispatch
-/// policies, all three arrival processes (the manifest runs them
-/// concurrently) and 1/2/8 workers.
+/// Folds every logged decision of `run` into a fresh `SloAccountant`,
+/// one observer call per event, and sums each shard's
+/// `(busy_cycles, macs, energy_fj)` per completion.  Targets come from
+/// the manifest; the window width from its horizon and the log's
+/// makespan.
+fn slo_reference(manifest: &str, run: &OnlineRun) -> (SloReport, Vec<(u64, u64, u64)>) {
+    let config = parse_online_manifest(manifest).unwrap();
+    let r = &run.report;
+    assert_eq!(r.events_truncated, 0, "the reference needs every decision logged");
+    let makespan = r
+        .events
+        .iter()
+        .filter(|e| e.outcome == "completed")
+        .map(|e| e.completion_cycle)
+        .max()
+        .unwrap_or(0);
+    let mut acc = SloAccountant::new(window_width_for_horizon(config.horizon_cycles.max(makespan)));
+    for s in &config.sources {
+        if let Some(target) = s.template.slo {
+            acc.declare_target(s.template.tenant.clone(), target);
+        }
+    }
+    let mut reports: BTreeMap<(usize, usize), NetworkReport> = BTreeMap::new();
+    let mut shards = vec![(0u64, 0u64, 0u64); config.shards.len()];
+    for e in &r.events {
+        let si = config.sources.iter().position(|s| s.template.name == e.template).unwrap();
+        let hi = config.shards.iter().position(|s| s.name == e.shard).unwrap();
+        let t = &config.sources[si].template;
+        match e.outcome {
+            "completed" => {
+                let report = reports.entry((si, hi)).or_insert_with(|| {
+                    let cache = CharacterizationCache::global();
+                    Accelerator::new_cached(config.shards[hi].accel.clone(), cache)
+                        .unwrap()
+                        .run_network(&t.precision.apply(&t.network))
+                        .unwrap()
+                });
+                let latency = e.completion_cycle - e.arrival_cycle;
+                let met = t.deadline_cycles.map(|d| latency <= d);
+                acc.observe_completion(&e.tenant, latency, e.completion_cycle, met, report);
+                let (busy, macs, energy) = &mut shards[hi];
+                *busy += report.total_cycles_with_stalls();
+                *macs += report.total_macs();
+                *energy += report.layers().iter().map(|l| quantize_energy_fj(l.energy_fj)).sum::<u64>();
+            }
+            "rejected" => acc.observe_rejection(&e.tenant, e.reason.unwrap()),
+            "shed" => acc.observe_shed(&e.tenant, e.reason.unwrap(), e.completion_cycle),
+            other => panic!("unknown outcome {other}"),
+        }
+    }
+    (acc.report(), shards)
+}
+
+/// Both references for one run: the published metrics and the SLO
+/// report with the shard totals.
+fn assert_matches_references(manifest: &str, run: &OnlineRun, cell: &str) {
+    assert_eq!(published(run), reference(run), "{cell}: metrics diverged");
+    let (slo, shards) = slo_reference(manifest, run);
+    assert_eq!(run.report.slo, slo, "{cell}: SLO report diverged");
+    let totals: Vec<(u64, u64, u64)> =
+        run.report.shards.iter().map(|s| (s.busy_cycles, s.macs, s.energy_fj)).collect();
+    assert_eq!(totals, shards, "{cell}: shard totals diverged");
+}
+
+/// The headline check: the metrics published from the funnel, the SLO
+/// report and the shard totals equal a per-event fold of the decision
+/// log, across all three dispatch policies, all three arrival processes
+/// (the manifest runs them concurrently) and 1/2/8 workers.
 #[test]
 fn published_metrics_equal_a_per_event_fold_of_the_decision_log() {
     for policy in POLICIES {
@@ -134,9 +213,34 @@ fn published_metrics_equal_a_per_event_fold_of_the_decision_log() {
             assert!(run.report.submitted > 1000, "{cell}: too few arrivals");
             assert!(run.report.completed > 0, "{cell}: nothing completed");
             assert!(run.report.rejected > 0, "{cell}: nothing rejected");
-            assert_eq!(published(&run), reference(&run), "{cell}: metrics diverged");
+            assert_matches_references(&manifest, &run, &cell);
         }
     }
+}
+
+/// A short horizon, a deep outstanding cap, no backlog limit and a
+/// deadline-free source at a high rate let the shards queue far past
+/// the horizon, so the SLO window width (from the
+/// makespan) is several times the horizon's width, at which the engine
+/// counts completions during the event loop.  Its coarsened windows must
+/// still equal the per-event fold.
+#[test]
+fn a_makespan_far_past_the_horizon_folds_like_the_decision_log() {
+    let manifest = MANIFEST
+        .replace("\"horizon_cycles\": 400000", "\"horizon_cycles\": 20000")
+        .replace("\"max_outstanding\": 6", "\"max_outstanding\": 400")
+        .replace("\"max_backlog_cycles\": 150000,", "")
+        .replace("\"mean_interarrival_cycles\": 250}", "\"mean_interarrival_cycles\": 20}");
+    let run = online(&manifest, Some(2)).unwrap();
+    let r = &run.report;
+    let (w0, w) = (
+        window_width_for_horizon(r.horizon_cycles),
+        window_width_for_horizon(r.horizon_cycles.max(r.makespan_cycles)),
+    );
+    assert_eq!(r.slo.window_width_cycles, w);
+    assert!(w >= 8 * w0, "makespan {} gives W {w} against W0 {w0}", r.makespan_cycles);
+    assert!(r.completed > 100 && r.slo.tenants.iter().all(|t| t.windows.len() > 4), "{:?}", r.slo);
+    assert_matches_references(&manifest, &run, "horizon=20000");
 }
 
 /// The zero-count rule: a backlog limit below every estimate rejects
@@ -151,7 +255,7 @@ fn outcomes_that_never_happen_register_nothing() {
     assert!(r.submitted > 1000);
     assert_eq!((r.completed, r.shed, r.rejected), (0, 0, r.submitted));
     let json = published(&run);
-    assert_eq!(json, reference(&run));
+    assert_matches_references(&manifest, &run, "max_backlog_cycles=1");
     for absent in ["engine.jobs.completed", "engine.jobs.shed", "engine.queue.wait_cycles"] {
         assert!(!json.contains(absent), "`{absent}` registered at zero in:\n{json}");
     }
