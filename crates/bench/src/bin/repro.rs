@@ -3,7 +3,8 @@
 //! ```text
 //! repro [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
 //!       [--bench-out FILE] [--no-timers]
-//!       [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|all]
+//!       [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|extensions|all]
+//! repro [--quick] [--csv DIR] [--bench-out FILE] mem
 //! repro trace [--perfetto-out FILE] [--svg-out FILE] [--trace-cap N]
 //! repro serve <manifest.json> [--report-out FILE] [--slo-out FILE]
 //!             [--dash-out FILE] [--events-out FILE]
@@ -93,10 +94,12 @@
 //!   front; `--bench-out` writes the `BENCH_dse_baseline.json` document
 //!   the CI gate diffs at `--tol 0`, `--csv DIR` the per-point CSV, and
 //!   `--svg-out` a self-contained Pareto scatter SVG.
-//! * `serve`, `mem`, `online`, `profile` and `dse` validate their flags
-//!   strictly: an unknown or out-of-place flag, a flag missing its
-//!   value, or (for the manifest-driven ones) a missing manifest exits
-//!   with status 2 and the usage text.
+//! * Every subcommand validates its flags strictly, before any
+//!   characterization: an unknown subcommand, an unknown or out-of-place
+//!   flag, a flag missing its value, or (for the manifest-driven ones) a
+//!   missing manifest exits with status 2 and the usage text.  The figure
+//!   experiments share one flag set (`--quick --csv --metrics-out
+//!   --trace-out --bench-out --no-timers`).
 //! * `diff` compares two benchmark/metrics JSON files field-by-field and
 //!   exits nonzero when a deterministic field drifted beyond the
 //!   tolerance (`--tol 5` = ±5 %, the default).  Wall-clock fields
@@ -246,14 +249,15 @@ fn parse_args() -> Options {
         "all"
     };
     let which = which.unwrap_or_else(|| default.to_owned());
-    // `serve`, `mem` and `online` accept only their own flags — a stray
-    // flag silently changing nothing is how baseline-generation runs go
-    // wrong, so it is a usage error instead.
-    if let Some(allowed) = subcommand_flags(&which) {
-        for flag in &seen_flags {
-            if !allowed.contains(&flag.as_str()) {
-                die_usage(&format!("`repro {which}` does not accept `{flag}`"));
-            }
+    // Each subcommand accepts only its own flags — a stray flag silently
+    // changing nothing is how baseline-generation runs go wrong, so it is
+    // a usage error instead.
+    let Some(allowed) = subcommand_flags(&which) else {
+        die_usage(&format!("unknown subcommand `{which}`"));
+    };
+    for flag in &seen_flags {
+        if !allowed.contains(&flag.as_str()) {
+            die_usage(&format!("`repro {which}` does not accept `{flag}`"));
         }
     }
     Options {
@@ -281,10 +285,18 @@ fn parse_args() -> Options {
     }
 }
 
-/// The exact flag set each strict subcommand accepts; `None` leaves the
-/// subcommand on the legacy permissive path.
+/// The flags every figure experiment accepts.
+const EXPERIMENT_FLAGS: &[&str] =
+    &["--quick", "--csv", "--metrics-out", "--trace-out", "--bench-out", "--no-timers"];
+
+/// The exact flag set each subcommand accepts; `None` for a name that
+/// is no subcommand.
 fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
     match which {
+        "table1" | "fig7a" | "fig7b" | "fig8a" | "fig8b" | "fig8b-gate" | "fig9" | "telemetry"
+        | "simbench" | "extensions" | "all" => Some(EXPERIMENT_FLAGS),
+        "trace" => Some(&["--perfetto-out", "--svg-out", "--trace-cap"]),
+        "diff" => Some(&["--tol", "--ignore", "--verbose"]),
         "serve" => Some(&["--report-out", "--slo-out", "--dash-out", "--events-out"]),
         "online" => Some(&[
             "--workers",
@@ -623,9 +635,7 @@ fn main() {
             run_telemetry();
             write_out(&opts.bench_out, experiments::paper_json(&fig7, &fig8a, &fig8b, &fig9));
         }
-        other => die(&format!(
-            "unknown experiment `{other}` (expected table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|dse|trace|serve|online|profile|diff|extensions|all)"
-        )),
+        other => unreachable!("`{other}` passed the subcommand check"),
     }
 }
 
@@ -638,7 +648,8 @@ const USAGE: &str = "\
 usage:
   repro [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
         [--bench-out FILE] [--no-timers]
-        [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|all]
+        [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|extensions|all]
+  repro [--quick] [--csv DIR] [--bench-out FILE] mem
   repro trace [--perfetto-out FILE] [--svg-out FILE] [--trace-cap N]
   repro serve <manifest.json> [--report-out FILE] [--slo-out FILE]
               [--dash-out FILE] [--events-out FILE]

@@ -1,10 +1,9 @@
 //! Self-contained HTML/SVG serving dashboards for `repro serve` and
 //! `repro online`.
 //!
-//! [`dashboard_html`] renders one [`ServeRun`](crate::serve::ServeRun)
-//! and [`online_dashboard_html`] one
-//! [`OnlineRun`](crate::online::OnlineRun); both share the same
-//! SLO-report-driven body via [`slo_dashboard_document`] and produce a
+//! [`dashboard_html`] renders one [`ServeRun`] and
+//! [`online_dashboard_html`] one [`OnlineRun`]; both share the same
+//! SLO-report-driven body via `slo_dashboard_document` and produce a
 //! single static HTML document with **zero external assets** —
 //! no scripts, no fonts, no stylesheets beyond an inline `<style>` —
 //! so the file opens identically offline and diffs cleanly:

@@ -29,7 +29,8 @@ use bsc_systolic::{
 use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
 
 use crate::manifest::{
-    array_field, err_at, mac_kind, mem_config, str_field, u64_field, MAX_ROWS, MAX_VECTOR_LENGTH,
+    array_field, err_at, mac_kind, mem_config, str_field, u64_field, MAX_ROWS, MAX_STEPS,
+    MAX_VECTOR_LENGTH,
 };
 
 /// One memory hierarchy under sweep: a preset plus optional bandwidth
@@ -172,12 +173,16 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
     let name = str_field(&doc, "manifest", "name")?.unwrap_or("dse").to_owned();
     let workload = str_field(&doc, "manifest", "workload")?.unwrap_or("edge3").to_owned();
     workload_layers(&workload)?;
-    let period_ps = u64_field(&doc, "manifest", "period_ps")?
-        .filter(|p| *p >= 1)
-        .unwrap_or(2000) as f64;
-    let steps = u64_field(&doc, "manifest", "steps")?
-        .filter(|s| *s >= 1)
-        .unwrap_or(48) as usize;
+    let period_ps = match u64_field(&doc, "manifest", "period_ps")? {
+        None => 2000.0,
+        Some(0) => return Err("manifest: period_ps: expected at least 1".into()),
+        Some(p) => p as f64,
+    };
+    let steps = match u64_field(&doc, "manifest", "steps")? {
+        None => 48,
+        Some(s) if (1..=MAX_STEPS).contains(&s) => s as usize,
+        Some(_) => return Err(format!("manifest: steps: expected 1..={MAX_STEPS}")),
+    };
 
     let dataflows = match array_field(&doc, "manifest", "dataflows")? {
         None => DataflowKind::ALL.to_vec(),
@@ -693,6 +698,19 @@ mod tests {
         ] {
             assert!(parse_dse_manifest(bad).is_err(), "{bad}");
         }
+        // Out-of-range values are errors naming the field, never a
+        // silent default or a runaway characterization.
+        for (field, bad) in [
+            ("steps", r#"{"steps": 0}"#),
+            ("steps", r#"{"steps": 4097}"#),
+            ("steps", r#"{"steps": 1000000000000000}"#),
+            ("period_ps", r#"{"period_ps": 0}"#),
+        ] {
+            let err = parse_dse_manifest(bad).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
+        let edge = parse_dse_manifest(r#"{"steps": 4096, "period_ps": 1}"#).unwrap();
+        assert_eq!((edge.steps, edge.period_ps), (4096, 1.0));
     }
 
     #[test]

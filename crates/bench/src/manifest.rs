@@ -24,6 +24,10 @@ use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot};
 /// (gate count) and the schedule loops with the row count.
 pub(crate) const MAX_ROWS: u64 = 1024;
 pub(crate) const MAX_VECTOR_LENGTH: u64 = 64;
+/// `dse` characterization: switching-activity steps per design, whose
+/// stimulus buffers grow linearly with the count (about 43× the
+/// library's default of 96).
+pub(crate) const MAX_STEPS: u64 = 4096;
 /// `serve`: the most jobs a manifest may expand to once every job's
 /// `count` is applied (2^20).
 pub(crate) const MAX_SERVE_JOBS: u64 = 1 << 20;

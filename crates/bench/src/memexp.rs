@@ -32,7 +32,7 @@ pub struct MemSweepPoint {
     pub precision: Precision,
     /// Layer tag (see [`sweep_layers`]).
     pub layer: &'static str,
-    /// Buffer-scale tag (see [`BUFFER_SCALES`]).
+    /// Buffer-scale tag (`edge-1x` or `edge-4x`).
     pub buffers: &'static str,
     /// DRAM bandwidth in bytes/cycle (`0` = infinite).
     pub bytes_per_cycle: u64,

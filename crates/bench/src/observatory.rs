@@ -7,7 +7,7 @@
 //! (Int8 conv, Int4 conv, Int2 fully-connected on a 4-PE L=8 array), but
 //! here the whole run shares ONE telemetry hub with a large trace ring,
 //! so the timeline covers every pass of every layer and the hierarchical
-//! spans (`accel`-level layer spans → `compiler.execute` →
+//! spans (`observatory.run` → `layer.<name>` → `compiler.execute` →
 //! `array.matmul`) land in the export's wall-clock track.
 
 use bsc_accel::compiler::{compile_conv, execute};

@@ -9,7 +9,6 @@ use bsc_systolic::energy::ArrayEnergyModel;
 use bsc_systolic::mapping::schedule_conv;
 use bsc_systolic::mem::{schedule_conv_with_memory, MemConfig};
 use bsc_systolic::{ArrayConfig, ArrayGeometry, Matrix, MatmulRun, SystolicArray};
-use bsc_telemetry::Telemetry;
 
 use crate::report::{LayerReport, NetworkReport};
 use crate::{layer_to_conv_shape, AccelError};
@@ -186,28 +185,6 @@ impl Accelerator {
         Arc::clone(&self.charac)
     }
 
-    /// Attaches a fresh telemetry hub (metrics registry + trace ring of
-    /// the given capacity) to the underlying array and returns a handle
-    /// to it.  Every subsequent [`matmul`](Self::matmul),
-    /// [`conv2d`](Self::conv2d) and [`run_network`](Self::run_network)
-    /// call publishes counters and trace events into it.
-    pub fn enable_telemetry(&mut self, trace_capacity: usize) -> Telemetry {
-        let tel = Telemetry::new(trace_capacity);
-        self.array.set_telemetry(tel.clone());
-        tel
-    }
-
-    /// Attaches an existing telemetry hub (e.g. one shared across several
-    /// accelerator instances) to the underlying array.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.array.set_telemetry(telemetry);
-    }
-
-    /// The attached telemetry hub, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.array.telemetry()
-    }
-
     /// The array-level energy model for one precision mode at the
     /// configured operating point.
     ///
@@ -314,23 +291,8 @@ impl Accelerator {
     ///
     /// Propagates mapping and characterization errors.
     pub fn run_network(&self, net: &Network) -> Result<NetworkReport, AccelError> {
-        let _timer = self
-            .telemetry()
-            .map(|tel| tel.metrics.timer("accel.run_network_ns"));
-        let _net_span = self.telemetry().map(|tel| {
-            let g = tel.spans.begin("accel.run_network");
-            g.annotate("network", &net.name);
-            g.annotate("layers", net.layers.len());
-            g
-        });
         let mut layers = Vec::with_capacity(net.layers.len());
-        for (i, layer) in net.layers.iter().enumerate() {
-            let _layer_span = self.telemetry().map(|tel| {
-                let g = tel.spans.begin(&format!("layer.{}", layer.name));
-                g.annotate("index", i);
-                g.annotate("precision", layer.precision);
-                g
-            });
+        for layer in &net.layers {
             let shape = layer_to_conv_shape(&layer.kind);
             let aware = schedule_conv_with_memory(
                 &self.config.array,
@@ -341,42 +303,6 @@ impl Accelerator {
             let schedule = aware.compute;
             let model = self.energy_model(layer.precision)?;
             let energy_fj = model.schedule_energy_fj(&schedule);
-            if let Some(tel) = self.telemetry() {
-                tel.trace.push(bsc_telemetry::TraceEvent::TileStart {
-                    layer: i as u32,
-                    pass: 0,
-                    rows: (shape.out_h() * shape.out_w()) as u32,
-                    cols: shape.out_channels as u32,
-                    inner: shape.in_channels as u32,
-                });
-                // Under a finite hierarchy, the layer's DMA activity shows
-                // up as load/store slices on the timeline's DMA track: the
-                // channel's load time anchored at the layer start, its
-                // writeback time ending at the layer's last cycle.
-                if !self.config.mem.is_infinite_bandwidth() {
-                    tel.trace.push(bsc_telemetry::TraceEvent::Dma {
-                        cycle: 0,
-                        cycles: aware.dma_load_cycles.min(u32::MAX as u64) as u32,
-                        bytes: aware.dma_load_bytes.min(u32::MAX as u64) as u32,
-                        store: false,
-                    });
-                    if aware.dma_store_bytes > 0 {
-                        tel.trace.push(bsc_telemetry::TraceEvent::Dma {
-                            cycle: aware.total_cycles.saturating_sub(aware.dma_store_cycles),
-                            cycles: aware.dma_store_cycles.min(u32::MAX as u64) as u32,
-                            bytes: aware.dma_store_bytes.min(u32::MAX as u64) as u32,
-                            store: true,
-                        });
-                    }
-                }
-                let prefix = format!("accel.layer.{}", layer.name);
-                tel.metrics.counter(&format!("{prefix}.cycles")).add(schedule.cycles);
-                tel.metrics.counter(&format!("{prefix}.macs")).add(schedule.useful_macs);
-                tel.metrics.counter(&format!("{prefix}.passes")).add(schedule.passes);
-                tel.metrics.counter("mem.dma.loads").add(aware.dma_loads);
-                tel.metrics.counter("mem.dma.bytes").add(aware.dma_bytes());
-                tel.metrics.counter("mem.dma.stall_cycles").add(aware.stall_cycles);
-            }
             layers.push(LayerReport {
                 name: layer.name.clone(),
                 precision: layer.precision,
@@ -425,44 +351,6 @@ mod tests {
         assert!(report.total_energy_fj() > 0.0);
         assert!(report.avg_tops_per_w() > 0.0);
         assert_eq!(report.total_macs(), net.total_macs());
-    }
-
-    #[test]
-    fn telemetry_records_network_layers_and_matmuls() {
-        let mut accel = Accelerator::quick_cached(MacKind::Bsc).unwrap();
-        let tel = accel.enable_telemetry(1024);
-        let net = bsc_nn::models::lenet5();
-        accel.run_network(&net).unwrap();
-
-        let snap = tel.metrics.snapshot();
-        for layer in &net.layers {
-            assert!(
-                snap.counter(&format!("accel.layer.{}.cycles", layer.name)) > 0,
-                "missing per-layer cycle counter for {}",
-                layer.name
-            );
-        }
-        // One TileStart per layer from the analytic path.
-        let starts = tel
-            .trace
-            .snapshot()
-            .events
-            .iter()
-            .filter(|e| e.kind() == "tile_start")
-            .count();
-        assert_eq!(starts, net.layers.len());
-        // run_network was timed.
-        assert_eq!(snap.histogram("accel.run_network_ns").map(|h| h.count), Some(1));
-
-        // A functional matmul feeds the systolic counters through the
-        // same hub.
-        let k = accel.config().array.dot_length(Precision::Int8);
-        let f = Matrix::from_fn(3, k, |r, c| ((r + c) % 5) as i64 - 2);
-        let w = Matrix::from_fn(2, k, |r, c| ((r * c) % 3) as i64 - 1);
-        accel.matmul(Precision::Int8, &f, &w).unwrap();
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("systolic.runs"), 1);
-        assert_eq!(snap.counter("systolic.pe_fired"), 6);
     }
 
     #[test]

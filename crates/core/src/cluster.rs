@@ -4,7 +4,7 @@
 //! A [`Cluster`](OnlineConfig) is a set of [`ShardSpec`]s — each its
 //! own [`AcceleratorConfig`], so shards may mix MAC kinds (BSC / LPC /
 //! HPS) *and* memory hierarchies — fed by seeded
-//! [`ArrivalProcess`](crate::des::ArrivalProcess) traffic sources.
+//! [`ArrivalProcess`] traffic sources.
 //! [`run_online`] drives one [`crate::des::EventQueue`] interleaving
 //! job-arrival and shard-completion events:
 //!
@@ -522,7 +522,7 @@ pub fn run_online_profiled(
     // cycle order and its (window start, count) runs stay about as long
     // as the number of windows.
     let w0 = window_width_for_horizon(config.horizon_cycles);
-    let latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
+    let mut latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
     let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
     let mut rr_cursor = 0usize;
     // Cycles each source has been served on each shard, indexed by pair.

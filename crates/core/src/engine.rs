@@ -679,12 +679,6 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Replaces the telemetry bundle (e.g. one shared with other engines
-    /// or a trace-capable ring).
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// Current estimated backlog of admitted-but-unrun work in cycles.
     pub fn backlog_cycles(&self) -> u64 {
         self.backlog_cycles
@@ -820,26 +814,23 @@ impl Engine {
 
         // Evaluation: one report per queued job, from per-worker
         // accelerators over the shared characterization, merged back by
-        // queue index.
+        // queue index.  Each worker's own span cursor starts at the batch
+        // span, so its job spans nest there.
         let accel_cfg = self.config.accel.clone();
         let charac = Arc::clone(&self.charac);
-        let telemetry = self.telemetry.clone();
+        let telemetry = &self.telemetry;
         let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
             queued.len(),
             self.config.workers,
             || {
-                let mut accel =
+                let accel =
                     Accelerator::with_shared_characterization(accel_cfg.clone(), Arc::clone(&charac));
-                // Each worker's own span cursor starts at the batch span,
-                // so its job spans nest there and its layer spans under
-                // its own job.
-                accel.attach_telemetry(telemetry.fork());
-                accel
+                (accel, telemetry.fork())
             },
-            |accel, i| {
+            |(accel, tel), i| {
                 let job = &queued[i];
                 let _job_span = {
-                    let g = accel.telemetry().expect("attached").spans.begin(&format!("engine.job.{}", job.name));
+                    let g = tel.spans.begin(&format!("engine.job.{}", job.name));
                     g.annotate("network", &job.network.name);
                     g
                 };

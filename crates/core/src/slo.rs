@@ -20,9 +20,9 @@
 //!   reduction over already-deterministic `LayerReport`s, per-tenant
 //!   energies sum *exactly* to the batch total — "which tenant burned
 //!   the joules" has one answer at any worker count;
-//! * **windows** — tumbling [`WindowedAggregator`] series of completed
-//!   / shed events on the virtual clock, the time axis of the serving
-//!   dashboard.
+//! * **windows** — per-tenant tumbling [`TenantWindow`] series of
+//!   completed / shed events on the virtual clock, the time axis of the
+//!   serving dashboard.
 //!
 //! Everything here is a serial reduction over the outcome list in
 //! submission order; nothing reads wall time, so the report is
@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bsc_telemetry::{QuantileSketch, SketchSnapshot, WindowedAggregator};
+use bsc_telemetry::{QuantileSketch, SketchSnapshot};
 
 use crate::engine::JobOutcome;
 use crate::report::NetworkReport;
@@ -228,6 +228,22 @@ struct TenantAcc {
     macs: u64,
     energy_fj: u64,
     energy_by_precision: BTreeMap<String, u64>,
+    /// Non-empty windows by index.
+    windows: BTreeMap<u64, TenantWindow>,
+}
+
+impl TenantAcc {
+    /// The window holding `cycle`, opened empty on first use.
+    fn window(&mut self, cycle: u64, width: u64) -> &mut TenantWindow {
+        let window = cycle / width;
+        self.windows.entry(window).or_insert(TenantWindow {
+            window,
+            start_cycle: window * width,
+            completed: 0,
+            shed: 0,
+            macs: 0,
+        })
+    }
 }
 
 /// Folds [`JobOutcome`]s into a per-tenant [`SloReport`].
@@ -236,16 +252,17 @@ struct TenantAcc {
 /// the batch makespan (see [`crate::Engine::run_batch`]) so the
 /// dashboard's time axis scales with the batch instead of wall time.
 pub struct SloAccountant {
-    windows: WindowedAggregator,
+    window_width: u64,
     tenants: BTreeMap<TenantId, TenantAcc>,
     observations: u64,
 }
 
 impl SloAccountant {
-    /// An empty accountant with `window_width_cycles`-wide windows.
+    /// An empty accountant with `window_width_cycles`-wide windows (a
+    /// zero width is raised to 1).
     pub fn new(window_width_cycles: u64) -> Self {
         SloAccountant {
-            windows: WindowedAggregator::new(window_width_cycles),
+            window_width: window_width_cycles.max(1),
             tenants: BTreeMap::new(),
             observations: 0,
         }
@@ -303,7 +320,7 @@ impl SloAccountant {
         deadline_met: Option<bool>,
         report: &NetworkReport,
     ) {
-        let latency = QuantileSketch::new();
+        let mut latency = QuantileSketch::new();
         latency.record(latency_cycles);
         self.observe_completions(tenant, &latency, &[(completion_cycle, 1)], deadline_met, report);
     }
@@ -352,14 +369,10 @@ impl SloAccountant {
                 .entry(format!("int{}", layer.precision.bits()))
                 .or_default() += fj;
         }
-        let width = self.windows.width_cycles();
-        for run in completions.chunk_by(|a, b| a.0 / width == b.0 / width) {
-            self.windows.record(
-                run[0].0,
-                &[("tenant", tenant.as_str()), ("outcome", "completed")],
-                macs,
-                run.iter().map(|&(_, jobs)| jobs).sum(),
-            );
+        for &(cycle, jobs) in completions.iter().filter(|&&(_, jobs)| jobs > 0) {
+            let window = acc.window(cycle, self.window_width);
+            window.completed += jobs;
+            window.macs += jobs * macs;
         }
     }
 
@@ -390,17 +403,11 @@ impl SloAccountant {
         acc.submitted += 1;
         acc.shed += 1;
         *acc.shed_by_reason.entry(slug).or_default() += 1;
-        self.windows.record(
-            decision_cycle,
-            &[("tenant", tenant.as_str()), ("outcome", "shed")],
-            0,
-            1,
-        );
+        acc.window(decision_cycle, self.window_width).shed += 1;
     }
 
     /// The finished per-tenant report.
     pub fn report(&self) -> SloReport {
-        let window_snapshot = self.windows.snapshot();
         let tenants = self
             .tenants
             .iter()
@@ -433,27 +440,6 @@ impl SloAccountant {
                         burn_rate,
                     }
                 });
-                let mut windows: BTreeMap<u64, TenantWindow> = BTreeMap::new();
-                for (w, labels, cell) in &window_snapshot {
-                    if labels.get("tenant") != Some(tenant.as_str()) {
-                        continue;
-                    }
-                    let row = windows.entry(*w).or_insert(TenantWindow {
-                        window: *w,
-                        start_cycle: *w * self.windows.width_cycles(),
-                        completed: 0,
-                        shed: 0,
-                        macs: 0,
-                    });
-                    match labels.get("outcome") {
-                        Some("completed") => {
-                            row.completed += cell.count;
-                            row.macs += cell.sum;
-                        }
-                        Some("shed") => row.shed += cell.count,
-                        _ => {}
-                    }
-                }
                 TenantSlo {
                     tenant: tenant.clone(),
                     target: acc.target,
@@ -482,12 +468,12 @@ impl SloAccountant {
                         .iter()
                         .map(|(k, v)| (k.clone(), *v))
                         .collect(),
-                    windows: windows.into_values().collect(),
+                    windows: acc.windows.values().copied().collect(),
                     attainment,
                 }
             })
             .collect();
-        SloReport { window_width_cycles: self.windows.width_cycles(), tenants }
+        SloReport { window_width_cycles: self.window_width, tenants }
     }
 }
 
@@ -633,7 +619,7 @@ mod tests {
                 _ => rng.gen_range(2..40usize),
             };
             let mut cycle = rng.gen_range(0..4_000u64);
-            let latencies = QuantileSketch::new();
+            let mut latencies = QuantileSketch::new();
             let mut runs: Vec<(u64, u64)> = Vec::new();
             for _ in 0..jobs {
                 cycle += rng.gen_range(0..300u64);
@@ -660,6 +646,115 @@ mod tests {
         assert_eq!(report, single.report());
         assert_eq!(report.tenants.len(), 3, "every tenant completed jobs");
         assert!(report.tenants.iter().all(|t| t.windows.len() > 1 && t.energy_by_precision.len() == 3));
+    }
+
+    /// `(window, completed, shed, macs)` per window of `tenant`.
+    fn window_rows(report: &SloReport, tenant: &str) -> Vec<(u64, u64, u64, u64)> {
+        let t = report.tenant(tenant).unwrap();
+        t.windows.iter().map(|w| (w.window, w.completed, w.shed, w.macs)).collect()
+    }
+
+    #[test]
+    fn a_counted_record_equals_that_many_single_records() {
+        // A `(cycle, jobs)` run stands for `jobs` completions in that
+        // cycle's window; a zero-job run stands for none.
+        let a = TenantId::new("a");
+        let report = toy_report(&[(bsc_mac::Precision::Int8, 40, 2.6)]);
+        let mut counted = SloAccountant::new(64);
+        let mut single = SloAccountant::new(64);
+        for (cycle, latency, jobs) in [(3, 40, 5), (70, 40, 1), (127, 9, 3), (64, 0, 2), (500, 7, 0)] {
+            let mut latencies = QuantileSketch::new();
+            for _ in 0..jobs {
+                latencies.record(latency);
+                single.observe_completion(&a, latency, cycle, Some(true), &report);
+            }
+            counted.observe_completions(&a, &latencies, &[(cycle, jobs)], Some(true), &report);
+        }
+        counted.observe_rejections(&a, "queue_full", 3);
+        for _ in 0..3 {
+            single.observe_rejection(&a, "queue_full");
+        }
+        assert_eq!(counted.observations(), single.observations());
+        let slo = counted.report();
+        assert_eq!(slo, single.report());
+        assert_eq!(window_rows(&slo, "a"), vec![(0, 5, 0, 200), (1, 6, 0, 240)]);
+        let t = slo.tenant("a").unwrap();
+        assert_eq!((t.submitted, t.completed, t.rejected), (14, 11, 3));
+        assert_eq!((t.latency.count, t.latency.sum), (11, 5 * 40 + 40 + 3 * 9));
+        assert_eq!(t.energy_fj, 11 * quantize_energy_fj(2.6));
+    }
+
+    #[test]
+    fn window_boundary_samples_land_in_the_later_window() {
+        // Windows are half-open [k*width, (k+1)*width): an event exactly
+        // on the boundary opens the next window, never pads the previous.
+        let a = TenantId::new("a");
+        let five = toy_report(&[(bsc_mac::Precision::Int8, 5, 1.0)]);
+        let seven = toy_report(&[(bsc_mac::Precision::Int8, 7, 1.0)]);
+        let mut acc = SloAccountant::new(100);
+        acc.observe_completion(&a, 1, 100, None, &five);
+        acc.observe_completion(&a, 1, 200, None, &seven);
+        acc.observe_shed(&a, "deadline_missed", 300);
+        let report = acc.report();
+        assert_eq!(window_rows(&report, "a"), vec![(1, 1, 0, 5), (2, 1, 0, 7), (3, 0, 1, 0)]);
+        assert_eq!(report.tenant("a").unwrap().windows[0].start_cycle, 100);
+        // The last cycle of a window stays inside it.
+        let mut edge = SloAccountant::new(100);
+        edge.observe_completion(&a, 1, 99, None, &five);
+        assert_eq!(window_rows(&edge.report(), "a"), vec![(0, 1, 0, 5)]);
+    }
+
+    #[test]
+    fn empty_windows_mid_horizon_are_omitted_not_zero_filled() {
+        let a = TenantId::new("a");
+        let report = toy_report(&[(bsc_mac::Precision::Int4, 3, 1.0)]);
+        let mut acc = SloAccountant::new(10);
+        acc.observe_completion(&a, 5, 5, None, &report);
+        acc.observe_completion(&a, 95, 95, None, &report);
+        // A run of zero jobs opens no window either.
+        let mut none = QuantileSketch::new();
+        none.record(1);
+        acc.observe_completions(&a, &none, &[(55, 0), (65, 1)], None, &report);
+        let rows = window_rows(&acc.report(), "a");
+        assert_eq!(rows.len(), 3, "gap windows must not materialize: {rows:?}");
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), vec![0, 6, 9]);
+    }
+
+    #[test]
+    fn horizon_shorter_than_one_window_collapses_to_window_zero() {
+        // Width longer than the whole run: every event shares window 0
+        // and the counts still add up.
+        let a = TenantId::new("a");
+        let report = toy_report(&[(bsc_mac::Precision::Int2, 11, 1.0)]);
+        let mut acc = SloAccountant::new(1_000_000);
+        for cycle in [0, 17, 999, 314_159] {
+            acc.observe_completion(&a, cycle, cycle, None, &report);
+        }
+        acc.observe_shed(&a, "deadline_missed", 999_999);
+        let slo = acc.report();
+        assert_eq!(window_rows(&slo, "a"), vec![(0, 4, 1, 44)]);
+        assert_eq!(slo.tenant("a").unwrap().latency.sum, 17 + 999 + 314_159);
+    }
+
+    #[test]
+    fn windows_tumble_on_the_virtual_clock() {
+        // Each tenant keeps its own series on the shared window axis.
+        let report = toy_report(&[(bsc_mac::Precision::Int8, 1, 1.0)]);
+        let (a, b) = (TenantId::new("a"), TenantId::new("b"));
+        let mut acc = SloAccountant::new(100);
+        for cycle in [0, 99, 100] {
+            acc.observe_completion(&a, cycle, cycle, None, &report);
+        }
+        acc.observe_completion(&b, 250, 250, None, &report);
+        let slo = acc.report();
+        assert_eq!(window_rows(&slo, "a"), vec![(0, 2, 0, 2), (1, 1, 0, 1)]);
+        assert_eq!(window_rows(&slo, "b"), vec![(2, 1, 0, 1)]);
+        // Zero width is raised to 1 instead of dividing by zero.
+        let mut zero = SloAccountant::new(0);
+        zero.observe_completion(&a, 3, 3, None, &report);
+        let slo = zero.report();
+        assert_eq!(slo.window_width_cycles, 1);
+        assert_eq!(slo.tenant("a").unwrap().windows[0].start_cycle, 3);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Tape {
 /// paper's VCS functional simulation.
 ///
 /// At construction the live combinational logic is lowered into a compiled
-/// tape (see [`Tape`]): [`Simulator::eval`] is a linear sweep over that
+/// tape (see `Tape`): [`Simulator::eval`] is a linear sweep over that
 /// tape, and [`Simulator::eval_incremental`] is an event-driven sweep that
 /// only re-evaluates the fanout cone of nets whose values actually changed
 /// since the last evaluation — the fast path for weight-stationary

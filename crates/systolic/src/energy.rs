@@ -344,12 +344,13 @@ impl ArrayEnergyModel {
 
     /// Like [`ArrayEnergyModel::schedule_energy_with_memory`], but derives
     /// the hierarchy's traffic from the **measured** DMA counters of a
-    /// [`MemoryAwareSchedule`] instead of analytic estimates: every byte
-    /// the DMA lands is an SRAM write (and a DRAM transfer), every
-    /// writeback byte an SRAM read, and re-fetches forced by undersized
-    /// buffers are charged at their real multiplicity.  Array-side vector
-    /// reads are identical to the analytic path — the array reads its
-    /// buffers the same way regardless of how they were filled.
+    /// [`MemoryAwareSchedule`](crate::MemoryAwareSchedule) instead of
+    /// analytic estimates: every byte the DMA lands is an SRAM write (and
+    /// a DRAM transfer), every writeback byte an SRAM read, and re-fetches
+    /// forced by undersized buffers are charged at their real
+    /// multiplicity.  Array-side vector reads are identical to the
+    /// analytic path — the array reads its buffers the same way
+    /// regardless of how they were filled.
     pub fn schedule_energy_with_dma(
         &self,
         aware: &crate::mem::MemoryAwareSchedule,

@@ -6,6 +6,8 @@
 //! round-trip validation of the hand-rolled writers ([`crate::sink`],
 //! [`crate::perfetto`]).  It accepts exactly RFC 8259 JSON — no
 //! comments, no trailing commas — and keeps object member order.
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels deep, so a
+//! hostile document is an error instead of a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -134,14 +136,19 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// Every document the repository writes or reads nests at most 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// anything else after the value is an error).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonParseError`] locating the first malformed byte.
+/// Returns a [`JsonParseError`] locating the first malformed byte, or
+/// the first container nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -154,6 +161,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -191,8 +200,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -409,6 +425,22 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let deep_array = "[".repeat(100_000) + &"]".repeat(100_000);
+        let deep_object = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        for deep in [&deep_array, &deep_object] {
+            let err = parse_json(deep).unwrap_err();
+            assert!(err.message.contains("128"), "{err}");
+            assert_eq!(err.offset, MAX_DEPTH * if deep.starts_with('[') { 1 } else { 5 });
+        }
+        // Exactly the limit still parses; one more level does not.
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&at_limit).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&past).is_err());
     }
 
     #[test]

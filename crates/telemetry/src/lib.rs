@@ -6,11 +6,9 @@
 //! * [`metrics`] — a [`Registry`] of named monotonic [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s behind cheap atomic
 //!   handles, plus [`ScopedTimer`] for wall-clock phase timing;
-//! * [`metrics::labels`] — dimensional metric families
-//!   ([`LabeledCounter`], [`LabeledHistogram`]) keyed by canonical
-//!   [`LabelSet`]s, an HDR-style integer [`QuantileSketch`] and a
-//!   virtual-clock [`WindowedAggregator`] for tenant-level SLO
-//!   accounting;
+//! * [`metrics::labels`] — [`LabeledCounter`] families keyed by
+//!   canonical [`LabelSet`]s, and an HDR-style integer
+//!   [`QuantileSketch`] for tenant-level latency quantiles;
 //! * [`trace`] — a bounded, droppable [`TraceRing`] of typed
 //!   cycle-events ([`TraceEvent::PeFired`], [`TraceEvent::VectorStall`],
 //!   [`TraceEvent::TileStart`], [`TraceEvent::WeightLoad`],
@@ -27,7 +25,7 @@
 //!   accumulating wall-clock time plus deterministic work counters,
 //!   exported as a phase-breakdown JSON and a folded-stack file for
 //!   flamegraph tooling;
-//! * [`sink`] — hand-rolled JSON and CSV serialization of snapshots;
+//! * [`sink`] — hand-rolled JSON serialization of snapshots;
 //! * [`json`] — a strict RFC 8259 parser so exported documents can be
 //!   validated and diffed without external crates (the workspace builds
 //!   fully offline).
@@ -66,9 +64,8 @@ pub mod trace;
 
 pub use json::{parse_json, JsonParseError, JsonValue};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, LabeledCounter, LabeledHistogram,
-    MetricsSnapshot, QuantileSketch, Registry, ScopedTimer, SketchSnapshot, WindowCell,
-    WindowedAggregator,
+    Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, LabeledCounter, MetricsSnapshot,
+    QuantileSketch, Registry, ScopedTimer, SketchSnapshot,
 };
 pub use perfetto::perfetto_json;
 pub use profile::{PhaseGuard, PhaseHandle, PhaseSnapshot, ProfileSnapshot, Profiler};

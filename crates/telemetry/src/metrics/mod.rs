@@ -13,10 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use labels::{
-    LabelSet, LabeledCounter, LabeledHistogram, QuantileSketch, SketchSnapshot, WindowCell,
-    WindowedAggregator,
-};
+pub use labels::{LabelSet, LabeledCounter, QuantileSketch, SketchSnapshot};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
@@ -89,13 +86,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A detached histogram with the given finite bucket bounds (used by
-    /// labeled families; registry histograms go through
-    /// [`Registry::histogram`]).
-    pub fn with_bounds(bounds: &[u64]) -> Self {
-        Histogram::new(bounds)
-    }
-
     fn new(bounds: &[u64]) -> Self {
         let mut sorted: Vec<u64> = bounds.to_vec();
         sorted.sort_unstable();
@@ -280,8 +270,6 @@ pub struct MetricsSnapshot {
     /// by label set, so serialization is byte-deterministic no matter
     /// which worker registered which point first.
     pub labeled_counters: Vec<(String, Vec<(LabelSet, u64)>)>,
-    /// Labeled histogram families by name, points sorted like counters.
-    pub labeled_histograms: Vec<(String, Vec<(LabelSet, HistogramSnapshot)>)>,
 }
 
 impl MetricsSnapshot {
@@ -345,12 +333,6 @@ impl MetricsSnapshot {
                 .cloned()
                 .collect(),
             labeled_counters: self.labeled_counters.clone(),
-            labeled_histograms: self
-                .labeled_histograms
-                .iter()
-                .filter(|(n, _)| !n.ends_with("_ns"))
-                .cloned()
-                .collect(),
         }
     }
 }
@@ -361,7 +343,6 @@ struct RegistryInner {
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
     labeled_counters: BTreeMap<String, LabeledCounter>,
-    labeled_histograms: BTreeMap<String, LabeledHistogram>,
 }
 
 /// A named collection of metrics.  Cloning shares the underlying store, so
@@ -420,17 +401,6 @@ impl Registry {
         g.labeled_counters.entry(name.to_string()).or_default().clone()
     }
 
-    /// The labeled histogram family named `name`, created with `bounds`
-    /// on first use (later calls reuse the family; `bounds` is then
-    /// ignored, like [`Registry::histogram`]).
-    pub fn labeled_histogram(&self, name: &str, bounds: &[u64]) -> LabeledHistogram {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.labeled_histograms
-            .entry(name.to_string())
-            .or_insert_with(|| LabeledHistogram::new(bounds))
-            .clone()
-    }
-
     /// Starts a wall-clock timer whose elapsed nanoseconds are recorded
     /// into the histogram `name` when the returned guard drops.
     pub fn timer(&self, name: &str) -> ScopedTimer {
@@ -453,11 +423,6 @@ impl Registry {
                 .collect(),
             labeled_counters: g
                 .labeled_counters
-                .iter()
-                .map(|(n, f)| (n.clone(), f.snapshot()))
-                .collect(),
-            labeled_histograms: g
-                .labeled_histograms
                 .iter()
                 .map(|(n, f)| (n.clone(), f.snapshot()))
                 .collect(),

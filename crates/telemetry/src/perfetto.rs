@@ -26,7 +26,6 @@ const ARRAY_PID: u64 = 1;
 const HARNESS_PID: u64 = 2;
 const LAYERS_TID: u64 = 1;
 const PASSES_TID: u64 = 2;
-const DMA_TID: u64 = 3;
 /// PE `n` renders on tid `PE_TID_BASE + n`.
 const PE_TID_BASE: u64 = 16;
 
@@ -91,9 +90,6 @@ pub fn perfetto_json(timeline: &Timeline, spans: Option<&SpanSnapshot>) -> Strin
     meta(&mut j, ARRAY_PID, None, "process_name", "array (cycle domain, 1 cycle = 1us)");
     meta(&mut j, ARRAY_PID, Some(LAYERS_TID), "thread_name", "layers");
     meta(&mut j, ARRAY_PID, Some(PASSES_TID), "thread_name", "passes");
-    if !timeline.dma.is_empty() {
-        meta(&mut j, ARRAY_PID, Some(DMA_TID), "thread_name", "DMA");
-    }
     for pe in &timeline.pes {
         meta(
             &mut j,
@@ -143,20 +139,6 @@ pub fn perfetto_json(timeline: &Timeline, spans: Option<&SpanSnapshot>) -> Strin
                 ("span", pass.span),
                 ("mode_bits", pass.mode_bits as u64),
             ],
-        );
-    }
-
-    // --- DMA bursts between DRAM and the SRAM tile buffers ---
-    for burst in &timeline.dma {
-        complete_event(
-            &mut j,
-            ARRAY_PID,
-            DMA_TID,
-            if burst.store { "store" } else { "load" },
-            "dma",
-            burst.start,
-            burst.end.saturating_sub(burst.start),
-            &[("bytes", burst.bytes as u64)],
         );
     }
 
@@ -260,7 +242,6 @@ mod tests {
         ring.push(TraceEvent::PeFired { cycle: 0, pe: 0, row: 0, macs: 8 });
         ring.push(TraceEvent::PeFired { cycle: 1, pe: 1, row: 0, macs: 8 });
         ring.push(TraceEvent::VectorStall { cycle: 2, pe: 1 });
-        ring.push(TraceEvent::Dma { cycle: 0, cycles: 2, bytes: 128, store: false });
         build_timeline(&ring.snapshot())
     }
 
@@ -284,7 +265,6 @@ mod tests {
         assert!(thread_names.contains(&"PE 01"));
         assert!(thread_names.contains(&"layers"));
         assert!(thread_names.contains(&"passes"));
-        assert!(thread_names.contains(&"DMA"));
 
         // Nested layer/pass slices exist as complete events.
         let x_names: Vec<&str> = events
@@ -296,7 +276,6 @@ mod tests {
         assert!(x_names.contains(&"L0 pass 0"));
         assert!(x_names.contains(&"busy"));
         assert!(x_names.contains(&"stall"));
-        assert!(x_names.contains(&"load"));
 
         // Counter samples for combined + int4 tracks.
         let counters: Vec<&str> = events

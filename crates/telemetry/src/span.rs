@@ -33,7 +33,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Parent span ID, or [`NO_SPAN`] for a root span.
     pub parent: u64,
-    /// Span name (e.g. `accel.run_network`, `layer.conv8`).
+    /// Span name (e.g. `engine.run_batch`, `layer.conv8`).
     pub name: String,
     /// Begin timestamp, nanoseconds since the collector's epoch.
     pub start_ns: u64,

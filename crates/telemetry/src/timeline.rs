@@ -110,19 +110,6 @@ pub struct LayerTrack {
     pub passes: usize,
 }
 
-/// One DMA burst on the global cycle axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaInterval {
-    /// First global cycle of the transfer.
-    pub start: u64,
-    /// One past the last global cycle.
-    pub end: u64,
-    /// Bytes moved.
-    pub bytes: u32,
-    /// `true` for an SRAM → DRAM writeback, `false` for a load.
-    pub store: bool,
-}
-
 /// One point of a counter track.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterPoint {
@@ -150,9 +137,6 @@ pub struct Timeline {
     pub passes: Vec<PassTrack>,
     /// Contiguous per-layer pass runs.
     pub layers: Vec<LayerTrack>,
-    /// DMA bursts between DRAM and the SRAM tile buffers, rebased onto
-    /// the global axis (empty when no memory hierarchy was modelled).
-    pub dma: Vec<DmaInterval>,
     /// MACs-per-cycle counter tracks, one per observed precision mode
     /// plus a combined `macs_per_cycle` track.
     pub counters: Vec<CounterTrack>,
@@ -189,7 +173,6 @@ fn push_cycle(intervals: &mut Vec<Interval>, cycle: u64) {
 pub fn build_timeline(snap: &TraceSnapshot) -> Timeline {
     let mut pes: Vec<PeBuilder> = Vec::new();
     let mut passes: Vec<PassTrack> = Vec::new();
-    let mut dma: Vec<DmaInterval> = Vec::new();
     let mut macs_combined: Vec<CounterPoint> = Vec::new();
     let mut macs_by_mode: Vec<(u32, Vec<CounterPoint>)> = Vec::new();
 
@@ -222,19 +205,6 @@ pub fn build_timeline(snap: &TraceSnapshot) -> Timeline {
         match *ev {
             TraceEvent::ModeSet { bits } => {
                 mode_bits = bits;
-            }
-            TraceEvent::Dma { cycle, cycles, bytes, store } => {
-                // DMA bursts live in the current segment's cycle domain but
-                // never open segments or move the backwards-restart cursor:
-                // they stretch the segment so overlap with compute shows.
-                let dur = (cycles as u64).max(1);
-                seg_len = seg_len.max(cycle + dur);
-                dma.push(DmaInterval {
-                    start: base + cycle,
-                    end: base + cycle + dur,
-                    bytes,
-                    store,
-                });
             }
             TraceEvent::TileStart { layer, pass, rows, cols, inner } => {
                 close_segment(&mut base, &mut seg_len, &mut open_pass, &mut passes);
@@ -346,7 +316,6 @@ pub fn build_timeline(snap: &TraceSnapshot) -> Timeline {
             .collect(),
         passes,
         layers,
-        dma,
         counters,
         total_cycles: base,
         dropped: snap.dropped,
@@ -535,30 +504,6 @@ mod tests {
         assert_eq!(tl.pes[0].stall_cycles(), 0);
         assert_eq!(tl.pes[1].stall, vec![Interval { start: 1, end: 3 }]);
         assert_eq!(tl.pes[1].stall_cycles(), 2);
-    }
-
-    #[test]
-    fn dma_bursts_rebase_and_stretch_their_segment() {
-        let snap = snap_of(&[
-            TraceEvent::TileStart { layer: 0, pass: 0, rows: 4, cols: 1, inner: 4 },
-            TraceEvent::Dma { cycle: 0, cycles: 3, bytes: 128, store: false },
-            TraceEvent::PeFired { cycle: 0, pe: 0, row: 0, macs: 4 },
-            TraceEvent::PeFired { cycle: 1, pe: 0, row: 1, macs: 4 },
-            TraceEvent::Dma { cycle: 4, cycles: 2, bytes: 64, store: true },
-            TraceEvent::TileStart { layer: 1, pass: 0, rows: 1, cols: 1, inner: 4 },
-            TraceEvent::Dma { cycle: 0, cycles: 1, bytes: 32, store: false },
-        ]);
-        let tl = build_timeline(&snap);
-        assert_eq!(tl.dma.len(), 3);
-        // The store burst stretched layer 0's segment to cycle 6.
-        assert_eq!(tl.passes[0].end, 6);
-        assert_eq!(tl.dma[0], DmaInterval { start: 0, end: 3, bytes: 128, store: false });
-        assert_eq!(tl.dma[1], DmaInterval { start: 4, end: 6, bytes: 64, store: true });
-        // Layer 1's burst is rebased past layer 0's end.
-        assert_eq!(tl.dma[2].start, 6);
-        assert_eq!(tl.total_cycles, 7);
-        // A DMA burst does not trip the backwards-cycle segment splitter.
-        assert_eq!(tl.passes.len(), 2);
     }
 
     #[test]

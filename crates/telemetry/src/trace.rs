@@ -62,17 +62,6 @@ pub enum TraceEvent {
         /// Operand width in bits (8, 4 or 2).
         bits: u32,
     },
-    /// A DMA burst between DRAM and an SRAM tile buffer.
-    Dma {
-        /// Start cycle within the current layer segment.
-        cycle: u64,
-        /// Transfer duration in cycles.
-        cycles: u32,
-        /// Bytes moved.
-        bytes: u32,
-        /// `true` for an SRAM → DRAM writeback, `false` for a load.
-        store: bool,
-    },
 }
 
 impl TraceEvent {
@@ -84,7 +73,6 @@ impl TraceEvent {
             TraceEvent::TileStart { .. } => "tile_start",
             TraceEvent::WeightLoad { .. } => "weight_load",
             TraceEvent::ModeSet { .. } => "mode_set",
-            TraceEvent::Dma { .. } => "dma",
         }
     }
 }
@@ -269,10 +257,6 @@ mod tests {
         );
         assert_eq!(TraceEvent::WeightLoad { cycle: 0, pe: 0, elems: 0 }.kind(), "weight_load");
         assert_eq!(TraceEvent::ModeSet { bits: 8 }.kind(), "mode_set");
-        assert_eq!(
-            TraceEvent::Dma { cycle: 0, cycles: 4, bytes: 64, store: false }.kind(),
-            "dma"
-        );
     }
 
     #[test]

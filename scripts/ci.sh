@@ -291,6 +291,23 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     serve examples/serve_manifest.json --slo-out >/dev/null 2>&1
 [ $? -eq 2 ] || { echo "missing flag value must exit 2"; exit 1; }
+# Every subcommand checks its flags, and an unknown subcommand is a
+# usage error, all before any characterization runs.
+for args in "diff BENCH_paper.json BENCH_paper.json --workers 3 --report-out $out/nope.json" \
+            "trace --perfetto-out $out/nope.json --slo-out $out/nope.json" \
+            "frobnicate" "all --workers 2"; do
+    # shellcheck disable=SC2086  # word-split the argument list on purpose
+    cargo run --release --offline -q -p bsc-bench --bin repro -- $args >/dev/null 2>&1
+    [ $? -eq 2 ] || { echo "repro $args: must exit 2"; exit 1; }
+done
+# A manifest nested far past the JSON parser's depth limit is an error
+# (exit 1) naming the limit, not a stack overflow.
+printf '%*s' 100000 '' | tr ' ' '[' > "$out/deep.json"
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    serve "$out/deep.json" >/dev/null 2>"$out/deep.err"
+[ $? -eq 1 ] || { echo "deep manifest: must exit 1"; exit 1; }
+grep -q "nesting deeper than 128 levels" "$out/deep.err" \
+    || { echo "deep manifest: error must name the depth limit"; cat "$out/deep.err"; exit 1; }
 set -e
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/online_report.json" "$out/online_slo.json" \
@@ -442,6 +459,9 @@ cmp "$out/online_10m_w1.json" "$out/online_10m_w8.json"
 cmp "$out/online_10m_slo_w1.json" "$out/online_10m_slo_w2.json"
 cmp "$out/online_10m_slo_w1.json" "$out/online_10m_slo_w8.json"
 echo "1e7 online report and SLO document byte-identical at 1, 2 and 8 workers"
+
+echo "==> rustdoc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Lints are best-effort: a toolchain without clippy must not fail the gate.
 if cargo clippy --version >/dev/null 2>&1; then
