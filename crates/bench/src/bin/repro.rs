@@ -97,9 +97,13 @@
 //! * Every subcommand validates its flags strictly, before any
 //!   characterization: an unknown subcommand, an unknown or out-of-place
 //!   flag, a flag missing its value, or (for the manifest-driven ones) a
-//!   missing manifest exits with status 2 and the usage text.  The figure
-//!   experiments share one flag set (`--quick --csv --metrics-out
-//!   --trace-out --bench-out --no-timers`).
+//!   missing manifest exits with status 2 and the usage text.  A figure
+//!   experiment takes only the flags it reads: `table1` takes `--csv`,
+//!   the Fig 7–9 experiments and `fig8b-gate` take `--quick --csv`,
+//!   `telemetry` takes `--metrics-out --trace-out --no-timers`,
+//!   `simbench` takes `--quick --bench-out`, `extensions` takes none and
+//!   `all` takes all of them.  `--csv DIR` creates `DIR` only when a CSV
+//!   is written.
 //! * `diff` compares two benchmark/metrics JSON files field-by-field and
 //!   exits nonzero when a deterministic field drifted beyond the
 //!   tolerance (`--tol 5` = ±5 %, the default).  Wall-clock fields
@@ -285,16 +289,25 @@ fn parse_args() -> Options {
     }
 }
 
-/// The flags every figure experiment accepts.
-const EXPERIMENT_FLAGS: &[&str] =
-    &["--quick", "--csv", "--metrics-out", "--trace-out", "--bench-out", "--no-timers"];
-
-/// The exact flag set each subcommand accepts; `None` for a name that
-/// is no subcommand.
+/// The exact flag set each subcommand accepts, which is the set it
+/// reads; `None` for a name that is no subcommand.
 fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
     match which {
-        "table1" | "fig7a" | "fig7b" | "fig8a" | "fig8b" | "fig8b-gate" | "fig9" | "telemetry"
-        | "simbench" | "extensions" | "all" => Some(EXPERIMENT_FLAGS),
+        "table1" => Some(&["--csv"]),
+        "fig7a" | "fig7b" | "fig8a" | "fig8b" | "fig8b-gate" | "fig9" => {
+            Some(&["--quick", "--csv"])
+        }
+        "telemetry" => Some(&["--metrics-out", "--trace-out", "--no-timers"]),
+        "simbench" => Some(&["--quick", "--bench-out"]),
+        "extensions" => Some(&[]),
+        "all" => Some(&[
+            "--quick",
+            "--csv",
+            "--metrics-out",
+            "--trace-out",
+            "--bench-out",
+            "--no-timers",
+        ]),
         "trace" => Some(&["--perfetto-out", "--svg-out", "--trace-cap"]),
         "diff" => Some(&["--tol", "--ignore", "--verbose"]),
         "serve" => Some(&["--report-out", "--slo-out", "--dash-out", "--events-out"]),
@@ -317,11 +330,6 @@ fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
 
 fn main() {
     let opts = parse_args();
-    if let Some(dir) = &opts.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("cannot create {}: {e}", dir.display()));
-        }
-    }
 
     let needs_workbench = !matches!(
         opts.which.as_str(),
@@ -358,6 +366,9 @@ fn main() {
 
     let write_csv = |name: &str, data: String| {
         if let Some(dir) = &opts.csv_dir {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                die(&format!("cannot create {}: {e}", dir.display()));
+            }
             let path = dir.join(name);
             if let Err(e) = std::fs::write(&path, data) {
                 die(&format!("cannot write {}: {e}", path.display()));

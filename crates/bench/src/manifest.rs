@@ -340,16 +340,13 @@ pub(crate) fn write_slo_tenants(j: &mut JsonBuilder, slo: &SloReport) {
     j.end_array();
 }
 
-/// Joins event lines into a JSONL document, asserting that every line
-/// parses under the strict RFC 8259 parser.
-pub(crate) fn jsonl(lines: Vec<String>) -> String {
-    let mut out = String::new();
-    for line in lines {
-        bsc_telemetry::parse_json(&line).expect("event line must be strict RFC 8259 JSON");
-        out.push_str(&line);
-        out.push('\n');
+/// A JSONL document, returned after asserting that every line parses
+/// under the strict RFC 8259 parser.
+pub(crate) fn checked_jsonl(text: String) -> String {
+    for line in text.lines() {
+        bsc_telemetry::parse_json(line).expect("event line must be strict RFC 8259 JSON");
     }
-    out
+    text
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use bsc_telemetry::profile::Profiler;
 use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, Telemetry};
 
 use crate::manifest::{
-    accel_config, array_field, err_at, job_template, jsonl, mem_config, object_field,
+    accel_config, array_field, checked_jsonl, err_at, job_template, mem_config, object_field,
     parse_tenants, render_tenants, str_field, u64_field, write_queue_wait, write_slo_tenants,
 };
 
@@ -436,24 +436,20 @@ pub fn slo_json(run: &OnlineRun) -> String {
 /// truncation count so consumers know the tail is aggregate-only).
 pub fn events_jsonl(run: &OnlineRun) -> String {
     let r = &run.report;
-    let mut lines = Vec::with_capacity(1 + r.events.len());
-
-    let mut head = JsonBuilder::new();
-    head.begin_object();
-    head.key("event").string("online");
-    head.key("policy").string(&r.policy.to_string());
-    head.key("seed").u64(r.seed);
-    head.key("submitted").u64(r.submitted);
-    head.key("completed").u64(r.completed);
-    head.key("rejected").u64(r.rejected);
-    head.key("shed").u64(r.shed);
-    head.key("makespan_cycles").u64(r.makespan_cycles);
-    head.key("events_truncated").u64(r.events_truncated);
-    head.end_object();
-    lines.push(head.finish());
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("event").string("online");
+    j.key("policy").string(&r.policy.to_string());
+    j.key("seed").u64(r.seed);
+    j.key("submitted").u64(r.submitted);
+    j.key("completed").u64(r.completed);
+    j.key("rejected").u64(r.rejected);
+    j.key("shed").u64(r.shed);
+    j.key("makespan_cycles").u64(r.makespan_cycles);
+    j.key("events_truncated").u64(r.events_truncated);
+    j.end_object().newline();
 
     for e in &r.events {
-        let mut j = JsonBuilder::new();
         j.begin_object();
         j.key("event").string("job");
         j.key("job").string(&e.job);
@@ -467,10 +463,9 @@ pub fn events_jsonl(run: &OnlineRun) -> String {
         j.key("arrival_cycle").u64(e.arrival_cycle);
         j.key("start_cycle").u64(e.start_cycle);
         j.key("completion_cycle").u64(e.completion_cycle);
-        j.end_object();
-        lines.push(j.finish());
+        j.end_object().newline();
     }
-    jsonl(lines)
+    checked_jsonl(j.finish())
 }
 
 /// Chrome trace-event timeline of the online run: **one process (track

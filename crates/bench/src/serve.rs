@@ -47,7 +47,7 @@ use bsc_nn::SharedNetwork;
 use bsc_telemetry::{JsonBuilder, MetricsSnapshot, SpanSnapshot};
 
 use crate::manifest::{
-    accel_config, array_field, err_at, job_template, jsonl, object_field, parse_tenants,
+    accel_config, array_field, checked_jsonl, err_at, job_template, object_field, parse_tenants,
     render_tenants, u64_field, write_queue_wait, write_slo_tenants, MAX_SERVE_JOBS,
 };
 
@@ -320,27 +320,21 @@ pub fn slo_json(run: &ServeRun) -> String {
 /// also asserts itself, line by line).
 pub fn events_jsonl(run: &ServeRun) -> String {
     let batch_span = run.spans.by_name("engine.run_batch").map_or(0, |s| s.id);
-    let mut lines = Vec::new();
-
-    let mut batch = JsonBuilder::new();
-    batch.begin_object();
-    batch.key("event").string("batch");
-    batch.key("span").u64(batch_span);
-    batch.key("kind").string(&run.kind.to_string());
-    batch.key("submitted").u64(run.batch.submitted() as u64);
-    batch.key("completed").u64(run.batch.completed_count() as u64);
-    batch.key("rejected").u64(run.batch.rejected_count() as u64);
-    batch.key("shed").u64(run.batch.shed_count() as u64);
-    batch.key("makespan_cycles").u64(run.batch.makespan_cycles());
-    batch
-        .key("duration_ns")
-        .u64(run.spans.by_name("engine.run_batch").map_or(0, |s| s.duration_ns()));
-    batch.end_object();
-    lines.push(batch.finish());
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("event").string("batch");
+    j.key("span").u64(batch_span);
+    j.key("kind").string(&run.kind.to_string());
+    j.key("submitted").u64(run.batch.submitted() as u64);
+    j.key("completed").u64(run.batch.completed_count() as u64);
+    j.key("rejected").u64(run.batch.rejected_count() as u64);
+    j.key("shed").u64(run.batch.shed_count() as u64);
+    j.key("makespan_cycles").u64(run.batch.makespan_cycles());
+    j.key("duration_ns").u64(run.spans.by_name("engine.run_batch").map_or(0, |s| s.duration_ns()));
+    j.end_object().newline();
 
     for outcome in run.batch.outcomes() {
         let span = run.spans.by_name(&format!("engine.job.{}", outcome.name()));
-        let mut j = JsonBuilder::new();
         j.begin_object();
         j.key("event").string("job");
         j.key("name").string(outcome.name());
@@ -366,10 +360,9 @@ pub fn events_jsonl(run: &ServeRun) -> String {
             }
         }
         j.key("duration_ns").u64(span.map_or(0, |s| s.duration_ns()));
-        j.end_object();
-        lines.push(j.finish());
+        j.end_object().newline();
     }
-    jsonl(lines)
+    checked_jsonl(j.finish())
 }
 
 #[cfg(test)]

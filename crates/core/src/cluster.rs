@@ -23,6 +23,16 @@
 //!    ([`crate::des::PRIORITY_COMPLETION`]) so freed capacity is
 //!    visible to same-cycle arrivals.
 //!
+//! Under overload most arrivals are refused, and a refusal changes no
+//! shard.  So once the decision log is full, an arrival whose full step
+//! left every shard as it was starts a **run**: until the next
+//! completion, each following refusal is decided against the unchanged
+//! shards and consumed in one heap step, with no event merge, profiler
+//! guard or log branch, and the run ends before the first arrival that
+//! would dispatch, which takes the full step.  The report is the same as
+//! with a full step per arrival; a kept per-arrival oracle proves it in
+//! the tests.
+//!
 //! Workers enter only before the event loop, to evaluate the expensive
 //! per-layer [`NetworkReport`] **once per (traffic source × shard)
 //! pair**; results merge by pair index, and each pair's exact cycles
@@ -47,7 +57,7 @@ use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
 use bsc_telemetry::{QuantileSketch, Telemetry};
 
-use crate::admission::{AdmissionLadder, Placement, RejectReason};
+use crate::admission::{AdmissionLadder, Placement, RejectReason, ShedReason};
 use crate::des::{
     ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL,
 };
@@ -57,6 +67,9 @@ use crate::engine::{
 use crate::report::NetworkReport;
 use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{AccelError, Accelerator, AcceleratorConfig};
+
+#[cfg(test)]
+mod oracle;
 
 /// One shard of the cluster: a named accelerator configuration.  Shards
 /// may differ in MAC kind *and* memory hierarchy.
@@ -283,7 +296,7 @@ pub fn depth_stride_for_horizon(horizon_cycles: u64) -> u64 {
 }
 
 /// The deterministic result of one [`run_online`] call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineReport {
     /// Dispatch policy that ran.
     pub policy: DispatchPolicy,
@@ -333,6 +346,45 @@ struct ShardState {
     outstanding: u64,
     peak_outstanding: u64,
     peak_backlog_cycles: u64,
+}
+
+impl ShardState {
+    /// The ladder's verdict on a job offered to this shard at `now`:
+    /// rejected at admission, shed at placement, or placed.
+    fn verdict(
+        &self,
+        ladder: &AdmissionLadder,
+        now: u64,
+        estimate_cycles: u64,
+        exact_cycles: u64,
+        deadline_cycles: Option<u64>,
+    ) -> Result<Result<Placement, ShedReason>, RejectReason> {
+        let backlog = self.busy_until.saturating_sub(now);
+        ladder
+            .admit(self.outstanding, backlog, estimate_cycles, deadline_cycles)
+            .map(|_| ladder.place(now, self.busy_until, exact_cycles, deadline_cycles))
+    }
+}
+
+/// The funnel stage of a job shed at placement, after the three
+/// [`RejectReason::stage`]s.
+const SHED: usize = 3;
+
+/// The funnel stage of a dispatched job.
+const DISPATCH: usize = 4;
+
+impl ShardFunnel {
+    /// Counts one arrival offered to this shard that stopped at `stage`.
+    fn count(&mut self, stage: usize) {
+        self.offered += 1;
+        *match stage {
+            0 => &mut self.queue_full,
+            1 => &mut self.overloaded,
+            2 => &mut self.deadline_infeasible,
+            SHED => &mut self.shed_deadline,
+            _ => &mut self.dispatched,
+        } += 1;
+    }
 }
 
 /// Chooses the shard for one arrival.  Deterministic; ties break toward
@@ -413,6 +465,22 @@ pub fn run_online_profiled(
     telemetry: &Telemetry,
     profiler: Option<&Profiler>,
 ) -> Result<OnlineReport, AccelError> {
+    simulate(config, telemetry, profiler, event_loop)
+}
+
+/// An event loop: [`event_loop`], or in the tests the per-arrival loop it
+/// replaced.  It gets the configuration and each pair's estimate and exact
+/// cycles.
+type EventLoop = fn(&OnlineConfig, &[u64], &[u64], Option<&OnlinePhases>) -> Tallies;
+
+/// [`run_online_profiled`] with the event loop as a parameter: the pair
+/// evaluation before the loop, and the report, metrics and profile after.
+fn simulate(
+    config: &OnlineConfig,
+    telemetry: &Telemetry,
+    profiler: Option<&Profiler>,
+    event_loop: EventLoop,
+) -> Result<OnlineReport, AccelError> {
     if config.shards.is_empty() {
         return Err(AccelError::Config("online cluster needs at least one shard".into()));
     }
@@ -456,265 +524,22 @@ pub fn run_online_profiled(
     let exact: Vec<u64> = pair_reports.iter().map(NetworkReport::total_cycles_with_stalls).collect();
     drop(g_schedule);
 
-    // The heap holds *arrivals only* (payload = source index); shard
-    // completions live in per-lane monotone FIFOs and pop as coalesced
-    // same-cycle bursts.  The merge below preserves the unified queue's
-    // exact (time, priority, seq) order — see `CompletionLanes`.
-    let mut events: EventQueue<usize> = EventQueue::new();
-    let mut lanes = CompletionLanes::new(n_shards);
-    let mut gens: Vec<ArrivalGen> = config
-        .sources
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            // Distinct, deterministic stream per source: golden-ratio
-            // hashing keeps seeds apart even for adjacent indices.
-            let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ArrivalGen::new(s.process.clone(), seed)
-        })
-        .collect();
-    // Per-source arrival buffers, refilled in batches through the
-    // sampler's fast path.  The heap only ever holds each source's
-    // *next* arrival (exactly as before), so push gating — horizon and
-    // max_jobs — happens at the same moments and the report is
-    // unchanged; a buffered timestamp past the horizon stays put as a
-    // sentinel, so a dead source is never refilled again.  A saturated
-    // clock ends a source's stream, so the last cycle an arrival may
-    // land on is one short of `END_OF_STREAM` even for an unbounded
-    // horizon.
-    const ARRIVAL_BATCH: usize = 64;
-    let last_arrival_cycle = config.horizon_cycles.min(END_OF_STREAM - 1);
-    let mut arrival_bufs: Vec<VecDeque<u64>> =
-        config.sources.iter().map(|_| VecDeque::with_capacity(ARRIVAL_BATCH)).collect();
-    let mut arrivals_pushed = 0u64;
-    let mut arrival_samples = 0u64;
-    let mut arrival_refills = 0u64;
-    {
-        let _g = phases.as_ref().map(|ph| ph.arrival.enter());
-        for (i, g) in gens.iter_mut().enumerate() {
-            g.refill(ARRIVAL_BATCH, &mut arrival_bufs[i]);
-            arrival_refills += 1;
-            arrival_samples += ARRIVAL_BATCH as u64;
-            let t = arrival_bufs[i][0];
-            if t <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
-                arrival_bufs[i].pop_front();
-                events.push(t, PRIORITY_ARRIVAL, i);
-                arrivals_pushed += 1;
-            }
-        }
-    }
-
-    let mut shards: Vec<ShardState> = (0..n_shards)
-        .map(|_| ShardState {
-            busy_until: 0,
-            outstanding: 0,
-            peak_outstanding: 0,
-            peak_backlog_cycles: 0,
-        })
-        .collect();
-    // Every completion of one pair shares the pair's report, so the loop
-    // keeps only what varies per job: its latency, in the pair's sketch,
-    // and its completion window, counted per window at the horizon's
-    // width W0.  The SLO window width W derives from the makespan, known
-    // only after the loop; both are powers of two with W ≥ W0, so the
-    // fold coarsens the W0 counts exactly (⌊⌊c/W0⌋ / (W/W0)⌋ = ⌊c/W⌋).
-    // A shard's clock never moves back, so a pair's completions arrive in
-    // cycle order and its (window start, count) runs stay about as long
-    // as the number of windows.
-    let w0 = window_width_for_horizon(config.horizon_cycles);
-    let mut latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
-    let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
-    let mut rr_cursor = 0usize;
-    // Cycles each source has been served on each shard, indexed by pair.
-    let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
-    let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
-    let mut event_log: Vec<OnlineEvent> = Vec::new();
-    let mut events_truncated = 0u64;
-    // Deferred SLO observations (completions fold per pair after the
-    // loop; decision bookkeeping happens here).  Rejections
-    // carry no per-event payload the accountant keeps — no latency
-    // sample, no windowed series — so they defer as plain counts per
-    // (source × reason), allocation-free; `observe_rejections` folds
-    // each group in one call.  Sheds *do* record a windowed sample at
-    // their decision cycle, so they keep per-event records (they are
-    // rare: the deadline-missed path only).
-    let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * RejectReason::SLUGS.len()];
-    let mut deferred_sheds: Vec<(u32, &'static str, u64)> = Vec::new();
-
-    // Depth observatory: per-shard (outstanding, backlog) sampled on the
-    // virtual clock at a power-of-two stride.  Boundaries are drained
-    // *before* the event that crosses them, and the queue delivers
-    // events in time order, so the state recorded at boundary `b` is
-    // exactly the state after every event with time ≤ `b` — a pure
-    // function of the event stream, independent of worker count.
-    let stride = depth_stride_for_horizon(config.horizon_cycles);
-    let mut next_sample = stride;
-    let mut depth: Vec<ShardDepth> = config
-        .shards
-        .iter()
-        .map(|s| ShardDepth { shard: s.name.clone(), samples: Vec::new() })
-        .collect();
-    let mut funnel: Vec<ShardFunnel> = config
-        .shards
-        .iter()
-        .map(|s| ShardFunnel { shard: s.name.clone(), ..ShardFunnel::default() })
-        .collect();
-
-    let event_log_cap = config.event_log_cap;
-    let ladder = AdmissionLadder {
-        max_outstanding: config.max_outstanding,
-        max_backlog_cycles: config.max_backlog_cycles,
-    };
-    // The shard reports' outcome counts, the run's totals and the
-    // `engine.jobs*` metrics all derive from the funnel after the loop.
-    // The one per-job metric the funnel cannot hold, a dispatched job's
-    // queue wait, is bucketed here in plain integers and merged into the
-    // registry once, so the loop takes no lock and no atomic.
-    let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
-    let mut wait_buckets = vec![0u64; wait_bounds.len() + 1];
-    let (mut wait_sum, mut wait_min, mut wait_max) = (0u64, u64::MAX, 0u64);
-    let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
-    let mut completion_bursts = 0u64;
-
-    loop {
-        // Merge the arrival heap with the completion lanes: at equal
-        // times completions come first (the PRIORITY_COMPLETION rule),
-        // so `c <= a` picks the burst.
-        let (now, is_completion) = match (lanes.peek_time(), events.peek_time()) {
-            (Some(c), Some(a)) if c <= a => (c, true),
-            (Some(c), None) => (c, true),
-            (None, Some(a)) => (a, false),
-            (Some(_), Some(a)) => (a, false),
-            (None, None) => break,
-        };
-        while next_sample < now {
-            for (d, s) in depth.iter_mut().zip(&shards) {
-                d.samples.push(DepthSample {
-                    cycle: next_sample,
-                    outstanding: s.outstanding,
-                    backlog_cycles: s.busy_until.saturating_sub(next_sample),
-                });
-            }
-            // Saturates: `next_sample == u64::MAX` is never below `now`.
-            next_sample = next_sample.saturating_add(stride);
-        }
-        if is_completion {
-            // One lane scan pops every completion due this cycle — a
-            // single batch operation per burst instead of one heap pop
-            // (plus sift-down) per job.
-            lanes.pop_burst(&mut burst);
-            completion_bursts += 1;
-            for &lane in &burst {
-                shards[lane].outstanding -= 1;
-            }
-            continue;
-        }
-        let (_, source) = events.pop().expect("peeked arrival");
-
-        // Keep the source's stream flowing before anything else, so
-        // admission decisions can't perturb arrival times.  The buffer
-        // refills through the batched sampler; the push gate below runs
-        // per arrival, exactly as the per-draw path did.
-        {
-            if arrival_bufs[source].is_empty() {
-                let _g = phases.as_ref().map(|ph| ph.arrival.enter());
-                gens[source].refill(ARRIVAL_BATCH, &mut arrival_bufs[source]);
-                arrival_refills += 1;
-                arrival_samples += ARRIVAL_BATCH as u64;
-            }
-            let next = arrival_bufs[source][0];
-            if next <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
-                arrival_bufs[source].pop_front();
-                events.push(next, PRIORITY_ARRIVAL, source);
-                arrivals_pushed += 1;
-            }
-        }
-
-        let tmpl = &config.sources[source].template;
-        let seq = per_source_seq[source];
-        per_source_seq[source] += 1;
-
-        let hi = {
-            let _g = phases.as_ref().map(|ph| ph.dispatch.enter());
-            choose_shard(
-                config.policy,
-                now,
-                &shards,
-                &mut rr_cursor,
-                &tenant_cycles[source * n_shards..(source + 1) * n_shards],
-            )
-        };
-        let _g_admission = phases.as_ref().map(|ph| ph.admission.enter());
-        let backlog = shards[hi].busy_until.saturating_sub(now);
-        shards[hi].peak_backlog_cycles = shards[hi].peak_backlog_cycles.max(backlog);
-        funnel[hi].offered += 1;
-        let pair = source * n_shards + hi;
-        let deadline = tmpl.deadline_cycles;
-        let verdict = ladder
-            .admit(shards[hi].outstanding, backlog, estimate[pair], deadline)
-            .map(|_| ladder.place(now, shards[hi].busy_until, exact[pair], deadline));
-        let (outcome, reason, start, completion) = match verdict {
-            Err(reason) => {
-                match reason {
-                    RejectReason::QueueFull { .. } => funnel[hi].queue_full += 1,
-                    RejectReason::Overloaded { .. } => funnel[hi].overloaded += 1,
-                    RejectReason::DeadlineInfeasible { .. } => {
-                        funnel[hi].deadline_infeasible += 1
-                    }
-                }
-                reject_counts[source * RejectReason::SLUGS.len() + reason.stage()] += 1;
-                ("rejected", Some(reason.slug()), now, now)
-            }
-            Ok(Err(reason)) => {
-                funnel[hi].shed_deadline += 1;
-                deferred_sheds.push((source as u32, reason.slug(), now));
-                ("shed", Some(reason.slug()), now, now)
-            }
-            Ok(Ok(Placement { start, completion })) => {
-                let cycles = exact[pair];
-                let shard = &mut shards[hi];
-                shard.busy_until = completion;
-                shard.outstanding += 1;
-                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
-                shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
-                funnel[hi].dispatched += 1;
-                // Saturates: a run whose cycle total overflows is refused
-                // after the loop.
-                tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
-                let wait = start - now;
-                wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
-                wait_sum = wait_sum.wrapping_add(wait);
-                wait_min = wait_min.min(wait);
-                wait_max = wait_max.max(wait);
-                lanes.push(hi, completion);
-                latencies[pair].record(completion - now);
-                let window = completion - completion % w0;
-                match completion_runs[pair].last_mut() {
-                    Some((start, jobs)) if *start == window => *jobs += 1,
-                    _ => completion_runs[pair].push((window, 1)),
-                }
-                ("completed", None, start, completion)
-            }
-        };
-        // The log caps out within the first 10⁴ decisions of a
-        // multi-million-job run; skip the record (and its string
-        // formatting) entirely once it is full.
-        if event_log.len() < event_log_cap {
-            event_log.push(OnlineEvent {
-                job: format!("{}#{seq}", tmpl.name),
-                template: tmpl.name.clone(),
-                tenant: tmpl.tenant.clone(),
-                shard: config.shards[hi].name.clone(),
-                outcome,
-                reason,
-                arrival_cycle: now,
-                start_cycle: start,
-                completion_cycle: completion,
-            });
-        } else {
-            events_truncated += 1;
-        }
-    }
+    let Tallies {
+        shards,
+        funnel,
+        depth,
+        latencies,
+        completion_runs,
+        reject_counts,
+        deferred_sheds,
+        event_log,
+        events_truncated,
+        wait_buckets,
+        wait_sum,
+        wait_min,
+        wait_max,
+        work,
+    } = event_loop(config, &estimate, &exact, phases.as_ref());
     // The drop count is also a counter, so a truncated decision log is
     // visible in every metrics export, not just in the report.
     m.counter("engine.decision_log.truncated").add(events_truncated);
@@ -847,6 +672,7 @@ pub fn run_online_profiled(
         }
     }
     if completed > 0 {
+        let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
         m.histogram("engine.queue.wait_cycles", wait_bounds)
             .merge_bucketed(wait_bounds, &wait_buckets, completed, wait_sum, wait_min, wait_max);
     }
@@ -856,21 +682,22 @@ pub fn run_online_profiled(
     // evaluation merges by pair index), so the counter side of the
     // profile is byte-identical at any worker count.
     if let Some(ph) = phases.as_ref() {
-        ph.arrival.add("samples", arrival_samples);
-        ph.arrival.add("refills", arrival_refills);
-        ph.arrival.add("arrivals_enqueued", arrivals_pushed);
+        ph.arrival.add("samples", work.arrival_samples);
+        ph.arrival.add("refills", work.arrival_refills);
+        ph.arrival.add("arrivals_enqueued", work.arrivals_pushed);
 
         // Logical event deliveries (arrivals + completions); actual
         // BinaryHeap traffic is arrivals-only — completions move through
         // the monotone lanes and surface as `lane_pushes` /
-        // `completion_bursts`.
-        ph.dispatch.add("events_popped", events.pops() + lanes.pops());
+        // `completion_bursts`.  A run's combined pop-and-push counts as
+        // one pop and one push.
+        ph.dispatch.add("events_popped", work.heap_pops + work.lane_pops);
         ph.dispatch.add("arrivals_popped", submitted);
-        ph.dispatch.add("completions_popped", lanes.pops());
-        ph.dispatch.add("completion_bursts", completion_bursts);
-        ph.dispatch.add("lane_pushes", lanes.pushes());
-        ph.dispatch.add("heap_pushes", events.pushes());
-        ph.dispatch.add("heap_ops", events.pushes() + events.pops());
+        ph.dispatch.add("completions_popped", work.lane_pops);
+        ph.dispatch.add("completion_bursts", work.completion_bursts);
+        ph.dispatch.add("lane_pushes", work.lane_pushes);
+        ph.dispatch.add("heap_pushes", work.heap_pushes);
+        ph.dispatch.add("heap_ops", work.heap_pushes + work.heap_pops);
         ph.dispatch.add("decisions", submitted);
         // Shards examined per decision: round-robin reads one cursor,
         // the other policies scan every shard.
@@ -898,6 +725,11 @@ pub fn run_online_profiled(
         ph.admission.add("tenant_map_touches", completed + tf_reads);
         ph.admission.add("log_appends", event_log.len() as u64);
         ph.admission.add("log_dropped", events_truncated);
+        // Runs of refusals, and the arrivals they decided without a full
+        // step.  A run enters neither guard, so each of `dispatch.calls`
+        // and `admission.calls` plus `run_arrivals` is `offered`.
+        ph.admission.add("runs", work.runs);
+        ph.admission.add("run_arrivals", work.run_arrivals);
 
         ph.schedule.add("cycle_tables", n_pairs as u64);
         ph.schedule.add("pairs_evaluated", pair_reports.len() as u64);
@@ -922,10 +754,470 @@ pub fn run_online_profiled(
         slo: slo_report,
         events: event_log,
         events_truncated,
-        depth_stride_cycles: stride,
+        depth_stride_cycles: depth_stride_for_horizon(config.horizon_cycles),
         depth,
         funnel,
     })
+}
+
+/// What an event loop leaves for the report, the metrics and the
+/// profile.
+struct Tallies {
+    shards: Vec<ShardState>,
+    funnel: Vec<ShardFunnel>,
+    depth: Vec<ShardDepth>,
+    /// Per pair: each completed job's latency.
+    latencies: Vec<QuantileSketch>,
+    /// Per pair: `(window start, completions)` runs at the horizon's
+    /// window width.
+    completion_runs: Vec<Vec<(u64, u64)>>,
+    /// Per (source × reject reason): rejections.
+    reject_counts: Vec<u64>,
+    /// Per shed job: `(source, slug, decision cycle)`.
+    deferred_sheds: Vec<(u32, &'static str, u64)>,
+    event_log: Vec<OnlineEvent>,
+    events_truncated: u64,
+    /// Dispatched jobs' queue waits, bucketed at
+    /// [`QUEUE_WAIT_BOUNDS_CYCLES`].
+    wait_buckets: Vec<u64>,
+    wait_sum: u64,
+    wait_min: u64,
+    wait_max: u64,
+    work: LoopWork,
+}
+
+/// The event loop's deterministic work counts, for the profile.
+struct LoopWork {
+    arrival_samples: u64,
+    arrival_refills: u64,
+    arrivals_pushed: u64,
+    heap_pushes: u64,
+    heap_pops: u64,
+    lane_pushes: u64,
+    lane_pops: u64,
+    completion_bursts: u64,
+    runs: u64,
+    run_arrivals: u64,
+}
+
+/// Samples every shard's depth at each stride boundary below `now`.
+/// Boundaries are drained *before* the event that crosses them, and the
+/// queue delivers events in time order, so the state recorded at
+/// boundary `b` is exactly the state after every event with time ≤ `b`.
+fn sample_depth(
+    depth: &mut [ShardDepth],
+    shards: &[ShardState],
+    next_sample: &mut u64,
+    stride: u64,
+    now: u64,
+) {
+    while *next_sample < now {
+        for (d, s) in depth.iter_mut().zip(shards) {
+            d.samples.push(DepthSample {
+                cycle: *next_sample,
+                outstanding: s.outstanding,
+                backlog_cycles: s.busy_until.saturating_sub(*next_sample),
+            });
+        }
+        // Saturates: `next_sample == u64::MAX` is never below `now`.
+        *next_sample = next_sample.saturating_add(stride);
+    }
+}
+
+/// Arrival timestamps drawn per [`ArrivalGen::refill`].
+const ARRIVAL_BATCH: usize = 64;
+
+/// The arrival side of the event loop.  The heap holds each source's
+/// *next* arrival only (payload = source index); the rest of the stream
+/// waits in a per-source buffer refilled in batches through the
+/// sampler's fast path.  Push gating — horizon and `max_jobs` — happens
+/// per arrival, when the source's previous arrival leaves the heap.  A
+/// buffered timestamp past the horizon stays put as a sentinel, so a
+/// dead source is never refilled again.
+struct ArrivalStream {
+    heap: EventQueue<usize>,
+    gens: Vec<ArrivalGen>,
+    bufs: Vec<VecDeque<u64>>,
+    /// The last cycle an arrival may land on.
+    last_cycle: u64,
+    max_jobs: u64,
+    pushed: u64,
+    samples: u64,
+    refills: u64,
+}
+
+impl ArrivalStream {
+    /// Every source's stream, primed with its first arrival in one
+    /// `arrival-sampling` scope.
+    fn new(config: &OnlineConfig, phases: Option<&OnlinePhases>) -> Self {
+        let _g = phases.map(|ph| ph.arrival.enter());
+        let gens = config
+            .sources
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                // Distinct, deterministic stream per source: golden-ratio
+                // hashing keeps seeds apart even for adjacent indices.
+                let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ArrivalGen::new(s.process.clone(), seed)
+            })
+            .collect();
+        let mut stream = ArrivalStream {
+            heap: EventQueue::new(),
+            gens,
+            bufs: config.sources.iter().map(|_| VecDeque::with_capacity(ARRIVAL_BATCH)).collect(),
+            // A saturated clock ends a source's stream, so the last cycle
+            // an arrival may land on is one short of `END_OF_STREAM` even
+            // for an unbounded horizon.
+            last_cycle: config.horizon_cycles.min(END_OF_STREAM - 1),
+            max_jobs: config.max_jobs,
+            pushed: 0,
+            samples: 0,
+            refills: 0,
+        };
+        for source in 0..config.sources.len() {
+            stream.refill(source);
+            if let Some(t) = stream.take(source) {
+                stream.heap.push(t, PRIORITY_ARRIVAL, source);
+            }
+        }
+        stream
+    }
+
+    fn refill(&mut self, source: usize) {
+        self.gens[source].refill(ARRIVAL_BATCH, &mut self.bufs[source]);
+        self.refills += 1;
+        self.samples += ARRIVAL_BATCH as u64;
+    }
+
+    /// `source`'s next buffered arrival, when the horizon and `max_jobs`
+    /// let it in.
+    fn take(&mut self, source: usize) -> Option<u64> {
+        let next = self.bufs[source][0];
+        if next > self.last_cycle || self.pushed >= self.max_jobs {
+            return None;
+        }
+        self.bufs[source].pop_front();
+        self.pushed += 1;
+        Some(next)
+    }
+
+    /// [`ArrivalStream::take`] after refilling an empty buffer, in an
+    /// `arrival-sampling` scope of its own.
+    fn next_of(&mut self, source: usize, phases: Option<&OnlinePhases>) -> Option<u64> {
+        if self.bufs[source].is_empty() {
+            let _g = phases.map(|ph| ph.arrival.enter());
+            self.refill(source);
+        }
+        self.take(source)
+    }
+
+    /// Pops the earliest arrival and pushes its source's next one.
+    /// Returns the popped source.
+    fn pop(&mut self, phases: Option<&OnlinePhases>) -> usize {
+        let (_, source) = self.heap.pop().expect("peeked arrival");
+        if let Some(next) = self.next_of(source, phases) {
+            self.heap.push(next, PRIORITY_ARRIVAL, source);
+        }
+        source
+    }
+
+    /// Consumes the earliest arrival, of `source`, in one heap step: it is
+    /// replaced by the source's next arrival, or popped when the stream
+    /// has ended.
+    fn pop_top(&mut self, source: usize, phases: Option<&OnlinePhases>) {
+        match self.next_of(source, phases) {
+            Some(next) => self.heap.replace_top(next, PRIORITY_ARRIVAL, source),
+            None => {
+                self.heap.pop();
+            }
+        }
+    }
+}
+
+/// The online event loop: interleaves arrivals with completion bursts on
+/// the event clock, decides each arrival, and advances through runs of
+/// refusals.  See the module docs.
+fn event_loop(
+    config: &OnlineConfig,
+    estimate: &[u64],
+    exact: &[u64],
+    phases: Option<&OnlinePhases>,
+) -> Tallies {
+    let n_shards = config.shards.len();
+    let n_pairs = config.sources.len() * n_shards;
+    // Shard completions live in per-lane monotone FIFOs and pop as
+    // coalesced same-cycle bursts.  The merge below preserves the unified
+    // queue's exact (time, priority, seq) order — see `CompletionLanes`.
+    let mut arrivals = ArrivalStream::new(config, phases);
+    let mut lanes = CompletionLanes::new(n_shards);
+    let mut shards: Vec<ShardState> = (0..n_shards)
+        .map(|_| ShardState {
+            busy_until: 0,
+            outstanding: 0,
+            peak_outstanding: 0,
+            peak_backlog_cycles: 0,
+        })
+        .collect();
+    // Every completion of one pair shares the pair's report, so the loop
+    // keeps only what varies per job: its latency, in the pair's sketch,
+    // and its completion window, counted per window at the horizon's
+    // width W0.  The SLO window width W derives from the makespan, known
+    // only after the loop; both are powers of two with W ≥ W0, so the
+    // fold coarsens the W0 counts exactly (⌊⌊c/W0⌋ / (W/W0)⌋ = ⌊c/W⌋).
+    // A shard's clock never moves back, so a pair's completions arrive in
+    // cycle order and its (window start, count) runs stay about as long
+    // as the number of windows.
+    let w0 = window_width_for_horizon(config.horizon_cycles);
+    let mut latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
+    let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
+    let mut rr_cursor = 0usize;
+    // Cycles each source has been served on each shard, indexed by pair.
+    let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
+    // Each source's logged decisions.  The log is a prefix of the run, so
+    // this is also the logged arrival's index in its source's stream.
+    let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
+    let mut event_log: Vec<OnlineEvent> = Vec::new();
+    let mut events_truncated = 0u64;
+    // Deferred SLO observations (completions fold per pair after the
+    // loop; decision bookkeeping happens here).  Rejections
+    // carry no per-event payload the accountant keeps — no latency
+    // sample, no windowed series — so they defer as plain counts per
+    // (source × reason), allocation-free; `observe_rejections` folds
+    // each group in one call.  Sheds *do* record a windowed sample at
+    // their decision cycle, so they keep per-event records (they are
+    // rare: the deadline-missed path only).
+    let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * RejectReason::SLUGS.len()];
+    let mut deferred_sheds: Vec<(u32, &'static str, u64)> = Vec::new();
+
+    // Depth observatory: per-shard (outstanding, backlog) sampled on the
+    // virtual clock at a power-of-two stride (see `sample_depth`) — a
+    // pure function of the event stream, independent of worker count.
+    let stride = depth_stride_for_horizon(config.horizon_cycles);
+    let mut next_sample = stride;
+    let mut depth: Vec<ShardDepth> = config
+        .shards
+        .iter()
+        .map(|s| ShardDepth { shard: s.name.clone(), samples: Vec::new() })
+        .collect();
+    let mut funnel: Vec<ShardFunnel> = config
+        .shards
+        .iter()
+        .map(|s| ShardFunnel { shard: s.name.clone(), ..ShardFunnel::default() })
+        .collect();
+
+    let event_log_cap = config.event_log_cap;
+    let ladder = AdmissionLadder {
+        max_outstanding: config.max_outstanding,
+        max_backlog_cycles: config.max_backlog_cycles,
+    };
+    // The shard reports' outcome counts, the run's totals and the
+    // `engine.jobs*` metrics all derive from the funnel after the loop.
+    // The one per-job metric the funnel cannot hold, a dispatched job's
+    // queue wait, is bucketed here in plain integers and merged into the
+    // registry once, so the loop takes no lock and no atomic.
+    let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
+    let mut wait_buckets = vec![0u64; wait_bounds.len() + 1];
+    let (mut wait_sum, mut wait_min, mut wait_max) = (0u64, u64::MAX, 0u64);
+    let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
+    let mut completion_bursts = 0u64;
+    let (mut runs, mut run_arrivals) = (0u64, 0u64);
+    // Each source's shard in the current run, once chosen.
+    let mut picks: Vec<Option<usize>> = vec![None; config.sources.len()];
+
+    loop {
+        // Merge the arrival heap with the completion lanes: at equal
+        // times completions come first (the PRIORITY_COMPLETION rule),
+        // so `c <= a` picks the burst.
+        let (now, is_completion) = match (lanes.peek_time(), arrivals.heap.peek_time()) {
+            (Some(c), Some(a)) if c <= a => (c, true),
+            (Some(c), None) => (c, true),
+            (None, Some(a)) => (a, false),
+            (Some(_), Some(a)) => (a, false),
+            (None, None) => break,
+        };
+        sample_depth(&mut depth, &shards, &mut next_sample, stride, now);
+        if is_completion {
+            // One lane scan pops every completion due this cycle — a
+            // single batch operation per burst instead of one heap pop
+            // (plus sift-down) per job.
+            lanes.pop_burst(&mut burst);
+            completion_bursts += 1;
+            for &lane in &burst {
+                shards[lane].outstanding -= 1;
+            }
+            continue;
+        }
+        // Keep the source's stream flowing before anything else, so
+        // admission decisions can't perturb arrival times.
+        let source = arrivals.pop(phases);
+
+        // The full step: pick a shard, walk the ladder, log.
+        let tmpl = &config.sources[source].template;
+        let hi = {
+            let _g = phases.map(|ph| ph.dispatch.enter());
+            choose_shard(
+                config.policy,
+                now,
+                &shards,
+                &mut rr_cursor,
+                &tenant_cycles[source * n_shards..(source + 1) * n_shards],
+            )
+        };
+        let g_admission = phases.map(|ph| ph.admission.enter());
+        let pair = source * n_shards + hi;
+        let verdict =
+            shards[hi].verdict(&ladder, now, estimate[pair], exact[pair], tmpl.deadline_cycles);
+        let (stage, reason, start, completion) = match verdict {
+            Err(reason) => {
+                reject_counts[source * RejectReason::SLUGS.len() + reason.stage()] += 1;
+                (reason.stage(), Some(reason.slug()), now, now)
+            }
+            Ok(Err(reason)) => {
+                deferred_sheds.push((source as u32, reason.slug(), now));
+                (SHED, Some(reason.slug()), now, now)
+            }
+            Ok(Ok(Placement { start, completion })) => {
+                let cycles = exact[pair];
+                let shard = &mut shards[hi];
+                shard.busy_until = completion;
+                shard.outstanding += 1;
+                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
+                // The backlog peaks here: any later arrival sees at most
+                // this job's completion minus a later cycle.
+                shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
+                // Saturates: a run whose cycle total overflows is refused
+                // after the loop.
+                tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
+                let wait = start - now;
+                wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
+                wait_sum = wait_sum.wrapping_add(wait);
+                wait_min = wait_min.min(wait);
+                wait_max = wait_max.max(wait);
+                lanes.push(hi, completion);
+                latencies[pair].record(completion - now);
+                let window = completion - completion % w0;
+                match completion_runs[pair].last_mut() {
+                    Some((start, jobs)) if *start == window => *jobs += 1,
+                    _ => completion_runs[pair].push((window, 1)),
+                }
+                (DISPATCH, None, start, completion)
+            }
+        };
+        funnel[hi].count(stage);
+        // The log caps out within the first 10⁴ decisions of a
+        // multi-million-job run; skip the record (and its string
+        // formatting) entirely once it is full.
+        if event_log.len() < event_log_cap {
+            let seq = per_source_seq[source];
+            per_source_seq[source] += 1;
+            event_log.push(OnlineEvent {
+                job: format!("{}#{seq}", tmpl.name),
+                template: tmpl.name.clone(),
+                tenant: tmpl.tenant.clone(),
+                shard: config.shards[hi].name.clone(),
+                outcome: ["rejected", "rejected", "rejected", "shed", "completed"][stage],
+                reason,
+                arrival_cycle: now,
+                start_cycle: start,
+                completion_cycle: completion,
+            });
+        } else {
+            events_truncated += 1;
+        }
+        drop(g_admission);
+        if stage == DISPATCH || event_log.len() < event_log_cap {
+            continue;
+        }
+
+        // A run.  That decision left every shard as it was, and the log is
+        // full, so until the next completion no shard changes unless an
+        // arrival dispatches.  The run decides each following arrival with
+        // the full step's ladder against that unchanged state, without the
+        // step's event merge, depth check, guards and log branch.  The pick
+        // holds within the run too: round-robin steps its cursor per
+        // arrival; tenant-fair reads `tenant_cycles`, which only a dispatch
+        // changes; and under least-outstanding a shard holding jobs is busy
+        // past the next completion, so every non-zero backlog falls at the
+        // same rate while idle shards stay at 0.  So each source's pick is
+        // chosen once per run.  The run stops at the next completion, or
+        // before the first arrival that would dispatch, which then takes
+        // the full step.  Arrivals leave in heap order, one heap step each,
+        // so equal-cycle ties keep the order the full steps would give them.
+        let next_completion = lanes.peek_time().unwrap_or(u64::MAX);
+        let (mut consumed, mut last) = (0u64, now);
+        while let Some((t, &source)) = arrivals.heap.peek() {
+            if t >= next_completion {
+                break;
+            }
+            let row = &tenant_cycles[source * n_shards..(source + 1) * n_shards];
+            let mut cursor = rr_cursor;
+            let hi = match config.policy {
+                DispatchPolicy::RoundRobin => {
+                    choose_shard(config.policy, t, &shards, &mut cursor, row)
+                }
+                policy => *picks[source]
+                    .get_or_insert_with(|| choose_shard(policy, t, &shards, &mut cursor, row)),
+            };
+            let pair = source * n_shards + hi;
+            let deadline = config.sources[source].template.deadline_cycles;
+            let verdict = shards[hi].verdict(&ladder, t, estimate[pair], exact[pair], deadline);
+            let stage = match verdict {
+                Err(reason) => {
+                    reject_counts[source * RejectReason::SLUGS.len() + reason.stage()] += 1;
+                    reason.stage()
+                }
+                Ok(Err(reason)) => {
+                    deferred_sheds.push((source as u32, reason.slug(), t));
+                    SHED
+                }
+                Ok(Ok(_)) => break,
+            };
+            rr_cursor = cursor;
+            funnel[hi].count(stage);
+            arrivals.pop_top(source, phases);
+            consumed += 1;
+            last = t;
+        }
+        picks.fill(None);
+        // The depth boundaries the run crossed see its unchanged state.  It
+        // changes no peak: a shard's backlog peaked when its last job was
+        // dispatched.
+        if consumed > 0 {
+            sample_depth(&mut depth, &shards, &mut next_sample, stride, last);
+            events_truncated += consumed;
+            runs += 1;
+            run_arrivals += consumed;
+        }
+    }
+
+    Tallies {
+        shards,
+        funnel,
+        depth,
+        latencies,
+        completion_runs,
+        reject_counts,
+        deferred_sheds,
+        event_log,
+        events_truncated,
+        wait_buckets,
+        wait_sum,
+        wait_min,
+        wait_max,
+        work: LoopWork {
+            arrival_samples: arrivals.samples,
+            arrival_refills: arrivals.refills,
+            arrivals_pushed: arrivals.pushed,
+            heap_pushes: arrivals.heap.pushes(),
+            heap_pops: arrivals.heap.pops(),
+            lane_pushes: lanes.pushes(),
+            lane_pops: lanes.pops(),
+            completion_bursts,
+            runs,
+            run_arrivals,
+        },
+    }
 }
 
 /// `Σ count · per_job` over `terms`, or an error naming `quantity` when
@@ -1127,6 +1419,31 @@ mod tests {
             snap.phase("slo-fold").unwrap().counter("observations"),
             plain.submitted,
             "every arrival is observed exactly once"
+        );
+    }
+
+    #[test]
+    fn phase_walls_fit_inside_the_run_wall_on_a_run_heavy_load() {
+        // A run enters only `arrival-sampling`, for its refills, and
+        // never inside another guard, so the phases cover disjoint parts
+        // of the run.
+        let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
+        config.event_log_cap = 0;
+        for s in &mut config.sources {
+            s.process = ArrivalProcess::Poisson { mean_interarrival_cycles: 2 };
+        }
+        let prof = Profiler::new();
+        let started = std::time::Instant::now();
+        run_online_profiled(&config, &Telemetry::metrics_only(), Some(&prof)).unwrap();
+        let run_wall = started.elapsed().as_nanos() as u64;
+        let snap = prof.snapshot();
+        let admission = snap.phase("admission").unwrap();
+        let offered = admission.counter("offered");
+        assert!(admission.counter("run_arrivals") * 10 > offered * 9, "{admission:?}");
+        assert!(
+            snap.total_wall_ns() <= run_wall,
+            "phases {} ns > run {run_wall} ns",
+            snap.total_wall_ns()
         );
     }
 

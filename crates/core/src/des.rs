@@ -118,6 +118,20 @@ impl<T> EventQueue<T> {
         popped
     }
 
+    /// Drops the earliest event and pushes `payload` at `time` in one
+    /// sift-down.  Equal to [`EventQueue::pop`] then [`EventQueue::push`],
+    /// and counted as one of each; on an empty queue it only pushes.
+    pub fn replace_top(&mut self, time: u64, priority: u8, payload: T) {
+        let entry = Reverse(Entry { time, priority, seq: self.next_seq, payload });
+        self.next_seq += 1;
+        let Some(mut top) = self.heap.peek_mut() else {
+            self.heap.push(entry);
+            return;
+        };
+        self.pops += 1;
+        *top = entry;
+    }
+
     /// Lifetime number of pushes (the next sequence number).  Together
     /// with [`EventQueue::pops`] this gives consumers exact heap-op
     /// accounting for self-profiling without touching the hot path.
@@ -133,6 +147,11 @@ impl<T> EventQueue<T> {
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// The next event as `(time, payload)` without removing it.
+    pub fn peek(&self) -> Option<(u64, &T)> {
+        self.heap.peek().map(|Reverse(e)| (e.time, &e.payload))
     }
 
     /// Number of pending events.
@@ -665,6 +684,30 @@ mod tests {
         // Completions first at equal time; FIFO within a class.
         assert_eq!(order, ["a@5", "c@10", "c2@10", "a@10", "a2@10"]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn replace_top_equals_pop_then_push() {
+        let mut rng = Rng64::seed_from_u64(0x70B);
+        let (mut fused, mut split) = (EventQueue::new(), EventQueue::new());
+        for i in 0..4 {
+            fused.push(i, PRIORITY_ARRIVAL, i);
+            split.push(i, PRIORITY_ARRIVAL, i);
+        }
+        for i in 0..5_000u64 {
+            // Small steps force equal-time ties, broken by push order.
+            let t = fused.peek_time().unwrap() + rng.gen_range(0..3) as u64;
+            assert_eq!(fused.peek().map(|(t, &p)| (t, p)), split.pop());
+            fused.replace_top(t, PRIORITY_ARRIVAL, i);
+            split.push(t, PRIORITY_ARRIVAL, i);
+        }
+        assert_eq!((fused.pushes(), fused.pops()), (split.pushes(), split.pops()));
+        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut fused), drain(&mut split));
+        fused.replace_top(9, PRIORITY_ARRIVAL, 7);
+        let pops = fused.pops();
+        assert_eq!(fused.pop(), Some((9, 7)), "an empty queue only pushes");
+        assert_eq!(fused.pops(), pops + 1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub const MAX_DEPTH: usize = 128;
 /// Returns a [`JsonParseError`] locating the first malformed byte, or
 /// the first container nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -159,6 +159,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers open around the current position.
@@ -274,6 +275,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole: all three are ASCII, so the run ends on a char
+            // boundary of the input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -318,19 +328,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape character")),
                     }
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: it came from a &str).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -385,15 +383,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("number out of range"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 

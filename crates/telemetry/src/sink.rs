@@ -7,6 +7,8 @@
 //! on top of it sit ready-made encoders for [`MetricsSnapshot`] and
 //! [`TraceSnapshot`].
 
+use std::fmt::Write;
+
 use crate::metrics::MetricsSnapshot;
 use crate::trace::{TraceEvent, TraceSnapshot};
 
@@ -92,14 +94,17 @@ impl JsonBuilder {
     /// Writes an unsigned integer value.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        push_decimal(&mut self.out, v);
         self
     }
 
     /// Writes a signed integer value.
     pub fn i64(&mut self, v: i64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        if v < 0 {
+            self.out.push('-');
+        }
+        push_decimal(&mut self.out, v.unsigned_abs());
         self
     }
 
@@ -107,9 +112,8 @@ impl JsonBuilder {
     pub fn f64(&mut self, v: f64) -> &mut Self {
         self.sep();
         if v.is_finite() {
-            let s = format!("{v}");
-            self.out.push_str(&s);
             // `1.0f64` displays as "1"; that is still valid JSON.
+            write!(self.out, "{v}").expect("writing to a String cannot fail");
         } else {
             self.out.push_str("null");
         }
@@ -130,28 +134,61 @@ impl JsonBuilder {
         self
     }
 
+    /// Ends a line of a JSON Lines document: the next value starts a new
+    /// top-level document on the next line.
+    pub fn newline(&mut self) -> &mut Self {
+        self.out.push('\n');
+        self
+    }
+
     /// The finished document.
     pub fn finish(self) -> String {
         self.out
     }
 }
 
-/// Appends `s` as a quoted, escaped JSON string.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends the decimal digits of `v`, formatted on the stack.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a quoted, escaped JSON string.  Every byte that needs
+/// an escape is ASCII, so the unescaped runs between them end on char
+/// boundaries and are copied whole.
+fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -362,6 +399,65 @@ mod tests {
         // Non-ASCII passes through raw (valid UTF-8 JSON).
         assert!(out.contains("µs → 東"), "{out}");
         assert!(crate::json::parse_json(&out).is_ok(), "{out}");
+    }
+
+    /// The char-at-a-time escaper the run-copying one replaced.
+    fn reference_json_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn writer_round_trips_random_strings_and_extreme_integers() {
+        // Every escape class (quote, backslash, the named and the \u00XX
+        // controls), plain ASCII, DEL, and 2-, 3- and 4-byte scalars.
+        let alphabet: Vec<char> =
+            ['"', '\\', '\n', '\r', '\t', '/', 'a', 'Z', ' ', '\u{7f}', 'é', 'µ', '→', '東', '😀']
+                .into_iter()
+                .chain((0u8..0x20).map(char::from))
+                .collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..2_000 {
+            let len = (next() % 24) as usize;
+            let s: String =
+                (0..len).map(|_| alphabet[(next() % alphabet.len() as u64) as usize]).collect();
+            let (u, i) = (next(), next() as i64);
+            let mut j = JsonBuilder::new();
+            j.begin_object();
+            j.key(&s).string(&s);
+            j.key("u").begin_array().u64(u).u64(0).u64(u64::MAX).end_array();
+            j.key("i").begin_array().i64(i).i64(0).i64(-1).i64(i64::MIN).i64(i64::MAX).end_array();
+            j.end_object();
+            let doc = j.finish();
+            let quoted = reference_json_string(&s);
+            let want = format!(
+                "{{{quoted}:{quoted},\"u\":[{u},0,{}],\"i\":[{i},0,-1,{},{}]}}",
+                u64::MAX,
+                i64::MIN,
+                i64::MAX
+            );
+            assert_eq!(doc, want, "case {case}: {s:?}");
+            let v = crate::json::parse_json(&doc).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(v.get(&s).and_then(|x| x.as_str()), Some(s.as_str()), "case {case}");
+        }
     }
 
     #[test]

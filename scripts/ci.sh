@@ -293,13 +293,19 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 [ $? -eq 2 ] || { echo "missing flag value must exit 2"; exit 1; }
 # Every subcommand checks its flags, and an unknown subcommand is a
 # usage error, all before any characterization runs.
+# A figure experiment takes only the flags it reads, so an output flag
+# it would ignore is a usage error, and creates nothing.
 for args in "diff BENCH_paper.json BENCH_paper.json --workers 3 --report-out $out/nope.json" \
             "trace --perfetto-out $out/nope.json --slo-out $out/nope.json" \
-            "frobnicate" "all --workers 2"; do
+            "frobnicate" "all --workers 2" \
+            "table1 --metrics-out $out/nope.json" "telemetry --csv $out/nope_csv" \
+            "simbench --quick --csv $out/nope_csv"; do
     # shellcheck disable=SC2086  # word-split the argument list on purpose
     cargo run --release --offline -q -p bsc-bench --bin repro -- $args >/dev/null 2>&1
     [ $? -eq 2 ] || { echo "repro $args: must exit 2"; exit 1; }
 done
+[ ! -e "$out/nope.json" ] && [ ! -e "$out/nope_csv" ] \
+    || { echo "a refused command must write nothing"; exit 1; }
 # A manifest nested far past the JSON parser's depth limit is an error
 # (exit 1) naming the limit, not a stack overflow.
 printf '%*s' 100000 '' | tr ' ' '[' > "$out/deep.json"
@@ -435,6 +441,12 @@ phases = doc["counters"]
 assert phases["dispatch"]["events_popped"] == meta["submitted"] + meta["completed"]
 assert phases["admission"]["offered"] == meta["submitted"]
 assert phases["slo-fold"]["observations"] == meta["submitted"]
+# Runs of refusals: arrivals decided inside a run enter neither the
+# dispatch nor the admission guard; every other arrival enters both once.
+adm, disp = phases["admission"], phases["dispatch"]
+assert adm["run_arrivals"] > 0, "no arrival was decided inside a run"
+assert disp["calls"] + adm["run_arrivals"] == meta["submitted"], "dispatch guard entries"
+assert adm["calls"] + adm["run_arrivals"] == meta["submitted"], "admission guard entries"
 # Throughput datapoint: wall clock is never part of the --tol 0 gates,
 # but the batched hot path must beat the pre-batching figure (PR-8
 # measured 696474 arrivals/sec on this pipeline; see docs/profiling.md).

@@ -417,3 +417,160 @@ fn batch_engine_equals_a_serial_virtual_clock_reference() {
     }
     assert_eq!(batch.makespan_cycles(), clock, "makespan is the serial clock's final value");
 }
+
+// ---------------------------------------------------------------------
+// Runs of refusals: once the decision log is full, an arrival that
+// would change no shard is decided against the unchanged shards and
+// consumed in one heap step, without the full step.  A log that never
+// fills keeps every decision a full step, so the same manifest with an
+// unbounded log is the reference: every report field but the log, every
+// job metric and every logical profile counter must agree.
+// ---------------------------------------------------------------------
+
+/// Two mean-1 Poisson sources: the `max(1)` clamp fires on most draws,
+/// so both arrive on almost every cycle and completions land on arrival
+/// cycles.  The limits make every stop on the ladder happen: `queue_full`
+/// and a shed on the quick shards, `overloaded` and
+/// `deadline_infeasible` on the shard behind the edge memory.
+fn dense_tie_manifest(policy: &str, max_jobs: u64, event_log_cap: u64) -> String {
+    format!(
+        r#"{{
+  "cluster": {{"policy": "{policy}", "seed": 77, "horizon_cycles": 20000, "max_jobs": {max_jobs},
+              "max_outstanding": 8, "max_backlog_cycles": 3000, "event_log_cap": {event_log_cap},
+              "shards": [
+                {{"name": "bsc", "kind": "bsc", "quick": true}},
+                {{"name": "lpc", "kind": "lpc", "quick": true, "mem": "edge"}},
+                {{"name": "hps", "kind": "hps", "quick": true}}]}},
+  "sources": [
+    {{"name": "x", "network": "micro", "tenant": "gold", "deadline_cycles": 2500,
+     "arrivals": {{"process": "poisson", "mean_interarrival_cycles": 1}}}},
+    {{"name": "y", "network": "micro", "tenant": "bronze",
+     "arrivals": {{"process": "poisson", "mean_interarrival_cycles": 1}}}}]
+}}"#
+    )
+}
+
+/// One profiled run: the report, its job metrics (the wall-clock timer
+/// and the process-wide cache counters left out) and its profile
+/// counters as `phase.counter`.
+fn profiled_run(manifest: &str) -> (bsc_accel::OnlineReport, Vec<String>, Vec<(String, u64)>) {
+    let profiler = bsc_telemetry::Profiler::new();
+    let run =
+        bsc_bench::online::online_profiled(manifest, None, Some(&profiler)).expect("online run");
+    let m = &run.metrics;
+    let mut metrics: Vec<String> = m
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("engine.jobs"))
+        .map(|c| format!("{c:?}"))
+        .collect();
+    metrics.extend(m.labeled_counters.iter().map(|c| format!("{c:?}")));
+    metrics.extend(
+        m.histograms
+            .iter()
+            .filter(|(n, _)| n == "engine.queue.wait_cycles")
+            .map(|h| format!("{h:?}")),
+    );
+    metrics.extend(m.gauges.iter().map(|g| format!("{g:?}")));
+    let counters = profiler
+        .snapshot()
+        .phases
+        .into_iter()
+        .flat_map(|p| {
+            let calls = (format!("{}.calls", p.name), p.calls);
+            let named = p.counters.into_iter().map(move |(c, v)| (format!("{}.{c}", p.name), v));
+            std::iter::once(calls).chain(named).collect::<Vec<_>>()
+        })
+        .collect();
+    (run.report, metrics, counters)
+}
+
+/// Runs `policy` on the dense-tie manifest with the log full from the
+/// start, and with a log that never fills, requires the two to agree,
+/// and returns the runs' report and `(runs, run_arrivals)`.
+fn runs_match_full_steps(policy: &str, max_jobs: u64) -> (bsc_accel::OnlineReport, u64, u64) {
+    let label = format!("{policy}, max_jobs {max_jobs}");
+    let (report, metrics, counters) = profiled_run(&dense_tie_manifest(policy, max_jobs, 0));
+    let (full, full_metrics, full_counters) =
+        profiled_run(&dense_tie_manifest(policy, max_jobs, 1 << 30));
+    assert_eq!(full.events_truncated, 0, "{label}: the reference logs every decision");
+    assert_eq!((report.events.len(), report.events_truncated), (0, report.submitted), "{label}");
+    let unlogged = |r: &bsc_accel::OnlineReport| bsc_accel::OnlineReport {
+        events: Vec::new(),
+        events_truncated: 0,
+        ..r.clone()
+    };
+    assert_eq!(unlogged(&report), unlogged(&full), "{label}: report");
+    assert_eq!(metrics, full_metrics, "{label}: job metrics");
+    // Guard entries, the run counts and the log counts differ by design.
+    let differ = [
+        "dispatch.calls",
+        "admission.calls",
+        "admission.runs",
+        "admission.run_arrivals",
+        "admission.log_appends",
+        "admission.log_dropped",
+    ];
+    let logical = |c: &[(String, u64)]| {
+        c.iter().filter(|(n, _)| !differ.contains(&n.as_str())).cloned().collect::<Vec<_>>()
+    };
+    assert_eq!(logical(&counters), logical(&full_counters), "{label}: logical counters");
+    let get =
+        |c: &[(String, u64)], name: &str| c.iter().find(|(n, _)| n == name).map_or(0, |x| x.1);
+    assert_eq!(
+        get(&full_counters, "admission.run_arrivals"),
+        0,
+        "{label}: no run before the log fills"
+    );
+    let (runs, run_arrivals) =
+        (get(&counters, "admission.runs"), get(&counters, "admission.run_arrivals"));
+    assert_eq!(get(&counters, "dispatch.calls") + run_arrivals, report.submitted, "{label}");
+    assert_eq!(get(&counters, "admission.calls") + run_arrivals, report.submitted, "{label}");
+    (report, runs, run_arrivals)
+}
+
+#[test]
+fn runs_through_same_cycle_ties_match_full_steps_under_every_policy() {
+    for policy in ["round-robin", "least-outstanding", "tenant-fair"] {
+        let (report, runs, run_arrivals) = runs_match_full_steps(policy, 1 << 40);
+        assert!(report.submitted > 30_000, "{policy}: {} arrivals", report.submitted);
+        assert!(
+            run_arrivals * 10 > report.submitted * 9,
+            "{policy}: {run_arrivals} in {runs} runs"
+        );
+        let stops = report.funnel.iter().fold([0u64; 4], |mut acc, f| {
+            for (a, n) in acc.iter_mut().zip([
+                f.queue_full,
+                f.overloaded,
+                f.deadline_infeasible,
+                f.shed_deadline,
+            ]) {
+                *a += n;
+            }
+            acc
+        });
+        assert!(
+            stops.iter().all(|&n| n > 0),
+            "{policy}: every stop on the ladder occurs: {stops:?}"
+        );
+    }
+}
+
+#[test]
+fn a_budget_that_runs_out_inside_a_run_matches_full_steps() {
+    for policy in ["round-robin", "least-outstanding", "tenant-fair"] {
+        for max_jobs in [1_001, 2_502, 7_777] {
+            let (report, _, run_arrivals) = runs_match_full_steps(policy, max_jobs);
+            assert_eq!(report.submitted, max_jobs, "{policy}: the budget ran out");
+            assert!(run_arrivals > 0);
+        }
+    }
+}
+
+#[test]
+fn a_small_log_keeps_the_full_steps_first_decisions() {
+    let (capped, _, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 37));
+    let (full, _, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 1 << 30));
+    assert_eq!(capped.events[..], full.events[..37]);
+    assert_eq!(capped.events_truncated, full.submitted - 37);
+}
