@@ -4,7 +4,7 @@
 //!
 //! Both documents are parsed with the in-repo RFC 8259 parser and
 //! flattened to dotted numeric paths
-//! (`designs[BSC-L4].cycles`, `metrics.counters.accel.passes`, ...), so
+//! (`designs[BSC-L4].cycles`, `metrics.counters.systolic.cycles`, ...), so
 //! the diff works on any JSON the harness emits — `BENCH_sim.json`,
 //! `--metrics-out` payloads, or hand-edited baselines.  Wall-clock
 //! fields are machine-dependent, so paths matching the default ignore

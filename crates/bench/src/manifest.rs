@@ -16,7 +16,7 @@ use bsc_accel::systolic::mem::{DramBandwidth, MemConfig};
 use bsc_accel::{AcceleratorConfig, JobTemplate, PrecisionPolicy, SloReport, SloTarget, TenantId};
 use bsc_mac::MacKind;
 use bsc_nn::{models, SharedNetwork};
-use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot};
+use bsc_telemetry::{HistogramSnapshot, JsonBuilder, JsonValue};
 
 /// Size bounds the manifest parsers enforce, so a runaway manifest
 /// fails fast with an error instead of hanging CI or exhausting memory.
@@ -245,20 +245,15 @@ pub(crate) fn render_tenants(out: &mut String, slo: &SloReport) {
 
 /// The `queue_wait_cycles` object: admission → dispatch waits on the
 /// virtual clock, cycle-domain and therefore deterministic and gated
-/// like every other count.
-pub(crate) fn write_queue_wait(j: &mut JsonBuilder, metrics: &MetricsSnapshot) {
+/// like every other count.  An empty histogram writes only its count.
+pub(crate) fn write_queue_wait(j: &mut JsonBuilder, h: &HistogramSnapshot) {
     j.key("queue_wait_cycles").begin_object();
-    match metrics.histogram("engine.queue.wait_cycles") {
-        Some(h) => {
-            j.key("count").u64(h.count);
-            j.key("max").u64(h.max);
-            j.key("p50").f64(h.p50().unwrap_or(0.0));
-            j.key("p95").f64(h.p95().unwrap_or(0.0));
-            j.key("p99").f64(h.p99().unwrap_or(0.0));
-        }
-        None => {
-            j.key("count").u64(0);
-        }
+    j.key("count").u64(h.count);
+    if let (Some(p50), Some(p95), Some(p99)) = (h.p50(), h.p95(), h.p99()) {
+        j.key("max").u64(h.max);
+        j.key("p50").f64(p50);
+        j.key("p95").f64(p95);
+        j.key("p99").f64(p99);
     }
     j.end_object();
 }

@@ -48,7 +48,7 @@ use bsc_accel::cluster::{
 };
 use bsc_accel::des::{ArrivalProcess, DiurnalSegment};
 use bsc_telemetry::profile::Profiler;
-use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, Telemetry};
+use bsc_telemetry::{JsonBuilder, JsonValue};
 
 use crate::manifest::{
     accel_config, array_field, checked_jsonl, err_at, job_template, mem_config, object_field,
@@ -56,15 +56,13 @@ use crate::manifest::{
 };
 
 /// The result of one online run: the deterministic report plus the
-/// metrics snapshot.
+/// shard names.
 #[derive(Debug)]
 pub struct OnlineRun {
     /// The cluster report (per-shard tallies, SLO fold, event log).
     pub report: OnlineReport,
     /// Shard names in shard order (for rendering / Perfetto groups).
     pub shard_names: Vec<String>,
-    /// Engine telemetry (shard-labeled outcome counters, queue waits).
-    pub metrics: MetricsSnapshot,
 }
 
 fn parse_shard(spec: &JsonValue, i: usize) -> Result<ShardSpec, String> {
@@ -225,15 +223,8 @@ pub fn online_profiled(
     if workers_override.is_some() {
         config.workers = workers_override;
     }
-    let telemetry = Telemetry::metrics_only();
-    let report = run_online_profiled(&config, &telemetry, profiler)
-        .map_err(|e| err_at("online", e))?;
-    bsc_accel::CharacterizationCache::global().publish(&telemetry);
-    Ok(OnlineRun {
-        shard_names: config.shards.iter().map(|s| s.name.clone()).collect(),
-        report,
-        metrics: telemetry.metrics.snapshot(),
-    })
+    let report = run_online_profiled(&config, profiler).map_err(|e| err_at("online", e))?;
+    Ok(OnlineRun { shard_names: config.shards.iter().map(|s| s.name.clone()).collect(), report })
 }
 
 /// Aligned-text view of one online run.
@@ -286,9 +277,6 @@ pub fn render(run: &OnlineRun) -> String {
             f.shed_deadline,
             f.dispatched,
         );
-    }
-    for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
-        let _ = writeln!(out, "  engine.jobs{labels} {total}");
     }
     render_tenants(&mut out, &r.slo);
     if r.events_truncated > 0 {
@@ -386,26 +374,22 @@ pub fn report_json(run: &OnlineRun) -> String {
     j.end_array();
     j.end_object();
 
+    // The run-scoped counters restate `aggregate`.  No process-wide cache
+    // tally and no wall clock appear: the report is byte-compared across
+    // worker counts, so every field is a pure function of the manifest.
     j.key("counters").begin_object();
-    // Cache hit/miss tallies are published from the process-global
-    // characterization cache (cumulative across runs), so only the
-    // run-scoped job counters are gated here.
-    for name in [
-        "engine.jobs.submitted",
-        "engine.jobs.rejected",
-        "engine.jobs.shed",
-        "engine.jobs.completed",
-        "engine.decision_log.truncated",
+    for (name, value) in [
+        ("engine.jobs.submitted", r.submitted),
+        ("engine.jobs.rejected", r.rejected),
+        ("engine.jobs.shed", r.shed),
+        ("engine.jobs.completed", r.completed),
+        ("engine.decision_log.truncated", r.events_truncated),
     ] {
-        j.key(name).u64(run.metrics.counter(name));
+        j.key(name).u64(value);
     }
     j.end_object();
 
-    write_queue_wait(&mut j, &run.metrics);
-
-    // Wall clock (`engine.run_online_ns`) is deliberately omitted: the
-    // report is byte-compared across worker counts, so every field must
-    // be a pure function of the manifest.
+    write_queue_wait(&mut j, &r.queue_wait_cycles);
     j.end_object();
     let mut text = j.finish();
     text.push('\n');

@@ -42,7 +42,7 @@ pub const PRE_BATCHING_ARRIVALS_PER_SEC: f64 = 696_474.47;
 /// profile, and the end-to-end wall clock.
 #[derive(Debug)]
 pub struct ProfileRun {
-    /// The underlying online run (report, shard names, metrics).
+    /// The underlying online run (report and shard names).
     pub run: OnlineRun,
     /// Phase-attributed profile: wall clock + deterministic counters.
     pub snapshot: ProfileSnapshot,

@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use bsc_accel::{BatchReport, Engine, EngineConfig, InferenceJob, JobOutcome, SloTarget};
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
-use bsc_telemetry::{JsonBuilder, MetricsSnapshot, SpanSnapshot};
+use bsc_telemetry::{JsonBuilder, SpanSnapshot};
 
 use crate::manifest::{
     accel_config, array_field, checked_jsonl, err_at, job_template, object_field, parse_tenants,
@@ -62,8 +62,8 @@ pub struct ServeManifest {
     pub jobs: Vec<InferenceJob>,
 }
 
-/// The result of one serve run: the batch outcome plus the engine's
-/// metrics snapshot.
+/// The result of one serve run: the batch outcome, the process-wide
+/// characterization tallies read when it ended, and its spans.
 #[derive(Debug)]
 pub struct ServeRun {
     /// MAC architecture served.
@@ -72,8 +72,13 @@ pub struct ServeRun {
     pub queue_capacity: usize,
     /// Per-job outcomes and aggregates.
     pub batch: BatchReport,
-    /// Engine telemetry (queue/admission counters, cache stats).
-    pub metrics: MetricsSnapshot,
+    /// Lookups the process-wide characterization cache served.
+    pub cache_hits: u64,
+    /// Lookups that characterized a design through that cache.
+    pub cache_misses: u64,
+    /// Characterizations run in this process, cache or not
+    /// ([`bsc_mac::ppa::characterize_runs`]).
+    pub characterize_runs: u64,
     /// Wall-clock spans of the run; their IDs stamp the structured
     /// event log ([`events_jsonl`]) for correlation with traces.
     pub spans: SpanSnapshot,
@@ -158,10 +163,16 @@ pub fn serve(manifest_text: &str) -> Result<ServeRun, String> {
     let mut engine =
         Engine::new(manifest.engine).map_err(|e| err_at("characterization", e))?;
     let batch = engine.run_jobs(manifest.jobs).map_err(|e| err_at("batch", e))?;
-    bsc_accel::CharacterizationCache::global().publish(engine.telemetry());
-    let metrics = engine.telemetry().metrics.snapshot();
-    let spans = engine.telemetry().spans.snapshot();
-    Ok(ServeRun { kind, queue_capacity, batch, metrics, spans })
+    let cache = bsc_accel::CharacterizationCache::global();
+    Ok(ServeRun {
+        kind,
+        queue_capacity,
+        batch,
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        characterize_runs: bsc_mac::ppa::characterize_runs(),
+        spans: engine.spans().snapshot(),
+    })
 }
 
 /// Aligned-text view of one serve run.
@@ -182,23 +193,15 @@ pub fn render(run: &ServeRun) -> String {
         run.batch.macs_per_cycle(),
         run.batch.makespan_cycles(),
         run.batch.total_energy_fj() / 1e3,
-        run.metrics.counter("telemetry.characterize.runs"),
+        run.characterize_runs,
     );
-    if let Some(h) = run.metrics.histogram("engine.queue.wait_cycles") {
+    let h = &run.batch.queue_wait_cycles;
+    if let (Some(p50), Some(p95), Some(p99)) = (h.p50(), h.p95(), h.p99()) {
         let _ = writeln!(
             out,
-            "queue wait: p50 {:.0} / p95 {:.0} / p99 {:.0} cycles over {} dispatches (max {})",
-            h.p50().unwrap_or(0.0),
-            h.p95().unwrap_or(0.0),
-            h.p99().unwrap_or(0.0),
-            h.count,
-            h.max,
+            "queue wait: p50 {p50:.0} / p95 {p95:.0} / p99 {p99:.0} cycles over {} dispatches (max {})",
+            h.count, h.max,
         );
-    }
-    // Labeled outcome totals: one line per `engine.jobs{...}` point, in
-    // the family's canonical order.
-    for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
-        let _ = writeln!(out, "  engine.jobs{labels} {total}");
     }
     render_tenants(&mut out, &run.batch.slo);
     out
@@ -257,27 +260,31 @@ pub fn report_json(run: &ServeRun) -> String {
     j.key("peak_queue_depth").u64(run.batch.peak_queue_depth as u64);
     j.end_object();
 
+    // The outcome counts restate `aggregate`; the cache tallies are
+    // process-wide, read when the run ended.
+    let b = &run.batch;
+    let (submitted, rejected) = (b.submitted() as u64, b.rejected_count() as u64);
     j.key("counters").begin_object();
-    for name in [
-        "engine.jobs.submitted",
-        "engine.jobs.admitted",
-        "engine.jobs.rejected",
-        "engine.jobs.shed",
-        "engine.jobs.completed",
-        "engine.cache.hits",
-        "engine.cache.misses",
-        "telemetry.characterize.runs",
+    for (name, value) in [
+        ("engine.jobs.submitted", submitted),
+        ("engine.jobs.admitted", submitted - rejected),
+        ("engine.jobs.rejected", rejected),
+        ("engine.jobs.shed", b.shed_count() as u64),
+        ("engine.jobs.completed", b.completed_count() as u64),
+        ("engine.cache.hits", run.cache_hits),
+        ("engine.cache.misses", run.cache_misses),
+        ("telemetry.characterize.runs", run.characterize_runs),
+        ("engine.queue.peak_depth", b.peak_queue_depth as u64),
     ] {
-        j.key(name).u64(run.metrics.counter(name));
+        j.key(name).u64(value);
     }
-    j.key("engine.queue.peak_depth").i64(run.metrics.gauge("engine.queue.peak_depth"));
     j.end_object();
 
-    write_queue_wait(&mut j, &run.metrics);
+    write_queue_wait(&mut j, &b.queue_wait_cycles);
 
     // Wall clock, reported but never gated (the `_ns` suffix).
     j.key("run_batch_ns")
-        .u64(run.metrics.histogram("engine.run_batch_ns").map_or(0, |h| h.sum));
+        .u64(run.spans.by_name("engine.run_batch").map_or(0, |s| s.duration_ns()));
     j.end_object();
     let mut text = j.finish();
     text.push('\n');
@@ -536,5 +543,24 @@ mod tests {
             Some(3.0)
         );
         assert!(text.contains("queue wait: p50"), "{text}");
+    }
+
+    #[test]
+    fn report_counters_restate_the_batch_report() {
+        let run = serve(MANIFEST).unwrap();
+        let doc = bsc_telemetry::parse_json(&report_json(&run)).unwrap();
+        let at = |section: &str, key: &str| {
+            doc.get(section).and_then(|s| s.get(key)).and_then(|v| v.as_f64()).unwrap() as u64
+        };
+        for outcome in ["submitted", "rejected", "shed", "completed"] {
+            assert_eq!(at("counters", &format!("engine.jobs.{outcome}")), at("aggregate", outcome));
+        }
+        assert_eq!(
+            at("counters", "engine.jobs.admitted"),
+            at("aggregate", "submitted") - at("aggregate", "rejected")
+        );
+        assert_eq!(at("counters", "engine.queue.peak_depth"), at("aggregate", "peak_queue_depth"));
+        assert_eq!(at("queue_wait_cycles", "count"), at("aggregate", "completed"));
+        assert_eq!(at("aggregate", "completed"), 3, "the manifest completes jobs");
     }
 }

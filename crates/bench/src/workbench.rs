@@ -2,11 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use bsc_accel::{Engine, EngineConfig};
 use bsc_mac::ppa::{CharacterizeConfig, DesignCharacterization, PpaError};
 use bsc_mac::MacKind;
-use bsc_telemetry::Telemetry;
 
 /// All three designs characterized once, ready for the figure drivers.
 /// Designs are held behind [`Arc`] so batch engines and per-worker
@@ -15,7 +14,7 @@ use bsc_telemetry::Telemetry;
 pub struct Workbench {
     designs: BTreeMap<MacKind, Arc<DesignCharacterization>>,
     config: CharacterizeConfig,
-    telemetry: Telemetry,
+    characterize_wall_ns: u64,
 }
 
 impl Workbench {
@@ -47,41 +46,24 @@ impl Workbench {
     ///
     /// Propagates gate-level simulation failures.
     pub fn with_config(config: CharacterizeConfig) -> Result<Self, PpaError> {
-        let telemetry = Telemetry::metrics_only();
-        let results = {
-            let _wall = telemetry.metrics.timer("bench.characterize_ns");
-            let root = telemetry.spans.begin("bench.characterize");
-            root.annotate("length", config.length);
-            MacKind::ALL
-                .into_iter()
-                .map(|kind| {
-                    let _t = telemetry.metrics.timer(&format!("bench.characterize.{kind}_ns"));
-                    let _s = telemetry.spans.begin(&format!("characterize.{kind}"));
-                    (kind, DesignCharacterization::new(kind, &config))
-                })
-                .collect::<Vec<_>>()
-        };
+        let started = Instant::now();
+        let results: Vec<_> = MacKind::ALL
+            .into_iter()
+            .map(|kind| (kind, DesignCharacterization::new(kind, &config)))
+            .collect();
+        let characterize_wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut designs = BTreeMap::new();
         for (kind, result) in results {
             designs.insert(kind, Arc::new(result?));
         }
-        Ok(Workbench { designs, config, telemetry })
+        Ok(Workbench { designs, config, characterize_wall_ns })
     }
 
     /// Wall-clock nanoseconds the gate-level characterization took (all
     /// three designs) — the quantity the compiled-tape /
     /// incremental-eval rewrite is measured by.
     pub fn characterize_wall_ns(&self) -> u64 {
-        self.telemetry
-            .metrics
-            .histogram("bench.characterize_ns", bsc_telemetry::metrics::DEFAULT_TIME_BOUNDS_NS)
-            .sum()
-    }
-
-    /// The workbench's own telemetry bundle (characterization timers and
-    /// per-design spans).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.characterize_wall_ns
     }
 
     /// The characterization of one design.
@@ -95,22 +77,6 @@ impl Workbench {
         Arc::clone(&self.designs[&kind])
     }
 
-    /// A batch inference engine on one of the workbench's designs —
-    /// zero additional characterization, so BENCH runs can report
-    /// batched throughput on the exact designs the figures used.  The
-    /// engine's array matches the workbench scale: the paper's 32-PE
-    /// array at vector length 32, the quick 4-PE array otherwise.
-    pub fn engine(&self, kind: MacKind) -> Engine {
-        let mut config = if self.config.length == 32 {
-            EngineConfig::paper(kind)
-        } else {
-            EngineConfig::quick(kind)
-        };
-        config.accel.array.vector_length = self.config.length;
-        config.accel.characterize = self.config.clone();
-        Engine::with_design(config, self.design_shared(kind))
-    }
-
     /// The characterization configuration in use.
     pub fn config(&self) -> &CharacterizeConfig {
         &self.config
@@ -119,28 +85,5 @@ impl Workbench {
     /// Vector length of the characterized designs.
     pub fn vector_length(&self) -> usize {
         self.config.length
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bsc_accel::InferenceJob;
-    use bsc_nn::models;
-
-    #[test]
-    fn workbench_engine_shares_the_characterized_design() {
-        let wb = Workbench::with_config(CharacterizeConfig::quick(2)).unwrap();
-        let mut engine = wb.engine(MacKind::Bsc);
-        assert!(Arc::ptr_eq(engine.characterization(), &wb.design_shared(MacKind::Bsc)));
-        assert_eq!(engine.config().accel.array.vector_length, wb.vector_length());
-        // Batched throughput on the exact design the figures used.
-        let net = models::lenet5().into_shared();
-        let jobs = (0..3)
-            .map(|i| InferenceJob::new(format!("j{i}"), bsc_nn::SharedNetwork::clone(&net)))
-            .collect();
-        let batch = engine.run_jobs(jobs).unwrap();
-        assert_eq!(batch.completed_count(), 3);
-        assert!(batch.macs_per_cycle() > 0.0);
     }
 }

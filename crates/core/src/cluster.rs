@@ -55,7 +55,7 @@ use std::collections::VecDeque;
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
-use bsc_telemetry::{QuantileSketch, Telemetry};
+use bsc_telemetry::{HistogramSnapshot, QuantileSketch};
 
 use crate::admission::{AdmissionLadder, Placement, RejectReason, ShedReason};
 use crate::des::{
@@ -75,8 +75,7 @@ mod oracle;
 /// may differ in MAC kind *and* memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
-    /// Stable shard name (metric label, report key, Perfetto track
-    /// group).
+    /// Stable shard name (report key, Perfetto track group).
     pub name: String,
     /// The accelerator this shard models.
     pub accel: AcceleratorConfig,
@@ -331,6 +330,9 @@ pub struct OnlineReport {
     pub depth: Vec<ShardDepth>,
     /// Per-shard admission-ladder funnels, in shard order.
     pub funnel: Vec<ShardFunnel>,
+    /// The dispatched jobs' queue waits (start − arrival) in cycles, in
+    /// buckets at 0 and at powers of four from 1Ki to 1Gi.
+    pub queue_wait_cycles: HistogramSnapshot,
 }
 
 impl OnlineReport {
@@ -428,10 +430,8 @@ struct OnlinePhases {
 /// Runs one online-serving simulation.  See the module docs for the
 /// event semantics and determinism contract.
 ///
-/// The returned report and the metrics recorded into `telemetry` are a
-/// pure function of `config` — bit-identical at any worker count and on
-/// every platform.  The per-job metrics are a view of the report: they
-/// are published from the admission funnel once, after the event loop.
+/// The returned report is a pure function of `config` — bit-identical
+/// at any worker count and on every platform.
 ///
 /// # Errors
 ///
@@ -439,11 +439,8 @@ struct OnlinePhases {
 /// shard or source lists, and a run whose completed MACs, energy in fJ
 /// or busy cycles total more than `u64::MAX`, as
 /// [`AccelError::Config`](crate::AccelError).
-pub fn run_online(
-    config: &OnlineConfig,
-    telemetry: &Telemetry,
-) -> Result<OnlineReport, AccelError> {
-    run_online_profiled(config, telemetry, None)
+pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, AccelError> {
+    run_online_profiled(config, None)
 }
 
 /// [`run_online`] with an optional self-profiler attached.
@@ -462,10 +459,9 @@ pub fn run_online(
 /// Same contract as [`run_online`].
 pub fn run_online_profiled(
     config: &OnlineConfig,
-    telemetry: &Telemetry,
     profiler: Option<&Profiler>,
 ) -> Result<OnlineReport, AccelError> {
-    simulate(config, telemetry, profiler, event_loop)
+    simulate(config, profiler, event_loop)
 }
 
 /// An event loop: [`event_loop`], or in the tests the per-arrival loop it
@@ -474,10 +470,9 @@ pub fn run_online_profiled(
 type EventLoop = fn(&OnlineConfig, &[u64], &[u64], Option<&OnlinePhases>) -> Tallies;
 
 /// [`run_online_profiled`] with the event loop as a parameter: the pair
-/// evaluation before the loop, and the report, metrics and profile after.
+/// evaluation before the loop, and the report and profile after.
 fn simulate(
     config: &OnlineConfig,
-    telemetry: &Telemetry,
     profiler: Option<&Profiler>,
     event_loop: EventLoop,
 ) -> Result<OnlineReport, AccelError> {
@@ -487,8 +482,6 @@ fn simulate(
     if config.sources.is_empty() {
         return Err(AccelError::Config("online cluster needs at least one traffic source".into()));
     }
-    let _wall = telemetry.metrics.timer("engine.run_online_ns");
-    let m = &telemetry.metrics;
     let phases = profiler.map(|p| OnlinePhases {
         arrival: p.phase("arrival-sampling"),
         dispatch: p.phase("dispatch"),
@@ -534,15 +527,9 @@ fn simulate(
         deferred_sheds,
         event_log,
         events_truncated,
-        wait_buckets,
-        wait_sum,
-        wait_min,
-        wait_max,
+        queue_wait_cycles,
         work,
     } = event_loop(config, &estimate, &exact, phases.as_ref());
-    // The drop count is also a counter, so a truncated decision log is
-    // visible in every metrics export, not just in the report.
-    m.counter("engine.decision_log.truncated").add(events_truncated);
 
     // Each shard's outcomes are its funnel stages, and the run's totals
     // sum them.  A shard's clock only ever moves to a dispatched job's
@@ -638,44 +625,6 @@ fn simulate(
     let slo_observations = acc.observations();
     let slo_report = acc.report();
     drop(g_slo);
-    m.gauge("engine.online.makespan_cycles").set(makespan.min(i64::MAX as u64) as i64);
-
-    // Publish the per-job metrics once, as a view of the funnel: the
-    // flat totals, one `engine.jobs` point per non-zero stage of each
-    // shard, and the dispatched jobs' queue waits.  A zero count
-    // registers nothing, so only outcomes that happened appear.
-    for (name, n) in [
-        ("engine.jobs.submitted", submitted),
-        ("engine.jobs.rejected", rejected),
-        ("engine.jobs.shed", shed),
-        ("engine.jobs.completed", completed),
-    ] {
-        if n > 0 {
-            m.counter(name).add(n);
-        }
-    }
-    let [queue_full, overloaded, deadline_infeasible] = RejectReason::SLUGS;
-    for f in &funnel {
-        let points = [
-            (f.dispatched, "completed", None),
-            (f.shed_deadline, "shed", Some("deadline_missed")),
-            (f.queue_full, "rejected", Some(queue_full)),
-            (f.overloaded, "rejected", Some(overloaded)),
-            (f.deadline_infeasible, "rejected", Some(deadline_infeasible)),
-        ];
-        for (n, outcome, reason) in points {
-            if n > 0 {
-                let mut labels = vec![("outcome", outcome), ("shard", f.shard.as_str())];
-                labels.extend(reason.map(|r| ("reason", r)));
-                m.labeled_counter("engine.jobs").with(&labels).add(n);
-            }
-        }
-    }
-    if completed > 0 {
-        let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
-        m.histogram("engine.queue.wait_cycles", wait_bounds)
-            .merge_bucketed(wait_bounds, &wait_buckets, completed, wait_sum, wait_min, wait_max);
-    }
 
     // Flush the deterministic work tallies into the profiler.  Every
     // value below is a pure function of `config` (the parallel pair
@@ -757,11 +706,11 @@ fn simulate(
         depth_stride_cycles: depth_stride_for_horizon(config.horizon_cycles),
         depth,
         funnel,
+        queue_wait_cycles,
     })
 }
 
-/// What an event loop leaves for the report, the metrics and the
-/// profile.
+/// What an event loop leaves for the report and the profile.
 struct Tallies {
     shards: Vec<ShardState>,
     funnel: Vec<ShardFunnel>,
@@ -779,10 +728,7 @@ struct Tallies {
     events_truncated: u64,
     /// Dispatched jobs' queue waits, bucketed at
     /// [`QUEUE_WAIT_BOUNDS_CYCLES`].
-    wait_buckets: Vec<u64>,
-    wait_sum: u64,
-    wait_min: u64,
-    wait_max: u64,
+    queue_wait_cycles: HistogramSnapshot,
     work: LoopWork,
 }
 
@@ -1011,14 +957,11 @@ fn event_loop(
         max_outstanding: config.max_outstanding,
         max_backlog_cycles: config.max_backlog_cycles,
     };
-    // The shard reports' outcome counts, the run's totals and the
-    // `engine.jobs*` metrics all derive from the funnel after the loop.
-    // The one per-job metric the funnel cannot hold, a dispatched job's
-    // queue wait, is bucketed here in plain integers and merged into the
-    // registry once, so the loop takes no lock and no atomic.
-    let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
-    let mut wait_buckets = vec![0u64; wait_bounds.len() + 1];
-    let (mut wait_sum, mut wait_min, mut wait_max) = (0u64, u64::MAX, 0u64);
+    // The shard reports' outcome counts and the run's totals derive from
+    // the funnel after the loop.  The one per-job figure the funnel
+    // cannot hold, a dispatched job's queue wait, goes into a plain
+    // histogram, so the loop takes no lock and no atomic.
+    let mut queue_wait_cycles = HistogramSnapshot::new(QUEUE_WAIT_BOUNDS_CYCLES);
     let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
     let mut completion_bursts = 0u64;
     let (mut runs, mut run_arrivals) = (0u64, 0u64);
@@ -1089,11 +1032,7 @@ fn event_loop(
                 // Saturates: a run whose cycle total overflows is refused
                 // after the loop.
                 tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
-                let wait = start - now;
-                wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
-                wait_sum = wait_sum.wrapping_add(wait);
-                wait_min = wait_min.min(wait);
-                wait_max = wait_max.max(wait);
+                queue_wait_cycles.record(start - now);
                 lanes.push(hi, completion);
                 latencies[pair].record(completion - now);
                 let window = completion - completion % w0;
@@ -1201,10 +1140,7 @@ fn event_loop(
         deferred_sheds,
         event_log,
         events_truncated,
-        wait_buckets,
-        wait_sum,
-        wait_min,
-        wait_max,
+        queue_wait_cycles,
         work: LoopWork {
             arrival_samples: arrivals.samples,
             arrival_refills: arrivals.refills,
@@ -1311,10 +1247,7 @@ mod tests {
     fn online_report_is_worker_count_independent() {
         let runs: Vec<OnlineReport> = [Some(1), Some(2), Some(8)]
             .into_iter()
-            .map(|w| {
-                run_online(&quick_config(DispatchPolicy::LeastOutstanding, w), &Telemetry::metrics_only())
-                    .unwrap()
-            })
+            .map(|w| run_online(&quick_config(DispatchPolicy::LeastOutstanding, w)).unwrap())
             .collect();
         assert!(runs[0].submitted > 100, "traffic actually flowed");
         assert!(runs[0].completed > 0);
@@ -1335,7 +1268,7 @@ mod tests {
         config.sources[1].template.network = toy_net("b", 256, 24, Precision::Int8);
         config.shards[2].accel =
             config.shards[2].accel.clone().with_mem(bsc_systolic::MemConfig::edge());
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         assert_eq!(report.events_truncated, 0, "the whole run is logged");
         // The reference: one serial evaluation per (template, shard) pair.
         let mut reference: BTreeMap<(String, String), NetworkReport> = BTreeMap::new();
@@ -1373,12 +1306,8 @@ mod tests {
             .into_iter()
             .map(|w| {
                 let prof = Profiler::new();
-                run_online_profiled(
-                    &quick_config(DispatchPolicy::TenantFair, w),
-                    &Telemetry::metrics_only(),
-                    Some(&prof),
-                )
-                .unwrap();
+                run_online_profiled(&quick_config(DispatchPolicy::TenantFair, w), Some(&prof))
+                    .unwrap();
                 let mut snap = prof.snapshot();
                 // Deterministic side only: wall-clock is machine noise.
                 for p in &mut snap.phases {
@@ -1394,10 +1323,9 @@ mod tests {
     #[test]
     fn profiled_run_reproduces_the_unprofiled_report() {
         let config = quick_config(DispatchPolicy::LeastOutstanding, Some(2));
-        let plain = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let plain = run_online(&config).unwrap();
         let prof = Profiler::new();
-        let profiled =
-            run_online_profiled(&config, &Telemetry::metrics_only(), Some(&prof)).unwrap();
+        let profiled = run_online_profiled(&config, Some(&prof)).unwrap();
         assert_eq!(plain.shards, profiled.shards);
         assert_eq!(plain.slo, profiled.slo);
         assert_eq!(plain.events, profiled.events);
@@ -1434,7 +1362,7 @@ mod tests {
         }
         let prof = Profiler::new();
         let started = std::time::Instant::now();
-        run_online_profiled(&config, &Telemetry::metrics_only(), Some(&prof)).unwrap();
+        run_online_profiled(&config, Some(&prof)).unwrap();
         let run_wall = started.elapsed().as_nanos() as u64;
         let snap = prof.snapshot();
         let admission = snap.phase("admission").unwrap();
@@ -1451,7 +1379,7 @@ mod tests {
     fn funnel_stages_partition_offered_arrivals() {
         let mut config = quick_config(DispatchPolicy::RoundRobin, Some(1));
         config.sources[0].template.deadline_cycles = Some(9_000);
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         assert_eq!(report.funnel.len(), report.shards.len());
         let mut offered_total = 0;
         for (f, s) in report.funnel.iter().zip(&report.shards) {
@@ -1474,7 +1402,7 @@ mod tests {
     #[test]
     fn depth_series_samples_on_the_stride_grid() {
         let config = quick_config(DispatchPolicy::LeastOutstanding, Some(2));
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         let stride = report.depth_stride_cycles;
         assert_eq!(stride, depth_stride_for_horizon(config.horizon_cycles));
         assert!(stride.is_power_of_two());
@@ -1499,28 +1427,18 @@ mod tests {
     fn tiny_event_log_cap_truncates_and_counts() {
         let mut config = quick_config(DispatchPolicy::RoundRobin, Some(1));
         config.event_log_cap = 5;
-        let tel = Telemetry::metrics_only();
-        let report = run_online(&config, &tel).unwrap();
+        let report = run_online(&config).unwrap();
         assert_eq!(report.events.len(), 5);
         assert_eq!(report.events_truncated, report.submitted - 5);
-        assert_eq!(
-            tel.metrics.snapshot().counter("engine.decision_log.truncated"),
-            report.events_truncated,
-            "silent truncation must surface as a counter"
-        );
-        // An uncapped run drops nothing and the counter reads zero.
-        let tel2 = Telemetry::metrics_only();
+        // An uncapped run drops nothing.
         config.event_log_cap = EVENT_LOG_CAP;
-        let full = run_online(&config, &tel2).unwrap();
+        let full = run_online(&config).unwrap();
         assert_eq!(full.events_truncated, 0);
-        assert_eq!(tel2.metrics.snapshot().counter("engine.decision_log.truncated"), 0);
     }
 
     #[test]
     fn round_robin_touches_every_shard() {
-        let report =
-            run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2)), &Telemetry::metrics_only())
-                .unwrap();
+        let report = run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2))).unwrap();
         for s in &report.shards {
             assert!(
                 s.completed + s.rejected + s.shed > 0,
@@ -1537,10 +1455,9 @@ mod tests {
 
     #[test]
     fn policies_are_deterministic_but_distinct() {
-        let tel = Telemetry::metrics_only;
-        let rr = run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2)), &tel()).unwrap();
-        let rr2 = run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2)), &tel()).unwrap();
-        let lo = run_online(&quick_config(DispatchPolicy::LeastOutstanding, Some(2)), &tel()).unwrap();
+        let rr = run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2))).unwrap();
+        let rr2 = run_online(&quick_config(DispatchPolicy::RoundRobin, Some(2))).unwrap();
+        let lo = run_online(&quick_config(DispatchPolicy::LeastOutstanding, Some(2))).unwrap();
         assert_eq!(rr.events, rr2.events, "same config, same stream");
         // Same arrivals, different placement bookkeeping.
         assert_eq!(rr.submitted, lo.submitted);
@@ -1550,7 +1467,7 @@ mod tests {
     fn tenant_fair_spreads_one_tenant_across_shards() {
         let mut config = quick_config(DispatchPolicy::TenantFair, Some(2));
         config.sources.truncate(1); // single hot tenant
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         let used = report.shards.iter().filter(|s| s.completed > 0).count();
         assert!(used >= 2, "tenant-fair must not pin one tenant to one shard");
     }
@@ -1561,7 +1478,7 @@ mod tests {
         // Deadline below even the estimate: every arrival of source 0 is
         // rejected as infeasible.
         config.sources[0].template.deadline_cycles = Some(1);
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         assert!(report.rejected > 0);
         let gold = report.slo.tenant("gold").expect("gold tenant present");
         assert_eq!(gold.completed, 0);
@@ -1579,13 +1496,13 @@ mod tests {
         let net = &config.sources[0].template.network;
         let estimate = estimate_cycles_for(&config.shards[0].accel, net);
         config.max_backlog_cycles = Some(estimate - 1);
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         assert!(report.submitted > 0);
         assert_eq!(report.funnel[0].overloaded, report.submitted, "{:?}", report.funnel[0]);
         assert_eq!(report.completed, 0);
         // At exactly the estimate the first arrival fits.
         config.max_backlog_cycles = Some(estimate);
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         assert!(report.completed > 0);
     }
 
@@ -1593,7 +1510,7 @@ mod tests {
     fn a_deadline_near_u64_max_sheds_nothing() {
         let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
         config.sources[0].template.deadline_cycles = Some(u64::MAX);
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         let gold = report.slo.tenant("gold").expect("gold tenant present");
         assert!(gold.completed > 0);
         assert_eq!(gold.shed, 0);
@@ -1621,7 +1538,7 @@ mod tests {
     #[test]
     fn online_latency_is_completion_minus_arrival() {
         let config = quick_config(DispatchPolicy::LeastOutstanding, Some(2));
-        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let report = run_online(&config).unwrap();
         // Every logged completed event's latency is bounded by the SLO
         // sketch's max.
         let max_latency: u64 = report

@@ -4,15 +4,16 @@
 //! [`event_loop`] is the loop as it was before runs: every arrival takes
 //! the full step — shard scan, ladder, funnel and log — and the heap
 //! pops and pushes once per arrival.  The tests run both loops through
-//! the same [`simulate`] and require every report field, every published
-//! metric and every logical profile counter to agree, on a seeded grid of
+//! the same [`simulate`] and require every report field (the queue-wait
+//! histogram included) and every logical profile counter to agree, on a
+//! seeded grid of
 //! random manifests (all policies, outstanding caps, backlog limits,
 //! deadlines, arrival processes, log caps and job budgets) and on
 //! same-cycle ties and budgets that run out inside a run.
 
 use std::collections::VecDeque;
 
-use bsc_telemetry::QuantileSketch;
+use bsc_telemetry::{HistogramSnapshot, QuantileSketch};
 
 use super::*;
 use crate::des::{ArrivalGen, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL};
@@ -135,14 +136,7 @@ pub(super) fn event_loop(
         max_outstanding: config.max_outstanding,
         max_backlog_cycles: config.max_backlog_cycles,
     };
-    // The shard reports' outcome counts, the run's totals and the
-    // `engine.jobs*` metrics all derive from the funnel after the loop.
-    // The one per-job metric the funnel cannot hold, a dispatched job's
-    // queue wait, is bucketed here in plain integers and merged into the
-    // registry once, so the loop takes no lock and no atomic.
-    let wait_bounds = QUEUE_WAIT_BOUNDS_CYCLES;
-    let mut wait_buckets = vec![0u64; wait_bounds.len() + 1];
-    let (mut wait_sum, mut wait_min, mut wait_max) = (0u64, u64::MAX, 0u64);
+    let mut queue_wait_cycles = HistogramSnapshot::new(QUEUE_WAIT_BOUNDS_CYCLES);
     let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
     let mut completion_bursts = 0u64;
 
@@ -249,11 +243,7 @@ pub(super) fn event_loop(
                 // Saturates: a run whose cycle total overflows is refused
                 // after the loop.
                 tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
-                let wait = start - now;
-                wait_buckets[wait_bounds.partition_point(|&b| b < wait)] += 1;
-                wait_sum = wait_sum.wrapping_add(wait);
-                wait_min = wait_min.min(wait);
-                wait_max = wait_max.max(wait);
+                queue_wait_cycles.record(start - now);
                 lanes.push(hi, completion);
                 latencies[pair].record(completion - now);
                 let window = completion - completion % w0;
@@ -294,10 +284,7 @@ pub(super) fn event_loop(
         deferred_sheds,
         event_log,
         events_truncated,
-        wait_buckets,
-        wait_sum,
-        wait_min,
-        wait_max,
+        queue_wait_cycles,
         work: LoopWork {
             arrival_samples,
             arrival_refills,
@@ -320,14 +307,11 @@ mod tests {
     use bsc_mac::{MacKind, Precision};
     use bsc_netlist::rng::Rng64;
     use bsc_nn::{Layer, LayerKind, Network};
-    use bsc_telemetry::sink::metrics_to_json;
 
-    /// What one run shows: the report, the published metrics without
-    /// wall-clock timers, and every profile counter as `phase.counter`
-    /// (guard entries as `phase.calls`).
+    /// What one run shows: the report and every profile counter as
+    /// `phase.counter` (guard entries as `phase.calls`).
     struct Observed {
         report: OnlineReport,
-        metrics: String,
         counters: Vec<(String, u64)>,
     }
 
@@ -338,11 +322,8 @@ mod tests {
     }
 
     fn observe(config: &OnlineConfig, event_loop: EventLoop) -> Observed {
-        let telemetry = Telemetry::metrics_only();
         let profiler = Profiler::new();
-        let report = simulate(config, &telemetry, Some(&profiler), event_loop).unwrap();
-        let mut metrics = telemetry.metrics.snapshot();
-        metrics.histograms.retain(|(name, _)| !name.ends_with("_ns"));
+        let report = simulate(config, Some(&profiler), event_loop).unwrap();
         let counters = profiler
             .snapshot()
             .phases
@@ -354,7 +335,7 @@ mod tests {
                 std::iter::once(calls).chain(named).collect::<Vec<_>>()
             })
             .collect();
-        Observed { report, metrics: metrics_to_json(&metrics), counters }
+        Observed { report, counters }
     }
 
     /// The physical counters: guard entries, which runs skip, and the
@@ -363,7 +344,7 @@ mod tests {
         ["dispatch.calls", "admission.calls", "admission.runs", "admission.run_arrivals"];
 
     /// Runs `config` through the live loop and the oracle, requires the
-    /// same report, metrics and logical counters, and returns the live
+    /// same report and logical counters, and returns the live
     /// loop's report and `(runs, run_arrivals)`.
     fn assert_loops_agree(config: &OnlineConfig, label: &str) -> (OnlineReport, (u64, u64)) {
         let live = observe(config, crate::cluster::event_loop);
@@ -383,8 +364,8 @@ mod tests {
         );
         assert_eq!(a.depth, b.depth, "{label}: depth");
         assert_eq!(a.slo, b.slo, "{label}: SLO");
+        assert_eq!(a.queue_wait_cycles, b.queue_wait_cycles, "{label}: queue waits");
         assert_eq!(a, b, "{label}: report");
-        assert_eq!(live.metrics, oracle.metrics, "{label}: metrics");
         let logical = |o: &Observed| {
             o.counters
                 .iter()

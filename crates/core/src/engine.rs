@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use bsc_mac::ppa::{CharacterizeConfig, DesignCharacterization};
 use bsc_mac::{MacKind, Precision};
 use bsc_nn::{Network, SharedNetwork};
-use bsc_telemetry::Telemetry;
+use bsc_telemetry::{HistogramSnapshot, SpanCollector};
 
 pub use crate::admission::{RejectReason, ShedReason};
 use crate::admission::AdmissionLadder;
@@ -43,10 +43,10 @@ use crate::report::NetworkReport;
 use crate::slo::{window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{layer_to_conv_shape, AccelError, Accelerator, AcceleratorConfig};
 
-/// Bucket bounds (model cycles) for the `engine.queue.wait_cycles`
-/// histogram: powers of four from 1Ki to 1Gi cycles, so queue waits from
-/// a single small layer up to a saturated batch all land in finite
-/// buckets.
+/// Bucket bounds (model cycles) of the batch and online reports'
+/// `queue_wait_cycles` histograms: powers of four from 1Ki to 1Gi
+/// cycles, so queue waits from a single small layer up to a saturated
+/// batch all land in finite buckets.
 pub(crate) const QUEUE_WAIT_BOUNDS_CYCLES: &[u64] = &[
     0,
     1 << 10,
@@ -102,8 +102,8 @@ impl CharacterizationCache {
 
     /// The process-wide cache every `*_cached` constructor and every
     /// [`Engine::new`] uses.  Test binaries route through this to prove
-    /// (via [`CharacterizationCache::publish`]) that each design was
-    /// characterized at most once.
+    /// (from its [`hits`](Self::hits) and [`misses`](Self::misses)) that
+    /// each design was characterized at most once.
     pub fn global() -> &'static CharacterizationCache {
         static GLOBAL: OnceLock<CharacterizationCache> = OnceLock::new();
         GLOBAL.get_or_init(CharacterizationCache::new)
@@ -150,22 +150,6 @@ impl CharacterizationCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Publishes the cache statistics into a metrics registry:
-    /// `engine.cache.hits`, `engine.cache.misses` and
-    /// `telemetry.characterize.runs` (the process-wide characterization
-    /// count from [`bsc_mac::ppa::characterize_runs`], which also covers
-    /// constructions that bypassed the cache).  Idempotent, like
-    /// [`Telemetry::publish_trace_stats`].
-    pub fn publish(&self, tel: &Telemetry) {
-        let raise = |name: &str, value: u64| {
-            let c = tel.metrics.counter(name);
-            c.add(value.saturating_sub(c.get()));
-        };
-        raise("engine.cache.hits", self.hits());
-        raise("engine.cache.misses", self.misses());
-        raise("telemetry.characterize.runs", bsc_mac::ppa::characterize_runs());
     }
 }
 
@@ -468,6 +452,9 @@ pub struct BatchReport {
     outcomes: Vec<JobOutcome>,
     /// High-water mark of the admission queue during this batch.
     pub peak_queue_depth: usize,
+    /// The completed jobs' queue waits in cycles, in buckets at 0 and at
+    /// powers of four from 1Ki to 1Gi.
+    pub queue_wait_cycles: HistogramSnapshot,
     /// Per-tenant SLO accounting folded from the outcomes (latency
     /// sketches, shed/reject rates, goodput, attainment, fJ-exact
     /// energy attribution).
@@ -601,7 +588,7 @@ pub struct Engine {
     slots: Vec<Slot>,
     backlog_cycles: u64,
     slo_targets: std::collections::BTreeMap<TenantId, SloTarget>,
-    telemetry: Telemetry,
+    spans: SpanCollector,
 }
 
 impl Engine {
@@ -659,7 +646,7 @@ impl Engine {
             slots: Vec::new(),
             backlog_cycles: 0,
             slo_targets: std::collections::BTreeMap::new(),
-            telemetry: Telemetry::metrics_only(),
+            spans: SpanCollector::new(),
         }
     }
 
@@ -673,10 +660,10 @@ impl Engine {
         &self.charac
     }
 
-    /// The engine's telemetry bundle (queue gauges, admission counters,
-    /// per-job spans).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The engine's wall-clock spans: one `engine.run_batch` span per
+    /// batch, with one `engine.job.<name>` child per evaluated job.
+    pub fn spans(&self) -> &SpanCollector {
+        &self.spans
     }
 
     /// Current estimated backlog of admitted-but-unrun work in cycles.
@@ -736,8 +723,6 @@ impl Engine {
     /// limit would be exceeded, or the deadline is already infeasible.
     pub fn submit(&mut self, job: InferenceJob) -> Result<usize, RejectReason> {
         let slot = self.slots.len();
-        let m = &self.telemetry.metrics;
-        m.counter("engine.jobs.submitted").inc();
         if let Some(target) = job.slo {
             self.slo_targets.insert(job.tenant.clone(), target);
         }
@@ -753,10 +738,6 @@ impl Engine {
         let projected = match verdict {
             Ok(projected) => projected,
             Err(reason) => {
-                m.counter("engine.jobs.rejected").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "rejected"), ("reason", reason.slug())])
-                    .inc();
                 self.slots.push(Slot::Decided(JobOutcome::Rejected {
                     name: job.name,
                     tenant: job.tenant,
@@ -775,10 +756,6 @@ impl Engine {
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
         self.slots.push(Slot::Pending);
         self.backlog_cycles = projected;
-        m.counter("engine.jobs.admitted").inc();
-        m.gauge("engine.queue.depth").set(self.queue.len() as i64);
-        m.gauge("engine.queue.peak_depth").set(self.peak_queue_depth as i64);
-        m.gauge("engine.backlog_cycles").set(self.backlog_cycles as i64);
         Ok(slot)
     }
 
@@ -798,9 +775,8 @@ impl Engine {
     /// Propagates mapping/characterization failures of any queued job
     /// (the batch is abandoned; admission state is still consumed).
     pub fn run_batch(&mut self) -> Result<BatchReport, AccelError> {
-        let _wall = self.telemetry.metrics.timer("engine.run_batch_ns");
         let _span = {
-            let g = self.telemetry.spans.begin("engine.run_batch");
+            let g = self.spans.begin("engine.run_batch");
             g.annotate("queued", self.queue.len());
             g
         };
@@ -808,9 +784,6 @@ impl Engine {
         let queued = std::mem::take(&mut self.queue);
         let peak_queue_depth = self.peak_queue_depth;
         self.backlog_cycles = 0;
-        let m = &self.telemetry.metrics;
-        m.gauge("engine.queue.depth").set(0);
-        m.gauge("engine.backlog_cycles").set(0);
 
         // Evaluation: one report per queued job, from per-worker
         // accelerators over the shared characterization, merged back by
@@ -818,19 +791,19 @@ impl Engine {
         // span, so its job spans nest there.
         let accel_cfg = self.config.accel.clone();
         let charac = Arc::clone(&self.charac);
-        let telemetry = &self.telemetry;
+        let spans = &self.spans;
         let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
             queued.len(),
             self.config.workers,
             || {
                 let accel =
                     Accelerator::with_shared_characterization(accel_cfg.clone(), Arc::clone(&charac));
-                (accel, telemetry.fork())
+                (accel, spans.fork())
             },
-            |(accel, tel), i| {
+            |(accel, spans), i| {
                 let job = &queued[i];
                 let _job_span = {
-                    let g = tel.spans.begin(&format!("engine.job.{}", job.name));
+                    let g = spans.begin(&format!("engine.job.{}", job.name));
                     g.annotate("network", &job.network.name);
                     g
                 };
@@ -843,18 +816,14 @@ impl Engine {
         // placement stage runs on one serial virtual clock and no worker
         // is involved — the source of worker-count independence.
         let mut busy_until = 0u64;
+        let mut queue_wait_cycles = HistogramSnapshot::new(QUEUE_WAIT_BOUNDS_CYCLES);
         for (job, report) in queued.into_iter().zip(reports) {
             let report = report?;
             let cycles = report.total_cycles_with_stalls();
             let outcome = match self.ladder.place(0, busy_until, cycles, job.deadline_cycles) {
                 Ok(placed) => {
-                    m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES)
-                        .record(placed.start);
+                    queue_wait_cycles.record(placed.start);
                     busy_until = placed.completion;
-                    m.counter("engine.jobs.completed").inc();
-                    m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
-                    m.counter("engine.batch.macs").add(report.total_macs());
-                    m.counter("engine.batch.cycles").add(cycles);
                     JobOutcome::Completed(JobReport {
                         name: job.name,
                         tenant: job.tenant,
@@ -864,13 +833,7 @@ impl Engine {
                         report,
                     })
                 }
-                Err(reason) => {
-                    m.counter("engine.jobs.shed").inc();
-                    m.labeled_counter("engine.jobs")
-                        .with(&[("outcome", "shed"), ("reason", reason.slug())])
-                        .inc();
-                    JobOutcome::Shed { name: job.name, tenant: job.tenant, reason }
-                }
+                Err(reason) => JobOutcome::Shed { name: job.name, tenant: job.tenant, reason },
             };
             slots[job.slot] = Slot::Decided(outcome);
         }
@@ -903,13 +866,7 @@ impl Engine {
         for outcome in &outcomes {
             accountant.observe(outcome);
         }
-        // Fold-work accounting for the self-profiler: deterministic, so
-        // it is safe in every metrics export.
-        self.telemetry
-            .metrics
-            .counter("engine.slo.observations")
-            .add(accountant.observations());
-        Ok(BatchReport { outcomes, peak_queue_depth, slo: accountant.report() })
+        Ok(BatchReport { outcomes, peak_queue_depth, queue_wait_cycles, slo: accountant.report() })
     }
 
     /// Convenience: submits every job (collecting rejections as
@@ -1017,12 +974,9 @@ mod tests {
             assert!(r.report.total_stall_cycles() > 0, "{}: edge memory must stall", r.name);
             assert_eq!(r.queue_wait_cycles + r.cycles(), r.completion_cycle, "{}", r.name);
         }
-        // The jobs run back to back, so the busy-cycle counter (stalls
-        // included) adds up to the makespan.
-        assert_eq!(
-            engine.telemetry().metrics.snapshot().counter("engine.batch.cycles"),
-            batch.makespan_cycles()
-        );
+        // The jobs run back to back, so their busy cycles (stalls
+        // included) add up to the makespan.
+        assert_eq!(batch.completed().map(JobReport::cycles).sum::<u64>(), batch.makespan_cycles());
     }
 
     #[test]
@@ -1265,38 +1219,11 @@ mod tests {
         }
         let batch = engine.run_batch().unwrap();
         let waits: Vec<u64> = batch.completed().map(|r| r.queue_wait_cycles).collect();
-        let snap = engine.telemetry().metrics.snapshot();
-        let hist = snap.histogram("engine.queue.wait_cycles").expect("histogram recorded");
+        let hist = &batch.queue_wait_cycles;
         assert_eq!(hist.count, 3);
         assert_eq!(hist.sum, waits.iter().sum::<u64>());
         assert_eq!(hist.max, *waits.iter().max().unwrap());
         assert_eq!(hist.min, 0, "the first job starts immediately");
-    }
-
-    #[test]
-    fn labeled_outcome_counters_break_down_by_reason() {
-        let mut engine = Engine::new(
-            EngineConfig::quick(MacKind::Bsc).with_queue_capacity(1).with_workers(1),
-        )
-        .unwrap();
-        let net = toy_net("t", 256, 32, Precision::Int8);
-        let ideal = engine.estimate_cycles(&net);
-        // Admitted optimistically, shed by the exact schedule.
-        let _ = engine.submit(InferenceJob::new("shed-me", Arc::clone(&net)).with_deadline(ideal));
-        // Queue capacity 1: refused with backpressure.
-        let _ = engine.submit(InferenceJob::new("bounced", Arc::clone(&net)));
-        engine.run_batch().unwrap();
-        let _ = engine.submit(InferenceJob::new("runs", Arc::clone(&net)));
-        engine.run_batch().unwrap();
-
-        let snap = engine.telemetry().metrics.snapshot();
-        let at = |labels: &[(&str, &str)]| snap.labeled_counter_at("engine.jobs", labels);
-        assert_eq!(at(&[("outcome", "shed"), ("reason", "deadline_missed")]), 1);
-        assert_eq!(at(&[("outcome", "rejected"), ("reason", "queue_full")]), 1);
-        assert_eq!(at(&[("outcome", "completed")]), 1);
-        // Labeled totals agree with the flat counters.
-        let total: u64 = snap.labeled_counter("engine.jobs").iter().map(|(_, v)| v).sum();
-        assert_eq!(total, snap.counter("engine.jobs.submitted"));
     }
 
     #[test]
@@ -1362,23 +1289,5 @@ mod tests {
         // The quantized batch total tracks the float total to <1 fJ per layer.
         let float_total = batch.total_energy_fj();
         assert!((float_total - expected as f64).abs() < 9.0 * 1.0);
-    }
-
-    #[test]
-    fn engine_counters_track_outcomes() {
-        let mut engine = Engine::new(
-            EngineConfig::quick(MacKind::Bsc).with_queue_capacity(1).with_workers(1),
-        )
-        .unwrap();
-        let net = toy_net("t", 64, 8, Precision::Int2);
-        let _ = engine.submit(InferenceJob::new("a", Arc::clone(&net)));
-        let _ = engine.submit(InferenceJob::new("b", Arc::clone(&net)));
-        engine.run_batch().unwrap();
-        let snap = engine.telemetry().metrics.snapshot();
-        assert_eq!(snap.counter("engine.jobs.submitted"), 2);
-        assert_eq!(snap.counter("engine.jobs.admitted"), 1);
-        assert_eq!(snap.counter("engine.jobs.rejected"), 1);
-        assert_eq!(snap.counter("engine.jobs.completed"), 1);
-        assert!(snap.gauge("engine.queue.peak_depth") <= 1);
     }
 }

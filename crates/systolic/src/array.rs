@@ -370,13 +370,9 @@ impl SystolicArray {
 
         if let Some(tel) = tel {
             let m = &tel.metrics;
-            m.counter("systolic.runs").inc();
             m.counter("systolic.cycles").add(stats.cycles);
             m.counter("systolic.pe_fired").add(stats.pe_busy_cycles);
             m.counter("systolic.stall_cycles").add(stats.stall_cycles);
-            m.counter("systolic.feature_hops").add(stats.feature_hops);
-            m.counter("systolic.weight_loads").add(stats.weight_loads);
-            m.counter(&format!("systolic.macs.int{}", p.bits())).add(stats.macs);
             for (n_idx, pe) in pes.iter().enumerate() {
                 m.counter(&format!("systolic.pe{n_idx:02}.busy_cycles")).add(pe.busy_cycles());
             }
@@ -631,13 +627,14 @@ mod tests {
         let run = array.matmul(Precision::Int4, &f, &w).unwrap();
 
         let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("systolic.runs"), 1);
         assert_eq!(snap.counter("systolic.cycles"), run.stats.cycles);
         assert_eq!(snap.counter("systolic.pe_fired"), run.stats.pe_busy_cycles);
         assert_eq!(snap.counter("systolic.stall_cycles"), run.stats.stall_cycles);
-        assert_eq!(snap.counter("systolic.weight_loads"), run.stats.weight_loads);
-        assert_eq!(snap.counter("systolic.feature_hops"), run.stats.feature_hops);
-        assert_eq!(snap.counter("systolic.macs.int4"), run.stats.macs);
+        // 4 feature rows against 3 weight rows: one load per weight row,
+        // one hop and one k-lane dot product per (row, PE).
+        assert_eq!(run.stats.weight_loads, 3);
+        assert_eq!(run.stats.feature_hops, 4 * 3);
+        assert_eq!(run.stats.macs, 4 * 3 * k as u64);
         // Per-PE utilization: every PE fires once per feature row.
         for pe in 0..3 {
             assert_eq!(snap.counter(&format!("systolic.pe{pe:02}.busy_cycles")), 4);

@@ -6,9 +6,8 @@
 //! * [`metrics`] — a [`Registry`] of named monotonic [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s behind cheap atomic
 //!   handles, plus [`ScopedTimer`] for wall-clock phase timing;
-//! * [`metrics::labels`] — [`LabeledCounter`] families keyed by
-//!   canonical [`LabelSet`]s, and an HDR-style integer
-//!   [`QuantileSketch`] for tenant-level latency quantiles;
+//! * [`metrics::labels`] — an HDR-style integer [`QuantileSketch`] for
+//!   tenant-level latency quantiles;
 //! * [`trace`] — a bounded, droppable [`TraceRing`] of typed
 //!   cycle-events ([`TraceEvent::PeFired`], [`TraceEvent::VectorStall`],
 //!   [`TraceEvent::TileStart`], [`TraceEvent::WeightLoad`],
@@ -64,8 +63,8 @@ pub mod trace;
 
 pub use json::{parse_json, JsonParseError, JsonValue};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, LabeledCounter, MetricsSnapshot,
-    QuantileSketch, Registry, ScopedTimer, SketchSnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, QuantileSketch, Registry,
+    ScopedTimer, SketchSnapshot,
 };
 pub use perfetto::perfetto_json;
 pub use profile::{PhaseGuard, PhaseHandle, PhaseSnapshot, ProfileSnapshot, Profiler};

@@ -1,15 +1,4 @@
-//! Labeled counters and a fixed-bucket quantile sketch.
-//!
-//! The unlabeled [`Counter`] handles in the parent module are
-//! process-global singletons; multi-tenant serving needs the same
-//! signals *per outcome × reason*.  A [`LabeledCounter`] is a
-//! **family**: a named metric plus a bounded set of [`LabelSet`]
-//! points, each backed by the same cheap `Arc`-atomic handle as its
-//! unlabeled sibling.  Label sets are canonicalized (keys sorted,
-//! duplicates rejected by last-wins) at creation, and snapshots order
-//! points lexicographically, so JSON exports are byte-deterministic
-//! regardless of registration order — in particular under interleaved
-//! registration from the work-stealing pool.
+//! A fixed-bucket quantile sketch.
 //!
 //! [`QuantileSketch`] is an HDR-style log-linear histogram over `u64`
 //! samples: each power-of-two octave is split into 16 linear
@@ -20,95 +9,6 @@
 //! (clamped to the observed min/max), an integer, so p50/p95/p99 land
 //! in reports without any float formatting drift.  A sketch is plain
 //! single-owner data: it records and merges through `&mut self`.
-
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
-
-use super::Counter;
-
-// ---------------------------------------------------------------------------
-// Label sets
-// ---------------------------------------------------------------------------
-
-/// A small, canonical set of `key=value` labels identifying one point of
-/// a metric family (e.g. `{outcome=shed, reason=deadline_missed}`).
-///
-/// Pairs are stored sorted by key with duplicate keys collapsed
-/// (last value wins), so two label sets built from differently-ordered
-/// slices compare equal, and the derived [`Ord`] is the lexicographic
-/// order snapshots and JSON exports use.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LabelSet(Vec<(String, String)>);
-
-impl LabelSet {
-    /// Canonicalizes a slice of `(key, value)` pairs.
-    pub fn new(pairs: &[(&str, &str)]) -> Self {
-        let mut map = BTreeMap::new();
-        for (k, v) in pairs {
-            map.insert(k.to_string(), v.to_string());
-        }
-        LabelSet(map.into_iter().collect())
-    }
-
-    /// The value of label `key`, when present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-impl fmt::Display for LabelSet {
-    /// Renders `{k=v,k2=v2}` (empty sets render `{}`).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("{")?;
-        for (i, (k, v)) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str("}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Labeled counters
-// ---------------------------------------------------------------------------
-
-/// A family of [`Counter`]s keyed by [`LabelSet`].  Cloning shares the
-/// family; [`LabeledCounter::with`] hands out the same `Arc`-atomic
-/// handle for the same labels, so hot paths pay one relaxed atomic op
-/// per update after the first lookup.
-#[derive(Debug, Clone, Default)]
-pub struct LabeledCounter {
-    points: Arc<Mutex<BTreeMap<LabelSet, Counter>>>,
-}
-
-impl LabeledCounter {
-    /// An empty family.
-    pub fn new() -> Self {
-        LabeledCounter::default()
-    }
-
-    /// The counter at `labels`, created at zero on first use.
-    pub fn with(&self, labels: &[(&str, &str)]) -> Counter {
-        let mut g = self.points.lock().expect("labeled counter poisoned");
-        g.entry(LabelSet::new(labels)).or_default().clone()
-    }
-
-    /// Point-in-time totals, sorted lexicographically by label set.
-    pub fn snapshot(&self) -> Vec<(LabelSet, u64)> {
-        let g = self.points.lock().expect("labeled counter poisoned");
-        g.iter().map(|(s, c)| (s.clone(), c.get())).collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quantile sketch
-// ---------------------------------------------------------------------------
 
 /// Sub-buckets per power-of-two octave: 16 (4 bits), ≈6.25 % relative
 /// bucket width.
@@ -274,58 +174,6 @@ pub struct SketchSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn label_sets_canonicalize_order_and_duplicates() {
-        let a = LabelSet::new(&[("tenant", "acme"), ("precision", "int8")]);
-        let b = LabelSet::new(&[("precision", "int8"), ("tenant", "acme")]);
-        assert_eq!(a, b);
-        assert_eq!(a.to_string(), "{precision=int8,tenant=acme}");
-        // Last value wins for duplicate keys.
-        let c = LabelSet::new(&[("k", "old"), ("k", "new")]);
-        assert_eq!(c.get("k"), Some("new"));
-        assert_eq!(LabelSet::new(&[]).to_string(), "{}");
-    }
-
-    #[test]
-    fn labeled_counters_share_points_by_canonical_labels() {
-        let fam = LabeledCounter::new();
-        fam.with(&[("outcome", "shed"), ("reason", "deadline_missed")]).inc();
-        fam.with(&[("reason", "deadline_missed"), ("outcome", "shed")]).add(2);
-        fam.with(&[("outcome", "completed")]).inc();
-        let snap = fam.snapshot();
-        assert_eq!(snap.len(), 2);
-        // Lexicographic by label set: completed < shed.
-        assert_eq!(snap[0].0.get("outcome"), Some("completed"));
-        assert_eq!(snap[0].1, 1);
-        assert_eq!(snap[1].1, 3);
-    }
-
-    #[test]
-    fn label_ordering_is_stable_under_interleaved_parallel_registration() {
-        // Many threads race to register points in different orders; the
-        // snapshot must come out in one canonical order regardless.
-        let fam = LabeledCounter::new();
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let fam = fam.clone();
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        let tenant = format!("t{}", (i * 7 + t * 13) % 5);
-                        fam.with(&[("tenant", &tenant), ("outcome", "completed")]).inc();
-                    }
-                });
-            }
-        });
-        let snap = fam.snapshot();
-        assert_eq!(snap.len(), 5);
-        let names: Vec<_> =
-            snap.iter().map(|(s, _)| s.get("tenant").unwrap().to_string()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert_eq!(snap.iter().map(|(_, v)| v).sum::<u64>(), 400);
-    }
 
     #[test]
     fn sketch_buckets_are_monotone_and_invertible() {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use labels::{LabelSet, LabeledCounter, QuantileSketch, SketchSnapshot};
+pub use labels::{QuantileSketch, SketchSnapshot};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
@@ -85,11 +85,18 @@ pub struct Histogram {
     inner: Arc<HistogramInner>,
 }
 
+/// `bounds` sorted ascending without duplicates: the finite bucket upper
+/// bounds of a histogram.
+fn canonical_bounds(bounds: &[u64]) -> Vec<u64> {
+    let mut sorted = bounds.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
+}
+
 impl Histogram {
     fn new(bounds: &[u64]) -> Self {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
+        let sorted = canonical_bounds(bounds);
         let n = sorted.len() + 1;
         Histogram {
             inner: Arc::new(HistogramInner {
@@ -112,39 +119,6 @@ impl Histogram {
         h.sum.fetch_add(value, Ordering::Relaxed);
         h.min.fetch_min(value, Ordering::Relaxed);
         h.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Folds a pre-bucketed batch of samples into this histogram —
-    /// equivalent to calling [`Histogram::record`] once per sample.  A
-    /// hot loop can bucket its samples in plain integers and merge them
-    /// once, taking no atomic per sample.  `bounds` must equal the
-    /// histogram's own canonical (sorted, deduped) bounds, and each
-    /// sample goes to bucket `bounds.partition_point(|&b| b < sample)`,
-    /// as in [`Histogram::record`].  `sum` wraps like the atomic sum,
-    /// `min`/`max` are the batch extremes, and `count` must be non-zero
-    /// so the empty-batch min sentinel never leaks in.
-    pub fn merge_bucketed(
-        &self,
-        bounds: &[u64],
-        buckets: &[u64],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) {
-        let h = &*self.inner;
-        assert_eq!(h.bounds, bounds, "bucketed merge requires identical bounds");
-        assert_eq!(h.buckets.len(), buckets.len());
-        assert!(count > 0, "empty batches must be skipped by the caller");
-        for (mine, &theirs) in h.buckets.iter().zip(buckets) {
-            if theirs != 0 {
-                mine.fetch_add(theirs, Ordering::Relaxed);
-            }
-        }
-        h.count.fetch_add(count, Ordering::Relaxed);
-        h.sum.fetch_add(sum, Ordering::Relaxed);
-        h.min.fetch_min(min, Ordering::Relaxed);
-        h.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -171,7 +145,11 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of one histogram.
+/// Point-in-time copy of one histogram, and a plain single-owner
+/// recorder of the same shape: [`HistogramSnapshot::new`] and
+/// [`HistogramSnapshot::record`] bucket, sum and bound samples exactly as
+/// [`Histogram::record`] does, through `&mut self` and with no atomic, so
+/// a hot loop that owns its samples can record them directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds, ascending.
@@ -189,6 +167,25 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// An empty histogram over `bounds`, canonicalized (sorted, deduped)
+    /// like a registry histogram's.
+    pub fn new(bounds: &[u64]) -> Self {
+        let bounds = canonical_bounds(bounds);
+        let buckets = vec![0; bounds.len() + 1];
+        HistogramSnapshot { bounds, buckets, count: 0, sum: 0, min: 0, max: 0 }
+    }
+
+    /// Records one sample: the bucket rule and wrapping sum of
+    /// [`Histogram::record`], with `min` and `max` kept exact (both 0
+    /// while empty).
+    pub fn record(&mut self, value: u64) {
+        self.buckets[self.bounds.partition_point(|&b| b < value)] += 1;
+        self.min = if self.count == 0 { value } else { self.min.min(value) };
+        self.max = self.max.max(value);
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
     /// Mean sample value, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -266,10 +263,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, i64)>,
     /// Histogram states by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Labeled counter families by name; points sorted lexicographically
-    /// by label set, so serialization is byte-deterministic no matter
-    /// which worker registered which point first.
-    pub labeled_counters: Vec<(String, Vec<(LabelSet, u64)>)>,
 }
 
 impl MetricsSnapshot {
@@ -296,27 +289,6 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// The points of the named labeled counter family (empty when the
-    /// family is absent).
-    pub fn labeled_counter(&self, name: &str) -> &[(LabelSet, u64)] {
-        self.labeled_counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, pts)| pts.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The total of one point of a labeled counter family, or 0 when the
-    /// family or point is absent.
-    pub fn labeled_counter_at(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let set = LabelSet::new(labels);
-        self.labeled_counter(name)
-            .iter()
-            .find(|(s, _)| *s == set)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
     /// A copy without the wall-clock timer histograms (names ending in
     /// `_ns`) — the one intentionally non-deterministic signal.  Used by
     /// the `repro --no-timers` determinism path so repeated runs
@@ -332,7 +304,6 @@ impl MetricsSnapshot {
                 .filter(|(n, _)| !n.ends_with("_ns"))
                 .cloned()
                 .collect(),
-            labeled_counters: self.labeled_counters.clone(),
         }
     }
 }
@@ -342,7 +313,6 @@ struct RegistryInner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
-    labeled_counters: BTreeMap<String, LabeledCounter>,
 }
 
 /// A named collection of metrics.  Cloning shares the underlying store, so
@@ -392,15 +362,6 @@ impl Registry {
             .clone()
     }
 
-    /// The labeled counter family named `name`, created empty on first
-    /// use.  Points are addressed with
-    /// [`LabeledCounter::with`]: `reg.labeled_counter("engine.jobs")
-    /// .with(&[("outcome", "shed"), ("reason", "deadline_missed")])`.
-    pub fn labeled_counter(&self, name: &str) -> LabeledCounter {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.labeled_counters.entry(name.to_string()).or_default().clone()
-    }
-
     /// Starts a wall-clock timer whose elapsed nanoseconds are recorded
     /// into the histogram `name` when the returned guard drops.
     pub fn timer(&self, name: &str) -> ScopedTimer {
@@ -420,11 +381,6 @@ impl Registry {
                 .histograms
                 .iter()
                 .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-            labeled_counters: g
-                .labeled_counters
-                .iter()
-                .map(|(n, f)| (n.clone(), f.snapshot()))
                 .collect(),
         }
     }
@@ -610,33 +566,32 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_merge_equals_recording_each_sample() {
-        // Both histograms already hold a sample, and their unsorted,
-        // duplicated bounds canonicalize to [10, 100].
+    fn plain_recorder_equals_the_registry_histogram() {
+        // Unsorted, duplicated bounds canonicalize to [10, 100] on both
+        // sides.  Cases: empty, one sample, the overflow bucket, a sum
+        // that wraps, and seeded samples across every bucket.
         let raw = [100, 10, 100, 10];
-        let direct = Registry::new();
-        let merged = Registry::new();
-        direct.histogram("h", &raw).record(7);
-        merged.histogram("h", &raw).record(7);
-        let samples = [0u64, 10, 11, 100, 5000, 42, u64::MAX];
-        let bounds = [10, 100];
-        let mut buckets = [0u64; 3];
-        for &v in &samples {
-            direct.histogram("h", &raw).record(v);
-            buckets[bounds.partition_point(|&b| b < v)] += 1;
+        let mut state = 0x5EED_CAFE_u64;
+        let seeded: Vec<u64> = (0..500)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 150
+            })
+            .collect();
+        let cases: [&[u64]; 5] =
+            [&[], &[37], &[5000, 101, 7], &[u64::MAX, u64::MAX - 1, 5], &seeded];
+        for samples in cases {
+            let reg = Registry::new();
+            let live = reg.histogram("h", &raw);
+            let mut plain = HistogramSnapshot::new(&raw);
+            for &v in samples {
+                live.record(v);
+                plain.record(v);
+            }
+            assert_eq!(reg.snapshot().histogram("h"), Some(&plain), "{samples:?}");
         }
-        let sum = samples.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
-        let (min, max) = (*samples.iter().min().unwrap(), *samples.iter().max().unwrap());
-        merged.histogram("h", &raw).merge_bucketed(
-            &bounds,
-            &buckets,
-            samples.len() as u64,
-            sum,
-            min,
-            max,
-        );
-        assert_eq!(merged.snapshot(), direct.snapshot());
-        assert_eq!(merged.snapshot().histogram("h").unwrap().count, 8);
     }
 
     #[test]

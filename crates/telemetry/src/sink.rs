@@ -226,10 +226,7 @@ fn write_histogram_object(j: &mut JsonBuilder, h: &crate::metrics::HistogramSnap
 }
 
 /// Writes the metrics object into an in-progress document (after a
-/// [`JsonBuilder::key`] or at array level).  Labeled counter families
-/// appear under `labeled_counters`, one member per point keyed
-/// `family{k=v,...}` in lexicographic label order, so the document is
-/// byte-deterministic at any registration interleaving.
+/// [`JsonBuilder::key`] or at array level).
 pub fn write_metrics_object(j: &mut JsonBuilder, snap: &MetricsSnapshot) {
     j.begin_object();
     j.key("counters").begin_object();
@@ -248,15 +245,6 @@ pub fn write_metrics_object(j: &mut JsonBuilder, snap: &MetricsSnapshot) {
         write_histogram_object(j, h);
     }
     j.end_object();
-    if !snap.labeled_counters.is_empty() {
-        j.key("labeled_counters").begin_object();
-        for (name, points) in &snap.labeled_counters {
-            for (labels, v) in points {
-                j.key(&format!("{name}{labels}")).u64(*v);
-            }
-        }
-        j.end_object();
-    }
     j.end_object();
 }
 
@@ -344,28 +332,6 @@ mod tests {
         assert!(json.contains(r#""depth":-2"#), "{json}");
         assert!(json.contains(r#""count":1"#), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn labeled_metrics_serialize_in_canonical_order() {
-        let reg = Registry::new();
-        let jobs = reg.labeled_counter("engine.jobs");
-        jobs.with(&[("outcome", "shed"), ("reason", "deadline_missed")]).inc();
-        jobs.with(&[("outcome", "completed")]).add(3);
-        let json = metrics_to_json(&reg.snapshot());
-        assert!(
-            json.contains(r#""engine.jobs{outcome=completed}":3"#),
-            "{json}"
-        );
-        assert!(
-            json.contains(r#""engine.jobs{outcome=shed,reason=deadline_missed}":1"#),
-            "{json}"
-        );
-        // completed sorts before shed: canonical lexicographic order.
-        let completed = json.find("outcome=completed").unwrap();
-        let shed = json.find("outcome=shed").unwrap();
-        assert!(completed < shed);
-        assert!(crate::json::parse_json(&json).is_ok(), "{json}");
     }
 
     #[test]

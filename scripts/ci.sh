@@ -29,6 +29,23 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> telemetry smoke: repro --metrics-out"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+
+# `repro diff` as a gate: it fails on a drifted or missing gated field,
+# and here also on a field present on only one side, which `repro diff`
+# itself only warns about — a gate that warns on every run would hide a
+# real one-sided field.
+diff_gate() {
+    if ! cargo run --release --offline -q -p bsc-bench --bin repro -- \
+        diff "$@" 2>"$out/diff.err"; then
+        cat "$out/diff.err" >&2
+        exit 1
+    fi
+    cat "$out/diff.err" >&2
+    if grep -q "present on only one side" "$out/diff.err"; then
+        echo "repro diff $*: a field is present on only one side"
+        exit 1
+    fi
+}
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     --metrics-out "$out/metrics.json" --trace-out "$out/trace.json" >/dev/null
 test -s "$out/metrics.json" && test -s "$out/trace.json"
@@ -67,8 +84,7 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 echo "==> perf regression gate: repro diff BENCH_baseline.json"
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_baseline.json "$out/BENCH_sim.json"
+diff_gate BENCH_baseline.json "$out/BENCH_sim.json"
 
 echo "==> paper figures gate: repro --bench-out BENCH_paper.json all"
 # Table I and every Fig 7/8a/8b/9 number at paper scale (32 PEs x L=32)
@@ -77,8 +93,7 @@ echo "==> paper figures gate: repro --bench-out BENCH_paper.json all"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     --bench-out "$out/BENCH_paper.json" all >/dev/null
 test -s "$out/BENCH_paper.json"
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_paper.json "$out/BENCH_paper.json" --tol 0
+diff_gate BENCH_paper.json "$out/BENCH_paper.json" --tol 0
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/BENCH_paper.json" EXPERIMENTS.md <<'PY'
 import json, re, sys
@@ -142,6 +157,29 @@ for r in md_rows("Fig. 9"):
     cell(r[1], eff["BSC"], f"fig9 {r[0]} BSC")
     cell(r[2], eff["BSC"] / eff["LPC"], f"fig9 {r[0]} BSC/LPC")
     cell(r[3], eff["BSC"] / eff["HPS"], f"fig9 {r[0]} BSC/HPS")
+# Fig 7's prose: BSC's and LPC's 2-bit power at the named period, BSC's
+# saving, and each design's 2-bit (TOPS/W, TOPS/mm2) frontier endpoints
+# at its longest and its shortest feasible period.
+fig7 = "\n".join(md[next(i for i, l in enumerate(md) if l.startswith("## Fig. 7(a)")):
+                    next(i for i, l in enumerate(md) if l.startswith("## Fig. 8(a)"))])
+two_bit = {}
+for p in doc["fig7"]:
+    if p["bits"] == 2:
+        two_bit.setdefault(p["kind"], []).append(p)
+m = re.search(r"measured: (\d+)% lower\*\* \(BSC ([\d.]+) mW vs LPC ([\d.]+) mW at\s+([\d.]+) ns\)", fig7)
+assert m, "EXPERIMENTS.md Fig 7(a): the 2-bit power sentence is missing"
+period = round(float(m.group(4)) * 1000)
+mw = {k: next(p["total_power_mw"] for p in pts if p["period_ps"] == period)
+      for k, pts in two_bit.items()}
+cell(m.group(1), 100 * (1 - mw["BSC"] / mw["LPC"]), "fig7a BSC 2-bit power saving")
+cell(m.group(2), mw["BSC"], f"fig7a BSC 2-bit mW at {period} ps")
+cell(m.group(3), mw["LPC"], f"fig7a LPC 2-bit mW at {period} ps")
+for kind, pts in two_bit.items():
+    m = re.search(kind + r"\s+\(([\d.]+), ([\d.]+)\)…\(([\d.]+), ([\d.]+)\)", fig7)
+    assert m, f"EXPERIMENTS.md Fig 7(b): no {kind} frontier"
+    slow, fast = max(pts, key=lambda p: p["period_ps"]), min(pts, key=lambda p: p["period_ps"])
+    for text, p, col in zip(m.groups(), (slow, slow, fast, fast), ("tops_per_w", "tops_per_mm2") * 2):
+        cell(text, p[col], f"fig7b {kind} {col} at {p['period_ps']} ps")
 print(f"paper gate valid ({len(doc['fig7'])} sweep points; BSC wins all {len(checks)} comparisons; "
       f"{cells} EXPERIMENTS.md cells match)")
 PY
@@ -156,16 +194,28 @@ test -s "$out/serve_report.json"
 # The serve report is fully deterministic (virtual batch clock, submission
 # -order merging), so the diff runs at zero tolerance: any drift in job
 # numerics, outcome counts or queue/admission counters fails the gate.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_serve_baseline.json "$out/serve_report.json" --tol 0
+diff_gate BENCH_serve_baseline.json "$out/serve_report.json" --tol 0
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$out/serve_report.json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+agg, counters = report["aggregate"], report["counters"]
+# The counters restate the batch report's aggregate.
+for outcome in ("submitted", "rejected", "shed", "completed"):
+    assert counters[f"engine.jobs.{outcome}"] == agg[outcome], outcome
+assert counters["engine.jobs.admitted"] == agg["submitted"] - agg["rejected"]
+assert counters["engine.queue.peak_depth"] == agg["peak_queue_depth"]
+assert report["queue_wait_cycles"]["count"] == agg["completed"]
+print(f"serve counters restate the aggregate ({agg['submitted']} jobs)")
+PY
+fi
 
 echo "==> tenant SLO gate: repro diff BENCH_slo_baseline.json"
 # The per-tenant SLO report (integer latency quantiles, whole-fJ energy
 # attribution, windowed series) is byte-deterministic at any worker
 # count, so it is also gated at zero tolerance.
 test -s "$out/slo.json"
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_slo_baseline.json "$out/slo.json" --tol 0
+diff_gate BENCH_slo_baseline.json "$out/slo.json" --tol 0
 # Dashboard sanity: non-empty, self-contained, one <svg> per tenant.
 test -s "$out/dash.html"
 test -s "$out/events.jsonl"
@@ -196,8 +246,7 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 test -s "$out/BENCH_mem.json"
 # The sweep is analytic and cycle-domain, so the baseline diff runs at
 # zero tolerance; the roofline must still have points on both sides.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_mem_baseline.json "$out/BENCH_mem.json" --tol 0
+diff_gate BENCH_mem_baseline.json "$out/BENCH_mem.json" --tol 0
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/BENCH_mem.json" <<'PY'
 import json, sys
@@ -218,8 +267,7 @@ test -s "$out/BENCH_dse.json" && test -s "$out/dse_pareto.svg"
 # Every field is a pure function of the manifest (no wall clock in the
 # document), so the baseline diff runs at zero tolerance and the report
 # must be byte-identical at any worker count.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_dse_baseline.json "$out/BENCH_dse.json" --tol 0
+diff_gate BENCH_dse_baseline.json "$out/BENCH_dse.json" --tol 0
 for w in 1 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \
         dse examples/dse_manifest.json --workers "$w" \
@@ -265,13 +313,11 @@ test -s "$out/online_report.json"
 # The online report is a pure function of the manifest (discrete-event
 # clock, seeded integer arrival sampling, order-independent SLO fold),
 # so the baseline diff runs at zero tolerance.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_online_baseline.json "$out/online_report.json" --tol 0
+diff_gate BENCH_online_baseline.json "$out/online_report.json" --tol 0
 # The per-tenant SLO document (latency quantiles, goodput, windows,
 # per-precision energy) is folded per (source x shard) pair; it is as
 # deterministic as the report and gated the same way.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_online_slo_baseline.json "$out/online_slo.json" --tol 0
+diff_gate BENCH_online_slo_baseline.json "$out/online_slo.json" --tol 0
 # Worker-count independence: re-running the same manifest with 2 and 8
 # workers must reproduce the report and the SLO document byte for byte.
 for w in 2 8; do
@@ -348,9 +394,8 @@ for f in report["funnel"]:
               + f["shed_deadline"] + f["dispatched"])
     assert f["offered"] == stages, f"funnel of {f['shard']} does not balance"
 assert sum(f["offered"] for f in report["funnel"]) == agg["submitted"]
-# The job metrics are published from the funnel: the flat counters, the
-# funnel-stage sums and the queue-wait sample count must all restate
-# the aggregate.
+# The report's counters, the funnel-stage sums and the queue-wait
+# sample count must all restate the aggregate.
 for outcome in ("submitted", "completed", "rejected", "shed"):
     assert report["counters"][f"engine.jobs.{outcome}"] == agg[outcome], outcome
 stage_sums = {
@@ -378,8 +423,7 @@ test -s "$out/profile.json" && test -s "$out/profile.folded" && test -s "$out/pr
 # The `counters` section of the profile is a pure function of the
 # manifest; `wall` / `throughput` carry *_ns / *_per_sec names the
 # differ reports but never gates.
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_profile_baseline.json "$out/profile.json" --tol 0
+diff_gate BENCH_profile_baseline.json "$out/profile.json" --tol 0
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/profile.json" "$out/profile.folded" <<'PY'
 import json, sys
@@ -419,8 +463,8 @@ open(sys.argv[2], "w").write(
 fi
 
 echo "==> 1e7-arrival gate: repro profile examples/profile_10m_manifest.json"
-# The batched hot path (completion-burst pops, arrival refills, job
-# metrics published once from the funnel) exists to make this scale
+# The batched hot path (completion-burst pops, arrival refills, one
+# funnel tally per decision) exists to make this scale
 # routine: ~1.03e7 arrivals through the full admission/dispatch/SLO
 # pipeline.  Counters stay a pure function of the manifest, so the
 # baseline diff runs at --tol 0.
@@ -428,8 +472,7 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
     profile examples/profile_10m_manifest.json \
     --profile-out "$out/profile_10m.json" > "$out/profile_10m.txt"
 test -s "$out/profile_10m.json"
-cargo run --release --offline -q -p bsc-bench --bin repro -- \
-    diff BENCH_profile_10m_baseline.json "$out/profile_10m.json" --tol 0
+diff_gate BENCH_profile_10m_baseline.json "$out/profile_10m.json" --tol 0
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/profile_10m.json" <<'PY'
 import json, sys
@@ -458,7 +501,7 @@ print(f"1e7 gate valid ({meta['submitted']} arrivals; "
 PY
 fi
 # The 1e7 report and SLO document are byte-identical at 1, 2 and 8
-# workers — the funnel-derived metrics, completion coalescing and the
+# workers — the funnel tallies, completion coalescing and the
 # per-pair SLO fold do not perturb a single exported field at any
 # parallelism.
 for w in 1 2 8; do

@@ -423,8 +423,9 @@ fn batch_engine_equals_a_serial_virtual_clock_reference() {
 // would change no shard is decided against the unchanged shards and
 // consumed in one heap step, without the full step.  A log that never
 // fills keeps every decision a full step, so the same manifest with an
-// unbounded log is the reference: every report field but the log, every
-// job metric and every logical profile counter must agree.
+// unbounded log is the reference: every report field but the log (the
+// queue-wait histogram included) and every logical profile counter must
+// agree.
 // ---------------------------------------------------------------------
 
 /// Two mean-1 Poisson sources: the `max(1)` clamp fires on most draws,
@@ -450,28 +451,12 @@ fn dense_tie_manifest(policy: &str, max_jobs: u64, event_log_cap: u64) -> String
     )
 }
 
-/// One profiled run: the report, its job metrics (the wall-clock timer
-/// and the process-wide cache counters left out) and its profile
-/// counters as `phase.counter`.
-fn profiled_run(manifest: &str) -> (bsc_accel::OnlineReport, Vec<String>, Vec<(String, u64)>) {
+/// One profiled run: the report and its profile counters as
+/// `phase.counter`.
+fn profiled_run(manifest: &str) -> (bsc_accel::OnlineReport, Vec<(String, u64)>) {
     let profiler = bsc_telemetry::Profiler::new();
     let run =
         bsc_bench::online::online_profiled(manifest, None, Some(&profiler)).expect("online run");
-    let m = &run.metrics;
-    let mut metrics: Vec<String> = m
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("engine.jobs"))
-        .map(|c| format!("{c:?}"))
-        .collect();
-    metrics.extend(m.labeled_counters.iter().map(|c| format!("{c:?}")));
-    metrics.extend(
-        m.histograms
-            .iter()
-            .filter(|(n, _)| n == "engine.queue.wait_cycles")
-            .map(|h| format!("{h:?}")),
-    );
-    metrics.extend(m.gauges.iter().map(|g| format!("{g:?}")));
     let counters = profiler
         .snapshot()
         .phases
@@ -482,7 +467,7 @@ fn profiled_run(manifest: &str) -> (bsc_accel::OnlineReport, Vec<String>, Vec<(S
             std::iter::once(calls).chain(named).collect::<Vec<_>>()
         })
         .collect();
-    (run.report, metrics, counters)
+    (run.report, counters)
 }
 
 /// Runs `policy` on the dense-tie manifest with the log full from the
@@ -490,9 +475,8 @@ fn profiled_run(manifest: &str) -> (bsc_accel::OnlineReport, Vec<String>, Vec<(S
 /// and returns the runs' report and `(runs, run_arrivals)`.
 fn runs_match_full_steps(policy: &str, max_jobs: u64) -> (bsc_accel::OnlineReport, u64, u64) {
     let label = format!("{policy}, max_jobs {max_jobs}");
-    let (report, metrics, counters) = profiled_run(&dense_tie_manifest(policy, max_jobs, 0));
-    let (full, full_metrics, full_counters) =
-        profiled_run(&dense_tie_manifest(policy, max_jobs, 1 << 30));
+    let (report, counters) = profiled_run(&dense_tie_manifest(policy, max_jobs, 0));
+    let (full, full_counters) = profiled_run(&dense_tie_manifest(policy, max_jobs, 1 << 30));
     assert_eq!(full.events_truncated, 0, "{label}: the reference logs every decision");
     assert_eq!((report.events.len(), report.events_truncated), (0, report.submitted), "{label}");
     let unlogged = |r: &bsc_accel::OnlineReport| bsc_accel::OnlineReport {
@@ -501,7 +485,6 @@ fn runs_match_full_steps(policy: &str, max_jobs: u64) -> (bsc_accel::OnlineRepor
         ..r.clone()
     };
     assert_eq!(unlogged(&report), unlogged(&full), "{label}: report");
-    assert_eq!(metrics, full_metrics, "{label}: job metrics");
     // Guard entries, the run counts and the log counts differ by design.
     let differ = [
         "dispatch.calls",
@@ -569,8 +552,8 @@ fn a_budget_that_runs_out_inside_a_run_matches_full_steps() {
 
 #[test]
 fn a_small_log_keeps_the_full_steps_first_decisions() {
-    let (capped, _, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 37));
-    let (full, _, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 1 << 30));
+    let (capped, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 37));
+    let (full, _) = profiled_run(&dense_tie_manifest("tenant-fair", 1 << 40, 1 << 30));
     assert_eq!(capped.events[..], full.events[..37]);
     assert_eq!(capped.events_truncated, full.submitted - 37);
 }

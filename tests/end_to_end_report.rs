@@ -4,7 +4,6 @@
 use bsc_accel::{Accelerator, CharacterizationCache};
 use bsc_mac::{MacKind, Precision};
 use bsc_nn::models;
-use bsc_telemetry::Telemetry;
 
 fn build_all() -> Vec<Accelerator> {
     MacKind::ALL
@@ -90,21 +89,19 @@ fn each_design_is_characterized_at_most_once_per_binary() {
     // Every test in this binary routes through the process-wide
     // characterization cache, so no matter how many accelerators they
     // build, the gate-level characterization runs at most once per
-    // distinct design.  `telemetry.characterize.runs` is backed by the
-    // process-global counter in `bsc_mac::ppa`, so it also catches any
-    // construction path that bypassed the cache.
+    // distinct design.  `characterize_runs` is the process-global counter
+    // in `bsc_mac::ppa`, so it also catches any construction path that
+    // bypassed the cache.
     let _accels = build_all();
     let _again = build_all();
-    let tel = Telemetry::metrics_only();
-    CharacterizationCache::global().publish(&tel);
-    let snap = tel.metrics.snapshot();
-    let runs = snap.counter("telemetry.characterize.runs");
+    let cache = CharacterizationCache::global();
+    let runs = bsc_mac::ppa::characterize_runs();
     assert!(
         (1..=MacKind::ALL.len() as u64).contains(&runs),
         "expected at most one characterization per design, counted {runs}"
     );
-    assert_eq!(snap.counter("engine.cache.misses"), runs);
-    assert!(snap.counter("engine.cache.hits") >= MacKind::ALL.len() as u64);
+    assert_eq!(cache.misses(), runs);
+    assert!(cache.hits() >= MacKind::ALL.len() as u64);
 }
 
 #[test]

@@ -1,23 +1,14 @@
-//! A live reference for the online engine's published metrics.
+//! A live reference for the online engine's exported tallies.
 //!
-//! `run_online` publishes its per-job metrics once, after the event
-//! loop, as a view of the admission funnel (plus the dispatched jobs'
-//! queue waits).  This harness rebuilds the same metrics the slow way:
-//! it runs each manifest with a decision log that keeps every arrival,
-//! folds each logged decision into a fresh [`Registry`] with one
-//! registry operation per metric per event, and compares the two
-//! snapshots byte for byte.
-//!
-//! Per decision, the reference records:
-//!
-//! * `engine.jobs.submitted` and `engine.jobs.<outcome>`;
-//! * the `engine.jobs{outcome,reason,shard}` point of its outcome;
-//! * for a completion, `start_cycle − arrival_cycle` into
-//!   `engine.queue.wait_cycles`.
-//!
-//! A metric the run never touched is never registered, on either side,
-//! so a zero count that leaks into the publish step shows up as a byte
-//! diff, as does any swapped label, bucket or total.
+//! The event loop counts each decision once, in its shard's admission
+//! funnel, and records each dispatched job's queue wait into one plain
+//! histogram; the report's outcome totals, the exports' `counters` and
+//! `queue_wait_cycles` all read those.  This harness rebuilds both the
+//! slow way: it runs each manifest with a decision log that keeps every
+//! arrival, folds each logged decision into a fresh per-shard funnel and
+//! into a registry histogram (one `record` per completion), and compares
+//! them with `report.funnel` and `report.queue_wait_cycles`, so a
+//! swapped stage, shard, bucket or total shows up as a diff.
 //!
 //! The run's SLO report and shard totals get the same treatment.  The
 //! engine folds completions once per (source × shard) pair, as the
@@ -35,10 +26,11 @@
 use std::collections::BTreeMap;
 
 use bsc_accel::slo::{quantize_energy_fj, window_width_for_horizon};
-use bsc_accel::{Accelerator, CharacterizationCache, NetworkReport, SloAccountant, SloReport};
-use bsc_bench::online::{online, parse_online_manifest, OnlineRun};
-use bsc_telemetry::sink::metrics_to_json;
-use bsc_telemetry::{MetricsSnapshot, Registry};
+use bsc_accel::{
+    Accelerator, CharacterizationCache, NetworkReport, ShardFunnel, SloAccountant, SloReport,
+};
+use bsc_bench::online::{online, parse_online_manifest, report_json, OnlineRun};
+use bsc_telemetry::{HistogramSnapshot, Registry};
 
 /// Seeded manifest exercising all three arrival processes (Poisson,
 /// bursty, diurnal), heterogeneous shards, every rejection reason
@@ -86,52 +78,38 @@ const MANIFEST: &str = r#"{
 const POLICIES: [&str; 3] = ["least-outstanding", "round-robin", "tenant-fair"];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// The run's metrics without timers (wall clock) and without the
-/// `engine.cache.*` / `telemetry.characterize.*` counters: those publish
-/// the *process-global* characterization cache, which warms
-/// monotonically across the runs of this test binary and is not part
-/// of the run's own metrics.
-fn published(run: &OnlineRun) -> String {
-    let mut snap: MetricsSnapshot = run.metrics.without_timers();
-    snap.counters.retain(|(name, _)| {
-        !name.starts_with("engine.cache.") && !name.starts_with("telemetry.characterize.")
-    });
-    metrics_to_json(&snap)
-}
-
-/// Folds every logged decision of `run` into a fresh registry, one
-/// registry operation per metric per event.
-fn reference(run: &OnlineRun) -> String {
+/// Folds every logged decision of `run` into a fresh funnel per shard
+/// and a fresh registry histogram of the completions' queue waits.
+fn reference(run: &OnlineRun) -> (Vec<ShardFunnel>, HistogramSnapshot) {
     let r = &run.report;
     assert_eq!(r.events_truncated, 0, "the reference needs every decision logged");
     assert_eq!(r.events.len() as u64, r.submitted);
+    let mut funnel: Vec<ShardFunnel> = run
+        .shard_names
+        .iter()
+        .map(|name| ShardFunnel { shard: name.clone(), ..ShardFunnel::default() })
+        .collect();
     // The bucket bounds are configuration, read from the run; the
     // samples, counts and extremes come from the log alone.
-    let bounds = run.metrics.histogram("engine.queue.wait_cycles").map(|h| h.bounds.clone());
     let reg = Registry::new();
+    let waits = reg.histogram("waits", &r.queue_wait_cycles.bounds);
     for e in &r.events {
-        reg.counter("engine.jobs.submitted").inc();
-        reg.counter(&format!("engine.jobs.{}", e.outcome)).inc();
-        let mut labels = vec![("outcome", e.outcome), ("shard", e.shard.as_str())];
-        labels.extend(e.reason.map(|reason| ("reason", reason)));
-        reg.labeled_counter("engine.jobs").with(&labels).inc();
-        if e.outcome == "completed" {
-            let bounds = bounds.as_deref().expect("a completion publishes its queue wait");
-            reg.histogram("engine.queue.wait_cycles", bounds)
-                .record(e.start_cycle - e.arrival_cycle);
-        }
+        let f = funnel.iter_mut().find(|f| f.shard == e.shard).expect("a known shard");
+        f.offered += 1;
+        let stage = match (e.outcome, e.reason) {
+            ("completed", None) => {
+                waits.record(e.start_cycle - e.arrival_cycle);
+                &mut f.dispatched
+            }
+            ("shed", Some("deadline_missed")) => &mut f.shed_deadline,
+            ("rejected", Some("queue_full")) => &mut f.queue_full,
+            ("rejected", Some("overloaded")) => &mut f.overloaded,
+            ("rejected", Some("deadline_infeasible")) => &mut f.deadline_infeasible,
+            other => panic!("unknown decision {other:?}"),
+        };
+        *stage += 1;
     }
-    // The run-level metrics every online run publishes.
-    reg.counter("engine.decision_log.truncated").add(r.events_truncated);
-    let makespan = r
-        .events
-        .iter()
-        .filter(|e| e.outcome == "completed")
-        .map(|e| e.completion_cycle)
-        .max()
-        .unwrap_or(0);
-    reg.gauge("engine.online.makespan_cycles").set(makespan as i64);
-    metrics_to_json(&reg.snapshot())
+    (funnel, reg.snapshot().histogram("waits").expect("registered").clone())
 }
 
 /// Folds every logged decision of `run` into a fresh `SloAccountant`,
@@ -187,10 +165,12 @@ fn slo_reference(manifest: &str, run: &OnlineRun) -> (SloReport, Vec<(u64, u64, 
     (acc.report(), shards)
 }
 
-/// Both references for one run: the published metrics and the SLO
-/// report with the shard totals.
+/// Both references for one run: the funnel with the queue waits, and
+/// the SLO report with the shard totals.
 fn assert_matches_references(manifest: &str, run: &OnlineRun, cell: &str) {
-    assert_eq!(published(run), reference(run), "{cell}: metrics diverged");
+    let (funnel, waits) = reference(run);
+    assert_eq!(run.report.funnel, funnel, "{cell}: funnel diverged");
+    assert_eq!(run.report.queue_wait_cycles, waits, "{cell}: queue waits diverged");
     let (slo, shards) = slo_reference(manifest, run);
     assert_eq!(run.report.slo, slo, "{cell}: SLO report diverged");
     let totals: Vec<(u64, u64, u64)> =
@@ -198,10 +178,10 @@ fn assert_matches_references(manifest: &str, run: &OnlineRun, cell: &str) {
     assert_eq!(totals, shards, "{cell}: shard totals diverged");
 }
 
-/// The headline check: the metrics published from the funnel, the SLO
-/// report and the shard totals equal a per-event fold of the decision
-/// log, across all three dispatch policies, all three arrival processes
-/// (the manifest runs them concurrently) and 1/2/8 workers.
+/// The headline check: the funnel, the queue waits, the SLO report and
+/// the shard totals equal a per-event fold of the decision log, across
+/// all three dispatch policies, all three arrival processes (the
+/// manifest runs them concurrently) and 1/2/8 workers.
 #[test]
 fn published_metrics_equal_a_per_event_fold_of_the_decision_log() {
     for policy in POLICIES {
@@ -244,9 +224,9 @@ fn a_makespan_far_past_the_horizon_folds_like_the_decision_log() {
 }
 
 /// The zero-count rule: a backlog limit below every estimate rejects
-/// each arrival as `overloaded`, so nothing completes or sheds, and the
-/// completed and shed counters, their labeled points and the wait
-/// histogram must stay unregistered.
+/// each arrival as `overloaded`, so nothing completes or sheds, the
+/// completed and shed stages stay at zero and the wait histogram stays
+/// empty, in the report and in its `queue_wait_cycles` export.
 #[test]
 fn outcomes_that_never_happen_register_nothing() {
     let manifest = MANIFEST.replace("\"max_backlog_cycles\": 150000", "\"max_backlog_cycles\": 1");
@@ -254,29 +234,27 @@ fn outcomes_that_never_happen_register_nothing() {
     let r = &run.report;
     assert!(r.submitted > 1000);
     assert_eq!((r.completed, r.shed, r.rejected), (0, 0, r.submitted));
-    let json = published(&run);
     assert_matches_references(&manifest, &run, "max_backlog_cycles=1");
-    for absent in ["engine.jobs.completed", "engine.jobs.shed", "engine.queue.wait_cycles"] {
-        assert!(!json.contains(absent), "`{absent}` registered at zero in:\n{json}");
-    }
-    assert!(json.contains("reason=overloaded"), "{json}");
+    assert!(r.funnel.iter().all(|f| f.dispatched == 0 && f.shed_deadline == 0), "{:?}", r.funnel);
+    assert_eq!(r.funnel.iter().map(|f| f.overloaded).sum::<u64>(), r.submitted);
+    let waits = &r.queue_wait_cycles;
+    assert_eq!((waits.count, waits.sum, waits.min, waits.max), (0, 0, 0, 0));
+    assert!(waits.buckets.iter().all(|&b| b == 0), "{waits:?}");
+    assert!(report_json(&run).contains(r#""queue_wait_cycles":{"count":0}"#));
 }
 
-/// The comparison is not vacuous: the manifest drives every outcome
-/// class, so each metric family the reference records is populated.
+/// The comparison is not vacuous: the manifest completes and rejects
+/// jobs, so the funnel's dispatched and rejection stages and the wait
+/// histogram are all populated.
 #[test]
 fn harness_covers_every_outcome_family() {
     let run = online(MANIFEST, Some(2)).unwrap();
-    let json = metrics_to_json(&run.metrics.without_timers());
-    for needle in [
-        "engine.jobs.submitted",
-        "engine.jobs.rejected",
-        "engine.jobs.completed",
-        "engine.jobs{outcome=completed,",
-        "engine.jobs{outcome=rejected,",
-        "engine.queue.wait_cycles",
-    ] {
-        assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
-    }
-    assert!(run.report.rejected > 0, "no rejections — queue_full family untested");
+    let r = &run.report;
+    let rejected: u64 =
+        r.funnel.iter().map(|f| f.queue_full + f.overloaded + f.deadline_infeasible).sum();
+    let dispatched: u64 = r.funnel.iter().map(|f| f.dispatched).sum();
+    assert!(rejected > 0 && dispatched > 0, "{:?}", r.funnel);
+    let waits = &r.queue_wait_cycles;
+    assert_eq!(waits.count, dispatched);
+    assert!(waits.buckets.iter().filter(|&&b| b > 0).count() > 1, "{waits:?}");
 }

@@ -1,8 +1,9 @@
 //! Deterministic telemetry invariants across the whole stack: for a small
-//! known matmul, every counter the instrumentation publishes — PE fires,
-//! stall cycles, weight loads, per-PE busy cycles — has an exactly
-//! predictable value in every precision mode on every MAC architecture,
-//! and the netlist toggle probe is bit-reproducible.
+//! known matmul, every counter the instrumentation publishes — cycles,
+//! PE fires, stall cycles, per-PE busy cycles — and the run's operand
+//! traffic have exactly predictable values in every precision mode on
+//! every MAC architecture, and the netlist toggle probe is
+//! bit-reproducible.
 
 use bsc_mac::{MacKind, Precision};
 use bsc_netlist::rng::Rng64;
@@ -33,10 +34,9 @@ fn exact_counter_values_for_every_precision_and_architecture() {
             assert_eq!(snap.counter("systolic.pe_fired"), m * n, "{ctx}");
             // Drain tail: PE j holds only weights for n-1-j cycles.
             assert_eq!(snap.counter("systolic.stall_cycles"), n * (n - 1) / 2, "{ctx}");
-            assert_eq!(snap.counter("systolic.weight_loads"), n, "{ctx}");
-            assert_eq!(snap.counter("systolic.feature_hops"), m * n, "{ctx}");
-            let mac_counter = format!("systolic.macs.int{}", p.bits());
-            assert_eq!(snap.counter(&mac_counter), m * n * k as u64, "{ctx}");
+            assert_eq!(run.stats.weight_loads, n, "{ctx}");
+            assert_eq!(run.stats.feature_hops, m * n, "{ctx}");
+            assert_eq!(run.stats.macs, m * n * k as u64, "{ctx}");
             // Each mapped PE computes one dot product per feature row.
             for pe in 0..n {
                 let name = format!("systolic.pe{pe:02}.busy_cycles");
