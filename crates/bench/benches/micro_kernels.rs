@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the core kernels: functional vector-MAC dot
 //! products, gate-level simulation throughput, the cycle-accurate
-//! systolic matmul, the memory-aware layer scheduler and the online
-//! arrival sampler.  Self-timed via [`bsc_bench::timing`].
+//! systolic matmul, the compute-only and memory-aware layer schedulers
+//! and the online arrival sampler.  Self-timed via [`bsc_bench::timing`].
 
 use bsc_bench::timing::Group;
 use bsc_mac::{vector_mac, MacKind, Precision, Rng64};
@@ -98,21 +98,50 @@ fn bench_asym_dot() {
     }
 }
 
+fn bench_schedule_conv() {
+    use bsc_systolic::mapping::{schedule_conv_dataflow, ConvShape};
+    use bsc_systolic::DataflowKind;
+    use std::hint::black_box;
+    // The compute-only schedule in closed form: VGG-16's FC6 is 3.2M
+    // (PE tile, channel tile) pairs at int8 on the quick BSC array.
+    let config = ArrayConfig { pes: 4, vector_length: 8, kind: MacKind::Bsc };
+    let mut group = Group::new("schedule_conv");
+    group.sample_size(50);
+    for (layer, shape) in [
+        ("fc6", ConvShape::fully_connected(25088, 4096)),
+        ("conv5_1", ConvShape::conv(512, 512, 14, 14, 3, 1, 1)),
+    ] {
+        for dataflow in DataflowKind::ALL {
+            // Opaque inputs: the shape is a constant the optimizer could
+            // otherwise fold the closed form over.
+            group.bench(&format!("{layer}_int8_quick_bsc/{dataflow}"), || {
+                let (config, shape) = (black_box(&config), black_box(&shape));
+                schedule_conv_dataflow(config, Precision::Int8, shape, dataflow).unwrap().cycles
+            });
+        }
+    }
+}
+
 fn bench_mem_schedule() {
     use bsc_systolic::{schedule_conv_with_memory, MemConfig};
     // VGG-16 on the quick BSC array: FC1 alone is 3.2M tile passes.
     let config = ArrayConfig { pes: 4, vector_length: 8, kind: MacKind::Bsc };
     let net = bsc_nn::models::vgg16();
-    let layers: Vec<_> = net
-        .layers
-        .iter()
-        .map(|l| (l.precision, bsc_accel::layer_to_conv_shape(&l.kind)))
-        .collect();
+    let shapes = |net: &bsc_nn::Network| -> Vec<_> {
+        net.layers
+            .iter()
+            .map(|l| (l.precision, bsc_accel::layer_to_conv_shape(&l.kind)))
+            .collect()
+    };
+    let layers = shapes(&net);
+    // What `repro serve` runs: every layer at int8.
+    let int8_layers = shapes(&net.with_uniform_precision(Precision::Int8));
     let mut group = Group::new("mem_schedule");
     group.sample_size(10);
-    for (name, mem) in [
-        ("vgg16_quick_bsc/infinite", MemConfig::infinite()),
-        ("vgg16_quick_bsc/edge", MemConfig::edge()),
+    for (name, layers, mem) in [
+        ("vgg16_quick_bsc/infinite", &layers, MemConfig::infinite()),
+        ("vgg16_quick_bsc/edge", &layers, MemConfig::edge()),
+        ("vgg16_int8_quick_bsc/infinite", &int8_layers, MemConfig::infinite()),
     ] {
         group.bench(name, || {
             layers
@@ -178,6 +207,7 @@ fn main() {
     bench_array_netlist();
     bench_compiler();
     bench_asym_dot();
+    bench_schedule_conv();
     bench_mem_schedule();
     bench_arrival_refill();
 }

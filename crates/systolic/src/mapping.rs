@@ -6,11 +6,21 @@
 //! one (kernel-offset, channel-tile, PE-tile) triple of weights stationary
 //! while all output pixels stream through; partial sums accumulate in the
 //! output buffer across passes.
+//!
+//! Every tile but the last of a split dimension is full, and the tile
+//! widths sum to the dimension, so each dataflow's schedule is a closed
+//! form in the layer's loop bounds (see [`LayerSchedule`]).  That makes
+//! a layer O(1) to schedule; a sum over its (PE tile, channel tile)
+//! pairs would take 3.2M steps for VGG-16's FC6 at int8 on a 4-PE array.
+//! The per-tile loops are kept as test oracles (`mapping/oracle.rs`).
 
 use bsc_mac::Precision;
 
 use crate::mem::{MemConfig, TileSink};
 use crate::{ArrayConfig, SystolicError};
+
+#[cfg(test)]
+mod oracle;
 
 /// Shape of one convolution (or fully connected) layer.
 ///
@@ -143,27 +153,45 @@ fn out_len(input: usize, padding: usize, kernel: usize, stride: usize) -> usize 
 }
 
 /// The cycle/energy-relevant schedule of one layer on the array.
+///
+/// Every field is a closed form in the layer's loop bounds: `K` kernel
+/// offsets, `S` output pixels, `N` output channels, `C` input channels
+/// split into `CT = ⌈C / D⌉` channel tiles of the mode's dot length `D`,
+/// and the `R` PEs, which tile `N` into `PT = ⌈N / R⌉` PE tiles
+/// (weight- and output-stationary) or `S` into `ST = ⌈S / R⌉` spatial
+/// tiles (input-stationary).  The formulas below are written WS / OS /
+/// IS where the dataflows differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerSchedule {
-    /// Stationary-weight passes (kernel offsets × channel tiles × PE tiles).
+    /// Stationary residencies: `K·CT·PT` weight tiles / `S·PT` psum
+    /// tiles / `K·CT·ST` pixel tiles.
     pub passes: u64,
-    /// Total clock cycles including pipeline fill per pass.
+    /// Total clock cycles, with one pipeline fill per pass (WS, IS) or
+    /// per PE tile (OS): `K·CT·(PT·(S−1) + N)` / `PT·(S·K·CT − 1) + N` /
+    /// `K·CT·(ST·(N−1) + S)`.
     pub cycles: u64,
-    /// Useful MACs (equals the layer's exact MAC count).
+    /// Useful MACs, `K·S·N·C`: the layer's exact MAC count.
     pub useful_macs: u64,
     /// Lane-slots that fire in partially filled vectors without carrying a
-    /// useful channel (gated lanes).
+    /// useful channel (gated lanes): `K·S·N·(CT·D − C)`.
     pub gated_lane_macs: u64,
-    /// PE-cycles spent computing.
+    /// PE-cycles spent computing, one per (pixel, output channel, kernel
+    /// offset, channel tile) under every dataflow: `K·S·N·CT`.
     pub busy_pe_cycles: u64,
-    /// PE-cycles spent idle (fill/drain bubbles and unused PEs).
+    /// PE-cycles spent idle (fill/drain bubbles and unused PEs):
+    /// `cycles·R − busy_pe_cycles`.
     pub idle_pe_cycles: u64,
-    /// Useful MACs over peak MACs (array utilization).
+    /// Useful MACs over peak MACs, `useful_macs / (cycles·R·D)` (array
+    /// utilization).
     pub utilization: f64,
-    /// Weight vectors fetched from the weight buffer (one per PE per pass).
+    /// Weight vectors fetched from the weight buffer: one per PE per
+    /// pass, `K·CT·N` / one per PE per accumulation step, `S·K·CT·N` /
+    /// all `N` per pass, `K·CT·N·ST`.
     pub weight_load_vectors: u64,
-    /// Feature vectors fetched from the feature buffer (one per output
-    /// pixel per pass; re-read across PE tiles).
+    /// Feature vectors fetched from the feature buffer: one per output
+    /// pixel per pass, re-read across PE tiles, `K·S·CT·PT` / one per
+    /// (pixel, step) per PE tile, `S·K·CT·PT` / one per pinned pixel per
+    /// pass, `K·CT·S`.
     pub feature_read_vectors: u64,
     /// Partial-sum words read back from the output buffer for accumulation.
     /// One per PE fire under weight- and input-stationary dataflows; zero
@@ -404,60 +432,21 @@ pub fn schedule_conv(
     shape: &ConvShape,
 ) -> Result<LayerSchedule, SystolicError> {
     shape.validate()?;
-    let split = config.dot_length(p);
-    let pes = config.pes;
-    let spatial = (shape.out_w() * shape.out_h()) as u64;
-    let kernel = (shape.kernel_w * shape.kernel_h) as u64;
-
-    let channel_tiles = shape.in_channels.div_ceil(split);
-    let pe_tiles = shape.out_channels.div_ceil(pes);
-
-    let mut cycles = 0u64;
-    let mut busy = 0u64;
-    let mut useful = 0u64;
-    let mut gated = 0u64;
-    let mut weight_vectors = 0u64;
-    let mut feature_vectors = 0u64;
-    for nt in 0..pe_tiles {
-        let used_pes = if nt + 1 == pe_tiles {
-            shape.out_channels - nt * pes
-        } else {
-            pes
-        };
-        for ct in 0..channel_tiles {
-            let tile_channels = if ct + 1 == channel_tiles {
-                shape.in_channels - ct * split
-            } else {
-                split
-            };
-            // One pass per kernel offset: weights stay stationary while
-            // every output pixel's feature vector streams through.
-            cycles += kernel * (spatial + used_pes as u64 - 1);
-            busy += kernel * spatial * used_pes as u64;
-            useful += kernel * spatial * used_pes as u64 * tile_channels as u64;
-            gated += kernel * spatial * used_pes as u64 * (split - tile_channels) as u64;
-            weight_vectors += kernel * used_pes as u64;
-            feature_vectors += kernel * spatial;
-        }
-    }
-    debug_assert_eq!(useful, shape.macs());
-
-    let passes = kernel * channel_tiles as u64 * pe_tiles as u64;
-    let pe_cycles = cycles * pes as u64;
-    let peak = pe_cycles * split as u64;
+    let nest = LoopNest::new(config, p, shape);
+    let LoopNest { kernel, spatial, out_channels, channel_tiles, .. } = nest;
+    let pe_tiles = shape.out_channels.div_ceil(config.pes) as u64;
+    // One pass per (kernel offset, channel tile, PE tile): the PE tile's
+    // weights stay stationary while every output pixel streams through,
+    // after a fill one cycle shorter than the tile is wide.  The tile
+    // widths sum to `out_channels`.
+    let cycles = kernel * channel_tiles * (pe_tiles * (spatial - 1) + out_channels);
     Ok(LayerSchedule {
-        passes,
-        cycles,
-        useful_macs: useful,
-        gated_lane_macs: gated,
-        busy_pe_cycles: busy,
-        idle_pe_cycles: pe_cycles - busy,
-        utilization: if peak > 0 { useful as f64 / peak as f64 } else { 0.0 },
-        weight_load_vectors: weight_vectors,
-        feature_read_vectors: feature_vectors,
-        // Accumulation round-trips the output buffer on every fire.
-        psum_read_words: busy,
-        psum_write_words: busy,
+        passes: kernel * channel_tiles * pe_tiles,
+        // One weight vector per PE per pass.
+        weight_load_vectors: kernel * channel_tiles * out_channels,
+        // One feature vector per output pixel per pass.
+        feature_read_vectors: kernel * spatial * channel_tiles * pe_tiles,
+        ..nest.schedule(config, cycles)
     })
 }
 
@@ -471,60 +460,26 @@ fn schedule_output_stationary(
     shape: &ConvShape,
 ) -> Result<LayerSchedule, SystolicError> {
     shape.validate()?;
-    let split = config.dot_length(p) as u64;
-    let pes = config.pes;
-    let spatial = (shape.out_w() * shape.out_h()) as u64;
-    let kernel = (shape.kernel_w * shape.kernel_h) as u64;
-    let in_channels = shape.in_channels as u64;
-    let channel_tiles = shape.in_channels.div_ceil(config.dot_length(p)) as u64;
-    let pe_tiles = shape.out_channels.div_ceil(pes) as u64;
+    let nest = LoopNest::new(config, p, shape);
+    let LoopNest { kernel, spatial, out_channels, channel_tiles, .. } = nest;
+    let pe_tiles = shape.out_channels.div_ceil(config.pes) as u64;
     // Accumulation steps per output pixel: its whole reduction runs to
     // completion before the pixel leaves the PE.
     let steps = kernel * channel_tiles;
-
-    let mut cycles = 0u64;
-    let mut busy = 0u64;
-    let mut useful = 0u64;
-    let mut gated = 0u64;
-    let mut weight_vectors = 0u64;
-    let mut feature_vectors = 0u64;
-    for nt in 0..pe_tiles {
-        let used_pes = if nt + 1 == pe_tiles {
-            shape.out_channels as u64 - nt * pes as u64
-        } else {
-            pes as u64
-        };
-        // One fill per PE tile; every pixel then streams its full
-        // reduction.  Σ tile_channels over channel tiles = in_channels.
-        cycles += spatial * steps + used_pes - 1;
-        busy += spatial * steps * used_pes;
-        useful += kernel * spatial * used_pes * in_channels;
-        gated += kernel * spatial * used_pes * (channel_tiles * split - in_channels);
-        // Weights cannot stay: one vector per PE per accumulation step.
-        weight_vectors += spatial * steps * used_pes;
-        // Features hop through the chain once per (pixel, step) per tile.
-        feature_vectors += spatial * steps;
-    }
-    debug_assert_eq!(useful, shape.macs());
-
-    // One stationary psum residency per (pixel, PE tile).
-    let passes = spatial * pe_tiles;
-    let pe_cycles = cycles * pes as u64;
-    let peak = pe_cycles * split;
+    // One fill per PE tile; every pixel then streams its full reduction.
+    let cycles = pe_tiles * (spatial * steps - 1) + out_channels;
     Ok(LayerSchedule {
-        passes,
-        cycles,
-        useful_macs: useful,
-        gated_lane_macs: gated,
-        busy_pe_cycles: busy,
-        idle_pe_cycles: pe_cycles - busy,
-        utilization: if peak > 0 { useful as f64 / peak as f64 } else { 0.0 },
-        weight_load_vectors: weight_vectors,
-        feature_read_vectors: feature_vectors,
+        // One stationary psum residency per (pixel, PE tile).
+        passes: spatial * pe_tiles,
+        // Weights cannot stay: one vector per PE per accumulation step.
+        weight_load_vectors: spatial * steps * out_channels,
+        // Features hop through the chain once per (pixel, step) per tile.
+        feature_read_vectors: spatial * steps * pe_tiles,
         // Psums live in the PE accumulators: no read-modify-write, one
         // buffer write per finished output value.
         psum_read_words: 0,
-        psum_write_words: spatial * shape.out_channels as u64,
+        psum_write_words: spatial * out_channels,
+        ..nest.schedule(config, cycles)
     })
 }
 
@@ -537,62 +492,79 @@ fn schedule_input_stationary(
     shape: &ConvShape,
 ) -> Result<LayerSchedule, SystolicError> {
     shape.validate()?;
-    let split = config.dot_length(p);
-    let pes = config.pes as u64;
-    let spatial = (shape.out_w() * shape.out_h()) as u64;
-    let kernel = (shape.kernel_w * shape.kernel_h) as u64;
-    let out_channels = shape.out_channels as u64;
-    let channel_tiles = shape.in_channels.div_ceil(split);
-    let spatial_tiles = spatial.div_ceil(pes);
+    let nest = LoopNest::new(config, p, shape);
+    let LoopNest { kernel, spatial, out_channels, channel_tiles, .. } = nest;
+    let spatial_tiles = spatial.div_ceil(config.pes as u64);
+    // One pass per (kernel offset, channel tile, spatial tile): the pinned
+    // pixels watch all out-channel weight vectors stream past, after a
+    // fill one cycle shorter than the tile is wide.  The tile widths sum
+    // to `spatial`.
+    let cycles = kernel * channel_tiles * (spatial_tiles * (out_channels - 1) + spatial);
+    Ok(LayerSchedule {
+        passes: kernel * channel_tiles * spatial_tiles,
+        // Every pass streams all out-channel weight vectors.
+        weight_load_vectors: kernel * channel_tiles * out_channels * spatial_tiles,
+        // One feature vector per pinned pixel per pass.
+        feature_read_vectors: kernel * channel_tiles * spatial,
+        ..nest.schedule(config, cycles)
+    })
+}
 
-    let mut cycles = 0u64;
-    let mut busy = 0u64;
-    let mut useful = 0u64;
-    let mut gated = 0u64;
-    let mut weight_vectors = 0u64;
-    let mut feature_vectors = 0u64;
-    for st in 0..spatial_tiles {
-        let used_pes = if st + 1 == spatial_tiles {
-            spatial - st * pes
-        } else {
-            pes
-        };
-        for ct in 0..channel_tiles {
-            let tile_channels = if ct + 1 == channel_tiles {
-                shape.in_channels - ct * split
-            } else {
-                split
-            };
-            // One pass per kernel offset: the pinned pixels watch all
-            // out-channel weight vectors stream past.
-            cycles += kernel * (out_channels + used_pes - 1);
-            busy += kernel * out_channels * used_pes;
-            useful += kernel * out_channels * used_pes * tile_channels as u64;
-            gated += kernel * out_channels * used_pes * (split - tile_channels) as u64;
-            weight_vectors += kernel * out_channels;
-            feature_vectors += kernel * used_pes;
+/// The loop bounds of one layer that every dataflow shares.
+struct LoopNest {
+    /// Kernel offsets, `kernel_w × kernel_h`.
+    kernel: u64,
+    /// Output pixels, `out_w × out_h`.
+    spatial: u64,
+    /// Output channels `K_N`.
+    out_channels: u64,
+    /// Input channels `I_C`.
+    in_channels: u64,
+    /// The mode's dot length: lanes per PE fire.
+    split: u64,
+    /// `ceil(in_channels / split)`.
+    channel_tiles: u64,
+}
+
+impl LoopNest {
+    fn new(config: &ArrayConfig, p: Precision, shape: &ConvShape) -> LoopNest {
+        let split = config.dot_length(p);
+        LoopNest {
+            kernel: (shape.kernel_w * shape.kernel_h) as u64,
+            spatial: (shape.out_w() * shape.out_h()) as u64,
+            out_channels: shape.out_channels as u64,
+            in_channels: shape.in_channels as u64,
+            split: split as u64,
+            channel_tiles: shape.in_channels.div_ceil(split) as u64,
         }
     }
-    debug_assert_eq!(useful, shape.macs());
 
-    let passes = kernel * channel_tiles as u64 * spatial_tiles;
-    let pe_cycles = cycles * config.pes as u64;
-    let peak = pe_cycles * split as u64;
-    Ok(LayerSchedule {
-        passes,
-        cycles,
-        useful_macs: useful,
-        gated_lane_macs: gated,
-        busy_pe_cycles: busy,
-        idle_pe_cycles: pe_cycles - busy,
-        utilization: if peak > 0 { useful as f64 / peak as f64 } else { 0.0 },
-        weight_load_vectors: weight_vectors,
-        feature_read_vectors: feature_vectors,
-        // Accumulation across kernel offsets and channel tiles round-trips
-        // the output buffer exactly as the weight-stationary flow does.
-        psum_read_words: busy,
-        psum_write_words: busy,
-    })
+    /// The fields every dataflow computes alike for a layer that takes
+    /// `cycles`: each fires a PE once per (output pixel, output channel,
+    /// kernel offset, channel tile), the last channel tile gates the
+    /// lanes the layer's channels leave empty, and psums round-trip the
+    /// output buffer on every fire.  The caller sets the passes and the
+    /// vector traffic, which start at zero.
+    fn schedule(&self, config: &ArrayConfig, cycles: u64) -> LayerSchedule {
+        let fires = self.kernel * self.spatial * self.out_channels;
+        let busy = fires * self.channel_tiles;
+        let useful = fires * self.in_channels;
+        let pe_cycles = cycles * config.pes as u64;
+        let peak = pe_cycles * self.split;
+        LayerSchedule {
+            passes: 0,
+            cycles,
+            useful_macs: useful,
+            gated_lane_macs: fires * (self.channel_tiles * self.split - self.in_channels),
+            busy_pe_cycles: busy,
+            idle_pe_cycles: pe_cycles - busy,
+            utilization: if peak > 0 { useful as f64 / peak as f64 } else { 0.0 },
+            weight_load_vectors: 0,
+            feature_read_vectors: 0,
+            psum_read_words: busy,
+            psum_write_words: busy,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -748,6 +748,35 @@ fn fc1_costs_two_runs_per_pe_tile() {
 }
 
 #[test]
+fn conv5_1_costs_two_runs_per_pe_tile_after_the_first() {
+    // VGG-16's conv5_1 (3×3, 512 → 512 at 14×14) on the quick BSC array:
+    // the first PE tile loads each channel tile of the map at its offset
+    // 0, so it costs two runs per channel tile; every later PE tile's
+    // passes are all equal and merge into one run plus the writeback.
+    let config = ArrayConfig::with_geometry(MacKind::Bsc, ArrayGeometry::new(4, 8));
+    let mem = MemConfig::infinite();
+    let shape = ConvShape::conv(512, 512, 14, 14, 3, 1, 1);
+    let rec = Recorder::tile(
+        DataflowKind::WeightStationary,
+        &config,
+        &mem,
+        Precision::Int8,
+        &shape,
+    );
+    let (kernel, channel_tiles, pe_tiles) = (9, 512 / 8, 512 / 4);
+    assert!(
+        rec.runs.len() <= 2 * channel_tiles + 2 * pe_tiles,
+        "{} runs",
+        rec.runs.len()
+    );
+    let passes: u64 = rec.runs.iter().map(|&(_, count)| count).sum();
+    assert_eq!(passes, (kernel * channel_tiles * pe_tiles) as u64);
+    let aware = schedule_conv_with_memory(&config, &mem, Precision::Int8, &shape).unwrap();
+    assert_eq!(aware.tile_passes, passes);
+    assert_eq!(aware.total_cycles, aware.compute.cycles);
+}
+
+#[test]
 fn random_run_streams_fold_like_the_per_pass_replay() {
     // Streams no tiler emits: a few distinct passes in random order and
     // run lengths, so that runs start from every kind of channel state,

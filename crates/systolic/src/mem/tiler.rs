@@ -1,21 +1,25 @@
 //! Splits a [`ConvShape`] into buffer-sized tile passes, one tiler per
 //! dataflow (paper Fig. 6 order for the weight-stationary default).
 //!
-//! Each tiler's loop nest mirrors its dataflow's compute schedule in
-//! [`crate::mapping`] — channel split to the mode's dot length, the
-//! stationary dimension pinned, the streaming loops inside — with
-//! one extra level the compute-only schedule does not need: the output rows
-//! are chunked so that (a) the psums of one chunk fit the output buffer and
-//! (b) the input-row region feeding one chunk fits (twice, for double
-//! buffering) in the feature buffer.  Every pass records the DMA bytes that
-//! must land before it can run and the writeback it retires, which is all
-//! the double-buffered DMA model in [`super`] needs.
+//! Each tiler walks the loop nest whose totals its dataflow's compute
+//! schedule in [`crate::mapping`] gives in closed form — channel split to
+//! the mode's dot length, the stationary dimension pinned, the streaming
+//! loops inside — with one extra level the compute-only schedule does not
+//! need: the output rows are chunked so that (a) the psums of one chunk
+//! fit the output buffer and (b) the input-row region feeding one chunk
+//! fits (twice, for double buffering) in the feature buffer.  Every pass
+//! records the DMA bytes that must land before it can run and the
+//! writeback it retires, which is all the double-buffered DMA model in
+//! [`super`] needs.
 //!
 //! No tiler materializes its pass list.  Each hands a [`TileSink`] its
 //! residency plan and then its passes in execution order, as runs of
-//! identical passes: an innermost loop whose passes differ only in the
-//! chunk's final writeback is one run, so a fully connected layer's
-//! thousands of channel tiles cost two runs per PE tile.
+//! identical passes.  A channel-tile × kernel-offset block whose passes
+//! are all equal except for the final writeback is one run plus that
+//! writeback pass.  So a fully connected layer's thousands of channel
+//! tiles cost two runs per PE tile, and so does every PE tile of a 3×3
+//! convolution after the first under whole-map feature residency, where
+//! offset 0 loads no more than the later offsets.
 
 use bsc_mac::Precision;
 
@@ -99,8 +103,9 @@ fn chunk_region_bytes_of(shape: &ConvShape, vb: u64, rows: u64) -> u64 {
 /// Emits one channel-tile × kernel-offset block in loop order: each
 /// channel tile runs offset 0 as `first`, then offsets 1..kernel as one
 /// run of `rest`.  Only the block's last pass retires `store_bytes`.
-/// Without an offset loop every channel tile is `first`, so the block is
-/// one run plus that last pass.
+/// When every pass of the block is `first` (no offset loop, or offset 0
+/// loads nothing the later offsets do not), the block is one run plus
+/// that last pass.
 fn emit_block(
     sink: &mut dyn TileSink,
     channel_tiles: u64,
@@ -109,9 +114,10 @@ fn emit_block(
     rest: TilePass,
     store_bytes: u64,
 ) {
-    let last = if kernel == 1 {
-        if channel_tiles > 1 {
-            sink.run(first, channel_tiles - 1);
+    let last = if kernel == 1 || first == rest {
+        let run = channel_tiles * kernel - 1;
+        if run > 0 {
+            sink.run(first, run);
         }
         first
     } else {

@@ -20,6 +20,17 @@ proof="$(cargo test --release --offline -q -p bsc-accel --lib \
 echo "$proof"
 grep -q "1 passed" <<<"$proof" || { echo "the kernel proof did not run"; exit 1; }
 
+echo "==> closed-form schedules against their loops (release, 10^5 shapes + VGG-16/ResNet-18)"
+# Every compute-schedule field of all three dataflows against the
+# per-tile loops it replaced, on random shapes and geometries and on
+# every layer of both networks.  Ignored in debug builds (FC6 alone is
+# 3.2M loop iterations), so check that the release run really ran it.
+sweep="$(cargo test --release --offline -q -p bsc-systolic --lib \
+    closed_forms_equal_the_loops_on_1e5_shapes_and_every_network_layer 2>&1)" \
+    || { echo "$sweep"; exit 1; }
+echo "$sweep"
+grep -q "1 passed" <<<"$sweep" || { echo "the closed-form sweep did not run"; exit 1; }
+
 echo "==> cargo test --offline (perfbench harness)"
 # The benchmark harness is a package of its own that links the workspace
 # crates by path, so an API change can break it while the workspace

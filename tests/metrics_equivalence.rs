@@ -33,12 +33,24 @@ use bsc_bench::online::{online, parse_online_manifest, report_json, OnlineRun};
 use bsc_telemetry::{HistogramSnapshot, Registry};
 
 /// Seeded manifest exercising all three arrival processes (Poisson,
-/// bursty, diurnal), heterogeneous shards, every rejection reason
-/// (queue_full via `max_outstanding`, deadline_infeasible and shed via
-/// the tight `strict` deadline, overloaded via `max_backlog_cycles`)
-/// and both SLO-tracked and untracked tenants.  The dispatch policy is
-/// substituted per test cell.  The decision log keeps every arrival
-/// (`event_log_cap` is above `max_jobs`), so the log is the whole run.
+/// bursty, diurnal), heterogeneous shards, both SLO-tracked and
+/// untracked tenants, and every admission outcome under every dispatch
+/// policy:
+///
+/// * `queue_full` — the BSC shard's jobs take 298–424 exact cycles, so
+///   it reaches its `max_outstanding` cap of 6 inside the backlog limit;
+/// * `overloaded` — the edge-memory LPC and HPS shards take 3,374–4,973
+///   exact cycles per job, so one queued job there puts the backlog
+///   near the 2,200-cycle `max_backlog_cycles`, far below 6 × LPC's
+///   717–969-cycle estimate;
+/// * `deadline_infeasible` and `shed_deadline` — the `squall` deadline
+///   of 1,900 cycles lies between backlog + estimate and backlog +
+///   exact for some arrivals, which are admitted and then shed; behind
+///   a longer backlog the estimate alone misses it.
+///
+/// The dispatch policy is substituted per test cell.  The decision log
+/// keeps every arrival (`event_log_cap` is above `max_jobs`), so the log
+/// is the whole run.
 const MANIFEST: &str = r#"{
   "cluster": {
     "policy": "least-outstanding",
@@ -46,7 +58,7 @@ const MANIFEST: &str = r#"{
     "horizon_cycles": 400000,
     "max_jobs": 6000,
     "max_outstanding": 6,
-    "max_backlog_cycles": 150000,
+    "max_backlog_cycles": 2200,
     "event_log_cap": 100000,
     "workers": 2,
     "shards": [
@@ -65,7 +77,7 @@ const MANIFEST: &str = r#"{
      "deadline_cycles": 120000,
      "arrivals": {"process": "poisson", "mean_interarrival_cycles": 350}},
     {"name": "squall", "network": "micro", "tenant": "strict", "precision": "int8",
-     "deadline_cycles": 40000,
+     "deadline_cycles": 1900,
      "arrivals": {"process": "bursty", "on_cycles": 5000, "off_cycles": 15000,
                   "mean_interarrival_cycles": 120}},
     {"name": "tide", "network": "micro",
@@ -198,9 +210,9 @@ fn published_metrics_equal_a_per_event_fold_of_the_decision_log() {
     }
 }
 
-/// A short horizon, a deep outstanding cap, no backlog limit and a
-/// deadline-free source at a high rate let the shards queue far past
-/// the horizon, so the SLO window width (from the
+/// A short horizon, a deep outstanding cap, no backlog limit, a loose
+/// `squall` deadline and a deadline-free source at a high rate let the
+/// shards queue far past the horizon, so the SLO window width (from the
 /// makespan) is several times the horizon's width, at which the engine
 /// counts completions during the event loop.  Its coarsened windows must
 /// still equal the per-event fold.
@@ -209,7 +221,8 @@ fn a_makespan_far_past_the_horizon_folds_like_the_decision_log() {
     let manifest = MANIFEST
         .replace("\"horizon_cycles\": 400000", "\"horizon_cycles\": 20000")
         .replace("\"max_outstanding\": 6", "\"max_outstanding\": 400")
-        .replace("\"max_backlog_cycles\": 150000,", "")
+        .replace("\"max_backlog_cycles\": 2200,", "")
+        .replace("\"deadline_cycles\": 1900", "\"deadline_cycles\": 40000")
         .replace("\"mean_interarrival_cycles\": 250}", "\"mean_interarrival_cycles\": 20}");
     let run = online(&manifest, Some(2)).unwrap();
     let r = &run.report;
@@ -229,7 +242,7 @@ fn a_makespan_far_past_the_horizon_folds_like_the_decision_log() {
 /// empty, in the report and in its `queue_wait_cycles` export.
 #[test]
 fn outcomes_that_never_happen_register_nothing() {
-    let manifest = MANIFEST.replace("\"max_backlog_cycles\": 150000", "\"max_backlog_cycles\": 1");
+    let manifest = MANIFEST.replace("\"max_backlog_cycles\": 2200", "\"max_backlog_cycles\": 1");
     let run = online(&manifest, Some(2)).unwrap();
     let r = &run.report;
     assert!(r.submitted > 1000);
@@ -243,18 +256,24 @@ fn outcomes_that_never_happen_register_nothing() {
     assert!(report_json(&run).contains(r#""queue_wait_cycles":{"count":0}"#));
 }
 
-/// The comparison is not vacuous: the manifest completes and rejects
-/// jobs, so the funnel's dispatched and rejection stages and the wait
-/// histogram are all populated.
+/// The comparison is not vacuous: under every policy the manifest
+/// decides all five funnel stages, and the wait histogram is populated.
 #[test]
 fn harness_covers_every_outcome_family() {
-    let run = online(MANIFEST, Some(2)).unwrap();
-    let r = &run.report;
-    let rejected: u64 =
-        r.funnel.iter().map(|f| f.queue_full + f.overloaded + f.deadline_infeasible).sum();
-    let dispatched: u64 = r.funnel.iter().map(|f| f.dispatched).sum();
-    assert!(rejected > 0 && dispatched > 0, "{:?}", r.funnel);
-    let waits = &r.queue_wait_cycles;
-    assert_eq!(waits.count, dispatched);
-    assert!(waits.buckets.iter().filter(|&&b| b > 0).count() > 1, "{waits:?}");
+    for policy in POLICIES {
+        let run = online(&MANIFEST.replace("least-outstanding", policy), Some(2)).unwrap();
+        let r = &run.report;
+        let stage = |count: fn(&ShardFunnel) -> u64| r.funnel.iter().map(count).sum::<u64>();
+        let stages = [
+            stage(|f| f.queue_full),
+            stage(|f| f.overloaded),
+            stage(|f| f.deadline_infeasible),
+            stage(|f| f.shed_deadline),
+            stage(|f| f.dispatched),
+        ];
+        assert!(stages.iter().all(|&n| n > 0), "{policy}: {:?}", r.funnel);
+        let waits = &r.queue_wait_cycles;
+        assert_eq!(waits.count, stages[4], "{policy}");
+        assert!(waits.buckets.iter().filter(|&&b| b > 0).count() > 1, "{policy}: {waits:?}");
+    }
 }
