@@ -364,13 +364,14 @@ fn main() {
     };
     let wb = wb.as_ref();
 
-    let write_csv = |name: &str, data: String| {
+    // Each document is built only when its flag asks for it.
+    let write_csv = |name: &str, data: &dyn Fn() -> String| {
         if let Some(dir) = &opts.csv_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 die(&format!("cannot create {}: {e}", dir.display()));
             }
             let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, data) {
+            if let Err(e) = std::fs::write(&path, data()) {
                 die(&format!("cannot write {}: {e}", path.display()));
             }
             eprintln!("wrote {}", path.display());
@@ -379,7 +380,7 @@ fn main() {
 
     let run_table1 = || {
         print!("{}", experiments::render_table1());
-        write_csv("table1.csv", experiments::table1_csv());
+        write_csv("table1.csv", &experiments::table1_csv);
     };
     let run_fig7 = |wb: &Workbench, which: &str| {
         let pts = experiments::fig7_sweep(wb);
@@ -389,13 +390,13 @@ fn main() {
         if which != "fig7a" {
             print!("{}", experiments::render_fig7b(&pts));
         }
-        write_csv("fig7_sweep.csv", experiments::fig7_csv(&pts));
+        write_csv("fig7_sweep.csv", &|| experiments::fig7_csv(&pts));
         pts
     };
     let run_fig8a = |wb: &Workbench| match experiments::fig8a(wb) {
         Ok(rows) => {
             print!("{}", experiments::render_fig8a(&rows));
-            write_csv("fig8a.csv", experiments::fig8a_csv(&rows));
+            write_csv("fig8a.csv", &|| experiments::fig8a_csv(&rows));
             rows
         }
         Err(e) => die(&format!("fig8a failed: {e}")),
@@ -403,7 +404,7 @@ fn main() {
     let run_fig8b = |wb: &Workbench| match experiments::fig8b(wb) {
         Ok(rows) => {
             print!("{}", experiments::render_fig8b(&rows));
-            write_csv("fig8b.csv", experiments::fig8b_csv(&rows));
+            write_csv("fig8b.csv", &|| experiments::fig8b_csv(&rows));
             rows
         }
         Err(e) => die(&format!("fig8b failed: {e}")),
@@ -411,7 +412,7 @@ fn main() {
     let run_fig9 = |wb: &Workbench| match experiments::fig9(wb) {
         Ok(rows) => {
             print!("{}", experiments::render_fig9(&rows));
-            write_csv("fig9.csv", experiments::fig9_csv(&rows));
+            write_csv("fig9.csv", &|| experiments::fig9_csv(&rows));
             rows
         }
         Err(e) => die(&format!("fig9 failed: {e}")),
@@ -472,7 +473,7 @@ fn main() {
         eprintln!("sweeping the memory hierarchy (buffers x bandwidth x precision x kind)...");
         let points = memexp::sweep().unwrap_or_else(|e| die(&format!("mem sweep failed: {e}")));
         print!("{}", memexp::render(&points));
-        write_csv("mem_sweep.csv", memexp::to_csv(&points));
+        write_csv("mem_sweep.csv", &|| memexp::to_csv(&points));
         if let Some(path) = &opts.bench_out {
             if let Err(e) = std::fs::write(path, memexp::to_json(&points)) {
                 die(&format!("cannot write {}: {e}", path.display()));
@@ -502,9 +503,9 @@ fn main() {
         }
     };
 
-    let write_out = |path: &Option<PathBuf>, data: String| {
+    let write_out = |path: &Option<PathBuf>, data: &dyn Fn() -> String| {
         if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, data) {
+            if let Err(e) = std::fs::write(path, data()) {
                 die(&format!("cannot write {}: {e}", path.display()));
             }
             eprintln!("wrote {}", path.display());
@@ -523,10 +524,12 @@ fn main() {
     let run_serve = || {
         let run = serve::serve(&read_manifest("serve")).unwrap_or_else(|e| die(&e));
         print!("{}", serve::render(&run));
-        write_out(&opts.report_out, serve::report_json(&run));
-        write_out(&opts.slo_out, serve::slo_json(&run));
-        write_out(&opts.dash_out, bsc_bench::dashboard::dashboard_html(&run));
-        write_out(&opts.events_out, serve::events_jsonl(&run));
+        write_out(&opts.report_out, &|| serve::report_json(&run));
+        write_out(&opts.slo_out, &|| serve::slo_json(&run));
+        write_out(&opts.dash_out, &|| {
+            bsc_bench::dashboard::dashboard_html(&run)
+        });
+        write_out(&opts.events_out, &|| serve::events_jsonl(&run));
     };
 
     let run_online = || {
@@ -538,19 +541,21 @@ fn main() {
             let p = profile::profile(&text, opts.workers).unwrap_or_else(|e| die(&e));
             print!("{}", online::render(&p.run));
             print!("{}", profile::render(&p));
-            write_out(&opts.profile_out, profile::profile_document(&p));
-            write_out(&opts.folded_out, profile::folded(&p));
+            write_out(&opts.profile_out, &|| profile::profile_document(&p));
+            write_out(&opts.folded_out, &|| profile::folded(&p));
             p.run
         } else {
             let run = online::online(&text, opts.workers).unwrap_or_else(|e| die(&e));
             print!("{}", online::render(&run));
             run
         };
-        write_out(&opts.report_out, online::report_json(&run));
-        write_out(&opts.slo_out, online::slo_json(&run));
-        write_out(&opts.dash_out, bsc_bench::dashboard::online_dashboard_html(&run));
-        write_out(&opts.events_out, online::events_jsonl(&run));
-        write_out(&opts.perfetto_out, online::perfetto_json(&run));
+        write_out(&opts.report_out, &|| online::report_json(&run));
+        write_out(&opts.slo_out, &|| online::slo_json(&run));
+        write_out(&opts.dash_out, &|| {
+            bsc_bench::dashboard::online_dashboard_html(&run)
+        });
+        write_out(&opts.events_out, &|| online::events_jsonl(&run));
+        write_out(&opts.perfetto_out, &|| online::perfetto_json(&run));
     };
 
     let run_dse = || {
@@ -558,9 +563,11 @@ fn main() {
         eprintln!("sweeping dataflow x geometry x memory x precision x kind...");
         let run = dse::dse(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", dse::render(&run));
-        write_csv("dse_sweep.csv", dse::to_csv(&run));
-        write_out(&opts.bench_out, dse::to_json(&run));
-        write_out(&opts.svg_out, bsc_bench::dashboard::dse_pareto_svg(&run));
+        write_csv("dse_sweep.csv", &|| dse::to_csv(&run));
+        write_out(&opts.bench_out, &|| dse::to_json(&run));
+        write_out(&opts.svg_out, &|| {
+            bsc_bench::dashboard::dse_pareto_svg(&run)
+        });
     };
 
     let run_profile = || {
@@ -568,8 +575,8 @@ fn main() {
         eprintln!("profiling the online simulator (deterministic counters + wall clock)...");
         let p = profile::profile(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", profile::render(&p));
-        write_out(&opts.profile_out, profile::profile_document(&p));
-        write_out(&opts.folded_out, profile::folded(&p));
+        write_out(&opts.profile_out, &|| profile::profile_document(&p));
+        write_out(&opts.folded_out, &|| profile::folded(&p));
     };
 
     let run_diff = || {
@@ -613,7 +620,7 @@ fn main() {
             match experiments::fig8b_gate_level(pes, length, steps) {
                 Ok(rows) => {
                     print!("{}", experiments::render_fig8b_gate_level(&rows, pes));
-                    write_csv("fig8b_gate.csv", experiments::fig8b_csv(&rows));
+                    write_csv("fig8b_gate.csv", &|| experiments::fig8b_csv(&rows));
                 }
                 Err(e) => die(&format!("fig8b-gate failed: {e}")),
             }
@@ -644,7 +651,9 @@ fn main() {
             let fig9 = run_fig9(wb);
             println!();
             run_telemetry();
-            write_out(&opts.bench_out, experiments::paper_json(&fig7, &fig8a, &fig8b, &fig9));
+            write_out(&opts.bench_out, &|| {
+                experiments::paper_json(&fig7, &fig8a, &fig8b, &fig9)
+            });
         }
         other => unreachable!("`{other}` passed the subcommand check"),
     }

@@ -319,14 +319,25 @@ pub fn slo_json(run: &ServeRun) -> String {
 
 /// Structured event log: one strict-JSON object per line, each stamped
 /// with the wall-clock span correlation IDs of [`ServeRun::spans`], so
-/// log lines join against Perfetto exports and trace snapshots.
+/// log lines join against Perfetto exports and trace snapshots.  A job
+/// line carries its own job span, found by the `slot` the engine
+/// annotates it with (names may repeat); a rejected job never ran, so
+/// its `span` is 0 and its parent the batch span.
 ///
 /// Span IDs and `_ns` durations are wall-clock-era values and therefore
 /// *not* gated by the baseline diff; the CI gate only requires every
 /// line to parse under the strict RFC 8259 parser (which this function
 /// also asserts itself, line by line).
 pub fn events_jsonl(run: &ServeRun) -> String {
-    let batch_span = run.spans.by_name("engine.run_batch").map_or(0, |s| s.id);
+    let batch = run.spans.by_name("engine.run_batch");
+    let batch_span = batch.map_or(0, |s| s.id);
+    let mut job_spans = vec![None; run.batch.submitted()];
+    for span in run.spans.spans.iter().filter(|s| s.parent == batch_span) {
+        let slot = span.args.iter().find(|(k, _)| k == "slot");
+        if let Some(entry) = slot.and_then(|(_, v)| job_spans.get_mut(v.parse::<usize>().ok()?)) {
+            *entry = Some(span);
+        }
+    }
     let mut j = JsonBuilder::new();
     j.begin_object();
     j.key("event").string("batch");
@@ -337,11 +348,10 @@ pub fn events_jsonl(run: &ServeRun) -> String {
     j.key("rejected").u64(run.batch.rejected_count() as u64);
     j.key("shed").u64(run.batch.shed_count() as u64);
     j.key("makespan_cycles").u64(run.batch.makespan_cycles());
-    j.key("duration_ns").u64(run.spans.by_name("engine.run_batch").map_or(0, |s| s.duration_ns()));
+    j.key("duration_ns").u64(batch.map_or(0, |s| s.duration_ns()));
     j.end_object().newline();
 
-    for outcome in run.batch.outcomes() {
-        let span = run.spans.by_name(&format!("engine.job.{}", outcome.name()));
+    for (outcome, span) in run.batch.outcomes().iter().zip(job_spans) {
         j.begin_object();
         j.key("event").string("job");
         j.key("name").string(outcome.name());
@@ -521,6 +531,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn each_job_line_carries_its_own_span_when_names_repeat() {
+        let manifest = r#"{
+          "engine": {"kind": "bsc", "quick": true, "queue_capacity": 4, "workers": 2},
+          "jobs": [
+            {"name": "x", "network": "lenet5", "precision": "int8"},
+            {"name": "x", "network": "lenet5", "precision": "int4"},
+            {"name": "x", "network": "lenet5", "precision": "int8", "deadline_cycles": 1}
+          ]
+        }"#;
+        let run = serve(manifest).unwrap();
+        let log = events_jsonl(&run);
+        let lines: Vec<bsc_telemetry::JsonValue> =
+            log.lines().map(|l| bsc_telemetry::parse_json(l).unwrap()).collect();
+        let num = |v: &bsc_telemetry::JsonValue, key: &str| {
+            v.get(key).and_then(|v| v.as_f64()).unwrap() as u64
+        };
+        let batch_span = num(&lines[0], "span");
+        let jobs = &lines[1..];
+        let outcomes: Vec<&str> =
+            jobs.iter().map(|j| j.get("outcome").and_then(|v| v.as_str()).unwrap()).collect();
+        assert_eq!(outcomes, ["completed", "completed", "rejected"]);
+        // The two completed jobs ran in spans of their own, each
+        // annotated with its job's slot.
+        let spans: Vec<u64> = jobs[..2].iter().map(|j| num(j, "span")).collect();
+        assert_ne!(spans[0], spans[1], "{log}");
+        for (slot, &id) in spans.iter().enumerate() {
+            let span = run.spans.get(id).expect("a recorded span");
+            assert_eq!(span.name, "engine.job.x");
+            assert_eq!(span.parent, batch_span);
+            assert!(span.args.contains(&("slot".into(), slot.to_string())), "{span:?}");
+            assert_eq!(num(&jobs[slot], "duration_ns"), span.duration_ns());
+        }
+        // The rejected job never ran: no span, no duration.
+        assert_eq!(
+            (num(&jobs[2], "span"), num(&jobs[2], "parent_span"), num(&jobs[2], "duration_ns")),
+            (0, batch_span, 0)
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! own [`AcceleratorConfig`], so shards may mix MAC kinds (BSC / LPC /
 //! HPS) *and* memory hierarchies — fed by seeded
 //! [`ArrivalProcess`] traffic sources.
-//! [`run_online`] drives one [`crate::des::EventQueue`] interleaving
-//! job-arrival and shard-completion events:
+//! [`run_online`] interleaves job arrivals, held in one
+//! [`crate::des::EventQueue`], with shard completions, which each shard
+//! keeps in cycle order:
 //!
 //! 1. **Arrival** at cycle *t*: the [`DispatchPolicy`] picks a shard,
 //!    then the admission ladder batch mode also walks runs against
@@ -16,11 +17,12 @@
 //!    (`deadline_infeasible`), and the shard's *exact* stall-inclusive
 //!    schedule: a job that misses the absolute deadline
 //!    (`arrival + relative deadline`) is shed at *t* without occupying
-//!    the shard.  Dispatched jobs advance the shard's busy-until clock
-//!    and enqueue a completion event.
-//! 2. **Completion** at cycle *c*: the shard's outstanding count drops;
-//!    at equal times completions precede arrivals
-//!    ([`crate::des::PRIORITY_COMPLETION`]) so freed capacity is
+//!    the shard.  A dispatched job advances the shard's busy-until clock
+//!    and appends its completion cycle to the shard's pending
+//!    completions, whose length is the shard's outstanding count.
+//! 2. **Completion** at cycle *c*, the earliest pending completion over
+//!    the shards: every completion due at *c* leaves its shard.  At equal
+//!    cycles completions come before arrivals, so freed capacity is
 //!    visible to same-cycle arrivals.
 //!
 //! Under overload most arrivals are refused, and a refusal changes no
@@ -58,9 +60,7 @@ use bsc_telemetry::profile::{PhaseHandle, Profiler};
 use bsc_telemetry::{HistogramSnapshot, QuantileSketch};
 
 use crate::admission::{AdmissionLadder, Placement, RejectReason, ShedReason};
-use crate::des::{
-    ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL,
-};
+use crate::des::{ArrivalGen, ArrivalProcess, EventQueue, END_OF_STREAM};
 use crate::engine::{
     estimate_cycles_for, CharacterizationCache, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES,
 };
@@ -94,6 +94,7 @@ pub enum DispatchPolicy {
     /// Deficit-counter fairness: route each tenant to the shard where
     /// that tenant has consumed the fewest execution cycles so far, so
     /// heavy tenants spread out instead of monopolizing one shard.
+    /// Sources of one tenant share its counters.
     TenantFair,
 }
 
@@ -343,9 +344,12 @@ impl OnlineReport {
 }
 
 /// Mutable per-shard dispatch state.
+#[derive(Default)]
 struct ShardState {
     busy_until: u64,
-    outstanding: u64,
+    /// Completion cycles of the dispatched jobs still running, in cycle
+    /// order; its length is the shard's outstanding count.
+    pending: VecDeque<u64>,
     peak_outstanding: u64,
     peak_backlog_cycles: u64,
 }
@@ -363,9 +367,64 @@ impl ShardState {
     ) -> Result<Result<Placement, ShedReason>, RejectReason> {
         let backlog = self.busy_until.saturating_sub(now);
         ladder
-            .admit(self.outstanding, backlog, estimate_cycles, deadline_cycles)
+            .admit(self.outstanding(), backlog, estimate_cycles, deadline_cycles)
             .map(|_| ladder.place(now, self.busy_until, exact_cycles, deadline_cycles))
     }
+
+    /// Dispatched-but-incomplete jobs.
+    fn outstanding(&self) -> u64 {
+        self.pending.len() as u64
+    }
+
+    /// Occupies the shard with a job placed at `now` until `completion`.
+    fn dispatch(&mut self, now: u64, completion: u64) {
+        // A job starts no earlier than `busy_until`, the previous job's
+        // completion, so the pending cycles stay sorted.
+        debug_assert!(
+            self.pending.back().is_none_or(|&c| c <= completion),
+            "completions must be monotone per shard"
+        );
+        self.busy_until = completion;
+        self.pending.push_back(completion);
+        self.peak_outstanding = self.peak_outstanding.max(self.outstanding());
+        // The backlog peaks here: any later arrival sees at most this
+        // job's completion minus a later cycle.
+        self.peak_backlog_cycles = self.peak_backlog_cycles.max(completion - now);
+    }
+}
+
+/// The earliest pending completion over the shards.
+fn next_completion(shards: &[ShardState]) -> Option<u64> {
+    shards.iter().filter_map(|s| s.pending.front().copied()).min()
+}
+
+/// Retires every completion due at `now`, the earliest pending cycle,
+/// and returns how many there were.
+fn complete_due(shards: &mut [ShardState], now: u64) -> u64 {
+    let mut retired = 0;
+    for s in shards {
+        while s.pending.front() == Some(&now) {
+            s.pending.pop_front();
+            retired += 1;
+        }
+    }
+    retired
+}
+
+/// Each source's tenant, as an index among the run's tenants in order of
+/// first appearance: the source's row of the tenant-fair counters.
+fn tenant_indices(sources: &[TrafficSource]) -> Vec<usize> {
+    let mut tenants: Vec<&TenantId> = Vec::new();
+    sources
+        .iter()
+        .map(|s| {
+            let tenant = &s.template.tenant;
+            tenants.iter().position(|&t| t == tenant).unwrap_or_else(|| {
+                tenants.push(tenant);
+                tenants.len() - 1
+            })
+        })
+        .collect()
 }
 
 /// The funnel stage of a job shed at placement, after the three
@@ -390,8 +449,9 @@ impl ShardFunnel {
 }
 
 /// Chooses the shard for one arrival.  Deterministic; ties break toward
-/// the lowest index.  `tenant_cycles` is the arriving source's row: the
-/// cycles it has been served on each shard.
+/// the lowest index.  `tenant_cycles` is the row of the arriving
+/// source's tenant: the cycles that tenant has been served on each
+/// shard.
 fn choose_shard(
     policy: DispatchPolicy,
     now: u64,
@@ -636,15 +696,15 @@ fn simulate(
         ph.arrival.add("arrivals_enqueued", work.arrivals_pushed);
 
         // Logical event deliveries (arrivals + completions); actual
-        // BinaryHeap traffic is arrivals-only — completions move through
-        // the monotone lanes and surface as `lane_pushes` /
-        // `completion_bursts`.  A run's combined pop-and-push counts as
-        // one pop and one push.
-        ph.dispatch.add("events_popped", work.heap_pops + work.lane_pops);
+        // BinaryHeap traffic is arrivals-only — completions queue on
+        // their shard, one per dispatch, and leave it in same-cycle
+        // bursts.  A run's combined pop-and-push counts as one pop and
+        // one push.
+        ph.dispatch.add("events_popped", work.heap_pops + work.completions_popped);
         ph.dispatch.add("arrivals_popped", submitted);
-        ph.dispatch.add("completions_popped", work.lane_pops);
+        ph.dispatch.add("completions_popped", work.completions_popped);
         ph.dispatch.add("completion_bursts", work.completion_bursts);
-        ph.dispatch.add("lane_pushes", work.lane_pushes);
+        ph.dispatch.add("lane_pushes", completed);
         ph.dispatch.add("heap_pushes", work.heap_pushes);
         ph.dispatch.add("heap_ops", work.heap_pushes + work.heap_pops);
         ph.dispatch.add("decisions", submitted);
@@ -739,8 +799,7 @@ struct LoopWork {
     arrivals_pushed: u64,
     heap_pushes: u64,
     heap_pops: u64,
-    lane_pushes: u64,
-    lane_pops: u64,
+    completions_popped: u64,
     completion_bursts: u64,
     runs: u64,
     run_arrivals: u64,
@@ -761,7 +820,7 @@ fn sample_depth(
         for (d, s) in depth.iter_mut().zip(shards) {
             d.samples.push(DepthSample {
                 cycle: *next_sample,
-                outstanding: s.outstanding,
+                outstanding: s.outstanding(),
                 backlog_cycles: s.busy_until.saturating_sub(*next_sample),
             });
         }
@@ -824,7 +883,7 @@ impl ArrivalStream {
         for source in 0..config.sources.len() {
             stream.refill(source);
             if let Some(t) = stream.take(source) {
-                stream.heap.push(t, PRIORITY_ARRIVAL, source);
+                stream.heap.push(t, source);
             }
         }
         stream
@@ -863,7 +922,7 @@ impl ArrivalStream {
     fn pop(&mut self, phases: Option<&OnlinePhases>) -> usize {
         let (_, source) = self.heap.pop().expect("peeked arrival");
         if let Some(next) = self.next_of(source, phases) {
-            self.heap.push(next, PRIORITY_ARRIVAL, source);
+            self.heap.push(next, source);
         }
         source
     }
@@ -873,7 +932,7 @@ impl ArrivalStream {
     /// has ended.
     fn pop_top(&mut self, source: usize, phases: Option<&OnlinePhases>) {
         match self.next_of(source, phases) {
-            Some(next) => self.heap.replace_top(next, PRIORITY_ARRIVAL, source),
+            Some(next) => self.heap.replace_top(next, source),
             None => {
                 self.heap.pop();
             }
@@ -892,19 +951,8 @@ fn event_loop(
 ) -> Tallies {
     let n_shards = config.shards.len();
     let n_pairs = config.sources.len() * n_shards;
-    // Shard completions live in per-lane monotone FIFOs and pop as
-    // coalesced same-cycle bursts.  The merge below preserves the unified
-    // queue's exact (time, priority, seq) order — see `CompletionLanes`.
     let mut arrivals = ArrivalStream::new(config, phases);
-    let mut lanes = CompletionLanes::new(n_shards);
-    let mut shards: Vec<ShardState> = (0..n_shards)
-        .map(|_| ShardState {
-            busy_until: 0,
-            outstanding: 0,
-            peak_outstanding: 0,
-            peak_backlog_cycles: 0,
-        })
-        .collect();
+    let mut shards: Vec<ShardState> = (0..n_shards).map(|_| ShardState::default()).collect();
     // Every completion of one pair shares the pair's report, so the loop
     // keeps only what varies per job: its latency, in the pair's sketch,
     // and its completion window, counted per window at the horizon's
@@ -918,7 +966,9 @@ fn event_loop(
     let mut latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
     let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
     let mut rr_cursor = 0usize;
-    // Cycles each source has been served on each shard, indexed by pair.
+    // Cycles each tenant has been served on each shard: one row of
+    // `n_shards` per tenant (at most one per source).
+    let tenant_of = tenant_indices(&config.sources);
     let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
     // Each source's logged decisions.  The log is a prefix of the run, so
     // this is also the logged arrival's index in its source's stream.
@@ -962,33 +1012,25 @@ fn event_loop(
     // cannot hold, a dispatched job's queue wait, goes into a plain
     // histogram, so the loop takes no lock and no atomic.
     let mut queue_wait_cycles = HistogramSnapshot::new(QUEUE_WAIT_BOUNDS_CYCLES);
-    let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
-    let mut completion_bursts = 0u64;
+    let (mut completions_popped, mut completion_bursts) = (0u64, 0u64);
     let (mut runs, mut run_arrivals) = (0u64, 0u64);
     // Each source's shard in the current run, once chosen.
     let mut picks: Vec<Option<usize>> = vec![None; config.sources.len()];
 
     loop {
-        // Merge the arrival heap with the completion lanes: at equal
-        // times completions come first (the PRIORITY_COMPLETION rule),
-        // so `c <= a` picks the burst.
-        let (now, is_completion) = match (lanes.peek_time(), arrivals.heap.peek_time()) {
+        // Completions before arrivals at equal times, so freed capacity
+        // is visible to a same-cycle arrival: `c <= a` picks the
+        // completions.
+        let (now, is_completion) = match (next_completion(&shards), arrivals.heap.peek_time()) {
             (Some(c), Some(a)) if c <= a => (c, true),
             (Some(c), None) => (c, true),
-            (None, Some(a)) => (a, false),
-            (Some(_), Some(a)) => (a, false),
+            (_, Some(a)) => (a, false),
             (None, None) => break,
         };
         sample_depth(&mut depth, &shards, &mut next_sample, stride, now);
         if is_completion {
-            // One lane scan pops every completion due this cycle — a
-            // single batch operation per burst instead of one heap pop
-            // (plus sift-down) per job.
-            lanes.pop_burst(&mut burst);
+            completions_popped += complete_due(&mut shards, now);
             completion_bursts += 1;
-            for &lane in &burst {
-                shards[lane].outstanding -= 1;
-            }
             continue;
         }
         // Keep the source's stream flowing before anything else, so
@@ -997,6 +1039,7 @@ fn event_loop(
 
         // The full step: pick a shard, walk the ladder, log.
         let tmpl = &config.sources[source].template;
+        let row = tenant_of[source] * n_shards;
         let hi = {
             let _g = phases.map(|ph| ph.dispatch.enter());
             choose_shard(
@@ -1004,7 +1047,7 @@ fn event_loop(
                 now,
                 &shards,
                 &mut rr_cursor,
-                &tenant_cycles[source * n_shards..(source + 1) * n_shards],
+                &tenant_cycles[row..row + n_shards],
             )
         };
         let g_admission = phases.map(|ph| ph.admission.enter());
@@ -1021,19 +1064,11 @@ fn event_loop(
                 (SHED, Some(reason.slug()), now, now)
             }
             Ok(Ok(Placement { start, completion })) => {
-                let cycles = exact[pair];
-                let shard = &mut shards[hi];
-                shard.busy_until = completion;
-                shard.outstanding += 1;
-                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
-                // The backlog peaks here: any later arrival sees at most
-                // this job's completion minus a later cycle.
-                shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
+                shards[hi].dispatch(now, completion);
                 // Saturates: a run whose cycle total overflows is refused
                 // after the loop.
-                tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
+                tenant_cycles[row + hi] = tenant_cycles[row + hi].saturating_add(exact[pair]);
                 queue_wait_cycles.record(start - now);
-                lanes.push(hi, completion);
                 latencies[pair].record(completion - now);
                 let window = completion - completion % w0;
                 match completion_runs[pair].last_mut() {
@@ -1075,21 +1110,22 @@ fn event_loop(
         // the full step's ladder against that unchanged state, without the
         // step's event merge, depth check, guards and log branch.  The pick
         // holds within the run too: round-robin steps its cursor per
-        // arrival; tenant-fair reads `tenant_cycles`, which only a dispatch
-        // changes; and under least-outstanding a shard holding jobs is busy
-        // past the next completion, so every non-zero backlog falls at the
-        // same rate while idle shards stay at 0.  So each source's pick is
-        // chosen once per run.  The run stops at the next completion, or
+        // arrival; tenant-fair reads its tenant's row of `tenant_cycles`,
+        // which only a dispatch changes; and under least-outstanding a
+        // shard holding jobs is busy past the next completion, so every
+        // non-zero backlog falls at the same rate while idle shards stay
+        // at 0.  So each source's pick is chosen once per run.  The run stops at the next completion, or
         // before the first arrival that would dispatch, which then takes
         // the full step.  Arrivals leave in heap order, one heap step each,
         // so equal-cycle ties keep the order the full steps would give them.
-        let next_completion = lanes.peek_time().unwrap_or(u64::MAX);
+        let next_completion = next_completion(&shards).unwrap_or(u64::MAX);
         let (mut consumed, mut last) = (0u64, now);
         while let Some((t, &source)) = arrivals.heap.peek() {
             if t >= next_completion {
                 break;
             }
-            let row = &tenant_cycles[source * n_shards..(source + 1) * n_shards];
+            let row = tenant_of[source] * n_shards;
+            let row = &tenant_cycles[row..row + n_shards];
             let mut cursor = rr_cursor;
             let hi = match config.policy {
                 DispatchPolicy::RoundRobin => {
@@ -1147,8 +1183,7 @@ fn event_loop(
             arrivals_pushed: arrivals.pushed,
             heap_pushes: arrivals.heap.pushes(),
             heap_pops: arrivals.heap.pops(),
-            lane_pushes: lanes.pushes(),
-            lane_pops: lanes.pops(),
+            completions_popped,
             completion_bursts,
             runs,
             run_arrivals,
@@ -1470,6 +1505,65 @@ mod tests {
         let report = run_online(&config).unwrap();
         let used = report.shards.iter().filter(|s| s.completed > 0).count();
         assert!(used >= 2, "tenant-fair must not pin one tenant to one shard");
+    }
+
+    #[test]
+    fn tenant_fair_counts_cycles_per_tenant_not_per_source() {
+        // The first job of each source, and the shard it went to.
+        let first_shards = |tenant_of_burst: &str| {
+            let mut config = quick_config(DispatchPolicy::TenantFair, Some(1));
+            config.seed = 5;
+            for s in &mut config.sources {
+                s.template.deadline_cycles = None;
+                s.process = ArrivalProcess::Poisson { mean_interarrival_cycles: 300 };
+            }
+            config.sources[1].template.tenant = TenantId::new(tenant_of_burst);
+            let report = run_online(&config).unwrap();
+            ["steady", "burst"].map(|t| {
+                let e = report.events.iter().find(|e| e.template == t).unwrap();
+                assert_eq!(e.outcome, "completed", "{e:?}");
+                e.shard.clone()
+            })
+        };
+        // One tenant: its second source goes where the tenant has been
+        // served least, away from the first source's shard.
+        let [steady, burst] = first_shards("gold");
+        assert_ne!(steady, burst, "two sources of one tenant share its counters");
+        // Two tenants: each starts on the lowest-index shard.
+        let [steady, burst] = first_shards("bronze");
+        assert_eq!((steady.as_str(), burst.as_str()), ("shard0", "shard0"));
+    }
+
+    #[test]
+    fn an_arrival_on_the_cycle_its_shard_frees_is_admitted() {
+        // One shard holding at most one job, and an arrival on almost
+        // every cycle: many land exactly on a running job's completion.
+        let mut config = quick_config(DispatchPolicy::RoundRobin, Some(1));
+        config.shards.truncate(1);
+        config.sources.truncate(1);
+        config.sources[0].template.deadline_cycles = None;
+        config.sources[0].process = ArrivalProcess::Poisson { mean_interarrival_cycles: 1 };
+        config.horizon_cycles = 6_000;
+        config.max_outstanding = 1;
+        config.max_backlog_cycles = None;
+        let report = run_online(&config).unwrap();
+        assert_eq!(report.events_truncated, 0, "the whole run is logged");
+        // Replay the log: the completion retires before the arrival on
+        // its cycle is decided, so that arrival finds the shard free.
+        let (mut busy_until, mut on_completion) = (0, 0);
+        for e in &report.events {
+            if e.arrival_cycle >= busy_until {
+                on_completion += u64::from(e.arrival_cycle == busy_until);
+                assert_eq!((e.outcome, e.start_cycle), ("completed", e.arrival_cycle), "{e:?}");
+                busy_until = e.completion_cycle;
+            } else {
+                assert_eq!((e.outcome, e.reason), ("rejected", Some("queue_full")), "{e:?}");
+            }
+        }
+        assert!(on_completion > 10, "only {on_completion} arrivals met a completion");
+        // Runs decide the refusals without the log, and agree.
+        config.event_log_cap = 0;
+        assert_eq!(run_online(&config).unwrap().funnel, report.funnel);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use bsc_telemetry::{HistogramSnapshot, QuantileSketch};
 
 use super::*;
-use crate::des::{ArrivalGen, CompletionLanes, EventQueue, END_OF_STREAM, PRIORITY_ARRIVAL};
+use crate::des::{ArrivalGen, EventQueue, END_OF_STREAM};
 
 /// The per-arrival event loop.
 pub(super) fn event_loop(
@@ -27,12 +27,9 @@ pub(super) fn event_loop(
 ) -> Tallies {
     let n_shards = config.shards.len();
     let n_pairs = config.sources.len() * n_shards;
-    // The heap holds *arrivals only* (payload = source index); shard
-    // completions live in per-lane monotone FIFOs and pop as coalesced
-    // same-cycle bursts.  The merge below preserves the unified queue's
-    // exact (time, priority, seq) order — see `CompletionLanes`.
+    // The heap holds *arrivals only* (payload = source index); each
+    // shard keeps its own pending completions in cycle order.
     let mut events: EventQueue<usize> = EventQueue::new();
-    let mut lanes = CompletionLanes::new(n_shards);
     let mut gens: Vec<ArrivalGen> = config
         .sources
         .iter()
@@ -69,20 +66,13 @@ pub(super) fn event_loop(
             let t = arrival_bufs[i][0];
             if t <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
                 arrival_bufs[i].pop_front();
-                events.push(t, PRIORITY_ARRIVAL, i);
+                events.push(t, i);
                 arrivals_pushed += 1;
             }
         }
     }
 
-    let mut shards: Vec<ShardState> = (0..n_shards)
-        .map(|_| ShardState {
-            busy_until: 0,
-            outstanding: 0,
-            peak_outstanding: 0,
-            peak_backlog_cycles: 0,
-        })
-        .collect();
+    let mut shards: Vec<ShardState> = (0..n_shards).map(|_| ShardState::default()).collect();
     // Every completion of one pair shares the pair's report, so the loop
     // keeps only what varies per job: its latency, in the pair's sketch,
     // and its completion window, counted per window at the horizon's
@@ -96,7 +86,9 @@ pub(super) fn event_loop(
     let mut latencies: Vec<QuantileSketch> = (0..n_pairs).map(|_| QuantileSketch::new()).collect();
     let mut completion_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_pairs];
     let mut rr_cursor = 0usize;
-    // Cycles each source has been served on each shard, indexed by pair.
+    // Cycles each tenant has been served on each shard, one row per
+    // tenant.
+    let tenant_of = tenant_indices(&config.sources);
     let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
     let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
     let mut event_log: Vec<OnlineEvent> = Vec::new();
@@ -137,25 +129,22 @@ pub(super) fn event_loop(
         max_backlog_cycles: config.max_backlog_cycles,
     };
     let mut queue_wait_cycles = HistogramSnapshot::new(QUEUE_WAIT_BOUNDS_CYCLES);
-    let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
-    let mut completion_bursts = 0u64;
+    let (mut completions_popped, mut completion_bursts) = (0u64, 0u64);
 
     loop {
-        // Merge the arrival heap with the completion lanes: at equal
-        // times completions come first (the PRIORITY_COMPLETION rule),
-        // so `c <= a` picks the burst.
-        let (now, is_completion) = match (lanes.peek_time(), events.peek_time()) {
+        // Completions before arrivals at equal times, so `c <= a` picks
+        // the completions.
+        let (now, is_completion) = match (next_completion(&shards), events.peek_time()) {
             (Some(c), Some(a)) if c <= a => (c, true),
             (Some(c), None) => (c, true),
-            (None, Some(a)) => (a, false),
-            (Some(_), Some(a)) => (a, false),
+            (_, Some(a)) => (a, false),
             (None, None) => break,
         };
         while next_sample < now {
             for (d, s) in depth.iter_mut().zip(&shards) {
                 d.samples.push(DepthSample {
                     cycle: next_sample,
-                    outstanding: s.outstanding,
+                    outstanding: s.outstanding(),
                     backlog_cycles: s.busy_until.saturating_sub(next_sample),
                 });
             }
@@ -163,14 +152,8 @@ pub(super) fn event_loop(
             next_sample = next_sample.saturating_add(stride);
         }
         if is_completion {
-            // One lane scan pops every completion due this cycle — a
-            // single batch operation per burst instead of one heap pop
-            // (plus sift-down) per job.
-            lanes.pop_burst(&mut burst);
+            completions_popped += complete_due(&mut shards, now);
             completion_bursts += 1;
-            for &lane in &burst {
-                shards[lane].outstanding -= 1;
-            }
             continue;
         }
         let (_, source) = events.pop().expect("peeked arrival");
@@ -189,7 +172,7 @@ pub(super) fn event_loop(
             let next = arrival_bufs[source][0];
             if next <= last_arrival_cycle && arrivals_pushed < config.max_jobs {
                 arrival_bufs[source].pop_front();
-                events.push(next, PRIORITY_ARRIVAL, source);
+                events.push(next, source);
                 arrivals_pushed += 1;
             }
         }
@@ -198,6 +181,7 @@ pub(super) fn event_loop(
         let seq = per_source_seq[source];
         per_source_seq[source] += 1;
 
+        let row = tenant_of[source] * n_shards;
         let hi = {
             let _g = phases.as_ref().map(|ph| ph.dispatch.enter());
             choose_shard(
@@ -205,7 +189,7 @@ pub(super) fn event_loop(
                 now,
                 &shards,
                 &mut rr_cursor,
-                &tenant_cycles[source * n_shards..(source + 1) * n_shards],
+                &tenant_cycles[row..row + n_shards],
             )
         };
         let _g_admission = phases.as_ref().map(|ph| ph.admission.enter());
@@ -215,7 +199,7 @@ pub(super) fn event_loop(
         let pair = source * n_shards + hi;
         let deadline = tmpl.deadline_cycles;
         let verdict = ladder
-            .admit(shards[hi].outstanding, backlog, estimate[pair], deadline)
+            .admit(shards[hi].outstanding(), backlog, estimate[pair], deadline)
             .map(|_| ladder.place(now, shards[hi].busy_until, exact[pair], deadline));
         let (outcome, reason, start, completion) = match verdict {
             Err(reason) => {
@@ -233,18 +217,16 @@ pub(super) fn event_loop(
                 ("shed", Some(reason.slug()), now, now)
             }
             Ok(Ok(Placement { start, completion })) => {
-                let cycles = exact[pair];
                 let shard = &mut shards[hi];
                 shard.busy_until = completion;
-                shard.outstanding += 1;
-                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding);
+                shard.pending.push_back(completion);
+                shard.peak_outstanding = shard.peak_outstanding.max(shard.outstanding());
                 shard.peak_backlog_cycles = shard.peak_backlog_cycles.max(completion - now);
                 funnel[hi].dispatched += 1;
                 // Saturates: a run whose cycle total overflows is refused
                 // after the loop.
-                tenant_cycles[pair] = tenant_cycles[pair].saturating_add(cycles);
+                tenant_cycles[row + hi] = tenant_cycles[row + hi].saturating_add(exact[pair]);
                 queue_wait_cycles.record(start - now);
-                lanes.push(hi, completion);
                 latencies[pair].record(completion - now);
                 let window = completion - completion % w0;
                 match completion_runs[pair].last_mut() {
@@ -291,8 +273,7 @@ pub(super) fn event_loop(
             arrivals_pushed,
             heap_pushes: events.pushes(),
             heap_pops: events.pops(),
-            lane_pushes: lanes.pushes(),
-            lane_pops: lanes.pops(),
+            completions_popped,
             completion_bursts,
             runs: 0,
             run_arrivals: 0,
@@ -422,7 +403,8 @@ mod tests {
         [DispatchPolicy::RoundRobin, DispatchPolicy::LeastOutstanding, DispatchPolicy::TenantFair];
 
     /// A random manifest: one to three shards (one may sit behind the
-    /// edge memory), one to three sources of every arrival process, and
+    /// edge memory), one to three sources of every arrival process (the
+    /// third of the first one's tenant), and
     /// caps, limits, deadlines, log caps and budgets that make every
     /// verdict happen.
     fn random_config(rng: &mut Rng64, policy: DispatchPolicy) -> OnlineConfig {
@@ -436,7 +418,7 @@ mod tests {
             net("c", 256, 24, Precision::Int2),
         ];
         let n_sources = rng.gen_range(1..=3usize);
-        let sources = (0..n_sources)
+        let mut sources: Vec<TrafficSource> = (0..n_sources)
             .map(|i| {
                 let mean = 1 << rng.gen_range(0..8);
                 let process = match rng.gen_range(0..3) {
@@ -465,6 +447,11 @@ mod tests {
                 source(&format!("s{i}"), nets[rng.gen_range(0..3)].clone(), deadline, process)
             })
             .collect();
+        // A third source shares the first one's tenant, and so its
+        // tenant-fair row.
+        if let [first, _, third] = &mut sources[..] {
+            third.template.tenant = first.template.tenant.clone();
+        }
         OnlineConfig {
             shards,
             policy,

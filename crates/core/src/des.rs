@@ -7,14 +7,15 @@
 //! module provides its two building blocks:
 //!
 //! * [`EventQueue`]: a binary-heap priority queue whose total order is
-//!   the triple `(time, priority, seq)`.  At equal times, completions
-//!   ([`PRIORITY_COMPLETION`]) are delivered before arrivals
-//!   ([`PRIORITY_ARRIVAL`]) so a shard freed at cycle *t* can accept a
-//!   job arriving at cycle *t*; remaining ties break FIFO by push
-//!   sequence number.  That triple is the **entire** tie-break contract
-//!   — nothing about heap internals or hash order leaks into results,
-//!   which is what makes every consumer bit-identical at any worker
-//!   count.
+//!   the pair `(time, seq)`: equal times pop in push order (FIFO).  The
+//!   online event loop holds only arrivals in it; each shard keeps its
+//!   own pending completions in cycle order, and the loop retires every
+//!   completion due at a cycle before any arrival at that cycle, so a
+//!   shard freed at cycle *t* can accept a job arriving at cycle *t*.
+//!   The pair and that completions-first merge are the **entire**
+//!   tie-break contract — nothing about heap internals or hash order
+//!   leaks into results, which is what makes every consumer
+//!   bit-identical at any worker count.
 //! * [`ArrivalGen`]: seeded open-loop arrival processes on the integer
 //!   cycle clock — Poisson via an inverse-CDF in fixed point (no
 //!   floats, so no platform-dependent rounding), bursty on/off gating,
@@ -42,25 +43,16 @@ use bsc_netlist::rng::Rng64;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Event priority of shard completions: at equal times a completion is
-/// delivered **before** any arrival, so the freed capacity is visible
-/// to a job arriving on the same cycle.
-pub const PRIORITY_COMPLETION: u8 = 0;
-
-/// Event priority of job arrivals (after completions at equal times).
-pub const PRIORITY_ARRIVAL: u8 = 1;
-
 /// One queued event: ordering key plus opaque payload.
 struct Entry<T> {
     time: u64,
-    priority: u8,
     seq: u64,
     payload: T,
 }
 
 impl<T> Entry<T> {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.time, self.priority, self.seq)
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.seq)
     }
 }
 
@@ -81,10 +73,9 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A deterministic discrete-event queue ordered by `(time, priority,
-/// seq)`.  `seq` is assigned at push time, so equal `(time, priority)`
-/// events pop in push order (FIFO) — see the module docs for why this
-/// triple is the complete determinism contract.
+/// A deterministic discrete-event queue ordered by `(time, seq)`.  `seq`
+/// is assigned at push time, so equal-time events pop in push order
+/// (FIFO) — see the module docs for the determinism contract.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,
@@ -103,12 +94,12 @@ impl<T> EventQueue<T> {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0, pops: 0 }
     }
 
-    /// Enqueues `payload` at `time` with the given priority class
-    /// ([`PRIORITY_COMPLETION`] or [`PRIORITY_ARRIVAL`]).
-    pub fn push(&mut self, time: u64, priority: u8, payload: T) {
+    /// Enqueues `payload` at `time`, after every event already queued at
+    /// that time.
+    pub fn push(&mut self, time: u64, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, priority, seq, payload }));
+        self.heap.push(Reverse(Entry { time, seq, payload }));
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
@@ -121,8 +112,8 @@ impl<T> EventQueue<T> {
     /// Drops the earliest event and pushes `payload` at `time` in one
     /// sift-down.  Equal to [`EventQueue::pop`] then [`EventQueue::push`],
     /// and counted as one of each; on an empty queue it only pushes.
-    pub fn replace_top(&mut self, time: u64, priority: u8, payload: T) {
-        let entry = Reverse(Entry { time, priority, seq: self.next_seq, payload });
+    pub fn replace_top(&mut self, time: u64, payload: T) {
+        let entry = Reverse(Entry { time, seq: self.next_seq, payload });
         self.next_seq += 1;
         let Some(mut top) = self.heap.peek_mut() else {
             self.heap.push(entry);
@@ -162,115 +153,6 @@ impl<T> EventQueue<T> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Per-lane FIFO queues of completion timestamps, popped in coalesced
-/// same-cycle bursts.
-///
-/// A shard's completion times are **monotone**: each job's completion is
-/// `max(busy_until, now) + cycles`, and `busy_until` advances to it, so
-/// per shard the stream never goes backwards.  That makes a
-/// [`BinaryHeap`] overkill — a plain `VecDeque` per shard *is* sorted —
-/// and lets the consumer pop **every** completion due at the earliest
-/// pending cycle in one O(burst) operation instead of one heap pop
-/// (plus sift-down) per job.
-///
-/// The delivery order contract is *identical* to holding the same
-/// completions in an [`EventQueue`] at [`PRIORITY_COMPLETION`] alongside
-/// arrivals at [`PRIORITY_ARRIVAL`]:
-///
-/// * entries are stamped with a push-order `seq`, and a burst returns
-///   its lanes sorted by `seq` — FIFO within the same cycle, exactly the
-///   unified queue's tie-break (completion seqs are a subsequence of the
-///   global push order, so relative order is preserved);
-/// * the consumer merges with the arrival queue by delivering a burst
-///   whenever `lanes.peek_time() <= arrivals.peek_time()` — completions
-///   before same-cycle arrivals, the [`PRIORITY_COMPLETION`] rule.
-///
-/// `tests/des_conformance.rs` pins this equivalence against a reference
-/// unified queue.
-pub struct CompletionLanes {
-    lanes: Vec<VecDeque<(u64, u64)>>,
-    /// Scratch for sorting one burst by push seq (reused across pops).
-    scratch: Vec<(u64, usize)>,
-    next_seq: u64,
-    len: usize,
-    pops: u64,
-}
-
-impl CompletionLanes {
-    /// Empty lanes, one per shard.
-    pub fn new(n_lanes: usize) -> Self {
-        CompletionLanes {
-            lanes: (0..n_lanes).map(|_| VecDeque::new()).collect(),
-            scratch: Vec::new(),
-            next_seq: 0,
-            len: 0,
-            pops: 0,
-        }
-    }
-
-    /// Enqueues a completion on `lane` at `time`.  Times must be
-    /// non-decreasing per lane (the shard `busy_until` invariant).
-    pub fn push(&mut self, lane: usize, time: u64) {
-        debug_assert!(
-            self.lanes[lane].back().is_none_or(|&(t, _)| t <= time),
-            "lane {lane} completion times must be monotone"
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.lanes[lane].push_back((time, seq));
-        self.len += 1;
-    }
-
-    /// The earliest pending completion cycle across all lanes.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.lanes.iter().filter_map(|l| l.front()).map(|&(t, _)| t).min()
-    }
-
-    /// Pops **every** completion due at the earliest pending cycle into
-    /// `out` (lane indices in push order) and returns that cycle, or
-    /// `None` when no completions are pending.  One burst costs one lane
-    /// scan plus a sort of the burst itself — no per-job heap traffic.
-    pub fn pop_burst(&mut self, out: &mut Vec<usize>) -> Option<u64> {
-        out.clear();
-        let t = self.peek_time()?;
-        self.scratch.clear();
-        for (lane, q) in self.lanes.iter_mut().enumerate() {
-            while let Some(&(time, seq)) = q.front() {
-                if time != t {
-                    break;
-                }
-                q.pop_front();
-                self.scratch.push((seq, lane));
-            }
-        }
-        self.scratch.sort_unstable();
-        out.extend(self.scratch.iter().map(|&(_, lane)| lane));
-        self.len -= out.len();
-        self.pops += out.len() as u64;
-        Some(t)
-    }
-
-    /// Lifetime number of pushes.
-    pub fn pushes(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Lifetime number of popped completions (summed over bursts).
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Number of pending completions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no completions are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -672,17 +554,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_orders_by_time_then_priority_then_seq() {
+    fn queue_orders_by_time_then_seq() {
         let mut q = EventQueue::new();
-        q.push(10, PRIORITY_ARRIVAL, "a@10");
-        q.push(10, PRIORITY_COMPLETION, "c@10");
-        q.push(5, PRIORITY_ARRIVAL, "a@5");
-        q.push(10, PRIORITY_ARRIVAL, "a2@10");
-        q.push(10, PRIORITY_COMPLETION, "c2@10");
+        q.push(10, "a@10");
+        q.push(5, "a@5");
+        q.push(10, "a2@10");
+        q.push(7, "a@7");
+        q.push(10, "a3@10");
         assert_eq!(q.peek_time(), Some(5));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        // Completions first at equal time; FIFO within a class.
-        assert_eq!(order, ["a@5", "c@10", "c2@10", "a@10", "a2@10"]);
+        // Earliest first; FIFO at equal times.
+        assert_eq!(order, ["a@5", "a@7", "a@10", "a2@10", "a3@10"]);
         assert!(q.is_empty());
     }
 
@@ -691,20 +573,20 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(0x70B);
         let (mut fused, mut split) = (EventQueue::new(), EventQueue::new());
         for i in 0..4 {
-            fused.push(i, PRIORITY_ARRIVAL, i);
-            split.push(i, PRIORITY_ARRIVAL, i);
+            fused.push(i, i);
+            split.push(i, i);
         }
         for i in 0..5_000u64 {
             // Small steps force equal-time ties, broken by push order.
             let t = fused.peek_time().unwrap() + rng.gen_range(0..3) as u64;
             assert_eq!(fused.peek().map(|(t, &p)| (t, p)), split.pop());
-            fused.replace_top(t, PRIORITY_ARRIVAL, i);
-            split.push(t, PRIORITY_ARRIVAL, i);
+            fused.replace_top(t, i);
+            split.push(t, i);
         }
         assert_eq!((fused.pushes(), fused.pops()), (split.pushes(), split.pops()));
         let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
         assert_eq!(drain(&mut fused), drain(&mut split));
-        fused.replace_top(9, PRIORITY_ARRIVAL, 7);
+        fused.replace_top(9, 7);
         let pops = fused.pops();
         assert_eq!(fused.pop(), Some((9, 7)), "an empty queue only pushes");
         assert_eq!(fused.pops(), pops + 1);
@@ -785,43 +667,6 @@ mod tests {
             }
         }
         assert!(in_first_window > 0, "traffic starts in the first on-window");
-    }
-
-    #[test]
-    fn completion_lanes_pop_whole_same_cycle_bursts_in_push_order() {
-        let mut lanes = CompletionLanes::new(3);
-        lanes.push(2, 10);
-        lanes.push(0, 10);
-        lanes.push(1, 5);
-        lanes.push(1, 10);
-        lanes.push(0, 20);
-        assert_eq!(lanes.peek_time(), Some(5));
-        assert_eq!(lanes.len(), 5);
-        let mut burst = Vec::new();
-        assert_eq!(lanes.pop_burst(&mut burst), Some(5));
-        assert_eq!(burst, [1]);
-        // All three cycle-10 completions in one burst, FIFO by push seq:
-        // lane 2 was pushed first, then 0, then 1.
-        assert_eq!(lanes.pop_burst(&mut burst), Some(10));
-        assert_eq!(burst, [2, 0, 1]);
-        assert_eq!(lanes.pop_burst(&mut burst), Some(20));
-        assert_eq!(burst, [0]);
-        assert_eq!(lanes.pop_burst(&mut burst), None);
-        assert!(burst.is_empty() && lanes.is_empty());
-        assert_eq!((lanes.pushes(), lanes.pops()), (5, 5));
-    }
-
-    #[test]
-    fn completion_lanes_drain_repeated_times_within_one_lane() {
-        // Equal times on one lane (zero-cycle jobs) coalesce into the
-        // same burst, still in push order.
-        let mut lanes = CompletionLanes::new(2);
-        lanes.push(0, 7);
-        lanes.push(1, 7);
-        lanes.push(0, 7);
-        let mut burst = Vec::new();
-        assert_eq!(lanes.pop_burst(&mut burst), Some(7));
-        assert_eq!(burst, [0, 1, 0]);
     }
 
     #[test]

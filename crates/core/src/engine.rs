@@ -661,7 +661,9 @@ impl Engine {
     }
 
     /// The engine's wall-clock spans: one `engine.run_batch` span per
-    /// batch, with one `engine.job.<name>` child per evaluated job.
+    /// batch, with one `engine.job.<name>` child per evaluated job,
+    /// annotated with the job's `slot`: its index in the batch's
+    /// outcomes.
     pub fn spans(&self) -> &SpanCollector {
         &self.spans
     }
@@ -804,7 +806,7 @@ impl Engine {
                 let job = &queued[i];
                 let _job_span = {
                     let g = spans.begin(&format!("engine.job.{}", job.name));
-                    g.annotate("network", &job.network.name);
+                    g.annotate("network", &job.network.name).annotate("slot", job.slot);
                     g
                 };
                 accel.run_network(&job.network)

@@ -51,10 +51,25 @@ impl SpanRecord {
     }
 }
 
+/// The span store.  IDs are handed out in push order under the lock,
+/// starting at 1, so span `id` sits at index `id − 1`.
 #[derive(Debug, Default)]
 struct CollectorInner {
     spans: Vec<SpanRecord>,
     next_id: u64,
+}
+
+impl CollectorInner {
+    fn record(&mut self, id: u64) -> Option<&mut SpanRecord> {
+        let rec = self.spans.get_mut(span_index(id)?)?;
+        debug_assert_eq!(rec.id, id, "span IDs follow push order");
+        Some(rec)
+    }
+}
+
+/// The store index of span `id`, which IDs from 1 in push order give.
+fn span_index(id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(1)?).ok()
 }
 
 /// A shareable collector of hierarchical spans.  Cloning shares the
@@ -139,14 +154,14 @@ impl SpanCollector {
         let end_ns = self.now_ns();
         self.current.store(parent, Ordering::Relaxed);
         let mut g = self.inner.lock().expect("span collector poisoned");
-        if let Some(rec) = g.spans.iter_mut().find(|s| s.id == id) {
+        if let Some(rec) = g.record(id) {
             rec.end_ns = Some(end_ns);
         }
     }
 
     fn annotate(&self, id: u64, key: &str, value: String) {
         let mut g = self.inner.lock().expect("span collector poisoned");
-        if let Some(rec) = g.spans.iter_mut().find(|s| s.id == id) {
+        if let Some(rec) = g.record(id) {
             rec.args.push((key.to_string(), value));
         }
     }
@@ -208,6 +223,12 @@ impl SpanSnapshot {
         self.spans.iter().find(|s| s.name == name)
     }
 
+    /// The span with ID `id`, when present.  Constant time: IDs follow
+    /// the store's push order.
+    pub fn get(&self, id: u64) -> Option<&SpanRecord> {
+        self.spans.get(span_index(id)?).filter(|s| s.id == id)
+    }
+
     /// Direct children of the span with ID `parent`, in begin order.
     pub fn children(&self, parent: u64) -> Vec<&SpanRecord> {
         self.spans.iter().filter(|s| s.parent == parent).collect()
@@ -219,7 +240,7 @@ impl SpanSnapshot {
         let mut depth = 0;
         let mut cur = id;
         for _ in 0..self.spans.len() {
-            let Some(rec) = self.spans.iter().find(|s| s.id == cur) else { break };
+            let Some(rec) = self.get(cur) else { break };
             if rec.parent == NO_SPAN {
                 break;
             }
@@ -262,6 +283,8 @@ mod tests {
         assert_eq!(snap.depth(inner.id), 1);
         assert_eq!(snap.depth(outer.id), 0);
         assert_eq!(snap.children(outer.id).len(), 1);
+        assert_eq!(snap.get(inner.id), Some(inner));
+        assert_eq!((snap.get(NO_SPAN), snap.get(3)), (None, None));
     }
 
     #[test]
@@ -301,7 +324,7 @@ mod tests {
         drop(root);
         let snap = col.snapshot();
         assert_eq!(snap.spans.len(), 5, "forks share the store");
-        let parent = |id: u64| snap.spans.iter().find(|s| s.id == id).unwrap().parent;
+        let parent = |id: u64| snap.get(id).unwrap().parent;
         let batch = snap.by_name("batch").unwrap().id;
         for (outer, inner) in ids {
             assert_eq!(parent(outer), batch);

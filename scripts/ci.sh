@@ -374,8 +374,10 @@ grep -q "nesting deeper than 128 levels" "$out/deep.err" \
 set -e
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/online_report.json" "$out/online_slo.json" \
-        "$out/online_events.jsonl" "$out/online_perfetto.json" <<'PY'
+        "$out/online_events.jsonl" "$out/online_perfetto.json" \
+        examples/online_manifest.json <<'PY'
 import json, sys
+from collections import deque
 report = json.load(open(sys.argv[1]))
 agg = report["aggregate"]
 assert agg["submitted"] >= 100_000, "online gate must simulate >= 1e5 jobs"
@@ -421,6 +423,33 @@ assert report["queue_wait_cycles"]["count"] == agg["completed"]
 counter_pids = {e["pid"] for e in trace["traceEvents"] if e.get("ph") == "C"}
 assert len(counter_pids) == len(report["shards"]), "one depth counter track per shard"
 assert report["counters"]["engine.decision_log.truncated"] == events[0]["events_truncated"]
+# Replay the logged decisions, the run's first ones from cycle 0,
+# against the admission cap.  A shard's in-flight jobs at an arrival
+# are its earlier dispatched jobs that complete after that cycle: a
+# completion on the arrival's own cycle has already retired.
+cap = json.load(open(sys.argv[5]))["cluster"]["max_outstanding"]
+inflight, last_completion = {}, {}
+last_arrival = dispatched = queue_full = 0
+for e in events[1:]:
+    t = e["arrival_cycle"]
+    assert t >= last_arrival, f"arrival cycles decrease at {e['job']}"
+    last_arrival = t
+    pending = inflight.setdefault(e["shard"], deque())
+    while pending and pending[0] <= t:
+        pending.popleft()
+    if e.get("reason") == "queue_full":
+        assert len(pending) >= cap, f"{e['job']}: queue_full with {len(pending)} in flight"
+        queue_full += 1
+    else:
+        assert len(pending) < cap, f"{e['job']}: decided with {len(pending)} in flight"
+    if e["outcome"] == "completed":
+        c = e["completion_cycle"]
+        assert t <= e["start_cycle"] <= c, f"{e['job']}: arrival, start and completion out of order"
+        assert c >= last_completion.get(e["shard"], 0), f"{e['job']}: completions decrease"
+        last_completion[e["shard"]] = c
+        pending.append(c)
+        dispatched += 1
+print(f"online event log replays against the cap ({dispatched} dispatched, {queue_full} queue_full)")
 print(f"online gate valid ({agg['submitted']} jobs, {len(report['shards'])} shards, "
       f"{len(groups)} track groups, verdicts {sorted(verdicts)})")
 PY

@@ -7,25 +7,25 @@
 //! determinism contract says results are a pure function of the
 //! manifest, so any drift is a bug, not noise.
 
-use bsc_accel::des::{ArrivalGen, ArrivalProcess, EventQueue, PRIORITY_ARRIVAL, PRIORITY_COMPLETION};
+use bsc_accel::des::{ArrivalGen, ArrivalProcess, EventQueue};
 use bsc_accel::{Engine, EngineConfig, InferenceJob, JobOutcome, PrecisionPolicy};
 use bsc_mac::{MacKind, Precision};
 use bsc_nn::{models, SharedNetwork};
 
 // ---------------------------------------------------------------------
-// Event queue: the (time, priority, seq) triple is the ENTIRE tie-break
-// contract — completions before arrivals at the same cycle, FIFO within
-// the same (time, priority).
+// Event queue: the (time, seq) pair is its ENTIRE tie-break contract —
+// FIFO by push order at the same cycle.  (Completions never enter the
+// queue: the online loop retires them before same-cycle arrivals.)
 // ---------------------------------------------------------------------
 
 #[test]
-fn event_queue_orders_by_time_then_priority_then_push_order() {
+fn event_queue_orders_by_time_then_push_order() {
     let mut q = EventQueue::new();
-    q.push(20, PRIORITY_ARRIVAL, "late arrival");
-    q.push(10, PRIORITY_ARRIVAL, "arrival a");
-    q.push(10, PRIORITY_ARRIVAL, "arrival b");
-    q.push(10, PRIORITY_COMPLETION, "completion");
-    q.push(0, PRIORITY_ARRIVAL, "first");
+    q.push(20, "late arrival");
+    q.push(10, "arrival a");
+    q.push(10, "arrival b");
+    q.push(0, "first");
+    q.push(10, "arrival c");
     let mut order = Vec::new();
     while let Some((time, label)) = q.pop() {
         order.push((time, label));
@@ -34,9 +34,9 @@ fn event_queue_orders_by_time_then_priority_then_push_order() {
         order,
         vec![
             (0, "first"),
-            (10, "completion"), // completions free capacity before same-cycle arrivals
-            (10, "arrival a"),  // then FIFO by push order
+            (10, "arrival a"), // FIFO by push order at equal times
             (10, "arrival b"),
+            (10, "arrival c"),
             (20, "late arrival"),
         ]
     );
@@ -46,7 +46,7 @@ fn event_queue_orders_by_time_then_priority_then_push_order() {
 fn event_queue_is_fifo_across_many_equal_keys() {
     let mut q = EventQueue::new();
     for i in 0..1000u32 {
-        q.push(7, PRIORITY_ARRIVAL, i);
+        q.push(7, i);
     }
     let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
     assert_eq!(popped, (0..1000).collect::<Vec<_>>());
@@ -176,85 +176,6 @@ fn refill_is_bit_exact_at_extreme_rates() {
             assert_eq!(got, golden, "{name} seed {seed}: refill diverged from per-draw");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Completion coalescing: popping a whole same-cycle burst from the
-// per-shard lanes must deliver payloads in exactly the order the old
-// unified event queue would have — (time, priority, seq), completions
-// before same-cycle arrivals, FIFO by push order within a class.
-// ---------------------------------------------------------------------
-
-/// Randomized differential: the split structure PR-9 put on the hot
-/// path (per-shard [`CompletionLanes`] + an arrival-only [`EventQueue`],
-/// merged with the `completions-first-at-equal-time` rule) is drained
-/// against a reference unified [`EventQueue`] fed the identical push
-/// sequence.  Lane pushes are monotone per lane (the shard `busy_until`
-/// invariant), with deliberate same-cycle collisions within a lane,
-/// across lanes and against arrivals.
-#[test]
-fn coalesced_burst_pops_match_the_unified_queue_golden_order() {
-    use bsc_accel::des::CompletionLanes;
-    use bsc_netlist::rng::Rng64;
-
-    const N_LANES: usize = 4;
-    let mut rng = Rng64::seed_from_u64(0x5EED_CAFE);
-    let mut reference: EventQueue<u32> = EventQueue::new();
-    let mut arrivals: EventQueue<u32> = EventQueue::new();
-    let mut lanes = CompletionLanes::new(N_LANES);
-    // FIFO of payload IDs per lane: pop_burst yields lane indices in
-    // seq order, which within one lane is push order.
-    let mut lane_fifo: Vec<std::collections::VecDeque<u32>> =
-        vec![std::collections::VecDeque::new(); N_LANES];
-
-    let mut lane_clock = [0u64; N_LANES];
-    let mut arrival_clock = 0u64;
-    for id in 0..800u32 {
-        if rng.gen_range(0..2) == 0 {
-            let lane = rng.gen_range(0..N_LANES as i64) as usize;
-            // Step 0..=2: zero steps force same-time entries in one lane.
-            lane_clock[lane] += rng.gen_range(0..3) as u64;
-            reference.push(lane_clock[lane], PRIORITY_COMPLETION, id);
-            lanes.push(lane, lane_clock[lane]);
-            lane_fifo[lane].push_back(id);
-        } else {
-            arrival_clock += rng.gen_range(0..3) as u64;
-            reference.push(arrival_clock, PRIORITY_ARRIVAL, id);
-            arrivals.push(arrival_clock, PRIORITY_ARRIVAL, id);
-        }
-    }
-
-    let mut golden = Vec::new();
-    while let Some((time, id)) = reference.pop() {
-        golden.push((time, id));
-    }
-
-    // Drain the split structure with the engine's merge rule.
-    let mut merged = Vec::new();
-    let mut burst = Vec::new();
-    loop {
-        let pop_completions = match (lanes.peek_time(), arrivals.peek_time()) {
-            (Some(c), Some(a)) => c <= a,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if pop_completions {
-            burst.clear();
-            let t = lanes.pop_burst(&mut burst).expect("peek said non-empty");
-            for &lane in &burst {
-                let id = lane_fifo[lane].pop_front().expect("lane FIFO underflow");
-                merged.push((t, id));
-            }
-        } else {
-            let (t, id) = arrivals.pop().expect("peek said non-empty");
-            merged.push((t, id));
-        }
-    }
-
-    assert_eq!(merged.len(), golden.len());
-    assert_eq!(merged, golden, "burst-coalesced drain drifted from the unified-queue order");
-    assert!(lane_fifo.iter().all(|f| f.is_empty()));
 }
 
 // ---------------------------------------------------------------------
