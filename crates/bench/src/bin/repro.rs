@@ -353,7 +353,7 @@ fn main() {
         );
         let wb = if opts.quick { Workbench::quick() } else { Workbench::paper() }
             .unwrap_or_else(|e| die(&format!("characterization failed: {e}")));
-        // The workbench times itself through its bsc-telemetry registry.
+        // The workbench times its characterization with one `Instant`.
         eprintln!(
             "characterized in {:.4}s (compiled-tape incremental evaluator, batch-sharded)\n",
             wb.characterize_wall_ns() as f64 / 1e9

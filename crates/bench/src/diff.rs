@@ -4,7 +4,8 @@
 //!
 //! Both documents are parsed with the in-repo RFC 8259 parser and
 //! flattened to dotted numeric paths
-//! (`designs[BSC-L4].cycles`, `metrics.counters.systolic.cycles`, ...), so
+//! (`designs[BSC-L4].cycles`, `metrics.counters.repro.layer.fc2.cycles`,
+//! ...; an array whose elements' labels repeat keeps `[i]` indices), so
 //! the diff works on any JSON the harness emits — `BENCH_sim.json`,
 //! `--metrics-out` payloads, or hand-edited baselines.  Wall-clock
 //! fields are machine-dependent, so paths matching the default ignore
@@ -368,6 +369,21 @@ mod tests {
         assert!(diff_documents(BASE, current, &strict).unwrap().regressed());
         let loose = DiffOptions { tolerance: 0.10, ..DiffOptions::default() };
         assert!(!diff_documents(BASE, current, &loose).unwrap().regressed());
+    }
+
+    #[test]
+    fn every_element_is_compared_when_array_labels_repeat() {
+        // Two jobs share the name `x`: a drift in the first must not hide
+        // behind the second.
+        let base = r#"{"jobs":[{"name":"x","cycles":2},{"name":"x","cycles":5}]}"#;
+        let current = r#"{"jobs":[{"name":"x","cycles":1},{"name":"x","cycles":5}]}"#;
+        let exact = DiffOptions { tolerance: 0.0, ..DiffOptions::default() };
+        let report = diff_documents(base, current, &exact).unwrap();
+        assert!(report.regressed());
+        let bad = report.regressions();
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].path, "jobs[0].cycles");
+        assert!(!diff_documents(base, base, &exact).unwrap().regressed());
     }
 
     #[test]

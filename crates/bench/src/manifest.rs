@@ -335,15 +335,6 @@ pub(crate) fn write_slo_tenants(j: &mut JsonBuilder, slo: &SloReport) {
     j.end_array();
 }
 
-/// A JSONL document, returned after asserting that every line parses
-/// under the strict RFC 8259 parser.
-pub(crate) fn checked_jsonl(text: String) -> String {
-    for line in text.lines() {
-        bsc_telemetry::parse_json(line).expect("event line must be strict RFC 8259 JSON");
-    }
-    text
-}
-
 #[cfg(test)]
 mod tests {
     type Parser = fn(&str) -> Result<(), String>;

@@ -12,9 +12,6 @@
 
 use bsc_accel::compiler::{compile_conv, execute};
 use bsc_mac::MacKind;
-use bsc_netlist::rng::Rng64;
-use bsc_nn::ops::ConvWeights;
-use bsc_nn::Tensor;
 use bsc_systolic::{ArrayConfig, SystolicArray};
 use bsc_telemetry::timeline::IMPLICIT_LAYER;
 use bsc_telemetry::{
@@ -22,7 +19,7 @@ use bsc_telemetry::{
     TraceSnapshot,
 };
 
-use crate::telemetry_probe::layer_shapes;
+use crate::telemetry_probe::probe_network;
 
 /// Everything one observatory run produced.
 #[derive(Debug)]
@@ -66,37 +63,20 @@ pub fn observe(
         let run_span = hub.spans.begin("observatory.run");
         run_span.annotate("kind", kind);
         run_span.annotate("pes", config.pes);
-        for (i, (name, p, shape)) in layer_shapes().into_iter().enumerate() {
-            let layer_span = hub.spans.begin(&format!("layer.{name}"));
+        for (i, layer) in probe_network().into_iter().enumerate() {
+            let layer_span = hub.spans.begin(&format!("layer.{}", layer.name));
             layer_span.annotate("index", i);
-            layer_span.annotate("precision", p);
-            let mut rng = Rng64::seed_from_u64(0xBE7A ^ i as u64);
-            let r = p.value_range();
-            let input = Tensor::random(
-                shape.in_channels,
-                shape.in_h,
-                shape.in_w,
-                r.clone(),
-                7 + i as u64,
-            );
-            let weights = ConvWeights {
-                out_c: shape.out_channels,
-                in_c: shape.in_channels,
-                kh: shape.kernel_h,
-                kw: shape.kernel_w,
-                data: (0..shape.weight_count() as usize)
-                    .map(|_| rng.gen_range(r.clone()))
-                    .collect(),
-            };
-            let program = compile_conv(&config, p, &shape)?.with_layer(i as u32);
-            let (_, stats) = execute(&program, &array, &input, &weights)?;
+            layer_span.annotate("precision", layer.precision);
+            let program =
+                compile_conv(&config, layer.precision, &layer.shape)?.with_layer(i as u32);
+            let (_, stats) = execute(&program, &array, &layer.input, &layer.weights)?;
             layer_span.annotate("passes", stats.passes);
             layer_span.annotate("cycles", stats.cycles);
-            layer_names.push(name.to_string());
+            layer_names.push(layer.name.to_string());
         }
     }
 
-    let dropped = hub.publish_trace_stats();
+    let dropped = hub.trace.dropped();
     let trace = hub.trace.snapshot();
     let timeline = build_timeline(&trace);
     Ok(ObservatoryRun {

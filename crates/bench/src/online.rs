@@ -51,8 +51,8 @@ use bsc_telemetry::profile::Profiler;
 use bsc_telemetry::{JsonBuilder, JsonValue};
 
 use crate::manifest::{
-    accel_config, array_field, checked_jsonl, err_at, job_template, mem_config, object_field,
-    parse_tenants, render_tenants, str_field, u64_field, write_queue_wait, write_slo_tenants,
+    accel_config, array_field, err_at, job_template, mem_config, object_field, parse_tenants,
+    render_tenants, str_field, u64_field, write_queue_wait, write_slo_tenants,
 };
 
 /// The result of one online run: the deterministic report plus the
@@ -449,7 +449,7 @@ pub fn events_jsonl(run: &OnlineRun) -> String {
         j.key("completion_cycle").u64(e.completion_cycle);
         j.end_object().newline();
     }
-    checked_jsonl(j.finish())
+    j.finish()
 }
 
 /// Chrome trace-event timeline of the online run: **one process (track

@@ -9,10 +9,11 @@
 //! reports gate evaluations per second for each.  `scripts/ci.sh` emits
 //! the result as `BENCH_sim.json` so the trajectory is visible PR over PR.
 
+use std::time::Instant;
+
 use bsc_mac::{build_netlist, MacKind, MacNetlist, OperandSide, Precision};
 use bsc_netlist::rng::Rng64;
 use bsc_netlist::{Simulator, SIM_LANES};
-use bsc_telemetry::metrics::Registry;
 use bsc_telemetry::JsonBuilder;
 
 /// Throughput comparison of the two evaluation paths on one design.
@@ -99,25 +100,20 @@ fn drive(
     sim.step();
     sim.eval();
 
-    let registry = Registry::new();
-    {
-        let _t = registry.timer("simbench_ns");
-        for cycle in stimulus {
-            for (bus, lanes) in mac.acts().iter().zip(cycle) {
-                sim.write_bus_packed(bus, lanes);
-            }
-            if incremental {
-                sim.step_incremental();
-                sim.eval_incremental();
-            } else {
-                sim.step();
-                sim.eval();
-            }
+    let start = Instant::now();
+    for cycle in stimulus {
+        for (bus, lanes) in mac.acts().iter().zip(cycle) {
+            sim.write_bus_packed(bus, lanes);
+        }
+        if incremental {
+            sim.step_incremental();
+            sim.eval_incremental();
+        } else {
+            sim.step();
+            sim.eval();
         }
     }
-    let ns = registry
-        .histogram("simbench_ns", bsc_telemetry::metrics::DEFAULT_TIME_BOUNDS_NS)
-        .sum();
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     (ns, sim.values().to_vec())
 }
 

@@ -8,6 +8,9 @@
 //! Unlike the figure experiments this one needs no characterized
 //! workbench: it measures cycles and toggles, not energy.
 
+use std::collections::BTreeMap;
+use std::time::Instant;
+
 use bsc_accel::compiler::{compile_conv, execute};
 use bsc_mac::{MacKind, Precision};
 use bsc_netlist::rng::Rng64;
@@ -16,7 +19,8 @@ use bsc_nn::ops::ConvWeights;
 use bsc_nn::Tensor;
 use bsc_systolic::mapping::ConvShape;
 use bsc_systolic::{ArrayConfig, Matrix, SystolicArray, WeightReuse};
-use bsc_telemetry::{sink, JsonBuilder, Telemetry, TraceSnapshot};
+use bsc_telemetry::metrics::DEFAULT_TIME_BOUNDS_NS;
+use bsc_telemetry::{sink, HistogramSnapshot, JsonBuilder, Telemetry, TraceSnapshot};
 
 /// One single-tile matmul per precision mode, cross-checking the
 /// counter-derived utilization against the analytic dataflow model.
@@ -92,21 +96,50 @@ pub struct TelemetryReport {
     pub toggles: Vec<ToggleRow>,
     /// Simulator evaluations behind the toggle counts.
     pub toggle_evals: u64,
-    /// Full metrics snapshot of the shared experiment hub.
-    pub metrics: bsc_telemetry::MetricsSnapshot,
-    /// Trace snapshot of the shared experiment hub.
+    /// Wall-clock nanoseconds of the whole probe run.
+    pub elapsed_ns: u64,
+    /// Trace snapshot of the compiled layers' cycle-events.
     pub trace: TraceSnapshot,
 }
 
 /// Tolerance for the counter-vs-analytic utilization comparison.
 pub const UTILIZATION_TOLERANCE: f64 = 1e-9;
 
-pub(crate) fn layer_shapes() -> [(&'static str, Precision, ConvShape); 3] {
-    [
+/// One layer of the three-layer probe network that `repro telemetry`
+/// and `repro trace` both run: its shape and its seeded operands.
+pub(crate) struct ProbeLayer {
+    pub(crate) name: &'static str,
+    pub(crate) precision: Precision,
+    pub(crate) shape: ConvShape,
+    pub(crate) input: Tensor,
+    pub(crate) weights: ConvWeights,
+}
+
+/// The probe network: an Int8 conv, an Int4 conv and an Int2
+/// fully-connected layer.  Layer `i`'s input is seeded with `7 + i` and
+/// its weights with `0xBE7A ^ i`.
+pub(crate) fn probe_network() -> Vec<ProbeLayer> {
+    let shapes = [
         ("conv8", Precision::Int8, ConvShape::conv(5, 6, 6, 6, 3, 1, 1)),
         ("conv4", Precision::Int4, ConvShape::conv(8, 4, 5, 5, 3, 1, 1)),
         ("fc2", Precision::Int2, ConvShape::fully_connected(30, 7)),
-    ]
+    ];
+    let mut layers = Vec::new();
+    for (i, (name, precision, shape)) in shapes.into_iter().enumerate() {
+        let r = precision.value_range();
+        let input =
+            Tensor::random(shape.in_channels, shape.in_h, shape.in_w, r.clone(), 7 + i as u64);
+        let mut rng = Rng64::seed_from_u64(0xBE7A ^ i as u64);
+        let weights = ConvWeights {
+            out_c: shape.out_channels,
+            in_c: shape.in_channels,
+            kh: shape.kernel_h,
+            kw: shape.kernel_w,
+            data: (0..shape.weight_count() as usize).map(|_| rng.gen_range(r.clone())).collect(),
+        };
+        layers.push(ProbeLayer { name, precision, shape, input, weights });
+    }
+    layers
 }
 
 /// Runs the instrumented probe for one MAC architecture.
@@ -118,28 +151,24 @@ pub(crate) fn layer_shapes() -> [(&'static str, Precision, ConvShape); 3] {
 /// [`UTILIZATION_TOLERANCE`] (which the array's own in-run
 /// cross-validation should already have caught).
 pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::error::Error>> {
+    let start = Instant::now();
     let config = ArrayConfig { pes: 4, vector_length: 8, kind };
-    let hub = Telemetry::new(1 << 16);
-    let _elapsed = hub.metrics.timer("repro.telemetry_ns");
 
     // --- counter-vs-analytic utilization, one run per precision mode ---
     let mut checks = Vec::new();
+    let array = SystolicArray::new(config);
     for p in Precision::ALL {
-        let tel = Telemetry::new(0); // count-only: no event storage needed
-        let array = SystolicArray::with_telemetry(config, tel.clone());
         let k = config.dot_length(p);
         let f = Matrix::from_fn(6, k, |r, c| ((r + 2 * c) % 3) as i64 - 1);
         let w = Matrix::from_fn(4, k, |r, c| ((2 * r + c) % 3) as i64 - 1);
-        array.matmul(p, &f, &w)?;
+        let run = array.matmul(p, &f, &w)?;
         let analytic = array.analytic_stats(p, 6, 4, WeightReuse::WeightStationary);
-        let snap = tel.metrics.snapshot();
-        let cycles = snap.counter("systolic.cycles");
-        let pe_fired = snap.counter("systolic.pe_fired");
+        let (cycles, pe_fired) = (run.stats.cycles, run.stats.pe_busy_cycles);
         let check = PrecisionCheck {
             precision: p,
             cycles,
             pe_fired,
-            stall_cycles: snap.counter("systolic.stall_cycles"),
+            stall_cycles: run.stats.stall_cycles,
             counted_utilization: pe_fired as f64 / (cycles * config.pes as u64) as f64,
             analytic_utilization: analytic.utilization,
         };
@@ -150,61 +179,29 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
             )
             .into());
         }
-        hub.metrics
-            .counter(&format!("repro.check.{}.pe_fired", p.bits()))
-            .add(pe_fired);
         checks.push(check);
     }
 
     // --- per-layer / per-PE utilization through the tile compiler ---
+    let hub = Telemetry::new(1 << 16);
+    let mut array = SystolicArray::new(config);
+    array.set_telemetry(hub.clone());
     let mut layers = Vec::new();
-    for (i, (name, p, shape)) in layer_shapes().into_iter().enumerate() {
-        let tel = Telemetry::new(1 << 16);
-        let mut array = SystolicArray::new(config);
-        array.set_telemetry(tel.clone());
-        let mut rng = Rng64::seed_from_u64(0xBE7A ^ i as u64);
-        let r = p.value_range();
-        let input =
-            Tensor::random(shape.in_channels, shape.in_h, shape.in_w, r.clone(), 7 + i as u64);
-        let weights = ConvWeights {
-            out_c: shape.out_channels,
-            in_c: shape.in_channels,
-            kh: shape.kernel_h,
-            kw: shape.kernel_w,
-            data: (0..shape.weight_count() as usize).map(|_| rng.gen_range(r.clone())).collect(),
-        };
-        let program = compile_conv(&config, p, &shape)?.with_layer(i as u32);
-        let (_, stats) = execute(&program, &array, &input, &weights)?;
-
-        let snap = tel.metrics.snapshot();
-        let cycles = snap.counter("systolic.cycles");
-        let pe_fired = snap.counter("systolic.pe_fired");
-        let pe_busy: Vec<u64> = (0..config.pes)
-            .map(|pe| snap.counter(&format!("systolic.pe{pe:02}.busy_cycles")))
-            .collect();
-        debug_assert_eq!(pe_busy.iter().sum::<u64>(), pe_fired);
+    for (i, layer) in probe_network().into_iter().enumerate() {
+        let program = compile_conv(&config, layer.precision, &layer.shape)?.with_layer(i as u32);
+        let (_, stats) = execute(&program, &array, &layer.input, &layer.weights)?;
+        let pe_fired: u64 = stats.pe_busy.iter().sum();
         layers.push(LayerTelemetry {
-            name: name.to_string(),
-            precision: p,
-            cycles,
+            name: layer.name.to_string(),
+            precision: layer.precision,
+            cycles: stats.cycles,
             passes: stats.passes,
             pe_fired,
-            stall_cycles: snap.counter("systolic.stall_cycles"),
-            utilization: pe_fired as f64 / (cycles * config.pes as u64) as f64,
-            pe_busy: pe_busy.clone(),
-            pe_utilization: pe_busy.iter().map(|&b| b as f64 / cycles as f64).collect(),
+            stall_cycles: stats.stall_cycles,
+            utilization: pe_fired as f64 / (stats.cycles * config.pes as u64) as f64,
+            pe_utilization: stats.pe_busy.iter().map(|&b| b as f64 / stats.cycles as f64).collect(),
+            pe_busy: stats.pe_busy,
         });
-        // Mirror the layer into the shared hub so the metrics dump carries
-        // the per-layer numbers too.
-        let prefix = format!("repro.layer.{name}");
-        hub.metrics.counter(&format!("{prefix}.cycles")).add(cycles);
-        hub.metrics.counter(&format!("{prefix}.pe_fired")).add(pe_fired);
-        hub.metrics
-            .counter(&format!("{prefix}.stall_cycles"))
-            .add(snap.counter("systolic.stall_cycles"));
-        for ev in tel.trace.snapshot().events {
-            hub.trace.push(ev);
-        }
     }
 
     // --- gate-level switching activity through the simulator probe ---
@@ -229,20 +226,11 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
         }
     }
     let probe = sim.take_toggle_stats().expect("probe enabled");
-    let toggle_evals = probe.evals();
     let toggles: Vec<ToggleRow> = probe
         .iter()
         .map(|(kind, flips)| ToggleRow { gate: kind.to_string(), toggles: flips })
         .collect();
-    for row in &toggles {
-        hub.metrics
-            .counter(&format!("repro.netlist.toggles.{}", row.gate))
-            .add(row.toggles);
-    }
-    hub.metrics.counter("repro.netlist.toggle_evals").add(toggle_evals);
 
-    drop(_elapsed); // record the experiment duration before snapshotting
-    hub.publish_trace_stats();
     Ok(TelemetryReport {
         kind,
         pes: config.pes,
@@ -250,8 +238,8 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
         checks,
         layers,
         toggles,
-        toggle_evals,
-        metrics: hub.metrics.snapshot(),
+        toggle_evals: probe.evals(),
+        elapsed_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         trace: hub.trace.snapshot(),
     })
 }
@@ -319,17 +307,39 @@ pub fn render_telemetry(report: &TelemetryReport) -> String {
     out
 }
 
+/// The `metrics.counters` of the `--metrics-out` document, sorted by
+/// name: each precision check's fires, each layer's cycles, fires and
+/// stalls, the toggle counts and the trace ring's totals, all restated
+/// from the report.
+fn counters(report: &TelemetryReport) -> BTreeMap<String, u64> {
+    let mut counters = BTreeMap::new();
+    for c in &report.checks {
+        counters.insert(format!("repro.check.{}.pe_fired", c.precision.bits()), c.pe_fired);
+    }
+    for l in &report.layers {
+        let prefix = format!("repro.layer.{}", l.name);
+        counters.insert(format!("{prefix}.cycles"), l.cycles);
+        counters.insert(format!("{prefix}.pe_fired"), l.pe_fired);
+        counters.insert(format!("{prefix}.stall_cycles"), l.stall_cycles);
+    }
+    for row in &report.toggles {
+        counters.insert(format!("repro.netlist.toggles.{}", row.gate), row.toggles);
+    }
+    counters.insert("repro.netlist.toggle_evals".to_string(), report.toggle_evals);
+    counters.insert("telemetry.trace.total".to_string(), report.trace.total);
+    counters.insert("telemetry.trace.dropped".to_string(), report.trace.dropped);
+    counters
+}
+
 /// Serializes the full report as a JSON document (the `--metrics-out`
 /// payload): per-layer per-PE utilization, stall cycles, netlist toggle
-/// counts and the complete metrics snapshot.
+/// counts, and a `metrics` object restating those counts by name beside
+/// the probe's wall-clock `repro.telemetry_ns` histogram.
 ///
-/// With `no_timers` set, wall-clock (`*_ns`) histograms are excluded
-/// from the embedded metrics snapshot, making the document byte-identical
-/// across repeat runs (everything else the probe records is
-/// deterministic).
+/// With `no_timers` set, the wall-clock histogram is left out, making
+/// the document byte-identical across repeat runs (everything else the
+/// probe records is deterministic).
 pub fn telemetry_json(report: &TelemetryReport, no_timers: bool) -> String {
-    let metrics =
-        if no_timers { report.metrics.without_timers() } else { report.metrics.clone() };
     let mut j = JsonBuilder::new();
     j.begin_object();
     j.key("design").string(&report.kind.to_string());
@@ -383,8 +393,22 @@ pub fn telemetry_json(report: &TelemetryReport, no_timers: bool) -> String {
     j.end_object();
     j.end_object();
 
-    j.key("metrics");
-    sink::write_metrics_object(&mut j, &metrics);
+    j.key("metrics").begin_object();
+    j.key("counters").begin_object();
+    for (name, v) in counters(report) {
+        j.key(&name).u64(v);
+    }
+    j.end_object();
+    j.key("gauges").begin_object().end_object();
+    j.key("histograms").begin_object();
+    if !no_timers {
+        let mut elapsed = HistogramSnapshot::new(DEFAULT_TIME_BOUNDS_NS);
+        elapsed.record(report.elapsed_ns);
+        j.key("repro.telemetry_ns");
+        sink::write_histogram(&mut j, &elapsed);
+    }
+    j.end_object();
+    j.end_object();
     j.end_object();
     j.finish()
 }

@@ -4,7 +4,7 @@
 //! Every `benches/*.rs` target is a plain `harness = false` binary that
 //! drives this module: a [`Group`] runs each measured body a warmup pass
 //! plus `samples` timed passes, records every sample into a
-//! [`bsc_telemetry::Histogram`], and prints one aligned summary line per
+//! [`HistogramSnapshot`], and prints one aligned summary line per
 //! benchmark (mean / min / max wall-clock time).  No statistics beyond
 //! that — the goal is a stable smoke-level timing signal that builds with
 //! zero external dependencies, not criterion's rigor.
@@ -12,7 +12,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bsc_telemetry::Registry;
+use bsc_telemetry::HistogramSnapshot;
 
 /// Default timed samples per benchmark.
 pub const DEFAULT_SAMPLES: usize = 10;
@@ -26,13 +26,12 @@ const SAMPLE_BOUNDS_NS: &[u64] = bsc_telemetry::metrics::DEFAULT_TIME_BOUNDS_NS;
 pub struct Group {
     name: String,
     samples: usize,
-    registry: Registry,
 }
 
 impl Group {
     /// A group printing benchmarks as `name/<id>`.
     pub fn new(name: &str) -> Self {
-        Group { name: name.to_string(), samples: DEFAULT_SAMPLES, registry: Registry::new() }
+        Group { name: name.to_string(), samples: DEFAULT_SAMPLES }
     }
 
     /// Overrides the number of timed samples.
@@ -45,18 +44,15 @@ impl Group {
     /// passed through [`black_box`] so the optimizer cannot delete the
     /// measured work.
     pub fn bench<T>(&mut self, id: &str, mut f: impl FnMut() -> T) -> Summary {
-        let full = format!("{}/{id}", self.name);
-        let hist = self.registry.histogram(&full, SAMPLE_BOUNDS_NS);
+        let mut h = HistogramSnapshot::new(SAMPLE_BOUNDS_NS);
         black_box(f()); // warmup (and fail fast on panics)
         for _ in 0..self.samples {
             let t = Instant::now();
             black_box(f());
-            hist.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            h.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        let snap = self.registry.snapshot();
-        let h = snap.histogram(&full).expect("histogram just recorded");
         let summary = Summary {
-            name: full,
+            name: format!("{}/{id}", self.name),
             samples: h.count,
             mean_ns: h.mean(),
             min_ns: h.min,
@@ -64,11 +60,6 @@ impl Group {
         };
         println!("{summary}");
         summary
-    }
-
-    /// The registry holding one histogram of raw samples per benchmark.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 

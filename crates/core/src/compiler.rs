@@ -62,8 +62,8 @@ impl TileProgram {
     }
 }
 
-/// Execution statistics of a tile program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Execution statistics of a tile program, summed over its passes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total clock cycles (sum over passes, including pipeline fill).
     pub cycles: u64,
@@ -71,6 +71,12 @@ pub struct ExecStats {
     pub passes: u64,
     /// Useful MACs performed (gated lanes excluded).
     pub useful_macs: u64,
+    /// Drain-tail stall cycles counted by the array.
+    pub stall_cycles: u64,
+    /// Busy cycles of each physical PE, from the PEs' own counters
+    /// ([`bsc_systolic::MatmulRun::pe_busy`]); their sum is the number of
+    /// PE fires.
+    pub pe_busy: Vec<u64>,
 }
 
 /// Compiles one convolution layer into a tile program for the given array.
@@ -131,7 +137,7 @@ pub fn execute(
     let split = config.dot_length(p);
     let (out_h, out_w) = (shape.out_h(), shape.out_w());
     let mut psum = Tensor::zeros(shape.out_channels, out_h, out_w);
-    let mut stats = ExecStats::default();
+    let mut stats = ExecStats { pe_busy: vec![0; config.pes], ..ExecStats::default() };
     let _exec_span = array.telemetry().map(|tel| {
         let g = tel.spans.begin("compiler.execute");
         g.annotate("layer", program.layer);
@@ -194,6 +200,10 @@ pub fn execute(
         stats.passes += 1;
         stats.useful_macs +=
             (out_h * out_w) as u64 * (n_hi - n_lo) as u64 * (c_hi - c_lo) as u64;
+        stats.stall_cycles += run.stats.stall_cycles;
+        for (total, busy) in stats.pe_busy.iter_mut().zip(&run.pe_busy) {
+            *total += busy;
+        }
     }
     Ok((psum, stats))
 }
@@ -302,6 +312,45 @@ mod tests {
         // pass's MACs are useful: the layer's MACs in total.
         assert_eq!(stats.passes as usize, program.ops.len() - 1);
         assert_eq!(stats.useful_macs, shape.macs());
+    }
+
+    #[test]
+    fn per_pe_busy_cycles_sum_to_the_fires_and_match_the_trace_per_pe() {
+        use bsc_telemetry::{Telemetry, TraceEvent};
+        for (p, shape) in [
+            (Precision::Int8, ConvShape::conv(5, 6, 6, 6, 3, 1, 1)),
+            (Precision::Int4, ConvShape::conv(8, 4, 5, 5, 3, 1, 1)),
+            (Precision::Int2, ConvShape::fully_connected(30, 7)),
+        ] {
+            let (mut array, input, weights) = setup(MacKind::Bsc, p, shape, 5);
+            let tel = Telemetry::new(1 << 16);
+            array.set_telemetry(tel.clone());
+            let program = compile_conv(&array.config(), p, &shape).unwrap();
+            let (_, stats) = execute(&program, &array, &input, &weights).unwrap();
+
+            let trace = tel.trace.snapshot();
+            assert_eq!(trace.dropped, 0);
+            let fires_of = |i: usize| {
+                trace
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::PeFired { pe, .. } if *pe as usize == i))
+                    .count() as u64
+            };
+            let fires =
+                trace.events.iter().filter(|e| matches!(e, TraceEvent::PeFired { .. })).count();
+            let stalls =
+                trace.events.iter().filter(|e| matches!(e, TraceEvent::VectorStall { .. })).count();
+            assert_eq!(stats.pe_busy.len(), array.config().pes, "{p} {shape:?}");
+            assert_eq!(stats.pe_busy.iter().sum::<u64>(), fires as u64, "{p} {shape:?}");
+            for (i, &busy) in stats.pe_busy.iter().enumerate() {
+                assert_eq!(busy, fires_of(i), "{p} {shape:?} PE {i}");
+            }
+            assert_eq!(stats.stall_cycles, stalls as u64, "{p} {shape:?}");
+            // The closed-form schedule agrees on the total.
+            let schedule = schedule_conv(&array.config(), p, &shape).unwrap();
+            assert_eq!(stats.pe_busy.iter().sum::<u64>(), schedule.busy_pe_cycles);
+        }
     }
 
     #[test]

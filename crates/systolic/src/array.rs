@@ -7,8 +7,8 @@
 //! cross-validated on every call — a divergence is a bug in either the
 //! model or the formulas and surfaces as
 //! [`SystolicError::TelemetryDivergence`].  When a [`Telemetry`] bundle is
-//! attached, the same counts are also published as named counters and
-//! cycle-events for external observability.
+//! attached, every fire, stall and weight load is also pushed into its
+//! trace ring as a cycle-event, inside an `array.matmul` span.
 
 use bsc_mac::{MacKind, Precision};
 use bsc_telemetry::{Telemetry, TraceEvent};
@@ -134,6 +134,10 @@ pub struct MatmulRun {
     pub output: Matrix,
     /// Dataflow statistics of the run.
     pub stats: DataflowStats,
+    /// Busy cycles of each physical PE, read from the PEs' own counters
+    /// (0 for a PE no weight row was mapped to); they sum to
+    /// `stats.pe_busy_cycles`.
+    pub pe_busy: Vec<u64>,
 }
 
 /// Weight-reuse policy of a matmul run (the Fig. 5 dataflow versus the
@@ -360,7 +364,9 @@ impl SystolicArray {
         // Busy time comes from the PEs' own hardware counters, not the
         // loop above — so a PE miscounting its fires would be caught by
         // the cross-validation below (macs are counted by the loop).
-        stats.pe_busy_cycles = pes.iter().map(ProcessingElement::busy_cycles).sum();
+        let mut pe_busy: Vec<u64> = pes.iter().map(ProcessingElement::busy_cycles).collect();
+        pe_busy.resize(self.config.pes, 0); // unmapped PEs never fire
+        stats.pe_busy_cycles = pe_busy.iter().sum();
         let pe_cycles = stats.cycles * self.config.pes as u64;
         stats.utilization = if pe_cycles > 0 {
             stats.pe_busy_cycles as f64 / pe_cycles as f64
@@ -368,19 +374,9 @@ impl SystolicArray {
             0.0
         };
 
-        if let Some(tel) = tel {
-            let m = &tel.metrics;
-            m.counter("systolic.cycles").add(stats.cycles);
-            m.counter("systolic.pe_fired").add(stats.pe_busy_cycles);
-            m.counter("systolic.stall_cycles").add(stats.stall_cycles);
-            for (n_idx, pe) in pes.iter().enumerate() {
-                m.counter(&format!("systolic.pe{n_idx:02}.busy_cycles")).add(pe.busy_cycles());
-            }
-        }
-
         let analytic = analytic_stats(self.config, k, m_rows, n_rows, dataflow);
         cross_validate(&analytic, &stats)?;
-        Ok(MatmulRun { output, stats })
+        Ok(MatmulRun { output, stats, pe_busy })
     }
 
     /// The closed-form dataflow prediction for one tile — the quantity the
@@ -424,6 +420,7 @@ impl SystolicArray {
         let (m, k, n) = (features.rows(), features.cols(), weights.rows());
         let mut output = Matrix::zeros(m, n);
         let mut stats = DataflowStats::default();
+        let mut pe_busy = vec![0; n_tile];
 
         let mut k0 = 0;
         while k0 < k.max(1) {
@@ -449,6 +446,9 @@ impl SystolicArray {
                 stats.weight_loads += run.stats.weight_loads;
                 stats.pe_busy_cycles += run.stats.pe_busy_cycles;
                 stats.stall_cycles += run.stats.stall_cycles;
+                for (total, busy) in pe_busy.iter_mut().zip(&run.pe_busy) {
+                    *total += busy;
+                }
                 n0 = n1;
             }
             k0 = k1.max(k0 + 1);
@@ -459,7 +459,7 @@ impl SystolicArray {
         } else {
             0.0
         };
-        Ok(MatmulRun { output, stats })
+        Ok(MatmulRun { output, stats, pe_busy })
     }
 }
 
@@ -626,20 +626,17 @@ mod tests {
         let w = Matrix::from_fn(3, k, |r, c| ((r * c) % 5) as i64 - 2);
         let run = array.matmul(Precision::Int4, &f, &w).unwrap();
 
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("systolic.cycles"), run.stats.cycles);
-        assert_eq!(snap.counter("systolic.pe_fired"), run.stats.pe_busy_cycles);
-        assert_eq!(snap.counter("systolic.stall_cycles"), run.stats.stall_cycles);
+        assert_eq!(run.stats.cycles, 4 + 3 - 1);
         // 4 feature rows against 3 weight rows: one load per weight row,
         // one hop and one k-lane dot product per (row, PE).
         assert_eq!(run.stats.weight_loads, 3);
         assert_eq!(run.stats.feature_hops, 4 * 3);
         assert_eq!(run.stats.macs, 4 * 3 * k as u64);
         // Per-PE utilization: every PE fires once per feature row.
-        for pe in 0..3 {
-            assert_eq!(snap.counter(&format!("systolic.pe{pe:02}.busy_cycles")), 4);
-        }
-        // The trace ring saw one event per fire, stall and load.
+        assert_eq!(run.pe_busy, vec![4, 4, 4]);
+        assert_eq!(run.pe_busy.iter().sum::<u64>(), run.stats.pe_busy_cycles);
+        // The trace ring saw one event per fire, stall and load, and
+        // each PE's fires equal its busy cycles.
         let trace = tel.trace.snapshot();
         let fired = trace.events.iter().filter(|e| e.kind() == "pe_fired").count() as u64;
         let stalls = trace.events.iter().filter(|e| e.kind() == "vector_stall").count() as u64;
@@ -647,6 +644,14 @@ mod tests {
         assert_eq!(fired, run.stats.pe_busy_cycles);
         assert_eq!(stalls, run.stats.stall_cycles);
         assert_eq!(loads, run.stats.weight_loads);
+        for (i, &busy) in run.pe_busy.iter().enumerate() {
+            let fires = trace
+                .events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::PeFired { pe, .. } if *pe as usize == i))
+                .count() as u64;
+            assert_eq!(fires, busy, "PE {i}");
+        }
     }
 
     #[test]
@@ -718,6 +723,10 @@ mod tiled_tests {
         // 3 K-tiles x 3 N-tiles (2+2+1 rows) = 9 passes.
         assert_eq!(run.stats.weight_loads, 3 * (2 + 2 + 1));
         assert!(run.stats.cycles > 0);
+        // PE 0 serves every N-tile, PE 1 the two full ones: 4 feature
+        // rows per pass.
+        assert_eq!(run.pe_busy, vec![3 * 3 * 4, 3 * 2 * 4]);
+        assert_eq!(run.pe_busy.iter().sum::<u64>(), run.stats.pe_busy_cycles);
     }
 }
 

@@ -9,7 +9,7 @@
 //! Arrays and objects nest at most [`MAX_DEPTH`] levels deep, so a
 //! hostile document is an error instead of a stack overflow.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A parsed JSON value.
@@ -75,8 +75,10 @@ impl JsonValue {
     /// Flattens every numeric leaf into `path → value` pairs, with dotted
     /// object paths and `[i]` array indices.  When every element of an
     /// array is an object carrying a string `design` or `name` member,
-    /// that member is used as the index instead, so reordering entries
-    /// does not break baseline comparisons.
+    /// and no two of those labels are equal, the label is used as the
+    /// index instead, so reordering entries does not break baseline
+    /// comparisons.  A repeated label would map two elements to one path,
+    /// so such an array keeps its `[i]` indices.
     pub fn flatten_numbers(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
         flatten_into(self, String::new(), &mut out);
@@ -107,10 +109,12 @@ fn flatten_into(v: &JsonValue, path: String, out: &mut BTreeMap<String, f64>) {
                         .and_then(JsonValue::as_str)
                 })
                 .collect();
+            let labels = labels
+                .filter(|names| names.iter().collect::<BTreeSet<_>>().len() == names.len());
             for (i, item) in items.iter().enumerate() {
                 let idx = match &labels {
-                    Some(names) if !names.is_empty() => names[i].to_string(),
-                    _ => i.to_string(),
+                    Some(names) => names[i].to_string(),
+                    None => i.to_string(),
                 };
                 flatten_into(item, format!("{path}[{idx}]"), out);
             }
@@ -451,5 +455,23 @@ mod tests {
         assert_eq!(flat["designs[LPC-L4].cycles"], 64.0);
         assert_eq!(flat["plain[0]"], 10.0);
         assert_eq!(flat["plain[1]"], 20.0);
+    }
+
+    #[test]
+    fn flatten_indexes_arrays_whose_labels_repeat() {
+        let v = parse_json(
+            r#"{"jobs":[{"name":"x","cycles":2},{"name":"x","cycles":5},{"name":"y","cycles":7}],
+                "mixed":[{"name":"a","cycles":1},{"cycles":3}]}"#,
+        )
+        .unwrap();
+        let flat = v.flatten_numbers();
+        // Every element keeps a path of its own, so none is overwritten.
+        assert_eq!(flat["jobs[0].cycles"], 2.0);
+        assert_eq!(flat["jobs[1].cycles"], 5.0);
+        assert_eq!(flat["jobs[2].cycles"], 7.0);
+        assert!(!flat.contains_key("jobs[x].cycles"));
+        assert_eq!(flat["mixed[0].cycles"], 1.0);
+        assert_eq!(flat["mixed[1].cycles"], 3.0);
+        assert_eq!(flat.len(), 5);
     }
 }

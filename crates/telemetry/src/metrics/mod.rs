@@ -1,155 +1,19 @@
-//! Metrics registry: named counters, gauges, fixed-bucket histograms and
-//! scoped wall-clock timers.
+//! Plain single-owner histograms and quantile sketches.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`-backed
-//! clones over atomics, so instrumented hot loops pay one relaxed atomic
-//! op per update and never take the registry lock.  The [`Registry`] lock
-//! is only held during registration and snapshotting.
+//! [`HistogramSnapshot`] is a fixed-bucket histogram over `u64` samples
+//! (cycles, nanoseconds) that its owner records into through `&mut self`;
+//! [`labels::QuantileSketch`] is the HDR-style sketch behind per-tenant
+//! latency quantiles.  Both are plain data: a loop that owns its samples
+//! records them directly, and a report carries the result.
 
 pub mod labels;
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
 pub use labels::{QuantileSketch, SketchSnapshot};
 
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current total.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An instantaneous signed level (queue depth, in-flight tiles, ...).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the level by `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistogramInner {
-    /// Upper bounds of the finite buckets (sorted ascending); an implicit
-    /// overflow bucket catches everything above the last bound.
-    bounds: Vec<u64>,
-    /// One count per finite bucket plus the trailing overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    /// Running minimum/maximum (u64::MAX / 0 until the first record).
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-/// A fixed-bucket histogram over `u64` samples (cycles, nanoseconds,
-/// element counts).  Bucket `i` counts samples `<= bounds[i]` (and greater
-/// than the previous bound); the final bucket is the overflow.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-/// `bounds` sorted ascending without duplicates: the finite bucket upper
-/// bounds of a histogram.
-fn canonical_bounds(bounds: &[u64]) -> Vec<u64> {
-    let mut sorted = bounds.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        let sorted = canonical_bounds(bounds);
-        let n = sorted.len() + 1;
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                bounds: sorted,
-                buckets: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let h = &*self.inner;
-        let idx = h.bounds.partition_point(|&b| b < value);
-        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(value, Ordering::Relaxed);
-        h.min.fetch_min(value, Ordering::Relaxed);
-        h.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let h = &*self.inner;
-        let count = h.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            bounds: h.bounds.clone(),
-            buckets: h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count,
-            sum: h.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { h.min.load(Ordering::Relaxed) },
-            max: h.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of one histogram, and a plain single-owner
-/// recorder of the same shape: [`HistogramSnapshot::new`] and
-/// [`HistogramSnapshot::record`] bucket, sum and bound samples exactly as
-/// [`Histogram::record`] does, through `&mut self` and with no atomic, so
-/// a hot loop that owns its samples can record them directly.
+/// A fixed-bucket histogram over `u64` samples (cycles, nanoseconds),
+/// recorded into by its single owner.  Bucket `i` counts the samples
+/// `<= bounds[i]` (and greater than the previous bound); the final bucket
+/// is the overflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds, ascending.
@@ -158,7 +22,7 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
     /// Total samples.
     pub count: u64,
-    /// Sum of samples.
+    /// Sum of samples (wrapping).
     pub sum: u64,
     /// Smallest sample (0 when empty).
     pub min: u64,
@@ -167,17 +31,17 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty histogram over `bounds`, canonicalized (sorted, deduped)
-    /// like a registry histogram's.
+    /// An empty histogram over `bounds`, sorted and deduplicated.
     pub fn new(bounds: &[u64]) -> Self {
-        let bounds = canonical_bounds(bounds);
+        let mut bounds = bounds.to_vec();
+        bounds.sort_unstable();
+        bounds.dedup();
         let buckets = vec![0; bounds.len() + 1];
         HistogramSnapshot { bounds, buckets, count: 0, sum: 0, min: 0, max: 0 }
     }
 
-    /// Records one sample: the bucket rule and wrapping sum of
-    /// [`Histogram::record`], with `min` and `max` kept exact (both 0
-    /// while empty).
+    /// Records one sample into its bucket, with a wrapping sum and `min`
+    /// and `max` kept exact (both 0 while empty).
     pub fn record(&mut self, value: u64) {
         self.buckets[self.bounds.partition_point(|&b| b < value)] += 1;
         self.min = if self.count == 0 { value } else { self.min.min(value) };
@@ -254,140 +118,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time copy of every metric in a [`Registry`], with names sorted.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// Counter totals by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge levels by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Histogram states by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl MetricsSnapshot {
-    /// The total of the named counter, or 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// The level of the named gauge, or 0 when absent.
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// The named histogram, when present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    /// A copy without the wall-clock timer histograms (names ending in
-    /// `_ns`) — the one intentionally non-deterministic signal.  Used by
-    /// the `repro --no-timers` determinism path so repeated runs
-    /// serialize to byte-identical JSON.
-    #[must_use]
-    pub fn without_timers(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(n, _)| !n.ends_with("_ns"))
-                .cloned()
-                .collect(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A named collection of metrics.  Cloning shares the underlying store, so
-/// one registry can be threaded through the compiler, array and simulator
-/// layers and snapshotted once at the end of a run.
-#[derive(Clone, Default)]
-pub struct Registry {
-    inner: Arc<Mutex<RegistryInner>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock().expect("registry poisoned");
-        f.debug_struct("Registry")
-            .field("counters", &g.counters.len())
-            .field("gauges", &g.gauges.len())
-            .field("histograms", &g.histograms.len())
-            .finish()
-    }
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// The counter named `name`, creating it at zero on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.counters.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The gauge named `name`, creating it at zero on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.gauges.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The histogram named `name`, creating it with `bounds` on first use.
-    /// (Later calls reuse the existing buckets; `bounds` is then ignored.)
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .clone()
-    }
-
-    /// Starts a wall-clock timer whose elapsed nanoseconds are recorded
-    /// into the histogram `name` when the returned guard drops.
-    pub fn timer(&self, name: &str) -> ScopedTimer {
-        ScopedTimer {
-            hist: self.histogram(name, DEFAULT_TIME_BOUNDS_NS),
-            start: Instant::now(),
-        }
-    }
-
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock().expect("registry poisoned");
-        MetricsSnapshot {
-            counters: g.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-            gauges: g.gauges.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-            histograms: g
-                .histograms
-                .iter()
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// Default nanosecond bucket bounds for [`Registry::timer`]: 1 µs to 10 s
-/// in decades.
+/// Default nanosecond bucket bounds for wall-clock timings: 1 µs to
+/// 10 s in decades.
 pub const DEFAULT_TIME_BOUNDS_NS: &[u64] = &[
     1_000,
     10_000,
@@ -399,59 +131,21 @@ pub const DEFAULT_TIME_BOUNDS_NS: &[u64] = &[
     10_000_000_000,
 ];
 
-/// Records wall-clock elapsed time into a histogram on drop.
-#[derive(Debug)]
-pub struct ScopedTimer {
-    hist: Histogram,
-    start: Instant,
-}
-
-impl ScopedTimer {
-    /// Nanoseconds elapsed so far (without stopping the timer).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.elapsed_ns());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_share_by_name() {
-        let reg = Registry::new();
-        let a = reg.counter("pe.fired");
-        let b = reg.counter("pe.fired");
-        a.inc();
-        b.add(4);
-        assert_eq!(reg.snapshot().counter("pe.fired"), 5);
-        assert_eq!(reg.snapshot().counter("absent"), 0);
-    }
-
-    #[test]
-    fn gauges_set_and_adjust() {
-        let reg = Registry::new();
-        let g = reg.gauge("tiles.in_flight");
-        g.set(3);
-        g.add(-1);
-        assert_eq!(reg.snapshot().gauge("tiles.in_flight"), 2);
+    fn recorded(bounds: &[u64], samples: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::new(bounds);
+        for &v in samples {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
     fn histogram_buckets_partition_samples() {
-        let reg = Registry::new();
-        let h = reg.histogram("cycles", &[10, 100]);
-        for v in [1, 10, 11, 100, 101, 5000] {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let hs = snap.histogram("cycles").unwrap();
+        let hs = recorded(&[10, 100], &[1, 10, 11, 100, 101, 5000]);
         assert_eq!(hs.bounds, vec![10, 100]);
         assert_eq!(hs.buckets, vec![2, 2, 2]); // <=10, <=100, overflow
         assert_eq!(hs.count, 6);
@@ -463,34 +157,22 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[10, 100, 1000]);
         // 100 samples spread 1..=100: p50 ≈ 50, p99 ≈ 99.
-        for v in 1..=100 {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let hs = snap.histogram("lat").unwrap();
+        let samples: Vec<u64> = (1..=100).collect();
+        let hs = recorded(&[10, 100, 1000], &samples);
         let p50 = hs.p50().unwrap();
         let p99 = hs.p99().unwrap();
         assert!((40.0..=60.0).contains(&p50), "p50 = {p50}");
         assert!((90.0..=100.0).contains(&p99), "p99 = {p99}");
         assert!(hs.p95().unwrap() <= p99 + 1e-9);
         // Bounded by the observed extremes even in the overflow bucket.
-        let hb = reg.histogram("big", &[10]);
-        hb.record(5000);
-        hb.record(7000);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("big").unwrap();
+        let hs = recorded(&[10], &[5000, 7000]);
         assert!(hs.p50().unwrap() >= 5000.0 && hs.p99().unwrap() <= 7000.0, "{hs:?}");
     }
 
     #[test]
     fn empty_histogram_has_no_percentiles() {
-        let reg = Registry::new();
-        let _ = reg.histogram("empty", &[10]);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("empty").unwrap();
+        let hs = HistogramSnapshot::new(&[10]);
         // Explicit: there is no quantile of nothing.
         assert_eq!(hs.percentile(0.5), None);
         assert_eq!(hs.p50(), None);
@@ -501,10 +183,7 @@ mod tests {
 
     #[test]
     fn single_sample_percentiles_collapse_to_the_sample() {
-        let reg = Registry::new();
-        reg.histogram("one", &[10, 100]).record(37);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("one").unwrap();
+        let hs = recorded(&[10, 100], &[37]);
         for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(hs.percentile(q), Some(37.0), "q = {q}");
         }
@@ -512,16 +191,11 @@ mod tests {
 
     #[test]
     fn saturating_counts_keep_percentiles_in_range() {
-        // Sums wrap (relaxed atomics), but quantile estimates must stay
-        // inside [min, max] even when the sum has overflowed.
-        let reg = Registry::new();
-        let h = reg.histogram("huge", &[1 << 32]);
-        h.record(u64::MAX);
-        h.record(u64::MAX - 1);
-        h.record(5);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("huge").unwrap();
+        // The sum wraps, but quantile estimates must stay inside
+        // [min, max] even when the sum has overflowed.
+        let hs = recorded(&[1 << 32], &[u64::MAX, u64::MAX - 1, 5]);
         assert_eq!(hs.count, 3);
+        assert_eq!(hs.sum, 2, "(2^64 - 1) + (2^64 - 2) + 5 wraps to 2");
         assert_eq!(hs.min, 5);
         assert_eq!(hs.max, u64::MAX);
         for q in [0.0, 0.5, 0.99, 1.0] {
@@ -534,42 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn without_timers_drops_ns_histograms_only() {
-        let reg = Registry::new();
-        reg.counter("kept").inc();
-        reg.histogram("phase.load_ns", &[10]).record(1);
-        reg.histogram("cycles", &[10]).record(1);
-        let snap = reg.snapshot().without_timers();
-        assert_eq!(snap.counter("kept"), 1);
-        assert!(snap.histogram("phase.load_ns").is_none());
-        assert!(snap.histogram("cycles").is_some());
-    }
-
-    #[test]
-    fn cloned_registries_share_storage() {
-        let reg = Registry::new();
-        let reg2 = reg.clone();
-        reg.counter("x").inc();
-        reg2.counter("x").inc();
-        assert_eq!(reg.snapshot().counter("x"), 2);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let reg = Registry::new();
-        {
-            let _t = reg.timer("phase.load");
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("phase.load").unwrap();
-        assert_eq!(h.count, 1);
-    }
-
-    #[test]
-    fn plain_recorder_equals_the_registry_histogram() {
-        // Unsorted, duplicated bounds canonicalize to [10, 100] on both
-        // sides.  Cases: empty, one sample, the overflow bucket, a sum
-        // that wraps, and seeded samples across every bucket.
+    fn bounds_canonicalize_and_every_sample_lands_in_one_bucket() {
+        // Unsorted, duplicated bounds canonicalize to [10, 100].  Cases:
+        // empty (min and max 0), one sample, the overflow bucket, a sum
+        // that wraps, and seeded samples across every bucket, each
+        // against its buckets, count, sum and extremes counted by hand.
         let raw = [100, 10, 100, 10];
         let mut state = 0x5EED_CAFE_u64;
         let seeded: Vec<u64> = (0..500)
@@ -580,27 +223,30 @@ mod tests {
                 state % 150
             })
             .collect();
-        let cases: [&[u64]; 5] =
-            [&[], &[37], &[5000, 101, 7], &[u64::MAX, u64::MAX - 1, 5], &seeded];
-        for samples in cases {
-            let reg = Registry::new();
-            let live = reg.histogram("h", &raw);
-            let mut plain = HistogramSnapshot::new(&raw);
-            for &v in samples {
-                live.record(v);
-                plain.record(v);
-            }
-            assert_eq!(reg.snapshot().histogram("h"), Some(&plain), "{samples:?}");
+        let want = |buckets: Vec<u64>, count, sum, min, max| HistogramSnapshot {
+            bounds: vec![10, 100],
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        };
+        let seeded_buckets = vec![
+            seeded.iter().filter(|&&v| v <= 10).count() as u64,
+            seeded.iter().filter(|&&v| v > 10 && v <= 100).count() as u64,
+            seeded.iter().filter(|&&v| v > 100).count() as u64,
+        ];
+        let (lo, hi) = (*seeded.iter().min().unwrap(), *seeded.iter().max().unwrap());
+        let cases: [(&[u64], HistogramSnapshot); 5] = [
+            (&[], want(vec![0, 0, 0], 0, 0, 0, 0)),
+            (&[37], want(vec![0, 1, 0], 1, 37, 37, 37)),
+            (&[5000, 101, 7], want(vec![1, 0, 2], 3, 5108, 7, 5000)),
+            (&[u64::MAX, u64::MAX - 1, 5], want(vec![1, 0, 2], 3, 2, 5, u64::MAX)),
+            (&seeded, want(seeded_buckets, 500, seeded.iter().sum(), lo, hi)),
+        ];
+        for (samples, want) in cases {
+            let hs = recorded(&raw, samples);
+            assert_eq!(hs, want, "{samples:?}");
         }
-    }
-
-    #[test]
-    fn snapshot_names_are_sorted() {
-        let reg = Registry::new();
-        reg.counter("zeta").inc();
-        reg.counter("alpha").inc();
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
     }
 }

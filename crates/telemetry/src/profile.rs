@@ -7,9 +7,9 @@
 //! `schedule-eval`, `slo-fold`, `export`, ...); each phase accumulates two
 //! very different kinds of signal:
 //!
-//! * **wall-clock nanoseconds** via RAII [`PhaseGuard`]s (modeled on
-//!   [`crate::ScopedTimer`]) — honest, machine-dependent, and therefore
-//!   excluded from every byte-determinism contract.  All wall fields are
+//! * **wall-clock nanoseconds** via RAII [`PhaseGuard`]s — honest,
+//!   machine-dependent, and therefore excluded from every
+//!   byte-determinism contract.  All wall fields are
 //!   exported under a `wall` section with `_ns` / `_per_sec` suffixed
 //!   names so the `repro diff` default ignore patterns skip them;
 //! * **deterministic work counters** (events popped, heap ops, map
@@ -43,11 +43,36 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::metrics::Counter;
 use crate::sink::JsonBuilder;
+
+/// A monotonically increasing count shared by its clones: one relaxed
+/// atomic add per update.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current total.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Shared accumulator for one named phase.
 #[derive(Debug, Default)]

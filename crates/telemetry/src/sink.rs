@@ -4,12 +4,12 @@
 //! serialization is done by hand.  [`JsonBuilder`] is a small push-style
 //! writer (correct string escaping, comma placement and non-finite float
 //! handling) that higher layers also use to compose their own documents;
-//! on top of it sit ready-made encoders for [`MetricsSnapshot`] and
+//! on top of it sit ready-made encoders for [`HistogramSnapshot`] and
 //! [`TraceSnapshot`].
 
 use std::fmt::Write;
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::HistogramSnapshot;
 use crate::trace::{TraceEvent, TraceSnapshot};
 
 /// Incremental JSON document writer.
@@ -192,15 +192,10 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Encodes a metrics snapshot as one JSON object with `counters`,
-/// `gauges` and `histograms` members.
-pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
-    let mut j = JsonBuilder::new();
-    write_metrics_object(&mut j, snap);
-    j.finish()
-}
-
-fn write_histogram_object(j: &mut JsonBuilder, h: &crate::metrics::HistogramSnapshot) {
+/// Writes a histogram as one JSON object (after a [`JsonBuilder::key`]
+/// or at array level): its count, sum, extremes, mean, percentiles,
+/// bounds and buckets.
+pub fn write_histogram(j: &mut JsonBuilder, h: &HistogramSnapshot) {
     j.begin_object();
     j.key("count").u64(h.count);
     j.key("sum").u64(h.sum);
@@ -222,29 +217,6 @@ fn write_histogram_object(j: &mut JsonBuilder, h: &crate::metrics::HistogramSnap
         j.u64(*b);
     }
     j.end_array();
-    j.end_object();
-}
-
-/// Writes the metrics object into an in-progress document (after a
-/// [`JsonBuilder::key`] or at array level).
-pub fn write_metrics_object(j: &mut JsonBuilder, snap: &MetricsSnapshot) {
-    j.begin_object();
-    j.key("counters").begin_object();
-    for (name, v) in &snap.counters {
-        j.key(name).u64(*v);
-    }
-    j.end_object();
-    j.key("gauges").begin_object();
-    for (name, v) in &snap.gauges {
-        j.key(name).i64(*v);
-    }
-    j.end_object();
-    j.key("histograms").begin_object();
-    for (name, h) in &snap.histograms {
-        j.key(name);
-        write_histogram_object(j, h);
-    }
-    j.end_object();
     j.end_object();
 }
 
@@ -301,7 +273,6 @@ pub fn trace_to_json(snap: &TraceSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
     use crate::trace::TraceRing;
 
     #[test]
@@ -321,17 +292,30 @@ mod tests {
         );
     }
 
+    fn histogram_json(bounds: &[u64], samples: &[u64]) -> String {
+        let mut h = HistogramSnapshot::new(bounds);
+        for &v in samples {
+            h.record(v);
+        }
+        let mut j = JsonBuilder::new();
+        write_histogram(&mut j, &h);
+        j.finish()
+    }
+
     #[test]
     fn metrics_json_round_trips_structure() {
-        let reg = Registry::new();
-        reg.counter("pe.fired").add(7);
-        reg.gauge("depth").set(-2);
-        reg.histogram("lat", &[5]).record(3);
-        let json = metrics_to_json(&reg.snapshot());
-        assert!(json.contains(r#""pe.fired":7"#), "{json}");
-        assert!(json.contains(r#""depth":-2"#), "{json}");
-        assert!(json.contains(r#""count":1"#), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let json = histogram_json(&[5], &[3]);
+        assert_eq!(
+            json,
+            r#"{"count":1,"sum":3,"min":3,"max":3,"mean":3,"p50":3,"p95":3,"p99":3,"bounds":[5],"buckets":[1,0]}"#
+        );
+        let doc = crate::json::parse_json(&json).expect("valid JSON");
+        let flat = doc.flatten_numbers();
+        assert_eq!(flat["count"], 1.0);
+        assert_eq!(flat["bounds[0]"], 5.0);
+        assert_eq!(flat["buckets[1]"], 0.0);
+        // An empty histogram writes the 0 sentinel for every percentile.
+        assert!(histogram_json(&[5], &[]).contains(r#""p50":0,"p95":0,"p99":0"#));
     }
 
     #[test]
@@ -428,12 +412,7 @@ mod tests {
 
     #[test]
     fn metrics_json_includes_percentiles() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[10, 100]);
-        for v in [1, 2, 3, 4, 200] {
-            h.record(v);
-        }
-        let json = metrics_to_json(&reg.snapshot());
+        let json = histogram_json(&[10, 100], &[1, 2, 3, 4, 200]);
         for key in ["\"p50\":", "\"p95\":", "\"p99\":"] {
             assert!(json.contains(key), "{json}");
         }

@@ -61,9 +61,28 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
     --metrics-out "$out/metrics.json" --trace-out "$out/trace.json" >/dev/null
 test -s "$out/metrics.json" && test -s "$out/trace.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c 'import json,sys; [json.load(open(p)) for p in sys.argv[1:]]' \
-        "$out/metrics.json" "$out/trace.json"
-    echo "telemetry JSON valid"
+    python3 - "$out/metrics.json" "$out/trace.json" <<'PY'
+import json, sys
+doc, trace = json.load(open(sys.argv[1])), json.load(open(sys.argv[2]))
+# The metrics counters restate the document's own fields, and the trace
+# totals the --trace-out document's, name for name.
+want = {f"repro.check.{c['precision'].split('-')[0]}.pe_fired": c["pe_fired"]
+        for c in doc["precision_checks"]}
+for layer in doc["layers"]:
+    for field in ("cycles", "pe_fired", "stall_cycles"):
+        want[f"repro.layer.{layer['name']}.{field}"] = layer[field]
+want["repro.netlist.toggle_evals"] = doc["netlist_toggles"]["evals"]
+for gate, toggles in doc["netlist_toggles"]["per_gate"].items():
+    want[f"repro.netlist.toggles.{gate}"] = toggles
+want["telemetry.trace.total"] = trace["total"]
+want["telemetry.trace.dropped"] = trace["dropped"]
+counters = doc["metrics"]["counters"]
+wrong = {k: (counters.get(k), want.get(k)) for k in counters.keys() | want.keys()
+         if counters.get(k) != want.get(k)}
+assert not wrong, f"metrics counters (counted, restated) disagree: {wrong}"
+assert list(counters) == sorted(counters), "metrics counters are not sorted"
+print(f"telemetry counters restate the document ({len(counters)} counters)")
+PY
 fi
 
 echo "==> trace observatory smoke: repro trace --perfetto-out"

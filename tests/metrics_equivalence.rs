@@ -6,7 +6,7 @@
 //! `queue_wait_cycles` all read those.  This harness rebuilds both the
 //! slow way: it runs each manifest with a decision log that keeps every
 //! arrival, folds each logged decision into a fresh per-shard funnel and
-//! into a registry histogram (one `record` per completion), and compares
+//! into a fresh histogram (one `record` per completion), and compares
 //! them with `report.funnel` and `report.queue_wait_cycles`, so a
 //! swapped stage, shard, bucket or total shows up as a diff.
 //!
@@ -30,7 +30,7 @@ use bsc_accel::{
     Accelerator, CharacterizationCache, NetworkReport, ShardFunnel, SloAccountant, SloReport,
 };
 use bsc_bench::online::{online, parse_online_manifest, report_json, OnlineRun};
-use bsc_telemetry::{HistogramSnapshot, Registry};
+use bsc_telemetry::HistogramSnapshot;
 
 /// Seeded manifest exercising all three arrival processes (Poisson,
 /// bursty, diurnal), heterogeneous shards, both SLO-tracked and
@@ -91,7 +91,7 @@ const POLICIES: [&str; 3] = ["least-outstanding", "round-robin", "tenant-fair"];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Folds every logged decision of `run` into a fresh funnel per shard
-/// and a fresh registry histogram of the completions' queue waits.
+/// and a fresh histogram of the completions' queue waits.
 fn reference(run: &OnlineRun) -> (Vec<ShardFunnel>, HistogramSnapshot) {
     let r = &run.report;
     assert_eq!(r.events_truncated, 0, "the reference needs every decision logged");
@@ -103,8 +103,7 @@ fn reference(run: &OnlineRun) -> (Vec<ShardFunnel>, HistogramSnapshot) {
         .collect();
     // The bucket bounds are configuration, read from the run; the
     // samples, counts and extremes come from the log alone.
-    let reg = Registry::new();
-    let waits = reg.histogram("waits", &r.queue_wait_cycles.bounds);
+    let mut waits = HistogramSnapshot::new(&r.queue_wait_cycles.bounds);
     for e in &r.events {
         let f = funnel.iter_mut().find(|f| f.shard == e.shard).expect("a known shard");
         f.offered += 1;
@@ -121,7 +120,7 @@ fn reference(run: &OnlineRun) -> (Vec<ShardFunnel>, HistogramSnapshot) {
         };
         *stage += 1;
     }
-    (funnel, reg.snapshot().histogram("waits").expect("registered").clone())
+    (funnel, waits)
 }
 
 /// Folds every logged decision of `run` into a fresh `SloAccountant`,

@@ -1,7 +1,7 @@
 //! Deterministic telemetry invariants across the whole stack: for a small
-//! known matmul, every counter the instrumentation publishes — cycles,
-//! PE fires, stall cycles, per-PE busy cycles — and the run's operand
-//! traffic have exactly predictable values in every precision mode on
+//! known matmul, every count the run returns — cycles, PE fires, stall
+//! cycles, per-PE busy cycles, operand traffic — and every cycle-event
+//! it traces has an exactly predictable value in every precision mode on
 //! every MAC architecture, and the netlist toggle probe is
 //! bit-reproducible.
 
@@ -27,27 +27,18 @@ fn exact_counter_values_for_every_precision_and_architecture() {
             let w = Matrix::from_fn(n as usize, k, |r, c| ((r * 2 + c) % 3) as i64 - 1);
             let run = array.matmul(p, &f, &w).unwrap();
 
-            let snap = tel.metrics.snapshot();
             let ctx = format!("{kind} {p}");
             // Skewed pipeline: m + n - 1 cycles, one fire per output.
-            assert_eq!(snap.counter("systolic.cycles"), m + n - 1, "{ctx}");
-            assert_eq!(snap.counter("systolic.pe_fired"), m * n, "{ctx}");
+            assert_eq!(run.stats.cycles, m + n - 1, "{ctx}");
+            assert_eq!(run.stats.pe_busy_cycles, m * n, "{ctx}");
             // Drain tail: PE j holds only weights for n-1-j cycles.
-            assert_eq!(snap.counter("systolic.stall_cycles"), n * (n - 1) / 2, "{ctx}");
+            assert_eq!(run.stats.stall_cycles, n * (n - 1) / 2, "{ctx}");
             assert_eq!(run.stats.weight_loads, n, "{ctx}");
             assert_eq!(run.stats.feature_hops, m * n, "{ctx}");
             assert_eq!(run.stats.macs, m * n * k as u64, "{ctx}");
-            // Each mapped PE computes one dot product per feature row.
-            for pe in 0..n {
-                let name = format!("systolic.pe{pe:02}.busy_cycles");
-                assert_eq!(snap.counter(&name), m, "{ctx} {name}");
-            }
-            // Unmapped PEs never fire.
-            assert_eq!(snap.counter("systolic.pe03.busy_cycles"), 0, "{ctx}");
-
-            // The run's stats agree with the counters (dual bookkeeping).
-            assert_eq!(run.stats.pe_busy_cycles, m * n, "{ctx}");
-            assert_eq!(run.stats.stall_cycles, n * (n - 1) / 2, "{ctx}");
+            // Each mapped PE computes one dot product per feature row;
+            // the unmapped PE 3 never fires.
+            assert_eq!(run.pe_busy, vec![m, m, m, 0], "{ctx}");
 
             // And the trace ring saw every event.
             let trace = tel.trace.snapshot();
@@ -60,21 +51,22 @@ fn exact_counter_values_for_every_precision_and_architecture() {
     }
 }
 
-/// The same matmul run twice produces bit-identical metric snapshots.
+/// The same matmul run twice returns bit-identical runs: output, stats
+/// and per-PE busy cycles.
 #[test]
 fn counters_are_reproducible_across_runs() {
     let run_once = || {
         let config = ArrayConfig { pes: 4, vector_length: 4, kind: MacKind::Bsc };
-        let tel = Telemetry::new(1024);
-        let array = SystolicArray::with_telemetry(config, tel.clone());
+        let array = SystolicArray::new(config);
         let k = config.dot_length(Precision::Int4);
         let mut rng = Rng64::seed_from_u64(0xDE7E);
         let f = Matrix::from_fn(6, k, |_, _| rng.gen_range(-8i64..8));
         let w = Matrix::from_fn(4, k, |_, _| rng.gen_range(-8i64..8));
-        array.matmul(Precision::Int4, &f, &w).unwrap();
-        bsc_telemetry::sink::metrics_to_json(&tel.metrics.snapshot())
+        array.matmul(Precision::Int4, &f, &w).unwrap()
     };
-    assert_eq!(run_once(), run_once());
+    let (a, b) = (run_once(), run_once());
+    assert_eq!(a.pe_busy, vec![6, 6, 6, 6]);
+    assert_eq!(a, b);
 }
 
 /// The full telemetry-probe JSON report is byte-identical across runs
