@@ -219,9 +219,15 @@ fn parse_args() -> Options {
                 let n = args
                     .next()
                     .unwrap_or_else(|| die_usage("--tol requires a percentage argument"));
-                tol = n
+                let parsed: f64 = n
                     .parse()
                     .unwrap_or_else(|_| die(&format!("--tol: `{n}` is not a number")));
+                // A negative or NaN tolerance fails every field and an
+                // infinite one passes any drift.
+                if !(parsed.is_finite() && parsed >= 0.0) {
+                    die(&format!("--tol: `{n}` is not a finite, non-negative percentage"));
+                }
+                tol = parsed;
             }
             "--ignore" => {
                 ignore.push(

@@ -14,7 +14,8 @@ use std::time::Instant;
 use bsc_accel::compiler::{compile_conv, execute};
 use bsc_mac::{MacKind, Precision};
 use bsc_netlist::rng::Rng64;
-use bsc_netlist::{Simulator, SIM_LANES};
+use bsc_netlist::tb::random_signed_fill;
+use bsc_netlist::Simulator;
 use bsc_nn::ops::ConvWeights;
 use bsc_nn::Tensor;
 use bsc_systolic::mapping::ConvShape;
@@ -214,13 +215,13 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
     let mut rng = Rng64::seed_from_u64(0x70661E);
     for p in Precision::ALL {
         mac.set_mode(&mut sim, p);
-        let n = mac.macs_per_cycle(p);
         for _ in 0..24 {
-            for lane in 0..SIM_LANES {
-                let w = bsc_netlist::tb::random_signed_vec(&mut rng, p.bits(), n);
-                let a = bsc_netlist::tb::random_signed_vec(&mut rng, p.bits(), n);
-                mac.write_vector_lane(&mut sim, lane, p, &w, &a)?;
-            }
+            // Each lane draws its weights, then its activations: this
+            // order fixes the stream, and with it every toggle count.
+            mac.write_vector_lanes(&mut sim, p, |w, a| {
+                random_signed_fill(&mut rng, p.bits(), w);
+                random_signed_fill(&mut rng, p.bits(), a);
+            })?;
             sim.step_incremental();
             sim.eval_incremental();
         }

@@ -178,6 +178,52 @@ impl MacNetlist {
         Ok(())
     }
 
+    /// Writes all 64 lanes' operand vectors into the interface elements,
+    /// one packed word per input bit-plane.
+    ///
+    /// `lane_vectors(weights, acts)` fills one lane's vectors into two
+    /// reused buffers of [`Self::macs_per_cycle`] elements; it is called
+    /// once per lane, for lanes `0..64` in order.  Each lane is validated
+    /// exactly as [`Self::write_vector_lane`] validates it, and the
+    /// simulator ends up holding the same words as 64 calls of that
+    /// method; on an error nothing is written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MacError::ValueOutOfRange`] for the first lane holding an
+    /// operand outside the mode's range.
+    pub fn write_vector_lanes(
+        &self,
+        sim: &mut Simulator<'_>,
+        p: Precision,
+        mut lane_vectors: impl FnMut(&mut [i64], &mut [i64]),
+    ) -> Result<(), MacError> {
+        let n = self.macs_per_cycle(p);
+        let fields = self.kind.fields_per_element(p);
+        // One lane's weights, then its activations.
+        let mut vectors = vec![0i64; 2 * n];
+        let (weights, acts) = vectors.split_at_mut(n);
+        // One 64-lane column per element bus: weights, then activations.
+        let mut columns = vec![[0i64; SIM_LANES]; 2 * self.length];
+        let (w_cols, a_cols) = columns.split_at_mut(self.length);
+        for lane in 0..SIM_LANES {
+            lane_vectors(weights, acts);
+            validate(p, n, weights)?;
+            validate(p, n, acts)?;
+            for e in 0..self.length {
+                let span = e * fields..(e + 1) * fields;
+                w_cols[e][lane] =
+                    pack_element(self.kind, p, OperandSide::Weight, &weights[span.clone()]);
+                a_cols[e][lane] = pack_element(self.kind, p, OperandSide::Activation, &acts[span]);
+            }
+        }
+        for e in 0..self.length {
+            sim.write_bus_packed(&self.weights[e], &w_cols[e]);
+            sim.write_bus_packed(&self.acts[e], &a_cols[e]);
+        }
+        Ok(())
+    }
+
     /// Reads the combinational dot-product result of one lane (after the
     /// input registers have been clocked and the logic evaluated).
     pub fn read_dot_lane(&self, sim: &Simulator<'_>, lane: usize) -> i64 {
@@ -582,6 +628,96 @@ mod tests {
         let z = n.nand(y, d);
         n.mark_output(z, "z");
         assert_levelized(&n);
+    }
+
+    /// Seeded random operand vectors for all 64 lanes: `(weights, acts)`.
+    fn random_lanes(rng: &mut Rng64, p: Precision, n: usize) -> Vec<(Vec<i64>, Vec<i64>)> {
+        use bsc_netlist::tb::random_signed_vec;
+        (0..SIM_LANES)
+            .map(|_| (random_signed_vec(rng, p.bits(), n), random_signed_vec(rng, p.bits(), n)))
+            .collect()
+    }
+
+    /// The bit-plane writer against the per-lane oracle, in every design
+    /// and mode: the same net words after each write, and the same words
+    /// and toggle counts after each probed incremental cycle.
+    #[test]
+    fn lane_writer_matches_per_lane_writes() {
+        let mut rng = Rng64::seed_from_u64(0x1A9E5);
+        for kind in MacKind::ALL {
+            let mac = crate::build_netlist(kind, 4);
+            for p in Precision::ALL {
+                let n = mac.macs_per_cycle(p);
+                let mut oracle = Simulator::new(mac.netlist()).unwrap();
+                let mut planes = Simulator::new(mac.netlist()).unwrap();
+                for sim in [&mut oracle, &mut planes] {
+                    mac.set_mode(sim, p);
+                    sim.enable_toggle_probe();
+                }
+                // Three cycles, so later writes overwrite live words.
+                for cycle in 0..3 {
+                    let lanes = random_lanes(&mut rng, p, n);
+                    for (lane, (w, a)) in lanes.iter().enumerate() {
+                        mac.write_vector_lane(&mut oracle, lane, p, w, a).unwrap();
+                    }
+                    let mut next = lanes.iter();
+                    mac.write_vector_lanes(&mut planes, p, |w, a| {
+                        let (lw, la) = next.next().expect("one call per lane");
+                        w.copy_from_slice(lw);
+                        a.copy_from_slice(la);
+                    })
+                    .unwrap();
+                    let at = format!("{kind} {p} cycle {cycle}");
+                    assert_eq!(planes.values(), oracle.values(), "{at}: written words");
+                    for sim in [&mut oracle, &mut planes] {
+                        sim.step_incremental();
+                        sim.eval_incremental();
+                    }
+                    assert_eq!(planes.values(), oracle.values(), "{at}: settled words");
+                    assert_eq!(planes.toggle_stats(), oracle.toggle_stats(), "{at}: toggles");
+                }
+                assert_eq!(planes.toggle_stats().unwrap().evals(), 6);
+            }
+        }
+    }
+
+    /// An out-of-range operand in any lane, on either side, is the error
+    /// the per-lane path returns for it.
+    #[test]
+    fn lane_writer_rejects_what_per_lane_writes_reject() {
+        let mut rng = Rng64::seed_from_u64(0xBAD0);
+        for kind in MacKind::ALL {
+            let mac = crate::build_netlist(kind, 4);
+            for p in Precision::ALL {
+                let n = mac.macs_per_cycle(p);
+                let half = 1i64 << (p.bits() - 1);
+                for bad in [half, -half - 1] {
+                    let mut lanes = random_lanes(&mut rng, p, n);
+                    let (lane, i) = (rng.gen_range(0..SIM_LANES), rng.gen_range(0..n));
+                    if rng.gen_range(0..2u32) == 0 {
+                        lanes[lane].0[i] = bad;
+                    } else {
+                        lanes[lane].1[i] = bad;
+                    }
+                    let mut sim = Simulator::new(mac.netlist()).unwrap();
+                    let oracle = lanes
+                        .iter()
+                        .enumerate()
+                        .find_map(|(l, (w, a))| mac.write_vector_lane(&mut sim, l, p, w, a).err())
+                        .expect("the per-lane path rejects the bad operand");
+                    let mut next = lanes.iter();
+                    let got = mac
+                        .write_vector_lanes(&mut sim, p, |w, a| {
+                            let (lw, la) = next.next().expect("one call per lane");
+                            w.copy_from_slice(lw);
+                            a.copy_from_slice(la);
+                        })
+                        .unwrap_err();
+                    assert_eq!(got, oracle, "{kind} {p} lane {lane}");
+                    assert_eq!(got, MacError::ValueOutOfRange { precision: p, value: bad });
+                }
+            }
+        }
     }
 
     #[test]

@@ -480,12 +480,11 @@ impl<'n> Simulator<'n> {
     }
 
     /// Full linear sweep over the compiled tape, monomorphized over the
-    /// probe so the unprobed path carries no per-gate branch for it.
+    /// probe so the unprobed path carries no per-gate branch for it.  The
+    /// probed sweep tallies flips per opcode and folds them into the
+    /// probe once at the end.
     fn run_tape_full<const PROBED: bool>(&mut self) {
-        let mut probe = if PROBED { self.probe.take() } else { None };
-        if let Some(p) = &mut probe {
-            p.record_eval();
-        }
+        let mut flips_by_op = [0u64; OP_MUX as usize + 1];
         // Zipping the SoA columns lets the compiler hoist the per-slot
         // tape bounds checks out of the sweep (this loop is the hottest
         // code in characterization).
@@ -512,17 +511,17 @@ impl<'n> Simulator<'n> {
             };
             let dst = dst as usize;
             if PROBED {
-                let flips = u64::from((values[dst] ^ new).count_ones());
-                if flips != 0 {
-                    if let Some(p) = &mut probe {
-                        p.record(opcode_kind(op), flips);
-                    }
-                }
+                flips_by_op[usize::from(op)] += u64::from((values[dst] ^ new).count_ones());
             }
             values[dst] = new;
         }
         if PROBED {
-            self.probe = probe;
+            if let Some(p) = &mut self.probe {
+                p.record_eval();
+                for (op, flips) in (0..).zip(flips_by_op) {
+                    p.record(opcode_kind(op), flips);
+                }
+            }
         }
     }
 

@@ -1,4 +1,3 @@
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::GateKind;
@@ -68,7 +67,8 @@ impl GateStats {
 /// the synthesis crate's switching-power estimate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ToggleStats {
-    counts: BTreeMap<GateKind, u64>,
+    /// Indexed by `kind as usize` (see [`GateKind::ALL`]).
+    counts: [u64; GateKind::ALL.len()],
     evals: u64,
 }
 
@@ -79,7 +79,7 @@ impl ToggleStats {
     }
 
     pub(crate) fn record(&mut self, kind: GateKind, flips: u64) {
-        *self.counts.entry(kind).or_insert(0) += flips;
+        self.counts[kind as usize] += flips;
     }
 
     pub(crate) fn record_eval(&mut self) {
@@ -88,12 +88,12 @@ impl ToggleStats {
 
     /// Toggles observed on nets driven by gates of `kind`.
     pub fn toggles(&self, kind: GateKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind as usize]
     }
 
     /// Toggles observed across all gate kinds.
     pub fn total_toggles(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Number of `eval` passes the probe has observed.
@@ -111,17 +111,21 @@ impl ToggleStats {
         }
     }
 
-    /// Iterates over `(kind, toggles)` pairs in a stable order.
+    /// Iterates over the `(kind, toggles)` pairs with a nonzero count, in
+    /// [`GateKind`] order.
     pub fn iter(&self) -> impl Iterator<Item = (GateKind, u64)> + '_ {
-        self.counts.iter().map(|(&k, &c)| (k, c))
+        GateKind::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, c)| c > 0)
     }
 
     /// Folds another probe's counts into this one — used to combine
     /// per-worker statistics after sharded characterization.  Toggle
     /// counts and eval-pass counts both add.
     pub fn merge(&mut self, other: &ToggleStats) {
-        for (kind, flips) in other.iter() {
-            *self.counts.entry(kind).or_insert(0) += flips;
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
         }
         self.evals += other.evals;
     }
@@ -157,5 +161,70 @@ impl fmt::Display for GateStats {
             first = false;
         }
         write!(f, ")")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use crate::rng::Rng64;
+
+    #[test]
+    fn toggle_iter_skips_untouched_kinds_and_keeps_gate_kind_order() {
+        let mut t = ToggleStats::new();
+        t.record(GateKind::Dff, 7);
+        t.record(GateKind::Xor, 5);
+        t.record(GateKind::Not, 2);
+        t.record(GateKind::Xor, 1);
+        let got: Vec<_> = t.iter().collect();
+        assert_eq!(got, [(GateKind::Not, 2), (GateKind::Xor, 6), (GateKind::Dff, 7)]);
+        for kind in [GateKind::Const, GateKind::Input, GateKind::And, GateKind::Mux] {
+            assert_eq!(t.toggles(kind), 0, "{kind}");
+        }
+        assert_eq!(t.total_toggles(), 15);
+        assert_eq!(ToggleStats::new().iter().count(), 0);
+    }
+
+    #[test]
+    fn toggle_merge_adds_counts_and_evals() {
+        let mut a = ToggleStats::new();
+        a.record(GateKind::And, 3);
+        a.record_eval();
+        let mut b = ToggleStats::new();
+        b.record(GateKind::And, 4);
+        b.record(GateKind::Mux, 9);
+        b.record_eval();
+        b.record_eval();
+        a.merge(&b);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [(GateKind::And, 7), (GateKind::Mux, 9)]);
+        assert_eq!(a.evals(), 3);
+        assert_eq!(a.toggles_per_eval(), 16.0 / 3.0);
+    }
+
+    /// The array answers every query exactly as a kind-keyed map fed
+    /// the same (nonzero) records would.
+    #[test]
+    fn toggle_array_matches_a_kind_keyed_map() {
+        let mut rng = Rng64::seed_from_u64(0x70661E);
+        for _ in 0..200 {
+            let (mut t, mut u) = (ToggleStats::new(), ToggleStats::new());
+            let mut model: BTreeMap<GateKind, u64> = BTreeMap::new();
+            for i in 0..rng.gen_range(0..12usize) {
+                let kind = GateKind::ALL[rng.gen_range(0..GateKind::ALL.len())];
+                let flips = rng.gen_range(1..1000u64);
+                *model.entry(kind).or_insert(0) += flips;
+                let half = if i % 2 == 0 { &mut t } else { &mut u };
+                half.record(kind, flips);
+            }
+            t.merge(&u);
+            let want: Vec<_> = model.iter().map(|(&k, &c)| (k, c)).collect();
+            assert_eq!(t.iter().collect::<Vec<_>>(), want);
+            assert_eq!(t.total_toggles(), model.values().sum::<u64>());
+            for kind in GateKind::ALL {
+                assert_eq!(t.toggles(kind), model.get(&kind).copied().unwrap_or(0));
+            }
+        }
     }
 }

@@ -84,6 +84,12 @@ assert list(counters) == sorted(counters), "metrics counters are not sorted"
 print(f"telemetry counters restate the document ({len(counters)} counters)")
 PY
 fi
+# Without its wall-clock histogram the probe document is a pure function
+# of the code (fixed probe seeds), so every field is gated at zero
+# tolerance: a stimulus or simulator change that moves one toggle fails.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    --metrics-out "$out/metrics_no_timers.json" --no-timers >/dev/null
+diff_gate BENCH_telemetry_baseline.json "$out/metrics_no_timers.json" --tol 0
 
 echo "==> trace observatory smoke: repro trace --perfetto-out"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
@@ -382,6 +388,15 @@ for args in "diff BENCH_paper.json BENCH_paper.json --workers 3 --report-out $ou
 done
 [ ! -e "$out/nope.json" ] && [ ! -e "$out/nope_csv" ] \
     || { echo "a refused command must write nothing"; exit 1; }
+# A negative, NaN or infinite `repro diff` tolerance is an error (exit 1)
+# naming `--tol`, not a diff that fails or passes every field.
+for tol in -1 nan inf; do
+    cargo run --release --offline -q -p bsc-bench --bin repro -- \
+        diff BENCH_paper.json BENCH_paper.json --tol "$tol" >/dev/null 2>"$out/tol.err"
+    [ $? -eq 1 ] || { echo "repro diff --tol $tol: must exit 1"; exit 1; }
+    grep -q -- "--tol" "$out/tol.err" \
+        || { echo "repro diff --tol $tol: error must name --tol"; cat "$out/tol.err"; exit 1; }
+done
 # A manifest nested far past the JSON parser's depth limit is an error
 # (exit 1) naming the limit, not a stack overflow.
 printf '%*s' 100000 '' | tr ' ' '[' > "$out/deep.json"
