@@ -48,18 +48,7 @@ pub mod tb_gen;
 pub use design::{MacKind, VectorMac};
 pub use error::MacError;
 pub use bsc_netlist::Rng64;
-pub use netlist_if::{pack_element, MacNetlist, OperandSide, BATCH_STEPS};
-
-/// Alias of [`pack_element`] emphasizing the operand side in array-level
-/// port encoding.
-pub fn pack_element_for_side(
-    kind: MacKind,
-    p: Precision,
-    side: OperandSide,
-    fields: &[i64],
-) -> i64 {
-    pack_element(kind, p, side, fields)
-}
+pub use netlist_if::{pack_element, MacNetlist, OperandSide};
 pub use precision::Precision;
 
 /// Builds the functional model for an architecture as a trait object.

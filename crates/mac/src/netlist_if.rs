@@ -7,22 +7,6 @@ use bsc_netlist::rng::Rng64;
 use crate::golden::validate;
 use crate::{MacError, MacKind, Precision};
 
-/// Stimulus cycles per independent characterization batch.  Batches are
-/// the unit of work sharded across the thread pool; the batch size is
-/// fixed (not derived from the worker count) so characterization results
-/// are identical no matter how many workers run them.  Large enough to
-/// amortize the per-batch simulator construction and warmup, small enough
-/// that a default 96-step run still splits four ways.
-pub const BATCH_STEPS: usize = 24;
-
-/// Derives the RNG seed of stimulus batch `batch` from the caller's seed
-/// (splitmix64 over a golden-ratio stride, so neighbouring batches get
-/// decorrelated streams).
-fn batch_seed(seed: u64, batch: usize) -> u64 {
-    let mut s = seed.wrapping_add((batch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    bsc_netlist::rng::splitmix64(&mut s)
-}
-
 /// Stimulus profile of one characterization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StimulusProfile {
@@ -366,10 +350,11 @@ impl MacNetlist {
     /// `steps` cycles of fresh uniform operands across all 64 lanes, with
     /// the mode pins held.
     ///
-    /// The stimulus is split into independent fixed-size batches (see
-    /// [`BATCH_STEPS`]) sharded over a scoped thread pool; each worker owns
-    /// its own [`Simulator`] on the event-driven incremental path and the
-    /// per-batch recorders merge in batch order, so results are
+    /// The stimulus runs through the shared batched testbench
+    /// ([`bsc_netlist::tb::run_batched_activity`]): fixed-size batches
+    /// sharded over a scoped thread pool, each worker owning its own
+    /// [`Simulator`] on the event-driven incremental path, and the
+    /// per-batch recorders merged in batch order, so results are
     /// deterministic and independent of the worker count.
     ///
     /// # Errors
@@ -381,25 +366,8 @@ impl MacNetlist {
         steps: usize,
         seed: u64,
     ) -> Result<Activity, MacError> {
-        self.characterize_with_workers(p, steps, seed, None)
-    }
-
-    /// [`MacNetlist::characterize`] with an explicit worker-count override
-    /// (`None` → `min(batches, available_parallelism)`, `Some(1)` →
-    /// everything on the calling thread).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MacError::Netlist`] for combinational cycles.
-    pub fn characterize_with_workers(
-        &self,
-        p: Precision,
-        steps: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<Activity, MacError> {
         let mut acts =
-            self.characterize_suite(steps, &[(p, StimulusProfile::Random, seed)], workers)?;
+            self.characterize_suite(steps, &[(p, StimulusProfile::Random, seed)], None)?;
         Ok(acts.pop().expect("one run"))
     }
 
@@ -422,113 +390,46 @@ impl MacNetlist {
         steps: usize,
         seed: u64,
     ) -> Result<Activity, MacError> {
-        self.characterize_weight_stationary_with_workers(p, steps, seed, None)
-    }
-
-    /// [`MacNetlist::characterize_weight_stationary`] with an explicit
-    /// worker-count override.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MacError::Netlist`] for combinational cycles.
-    pub fn characterize_weight_stationary_with_workers(
-        &self,
-        p: Precision,
-        steps: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<Activity, MacError> {
-        let mut acts = self.characterize_suite(
-            steps,
-            &[(p, StimulusProfile::WeightStationary, seed)],
-            workers,
-        )?;
+        let mut acts =
+            self.characterize_suite(steps, &[(p, StimulusProfile::WeightStationary, seed)], None)?;
         Ok(acts.pop().expect("one run"))
     }
 
-    /// Shared batch harness for one or more characterization runs (each a
-    /// `(mode, stimulus profile, seed)` triple over the same netlist).
-    ///
-    /// Every run is split into [`BATCH_STEPS`]-sized batches and the full
-    /// `runs × batches` job grid is sharded over one thread pool, so a
-    /// whole design's characterization (all modes, both profiles) shares
-    /// each worker's simulator (a full levelize + tape compile) and its
-    /// pristine [`Activity`] prototype instead of rebuilding them per
-    /// run.  The simulator resets between batches and every batch
-    /// reseeds its own RNG from `(run seed, batch index)`, so the merged
-    /// per-run recorders depend only on the batch structure — never on
-    /// the worker count or on which runs share a suite.
+    /// Characterizes one or more runs (each a `(mode, stimulus profile,
+    /// seed)` triple over this netlist) in one call of the shared batched
+    /// testbench, so a whole design's characterization (all modes, both
+    /// profiles) shares each worker's simulator (a full levelize + tape
+    /// compile) instead of rebuilding it per run.  Each batch warms up by
+    /// holding the mode pins, randomizing both operand streams once and
+    /// settling, so the recorded baseline is a live state, not the reset
+    /// state.
     pub(crate) fn characterize_suite(
         &self,
         steps: usize,
         runs: &[(Precision, StimulusProfile, u64)],
         workers: Option<usize>,
     ) -> Result<Vec<Activity>, MacError> {
-        let batches = steps.div_ceil(BATCH_STEPS).max(1);
-        let jobs = runs.len() * batches;
-        let results = bsc_netlist::par::run_indexed_with(
-            jobs,
+        let seeds: Vec<u64> = runs.iter().map(|&(_, _, seed)| seed).collect();
+        bsc_netlist::tb::run_batched_activity(
+            &self.netlist,
+            steps,
+            &seeds,
             workers,
-            || (Simulator::new(&self.netlist), None::<Activity>),
-            |(sim, proto), job| {
-                let sim = match sim {
-                    Ok(s) => s,
-                    Err(e) => return Err(MacError::from(e.clone())),
-                };
-                let (p, profile, seed) = runs[job / batches];
-                let batch = job % batches;
-                let batch_steps = BATCH_STEPS.min(steps - (batch * BATCH_STEPS).min(steps));
-                sim.reset();
-                let mut rng = Rng64::seed_from_u64(batch_seed(seed, batch));
-                // Warmup: hold the mode pins, randomize both operand
-                // streams once and settle, so the recorded baseline is a
-                // live state, not the reset state.
+            |sim, run, rng| {
+                let p = runs[run].0;
                 self.set_mode(sim, p);
-                self.drive_random(sim, p, &mut rng);
+                self.drive_random(sim, p, rng);
                 sim.step();
                 sim.eval();
-                // Cloning the prototype (plain memcpys) replaces
-                // re-deriving gate kinds and the live set per batch.
-                let mut act = match proto {
-                    Some(a) => {
-                        let mut a = a.clone();
-                        a.rebaseline(sim);
-                        a
-                    }
-                    None => {
-                        let a = Activity::new(sim);
-                        *proto = Some(a.clone());
-                        a
-                    }
-                };
-                for _ in 0..batch_steps {
-                    match profile {
-                        StimulusProfile::Random => self.drive_random(sim, p, &mut rng),
-                        StimulusProfile::WeightStationary => {
-                            self.drive_random_side(sim, p, &mut rng, OperandSide::Activation);
-                        }
-                    }
-                    sim.step_incremental();
-                    sim.eval_incremental();
-                    act.record(sim);
-                }
-                Ok::<Activity, MacError>(act)
             },
-        );
-        let mut out = Vec::with_capacity(runs.len());
-        let mut iter = results.into_iter();
-        for _ in runs {
-            let mut merged: Option<Activity> = None;
-            for _ in 0..batches {
-                let act = iter.next().expect("one result per job")?;
-                match &mut merged {
-                    None => merged = Some(act),
-                    Some(m) => m.merge(&act),
+            |sim, run, rng| match runs[run] {
+                (p, StimulusProfile::Random, _) => self.drive_random(sim, p, rng),
+                (p, StimulusProfile::WeightStationary, _) => {
+                    self.drive_random_side(sim, p, rng, OperandSide::Activation);
                 }
-            }
-            out.push(merged.expect("at least one batch"));
-        }
-        Ok(out)
+            },
+        )
+        .map_err(MacError::from)
     }
 
     /// Drives one operand side with fresh uniform stimulus, one packed

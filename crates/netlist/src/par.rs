@@ -1,11 +1,13 @@
 //! Minimal scoped thread-pool helper for sharded characterization.
 //!
-//! The characterization loops in `bsc-mac` and `bsc-systolic` split their
-//! stimulus into independent 64-lane batches, each evaluated on a private
-//! [`crate::Simulator`].  [`run_indexed`] fans those batches out over a
-//! work-stealing index with `std::thread::scope`, returning results in
-//! job-index order so the caller's merge is deterministic regardless of
-//! worker count or scheduling.
+//! The batched testbench [`crate::tb::run_batched_activity`], which
+//! characterizes both the vector MACs of `bsc-mac` and the gate-level
+//! array of `bsc-systolic`, splits its stimulus into independent 64-lane
+//! batches, each evaluated on a worker's own [`crate::Simulator`].
+//! [`run_indexed_with`] fans those batches out over a work-stealing index
+//! with `std::thread::scope`, returning results in job-index order so the
+//! caller's merge is deterministic regardless of worker count or
+//! scheduling.
 //!
 //! No external dependencies (the repo builds offline); `available_parallelism`
 //! caps the worker count.
@@ -44,7 +46,7 @@ where
 /// [`run_indexed`] with per-worker reusable state: each worker thread calls
 /// `init` exactly once and threads the value through every job it claims.
 ///
-/// This is how the characterization loops amortize expensive per-batch
+/// This is how the batched testbench amortizes expensive per-batch
 /// setup — a [`crate::Simulator`] costs a full levelization + tape build,
 /// so workers construct one each and reset it between batches instead of
 /// rebuilding it per batch.  For determinism the jobs themselves must not

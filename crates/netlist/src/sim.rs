@@ -94,7 +94,6 @@ impl Tape {
 #[derive(Debug)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
-    order: Vec<NodeId>,
     flops: Vec<(NodeId, NodeId, bool)>,
     values: Vec<u64>,
     probe: Option<ToggleStats>,
@@ -264,7 +263,6 @@ impl<'n> Simulator<'n> {
         let flop_count = flops.len();
         let mut sim = Simulator {
             netlist,
-            order,
             flops,
             values: vec![0; n],
             probe: None,
@@ -450,14 +448,6 @@ impl<'n> Simulator<'n> {
     /// and empty.  Returns `None` when the probe was never enabled.
     pub fn take_toggle_stats(&mut self) -> Option<ToggleStats> {
         self.probe.replace(ToggleStats::new())
-    }
-
-    /// Disables the probe and returns its accumulated statistics.  A later
-    /// [`Simulator::enable_toggle_probe`] re-settles and starts fresh —
-    /// this is how a reused simulator ends one probed characterization
-    /// batch before being reset for the next.
-    pub fn disable_toggle_probe(&mut self) -> Option<ToggleStats> {
-        self.probe.take()
     }
 
     /// Computes tape op `slot` from the current net values.
@@ -720,11 +710,6 @@ impl<'n> Simulator<'n> {
     /// Snapshot of all net values (used by activity recording).
     pub fn values(&self) -> &[u64] {
         &self.values
-    }
-
-    /// The levelized evaluation order (live combinational nodes).
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
     }
 
     /// Number of ops on the compiled evaluation tape (live combinational

@@ -16,8 +16,9 @@
 //! like [`crate::SystolicArray::matmul`] drives the behavioural model, so
 //! the two can be cross-checked output for output.
 
-use bsc_mac::{build_datapath, MacError, MacKind, OperandSide, Precision};
-use bsc_netlist::{Bus, Netlist, NodeId, Simulator};
+use bsc_mac::{build_datapath, pack_element, MacError, MacKind, OperandSide, Precision};
+use bsc_netlist::tb::random_signed_fill;
+use bsc_netlist::{Activity, Bus, Netlist, NodeId, Rng64, Simulator, SIM_LANES};
 
 use crate::{Matrix, SystolicError};
 
@@ -128,14 +129,15 @@ impl ArrayNetlist {
     ) {
         let fields = self.kind.fields_per_element(p);
         for (e, bus) in port.iter().enumerate() {
-            let word = bsc_mac::pack_element_for_side(
-                self.kind,
-                p,
-                side,
-                &values[e * fields..(e + 1) * fields],
-            );
+            let word = pack_element(self.kind, p, side, &values[e * fields..(e + 1) * fields]);
             sim.write_bus_lane(bus, 0, word);
         }
+    }
+
+    /// Holds the mode pins of `p` in every lane.
+    fn set_mode(&self, sim: &mut Simulator<'_>, p: Precision) {
+        sim.write(self.mode2, if p == Precision::Int2 { u64::MAX } else { 0 });
+        sim.write(self.mode8, if p == Precision::Int8 { u64::MAX } else { 0 });
     }
 
     /// Runs one tile `O[m][n] = Σ_k features[m][k] · weights[n][k]` through
@@ -144,8 +146,8 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
-    /// Mirrors [`crate::SystolicArray::matmul`]'s shape errors and
-    /// propagates netlist failures.
+    /// Mirrors [`crate::SystolicArray::matmul`]'s shape and operand-range
+    /// errors and propagates netlist failures.
     pub fn run_matmul(
         &self,
         p: Precision,
@@ -170,17 +172,18 @@ impl ArrayNetlist {
         if n_rows > self.pes {
             return Err(SystolicError::TooManyWeightRows { pes: self.pes, got: n_rows });
         }
-        for m in 0..features.rows() {
-            for &v in features.row(m) {
-                if !p.contains(v) {
+        // `pack_element` masks each field to the mode's width, so an
+        // operand outside the range would silently wrap.
+        for m in [features, weights] {
+            for r in 0..m.rows() {
+                if let Some(&v) = m.row(r).iter().find(|&&v| !p.contains(v)) {
                     return Err(MacError::ValueOutOfRange { precision: p, value: v }.into());
                 }
             }
         }
 
         let mut sim = Simulator::new(&self.netlist).map_err(MacError::from)?;
-        sim.write(self.mode2, if p == Precision::Int2 { u64::MAX } else { 0 });
-        sim.write(self.mode8, if p == Precision::Int8 { u64::MAX } else { 0 });
+        self.set_mode(&mut sim, p);
 
         let m_rows = features.rows();
         let mut out = Matrix::zeros(m_rows, n_rows);
@@ -235,11 +238,11 @@ impl ArrayNetlist {
     /// fresh random feature vectors every cycle — the ground truth the
     /// analytic [`crate::energy::ArrayEnergyModel`] approximates.
     ///
-    /// The stimulus is split into independent fixed-size batches
-    /// ([`bsc_mac::BATCH_STEPS`] recorded cycles each, every batch with its
-    /// own weight load phase) sharded over a scoped thread pool; each
-    /// worker owns a private [`Simulator`] on the event-driven incremental
-    /// path and the recorders merge in batch order, so the totals are
+    /// The stimulus runs through the shared batched testbench
+    /// ([`bsc_netlist::tb::run_batched_activity`]), the same one that
+    /// characterizes a single vector MAC: every
+    /// [`bsc_netlist::tb::BATCH_STEPS`]-cycle batch has its own weight load
+    /// phase, and the recorders merge in batch order, so the totals are
     /// deterministic and worker-count independent.
     ///
     /// # Errors
@@ -250,159 +253,65 @@ impl ArrayNetlist {
         p: Precision,
         steps: usize,
         seed: u64,
-    ) -> Result<bsc_netlist::Activity, MacError> {
-        Ok(self.characterize_weight_stationary_probed(p, steps, seed)?.0)
+    ) -> Result<Activity, MacError> {
+        let mut acts = bsc_netlist::tb::run_batched_activity(
+            &self.netlist,
+            steps,
+            &[seed],
+            None,
+            |sim, _, rng| self.load_random_weights(sim, p, rng),
+            |sim, _, rng| self.drive_random_side(sim, p, rng, OperandSide::Activation),
+        )?;
+        Ok(acts.pop().expect("one run"))
     }
 
-    /// [`Self::characterize_weight_stationary`] with the simulator's
-    /// in-eval toggle probe enabled alongside the [`bsc_netlist::Activity`]
-    /// recorder, returning both.  The two count the same physical flips
-    /// through independent code paths — the probe per evaluation pass plus
-    /// the flop clock edge, the recorder per settled cycle — so the probe
-    /// totals bound the recorder's from above, a cross-check on the
-    /// switching activity that feeds [`crate::energy::ArrayEnergyModel`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist simulation failures.
-    pub fn characterize_weight_stationary_probed(
-        &self,
-        p: Precision,
-        steps: usize,
-        seed: u64,
-    ) -> Result<(bsc_netlist::Activity, bsc_netlist::ToggleStats), MacError> {
-        self.characterize_weight_stationary_probed_with_workers(p, steps, seed, None)
-    }
-
-    /// [`Self::characterize_weight_stationary_probed`] with an explicit
-    /// worker-count override (`None` → `min(batches,
-    /// available_parallelism)`, `Some(1)` → everything on the calling
-    /// thread — handy for determinism checks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist simulation failures.
-    pub fn characterize_weight_stationary_probed_with_workers(
-        &self,
-        p: Precision,
-        steps: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<(bsc_netlist::Activity, bsc_netlist::ToggleStats), MacError> {
-        let batch = bsc_mac::BATCH_STEPS;
-        let jobs = steps.div_ceil(batch).max(1);
-        // One simulator per worker, reset between batches (the tape
-        // compile dwarfs a batch, so rebuilding per batch would dominate).
-        let results = bsc_netlist::par::run_indexed_with(
-            jobs,
-            workers,
-            || Simulator::new(&self.netlist),
-            |sim, i| {
-                let sim = match sim {
-                    Ok(s) => s,
-                    Err(e) => return Err(MacError::from(e.clone())),
-                };
-                let batch_steps = batch.min(steps - (i * batch).min(steps));
-                self.ws_probe_batch(sim, p, batch_steps, ws_batch_seed(seed, i))
-            },
-        );
-        let mut merged: Option<(bsc_netlist::Activity, bsc_netlist::ToggleStats)> = None;
-        for r in results {
-            let (act, probe) = r?;
-            match &mut merged {
-                None => merged = Some((act, probe)),
-                Some((ma, mp)) => {
-                    ma.merge(&act);
-                    mp.merge(&probe);
-                }
+    /// Characterization warm-up: holds the mode pins, loads one random
+    /// weight vector per PE with the skewed enables (all 64 simulation
+    /// lanes get independent weights), releases the enables and settles
+    /// the design.
+    fn load_random_weights(&self, sim: &mut Simulator<'_>, p: Precision, rng: &mut Rng64) {
+        self.set_mode(sim, p);
+        for pe in 0..self.pes {
+            for (j, &en) in self.weight_load.iter().enumerate() {
+                sim.write(en, if j == pe { u64::MAX } else { 0 });
             }
-        }
-        Ok(merged.expect("at least one batch"))
-    }
-
-    /// One independent characterization batch: a private simulator, the
-    /// full skewed weight-load phase, then `steps` recorded streaming
-    /// cycles on the incremental evaluation path.
-    fn ws_probe_batch(
-        &self,
-        sim: &mut Simulator<'_>,
-        p: Precision,
-        steps: usize,
-        seed: u64,
-    ) -> Result<(bsc_netlist::Activity, bsc_netlist::ToggleStats), MacError> {
-        use bsc_netlist::rng::Rng64;
-        sim.reset();
-        let mut rng = Rng64::seed_from_u64(seed);
-        sim.write(self.mode2, if p == Precision::Int2 { u64::MAX } else { 0 });
-        sim.write(self.mode8, if p == Precision::Int8 { u64::MAX } else { 0 });
-        let fields = self.kind.fields_per_element(p);
-        let half = 1i64 << (p.bits() - 1);
-
-        let mut vals = [0i64; bsc_netlist::SIM_LANES];
-        let mut f = vec![0i64; fields];
-        let mut randomize =
-            |vals: &mut [i64; bsc_netlist::SIM_LANES], rng: &mut Rng64, side| {
-                for v in vals.iter_mut() {
-                    for field in f.iter_mut() {
-                        *field = rng.gen_range(-half..half);
-                    }
-                    *v = crate::netlist::pack(self.kind, p, side, &f);
-                }
-            };
-
-        // Load phase: one weight vector per PE with the skewed enables
-        // (all 64 simulation lanes get independent random weights).
-        for pe in 0..self.weight_load.len() {
-            for (j, &other) in self.weight_load.iter().enumerate() {
-                sim.write(other, if j == pe { u64::MAX } else { 0 });
-            }
-            for bus in &self.weight_port {
-                randomize(&mut vals, &mut rng, OperandSide::Weight);
-                sim.write_bus_packed(bus, &vals);
-            }
+            self.drive_random_side(sim, p, rng, OperandSide::Weight);
             sim.step();
         }
         for &en in &self.weight_load {
             sim.write(en, 0);
         }
-
-        // Streaming phase: record activity with fresh features per cycle,
-        // with the in-eval toggle probe counting the same flips.  The
-        // probe settles the design internally, so the recorder's baseline
-        // (taken right after) starts from the same steady state.
-        sim.enable_toggle_probe();
-        let mut act = bsc_netlist::Activity::new(sim);
-        for _ in 0..steps {
-            for bus in &self.feature_port {
-                // Randomize all 64 lanes of the feature port.
-                randomize(&mut vals, &mut rng, OperandSide::Activation);
-                sim.write_bus_packed(bus, &vals);
-            }
-            sim.step_incremental();
-            sim.eval_incremental();
-            act.record(sim);
-        }
-        // Disable (not just drain) the probe: the simulator is reused for
-        // the next batch, whose `enable_toggle_probe` must re-settle.
-        let probe = sim.disable_toggle_probe().expect("probe enabled above");
-        Ok((act, probe))
+        sim.eval();
     }
-}
 
-/// Derives the RNG seed of stimulus batch `batch` (same scheme as the
-/// MAC-level characterization batches).
-fn ws_batch_seed(seed: u64, batch: usize) -> u64 {
-    let mut s = seed.wrapping_add((batch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    bsc_netlist::rng::splitmix64(&mut s)
-}
-
-fn pack(kind: MacKind, p: Precision, side: OperandSide, fields: &[i64]) -> i64 {
-    bsc_mac::pack_element(kind, p, side, fields)
+    /// Writes fresh uniform operands into all 64 lanes of one port: per
+    /// element bus and lane, the fields are drawn in order and packed with
+    /// the design's field layout for `side`.
+    fn drive_random_side(
+        &self,
+        sim: &mut Simulator<'_>,
+        p: Precision,
+        rng: &mut Rng64,
+        side: OperandSide,
+    ) {
+        let port = match side {
+            OperandSide::Weight => &self.weight_port,
+            OperandSide::Activation => &self.feature_port,
+        };
+        let mut fields = vec![0i64; self.kind.fields_per_element(p)];
+        let mut lanes = [0i64; SIM_LANES];
+        for bus in port {
+            for lane in &mut lanes {
+                random_signed_fill(rng, p.bits(), &mut fields);
+                *lane = pack_element(self.kind, p, side, &fields);
+            }
+            sim.write_bus_packed(bus, &lanes);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use bsc_netlist::rng::Rng64;
     use super::*;
     use crate::{ArrayConfig, SystolicArray};
 
@@ -461,6 +370,35 @@ mod tests {
         let bad = array.run_matmul(Precision::Int8, &Matrix::zeros(1, 2), &Matrix::zeros(5, 2));
         assert!(matches!(bad, Err(SystolicError::TooManyWeightRows { .. })));
     }
+
+    /// An operand outside the mode's range, in the features or in the
+    /// weights, is the behavioural model's `ValueOutOfRange`, never a
+    /// silently wrapped product.
+    #[test]
+    fn out_of_range_operands_mirror_the_behavioural_api() {
+        let (pes, length, p) = (2, 2, Precision::Int4);
+        let array = build_array(MacKind::Bsc, pes, length);
+        let behavioural =
+            SystolicArray::new(ArrayConfig { pes, vector_length: length, kind: MacKind::Bsc });
+        let k = array.dot_length(p);
+        for bad in [8, -9] {
+            for in_weights in [false, true] {
+                let mut features = Matrix::zeros(3, k);
+                let mut weights = Matrix::zeros(pes, k);
+                if in_weights {
+                    weights.set(0, 0, bad);
+                } else {
+                    features.set(0, 0, bad);
+                }
+                let want =
+                    SystolicError::from(MacError::ValueOutOfRange { precision: p, value: bad });
+                let beh = behavioural.matmul(p, &features, &weights).map(|run| run.output);
+                assert_eq!(beh, Err(want.clone()), "behavioural, weights: {in_weights}");
+                let gate = array.run_matmul(p, &features, &weights);
+                assert_eq!(gate, Err(want), "gate level, bad {bad}, weights: {in_weights}");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -512,14 +450,37 @@ mod energy_validation {
     /// transitions — counted at the clock edge into the probe's `Dff`
     /// bucket — must match the recorder exactly, since Q nets change only
     /// once per recorded cycle.
+    ///
+    /// The test drives one characterization batch itself (the array's
+    /// warm-up and drive steps, on the batch's seed), enabling the probe
+    /// once the warm-up has settled the design, and checks that its
+    /// recorder is the one `characterize_weight_stationary` returns.
     #[test]
     fn toggle_probe_bounds_the_energy_models_activity() {
+        use bsc_netlist::tb::{batch_seed, BATCH_STEPS};
         use bsc_netlist::GateKind;
+        let (p, seed) = (Precision::Int4, 5);
         for kind in MacKind::ALL {
             let array = build_array(kind, 2, 2);
-            let (act, probe) = array
-                .characterize_weight_stationary_probed(Precision::Int4, 32, 5)
-                .unwrap();
+            let mut sim = Simulator::new(array.netlist()).unwrap();
+            let mut rng = Rng64::seed_from_u64(batch_seed(seed, 0));
+            array.load_random_weights(&mut sim, p, &mut rng);
+            sim.enable_toggle_probe();
+            let mut act = Activity::new(&sim);
+            for _ in 0..BATCH_STEPS {
+                array.drive_random_side(&mut sim, p, &mut rng, OperandSide::Activation);
+                sim.step_incremental();
+                sim.eval_incremental();
+                act.record(&sim);
+            }
+            let probe = sim.toggle_stats().expect("probe enabled");
+            let characterized =
+                array.characterize_weight_stationary(p, BATCH_STEPS, seed).unwrap();
+            assert!(
+                act.iter_nodes().eq(characterized.iter_nodes())
+                    && act.observed_cycles() == characterized.observed_cycles(),
+                "{kind}: the probed batch is not the characterized one"
+            );
             assert!(probe.total_toggles() > 0, "{kind}: probe saw nothing");
             assert!(
                 probe.toggles(GateKind::Dff) > 0,

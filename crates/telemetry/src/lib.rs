@@ -5,7 +5,7 @@
 //!
 //! * [`metrics`] — [`HistogramSnapshot`], a plain fixed-bucket histogram
 //!   its owner records into, with interpolated percentiles;
-//! * [`metrics::labels`] — an HDR-style integer [`QuantileSketch`] for
+//! * [`metrics::sketch`] — an HDR-style integer [`QuantileSketch`] for
 //!   tenant-level latency quantiles;
 //! * [`trace`] — a bounded, droppable [`TraceRing`] of typed
 //!   cycle-events ([`TraceEvent::PeFired`], [`TraceEvent::VectorStall`],

@@ -2,13 +2,13 @@
 //!
 //! [`HistogramSnapshot`] is a fixed-bucket histogram over `u64` samples
 //! (cycles, nanoseconds) that its owner records into through `&mut self`;
-//! [`labels::QuantileSketch`] is the HDR-style sketch behind per-tenant
+//! [`sketch::QuantileSketch`] is the HDR-style sketch behind per-tenant
 //! latency quantiles.  Both are plain data: a loop that owns its samples
 //! records them directly, and a report carries the result.
 
-pub mod labels;
+pub mod sketch;
 
-pub use labels::{QuantileSketch, SketchSnapshot};
+pub use sketch::{QuantileSketch, SketchSnapshot};
 
 /// A fixed-bucket histogram over `u64` samples (cycles, nanoseconds),
 /// recorded into by its single owner.  Bucket `i` counts the samples

@@ -221,6 +221,15 @@ print(f"paper gate valid ({len(doc['fig7'])} sweep points; BSC wins all {len(che
 PY
 fi
 
+echo "==> gate-level array gate: repro fig8b-gate --csv"
+# The whole-array netlist characterization (4 PEs x L=16) is seeded, so
+# its CSV is byte-stable: any change to the array's stimulus, the shared
+# batch testbench or the power analysis shows up here.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    fig8b-gate --csv "$out/fig8b_gate" >/dev/null
+cmp BENCH_fig8b_gate_baseline.csv "$out/fig8b_gate/fig8b_gate.csv"
+echo "gate-level array CSV matches BENCH_fig8b_gate_baseline.csv"
+
 echo "==> engine serving gate: repro serve examples/serve_manifest.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     serve examples/serve_manifest.json --report-out "$out/serve_report.json" \
