@@ -584,10 +584,11 @@ pub fn fig8b_gate_level(
     let mut rows = Vec::new();
     for kind in MacKind::ALL {
         let array = bsc_systolic::netlist::build_array(kind, pes, vector_length);
-        for p in Precision::ALL {
-            let act = array
-                .characterize_weight_stationary(p, steps, 0xF18B ^ p.bits() as u64)
-                .map_err(bsc_mac::ppa::PpaError::from)?;
+        let runs = Precision::ALL.map(|p| (p, 0xF18B ^ p.bits() as u64));
+        let acts = array
+            .characterize_weight_stationary(steps, &runs)
+            .map_err(bsc_mac::ppa::PpaError::from)?;
+        for ((p, _), act) in runs.into_iter().zip(acts) {
             let macs = (pes * array.dot_length(p)) as f64;
             let report = bsc_synth::analyze(
                 array.netlist(),

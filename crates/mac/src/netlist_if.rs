@@ -3,6 +3,7 @@
 
 use bsc_netlist::{Activity, Bus, Netlist, NodeId, Simulator, SIM_LANES};
 use bsc_netlist::rng::Rng64;
+use bsc_netlist::tb::random_signed_fill;
 
 use crate::golden::validate;
 use crate::{MacError, MacKind, Precision};
@@ -298,14 +299,17 @@ impl MacNetlist {
         let mut sim = Simulator::new(&self.netlist)?;
         let mut rng = Rng64::seed_from_u64(seed);
         self.set_asym_mode(&mut sim, mode)?;
+        // Buffers are allocated once per call.  The draw order (per element,
+        // per lane: the weight fields, then the activation fields) is what
+        // `BENCH_extensions_baseline.txt` pins.
         let fields = mode.products_per_lpc_unit();
-        let drive = |sim: &mut Simulator<'_>, rng: &mut Rng64| {
-            let mut w_lane = vec![0i64; SIM_LANES];
-            let mut a_lane = vec![0i64; SIM_LANES];
+        let (mut wf, mut af) = (vec![0i64; fields], vec![0i64; fields]);
+        let (mut w_lane, mut a_lane) = ([0i64; SIM_LANES], [0i64; SIM_LANES]);
+        let mut drive = |sim: &mut Simulator<'_>, rng: &mut Rng64| {
             for e in 0..self.length {
                 for lane in 0..SIM_LANES {
-                    let wf = bsc_netlist::tb::random_signed_vec(rng, mode.weight.bits(), fields);
-                    let af = bsc_netlist::tb::random_signed_vec(rng, mode.act.bits(), fields);
+                    random_signed_fill(rng, mode.weight.bits(), &mut wf);
+                    random_signed_fill(rng, mode.act.bits(), &mut af);
                     w_lane[lane] = pack_asym(mode.weight, &wf);
                     a_lane[lane] = pack_asym(mode.act, &af);
                 }

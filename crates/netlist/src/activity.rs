@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::{GateKind, NodeId, Simulator, SIM_LANES};
 
 /// Switching-activity recorder: accumulates *per-net* toggle counts
@@ -11,7 +13,9 @@ use crate::{GateKind, NodeId, Simulator, SIM_LANES};
 ///
 /// Per-net counts feed the SAIF export ([`crate::saif`]) and hotspot
 /// queries ([`Activity::hottest_nets`]); per-kind aggregates feed the
-/// power model.
+/// power model.  Only live nets (those [`crate::Netlist::live_set`]
+/// keeps) are ever reported: [`Activity::record`] counts every net, and
+/// each query applies liveness as it reads the counts.
 ///
 /// # Example
 ///
@@ -37,12 +41,11 @@ use crate::{GateKind, NodeId, Simulator, SIM_LANES};
 #[derive(Debug, Clone)]
 pub struct Activity {
     prev: Vec<u64>,
-    kinds: Vec<GateKind>,
-    live: Vec<bool>,
-    /// `u64::MAX` for live nets, `0` for dead ones: lets the per-cycle
-    /// [`Activity::record`] sweep run branch-free (and vectorizable) over
-    /// every net while still never counting dead-net transitions.
-    live_mask: Vec<u64>,
+    /// Per-net gate kinds and liveness: fixed by the netlist, so every
+    /// clone of a recorder shares them.
+    kinds: Arc<[GateKind]>,
+    live: Arc<[bool]>,
+    /// Toggles of every net, dead ones included; queries skip dead nets.
     node_toggles: Vec<u64>,
     observed_cycles: u64,
 }
@@ -54,13 +57,10 @@ impl Activity {
         let kinds = (0..netlist.len())
             .map(|i| netlist.gate(NodeId(i as u32)).kind())
             .collect();
-        let live = netlist.live_set();
-        let live_mask = live.iter().map(|&l| if l { u64::MAX } else { 0 }).collect();
         Activity {
             prev: sim.values().to_vec(),
             kinds,
-            live,
-            live_mask,
+            live: netlist.live_set().into(),
             node_toggles: vec![0; netlist.len()],
             observed_cycles: 0,
         }
@@ -78,36 +78,46 @@ impl Activity {
     /// current values, then updates the snapshot.
     ///
     /// This runs once per characterized cycle over every net, so it is
-    /// written branch-free: the live mask zeroes dead-net diffs instead of
-    /// testing liveness per net, letting the compiler vectorize the sweep.
+    /// written branch-free and without a liveness test: it counts dead nets
+    /// too (a dead input the testbench drives does toggle), and every query
+    /// drops them as it reads the counts.
     pub fn record(&mut self, sim: &Simulator<'_>) {
-        let values = sim.values();
-        for ((t, prev), (&cur, &mask)) in self
+        for ((t, prev), &cur) in self
             .node_toggles
             .iter_mut()
             .zip(&mut self.prev)
-            .zip(values.iter().zip(&self.live_mask))
+            .zip(sim.values())
         {
-            let diff = (cur ^ *prev) & mask;
-            *t += u64::from(diff.count_ones());
+            *t += u64::from((cur ^ *prev).count_ones());
             *prev = cur;
         }
         self.observed_cycles += SIM_LANES as u64;
     }
 
-    /// Total toggles recorded for one cell kind.
-    pub fn toggles(&self, kind: GateKind) -> u64 {
+    /// Per-net `(kind, toggles)` of the live nets.
+    fn live_counts(&self) -> impl Iterator<Item = (GateKind, u64)> + '_ {
         self.node_toggles
             .iter()
-            .zip(&self.kinds)
-            .filter(|&(_, &k)| k == kind)
-            .map(|(&t, _)| t)
+            .zip(self.kinds.iter().zip(self.live.iter()))
+            .filter(|&(_, (_, &live))| live)
+            .map(|(&t, (&k, _))| (k, t))
+    }
+
+    /// Total toggles recorded for one cell kind.
+    pub fn toggles(&self, kind: GateKind) -> u64 {
+        self.live_counts()
+            .filter(|&(k, _)| k == kind)
+            .map(|(_, t)| t)
             .sum()
     }
 
-    /// Total toggles recorded on one net.
+    /// Total toggles recorded on one net (0 for a dead net).
     pub fn node_toggles(&self, id: NodeId) -> u64 {
-        self.node_toggles[id.index()]
+        if self.live[id.index()] {
+            self.node_toggles[id.index()]
+        } else {
+            0
+        }
     }
 
     /// Number of cycle transitions observed so far (lanes × record calls).
@@ -127,7 +137,7 @@ impl Activity {
     /// in [`GateKind`] order — one pass over the nets for all kinds.
     pub fn iter(&self) -> impl Iterator<Item = (GateKind, u64)> + '_ {
         let mut by_kind = [0u64; GateKind::ALL.len()];
-        for (&t, &k) in self.node_toggles.iter().zip(&self.kinds) {
+        for (k, t) in self.live_counts() {
             by_kind[k as usize] += t;
         }
         GateKind::ALL
@@ -214,6 +224,72 @@ mod tests {
         act.record(&sim);
         assert_eq!(act.toggles(GateKind::Xor), 0);
         assert_eq!(act.toggles(GateKind::And), 64);
+    }
+
+    /// Dead nets do switch in the simulator's value array — a testbench
+    /// may drive a dead input every cycle, and a dead gate's net, which the
+    /// simulator never evaluates, holds whatever is written to it — and
+    /// the recorder counts them, but no query reports them, before or
+    /// after a merge.
+    #[test]
+    fn dead_nets_report_zero_through_every_query() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let spare = n.input("spare");
+        let dead = n.xor(a, spare);
+        let y = n.and(a, b);
+        n.mark_output(y, "y");
+        let record = |seed: u64| {
+            let mut sim = Simulator::new(&n).unwrap();
+            sim.write(a, u64::MAX);
+            sim.eval();
+            let mut act = Activity::new(&sim);
+            let mut state = seed;
+            for _ in 0..8 {
+                for net in [b, spare, dead] {
+                    sim.write(net, crate::rng::splitmix64(&mut state));
+                }
+                sim.eval();
+                act.record(&sim);
+            }
+            act
+        };
+        let check = |act: &Activity, at: &str| {
+            let live_input = act.node_toggles(b);
+            assert!(
+                live_input > 0 && act.node_toggles(y) > 0,
+                "{at}: live nets toggled"
+            );
+            assert_eq!(
+                (act.node_toggles(spare), act.node_toggles(dead)),
+                (0, 0),
+                "{at}"
+            );
+            assert_eq!(
+                act.toggles(GateKind::Input),
+                live_input,
+                "{at}: a dead input counted"
+            );
+            assert_eq!(act.toggles(GateKind::Xor), 0, "{at}: a dead gate counted");
+            let by_kind: Vec<_> = act.iter().collect();
+            assert_eq!(
+                by_kind,
+                [
+                    (GateKind::Input, live_input),
+                    (GateKind::And, act.node_toggles(y))
+                ],
+                "{at}"
+            );
+            assert!(
+                act.iter_nodes().all(|(id, _)| id != spare && id != dead),
+                "{at}"
+            );
+        };
+        let mut merged = record(1);
+        check(&merged, "one recorder");
+        merged.merge(&record(2));
+        check(&merged, "merged");
     }
 
     #[test]

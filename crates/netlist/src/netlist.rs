@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{Bus, Gate, GateStats};
 
@@ -19,6 +20,52 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
+    }
+}
+
+/// The structural-hashing map's hasher: FxHash's multiply-rotate word mix.
+///
+/// Much cheaper than the standard library's SipHash, which guards against
+/// keys chosen to collide; the map's keys are gates the builder makes
+/// itself, and the map is only ever looked up by key, never iterated, so
+/// the hash function changes no netlist.
+#[derive(Default)]
+struct GateHasher(u64);
+
+impl GateHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -48,7 +95,7 @@ pub struct Netlist {
     inputs: Vec<NodeId>,
     input_names: Vec<String>,
     outputs: Vec<(NodeId, String)>,
-    cse: HashMap<Gate, NodeId>,
+    cse: HashMap<Gate, NodeId, BuildHasherDefault<GateHasher>>,
     const0: Option<NodeId>,
     const1: Option<NodeId>,
 }

@@ -1,7 +1,8 @@
 use crate::stats::ToggleStats;
 use crate::{Bus, Gate, GateKind, Netlist, NetlistError, NodeId, SIM_LANES};
 
-/// Tape opcodes — one byte per combinational gate in evaluation order.
+/// Tape opcodes — one byte per combinational gate.  They fit in three
+/// bits, which the tape's `(level, opcode)` sort key relies on.
 const OP_NOT: u8 = 0;
 const OP_AND: u8 = 1;
 const OP_OR: u8 = 2;
@@ -10,6 +11,7 @@ const OP_NOR: u8 = 4;
 const OP_XOR: u8 = 5;
 const OP_XNOR: u8 = 6;
 const OP_MUX: u8 = 7;
+const OPCODE_BITS: u32 = 3;
 
 #[inline]
 fn opcode_kind(op: u8) -> GateKind {
@@ -25,15 +27,46 @@ fn opcode_kind(op: u8) -> GateKind {
     }
 }
 
-/// The compiled evaluation tape: the levelized live combinational gates
-/// lowered into a flat struct-of-arrays op stream.
+/// The tape op of a combinational gate, `(opcode, a, b, c)` with unused
+/// operand slots repeating a used one, or `None` for a source (input,
+/// constant or flop output).
+fn lower(gate: Gate) -> Option<(u8, NodeId, NodeId, NodeId)> {
+    Some(match gate {
+        Gate::Not(a) => (OP_NOT, a, a, a),
+        Gate::And(a, b) => (OP_AND, a, b, b),
+        Gate::Or(a, b) => (OP_OR, a, b, b),
+        Gate::Nand(a, b) => (OP_NAND, a, b, b),
+        Gate::Nor(a, b) => (OP_NOR, a, b, b),
+        Gate::Xor(a, b) => (OP_XOR, a, b, b),
+        Gate::Xnor(a, b) => (OP_XNOR, a, b, b),
+        Gate::Mux { sel, a, b } => (OP_MUX, sel, a, b),
+        Gate::Const(_) | Gate::Input { .. } | Gate::Dff { .. } => return None,
+    })
+}
+
+/// A maximal stretch of tape slots `start..end` sharing one opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    opcode: u8,
+    start: u32,
+    end: u32,
+}
+
+/// The compiled evaluation tape: the live combinational gates lowered
+/// into a flat struct-of-arrays op stream, ordered by ASAP level and, within
+/// a level, by opcode.
 ///
 /// Sources (inputs, constants, flop outputs) are excluded — constants are
 /// folded into the value array once, flops are clocked by
-/// [`Simulator::step`] — so evaluation is a branch-light linear sweep over
-/// pre-resolved `u32` operand indices instead of a per-gate enum walk
-/// through the [`Netlist`].
-#[derive(Debug, Default)]
+/// [`Simulator::step`] — so evaluation is a linear sweep over pre-resolved
+/// `u32` operand indices instead of a per-gate enum walk through the
+/// [`Netlist`].  An op's level is one more than its deepest operand's
+/// (sources sit at level 0), so ops of one level never read each other and
+/// the order is topological: every op's operands are written at earlier
+/// slots, and every consumer of its output sits at a later one.  Grouping
+/// each level by opcode turns the tape into a few long single-opcode
+/// [`Run`]s, which the full sweep evaluates one monomorphic loop at a time.
+#[derive(Debug)]
 struct Tape {
     opcode: Vec<u8>,
     /// Destination net of each op.
@@ -41,17 +74,142 @@ struct Tape {
     /// First operand (the select input for `MUX`).
     src_a: Vec<u32>,
     /// Second operand (the `sel == 0` data input for `MUX`; duplicates
-    /// `src_a` for `NOT` so loads never go out of bounds).
+    /// `src_a` for `NOT`).
     src_b: Vec<u32>,
     /// Third operand (`sel == 1` data input, `MUX` only; duplicated
     /// elsewhere).
     src_c: Vec<u32>,
+    /// The maximal single-opcode runs, in tape order, covering every slot.
+    runs: Vec<Run>,
 }
 
 impl Tape {
+    /// Lowers the live combinational gates of `order` (a topological
+    /// order, as from [`Netlist::levelize`]) and sorts them by
+    /// `(level, opcode)` with a stable counting sort, so ops sharing a key
+    /// keep their levelization order.
+    fn compile(netlist: &Netlist, order: &[NodeId]) -> Tape {
+        let key = |level: u32, opcode: u8| ((level as usize) << OPCODE_BITS) | usize::from(opcode);
+        // Levels, and the number of ops under each key.
+        let mut level = vec![0u32; netlist.len()];
+        let mut next: Vec<usize> = Vec::new();
+        for &id in order {
+            if let Some((opcode, a, b, c)) = lower(netlist.gate(id)) {
+                let l = 1 + level[a.index()].max(level[b.index()]).max(level[c.index()]);
+                level[id.index()] = l;
+                let k = key(l, opcode);
+                if k >= next.len() {
+                    next.resize(k + 1, 0);
+                }
+                next[k] += 1;
+            }
+        }
+        // Each key's first slot, then every op placed at its key's next one.
+        let mut slots = 0;
+        for n in &mut next {
+            let count = *n;
+            *n = slots;
+            slots += count;
+        }
+        let mut tape = Tape {
+            opcode: vec![0; slots],
+            dst: vec![0; slots],
+            src_a: vec![0; slots],
+            src_b: vec![0; slots],
+            src_c: vec![0; slots],
+            runs: Vec::new(),
+        };
+        for &id in order {
+            if let Some((opcode, a, b, c)) = lower(netlist.gate(id)) {
+                let slot = &mut next[key(level[id.index()], opcode)];
+                tape.opcode[*slot] = opcode;
+                tape.dst[*slot] = id.0;
+                tape.src_a[*slot] = a.0;
+                tape.src_b[*slot] = b.0;
+                tape.src_c[*slot] = c.0;
+                *slot += 1;
+            }
+        }
+        for (slot, &opcode) in (0..).zip(&tape.opcode) {
+            match tape.runs.last_mut() {
+                Some(run) if run.opcode == opcode => run.end = slot + 1,
+                _ => tape.runs.push(Run {
+                    opcode,
+                    start: slot,
+                    end: slot + 1,
+                }),
+            }
+        }
+        tape
+    }
+
     fn len(&self) -> usize {
         self.opcode.len()
     }
+}
+
+/// Evaluates one run of a one-input opcode: reads only `src_a`.  Returns
+/// the run's bit flips when `PROBED` (0 otherwise).
+#[inline(always)]
+fn sweep1<const PROBED: bool>(
+    values: &mut [u64],
+    dst: &[u32],
+    a: &[u32],
+    f: impl Fn(u64) -> u64,
+) -> u64 {
+    let mut flips = 0u64;
+    for (&d, &x) in dst.iter().zip(a) {
+        let new = f(values[x as usize]);
+        let d = d as usize;
+        if PROBED {
+            flips += u64::from((values[d] ^ new).count_ones());
+        }
+        values[d] = new;
+    }
+    flips
+}
+
+/// [`sweep1`] for a two-input opcode: reads `src_a` and `src_b`.
+#[inline(always)]
+fn sweep2<const PROBED: bool>(
+    values: &mut [u64],
+    dst: &[u32],
+    a: &[u32],
+    b: &[u32],
+    f: impl Fn(u64, u64) -> u64,
+) -> u64 {
+    let mut flips = 0u64;
+    for ((&d, &x), &y) in dst.iter().zip(a).zip(b) {
+        let new = f(values[x as usize], values[y as usize]);
+        let d = d as usize;
+        if PROBED {
+            flips += u64::from((values[d] ^ new).count_ones());
+        }
+        values[d] = new;
+    }
+    flips
+}
+
+/// [`sweep1`] for `MUX`: reads `src_a` (select), `src_b` and `src_c`.
+#[inline(always)]
+fn sweep_mux<const PROBED: bool>(
+    values: &mut [u64],
+    dst: &[u32],
+    sel: &[u32],
+    a: &[u32],
+    b: &[u32],
+) -> u64 {
+    let mut flips = 0u64;
+    for (((&d, &s), &x), &y) in dst.iter().zip(sel).zip(a).zip(b) {
+        let s = values[s as usize];
+        let new = (!s & values[x as usize]) | (s & values[y as usize]);
+        let d = d as usize;
+        if PROBED {
+            flips += u64::from((values[d] ^ new).count_ones());
+        }
+        values[d] = new;
+    }
+    flips
 }
 
 /// A levelized, 64-lane bit-parallel netlist simulator.
@@ -62,11 +220,14 @@ impl Tape {
 /// paper's VCS functional simulation.
 ///
 /// At construction the live combinational logic is lowered into a compiled
-/// tape (see `Tape`): [`Simulator::eval`] is a linear sweep over that
-/// tape, and [`Simulator::eval_incremental`] is an event-driven sweep that
+/// tape (see `Tape`), ordered by logic level and, within a level, by
+/// opcode: [`Simulator::eval`] sweeps that tape one single-opcode run at a
+/// time, and [`Simulator::eval_incremental`] is an event-driven sweep that
 /// only re-evaluates the fanout cone of nets whose values actually changed
 /// since the last evaluation — the fast path for weight-stationary
-/// workloads where most of the design is quiescent each cycle.
+/// workloads where most of the design is quiescent each cycle.  Both
+/// compute the same net values and toggle counts as evaluating the gates
+/// one by one in [`Netlist::levelize`] order.
 ///
 /// Sequential designs advance with [`Simulator::step`], which evaluates the
 /// combinational logic and then clocks every flip-flop once.
@@ -118,10 +279,11 @@ pub struct Simulator<'n> {
     net_dirty: Vec<bool>,
     dirty_nets: Vec<u32>,
     /// Packed per-tape-slot dirty bits (bit `slot % 64` of word
-    /// `slot / 64`): the incremental sweep's worklist.  The tape is
-    /// topologically ordered, so a linear scan of this bitmap visits ops
-    /// in dependency order and marking a consumer always sets a bit the
-    /// scan has not passed yet.  All-zero outside an incremental sweep.
+    /// `slot / 64`): the incremental sweep's worklist.  A consumer's level
+    /// is above its producer's, so it sits at a later slot: a linear scan
+    /// of this bitmap visits ops in dependency order and marking a consumer
+    /// always sets a bit the scan has not passed yet.  All-zero outside an
+    /// incremental sweep.
     op_dirty: Vec<u64>,
     /// Set after construction / reset: the next incremental evaluation
     /// must sweep the whole tape because every net is potentially stale.
@@ -172,42 +334,14 @@ impl<'n> Simulator<'n> {
         let order = netlist.levelize()?;
         let flops = netlist.flops();
         let n = netlist.len();
-
-        // Lower to the tape: one op per live combinational gate in
-        // topological order (constants folded out, dead nodes already
-        // pruned by levelization).  The tape order is the levelization
-        // order, so every op's operands are produced before it runs and
-        // every consumer of its output comes after it.
-        let mut tape = Tape::default();
-        let mut const_nets = Vec::new();
-        for &id in &order {
-            let idx = id.index();
-            let gate = netlist.gate(id);
-            match gate {
-                Gate::Const(c) => const_nets.push((idx as u32, c)),
-                Gate::Input { .. } | Gate::Dff { .. } => {}
-                _ => {
-                    let (opcode, a, b, c) = match gate {
-                        Gate::Not(a) => (OP_NOT, a, a, a),
-                        Gate::And(a, b) => (OP_AND, a, b, b),
-                        Gate::Or(a, b) => (OP_OR, a, b, b),
-                        Gate::Nand(a, b) => (OP_NAND, a, b, b),
-                        Gate::Nor(a, b) => (OP_NOR, a, b, b),
-                        Gate::Xor(a, b) => (OP_XOR, a, b, b),
-                        Gate::Xnor(a, b) => (OP_XNOR, a, b, b),
-                        Gate::Mux { sel, a, b } => (OP_MUX, sel, a, b),
-                        Gate::Const(_) | Gate::Input { .. } | Gate::Dff { .. } => {
-                            unreachable!("sources handled above")
-                        }
-                    };
-                    tape.opcode.push(opcode);
-                    tape.dst.push(idx as u32);
-                    tape.src_a.push(a.index() as u32);
-                    tape.src_b.push(b.index() as u32);
-                    tape.src_c.push(c.index() as u32);
-                }
-            }
-        }
+        let tape = Tape::compile(netlist, &order);
+        let const_nets: Vec<(u32, bool)> = order
+            .iter()
+            .filter_map(|&id| match netlist.gate(id) {
+                Gate::Const(c) => Some((id.0, c)),
+                _ => None,
+            })
+            .collect();
 
         // CSR fanout index: net -> tape slots that read it.
         let mut fanout_start = vec![0u32; n + 1];
@@ -445,9 +579,10 @@ impl<'n> Simulator<'n> {
     }
 
     /// Takes the accumulated toggle statistics, leaving the probe enabled
-    /// and empty.  Returns `None` when the probe was never enabled.
+    /// and empty.  Returns `None`, and leaves the probe off, when the probe
+    /// was never enabled.
     pub fn take_toggle_stats(&mut self) -> Option<ToggleStats> {
-        self.probe.replace(ToggleStats::new())
+        self.probe.as_mut().map(std::mem::take)
     }
 
     /// Computes tape op `slot` from the current net values.
@@ -469,41 +604,32 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Full linear sweep over the compiled tape, monomorphized over the
-    /// probe so the unprobed path carries no per-gate branch for it.  The
-    /// probed sweep tallies flips per opcode and folds them into the
-    /// probe once at the end.
+    /// Full linear sweep over the compiled tape, one monomorphic loop per
+    /// single-opcode run, each reading only the operand columns its opcode
+    /// uses.  Monomorphized over the probe, so the unprobed path carries no
+    /// per-gate branch for it; the probed sweep adds each run's flips into
+    /// its opcode's counter and folds them into the probe once at the end.
     fn run_tape_full<const PROBED: bool>(&mut self) {
         let mut flips_by_op = [0u64; OP_MUX as usize + 1];
-        // Zipping the SoA columns lets the compiler hoist the per-slot
-        // tape bounds checks out of the sweep (this loop is the hottest
-        // code in characterization).
         let values = &mut self.values;
         let tape = &self.tape;
-        for ((((&op, &dst), &sa), &sb), &sc) in tape
-            .opcode
-            .iter()
-            .zip(&tape.dst)
-            .zip(&tape.src_a)
-            .zip(&tape.src_b)
-            .zip(&tape.src_c)
-        {
-            let a = values[sa as usize];
-            let new = match op {
-                OP_NOT => !a,
-                OP_AND => a & values[sb as usize],
-                OP_OR => a | values[sb as usize],
-                OP_NAND => !(a & values[sb as usize]),
-                OP_NOR => !(a | values[sb as usize]),
-                OP_XOR => a ^ values[sb as usize],
-                OP_XNOR => !(a ^ values[sb as usize]),
-                _ => (!a & values[sb as usize]) | (a & values[sc as usize]),
+        for run in &tape.runs {
+            let r = run.start as usize..run.end as usize;
+            let (dst, a) = (&tape.dst[r.clone()], &tape.src_a[r.clone()]);
+            let b = &tape.src_b[r.clone()];
+            let flips = match run.opcode {
+                OP_NOT => sweep1::<PROBED>(values, dst, a, |x| !x),
+                OP_AND => sweep2::<PROBED>(values, dst, a, b, |x, y| x & y),
+                OP_OR => sweep2::<PROBED>(values, dst, a, b, |x, y| x | y),
+                OP_NAND => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x & y)),
+                OP_NOR => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x | y)),
+                OP_XOR => sweep2::<PROBED>(values, dst, a, b, |x, y| x ^ y),
+                OP_XNOR => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x ^ y)),
+                _ => sweep_mux::<PROBED>(values, dst, a, b, &tape.src_c[r]),
             };
-            let dst = dst as usize;
             if PROBED {
-                flips_by_op[usize::from(op)] += u64::from((values[dst] ^ new).count_ones());
+                flips_by_op[usize::from(run.opcode)] += flips;
             }
-            values[dst] = new;
         }
         if PROBED {
             if let Some(p) = &mut self.probe {
@@ -517,9 +643,10 @@ impl<'n> Simulator<'n> {
 
     /// Event-driven sweep: seeds the dirty-op bitmap from the dirty nets'
     /// fanout, then scans the bitmap in tape order evaluating only ops
-    /// whose (transitive) inputs changed.  Because the tape is
-    /// topologically ordered, marking a consumer always sets a bit ahead
-    /// of the scan position, and a whole word of clean ops costs one load.
+    /// whose (transitive) inputs changed.  Because every consumer sits at a
+    /// higher level, hence a later slot, than its producers, marking a
+    /// consumer always sets a bit ahead of the scan position, and a whole
+    /// word of clean ops costs one load.
     fn run_tape_incremental<const PROBED: bool>(&mut self) {
         let mut probe = if PROBED { self.probe.take() } else { None };
         if let Some(p) = &mut probe {
@@ -829,6 +956,135 @@ mod tests {
         let taken = sim.take_toggle_stats().unwrap();
         assert_eq!(taken.total_toggles(), 3);
         assert_eq!(sim.toggle_stats().unwrap().total_toggles(), 0);
+    }
+
+    #[test]
+    fn take_toggle_stats_leaves_a_disabled_probe_off() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let y = n.not(a);
+        n.mark_output(y, "y");
+        let mut sim = Simulator::new(&n).unwrap();
+        assert_eq!(sim.take_toggle_stats(), None);
+        assert!(
+            sim.toggle_stats().is_none(),
+            "taking the stats enabled the probe"
+        );
+        // An enabled but unsettled probe would count y's post-reset
+        // transition to all ones here.
+        sim.eval();
+        assert!(sim.toggle_stats().is_none());
+        sim.enable_toggle_probe();
+        sim.eval();
+        assert_eq!(sim.take_toggle_stats().map(|t| t.total_toggles()), Some(0));
+        assert_eq!(
+            sim.toggle_stats(),
+            Some(&ToggleStats::new()),
+            "taken, still enabled"
+        );
+    }
+
+    /// A random netlist over every combinational kind, with flops that read
+    /// logic built after them and dead logic: each gate reads random earlier
+    /// nets, and only a random subset of the nets is marked as output.
+    fn random_netlist(seed: u64, gates: usize) -> Netlist {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut n = Netlist::new();
+        let mut nets: Vec<NodeId> = (0..6).map(|i| n.input(format!("i{i}"))).collect();
+        let flops: Vec<NodeId> = (0..3).map(|i| n.dff_deferred(i == 1)).collect();
+        nets.extend(&flops);
+        for _ in 0..gates {
+            let [a, b, c] = [0; 3].map(|_| nets[rng.gen_range(0..nets.len())]);
+            let g = match rng.gen_range(0..8u32) {
+                0 => n.not(a),
+                1 => n.and(a, b),
+                2 => n.or(a, b),
+                3 => n.nand(a, b),
+                4 => n.nor(a, b),
+                5 => n.xor(a, b),
+                6 => n.xnor(a, b),
+                _ => n.mux(a, b, c),
+            };
+            nets.push(g);
+        }
+        for &q in &flops {
+            n.bind_dff(q, nets[rng.gen_range(0..nets.len())]);
+        }
+        for (i, &id) in nets.iter().enumerate() {
+            if rng.gen_range(0..5u32) == 0 {
+                n.mark_output(id, format!("o{i}"));
+            }
+        }
+        n
+    }
+
+    /// The tape holds each live combinational gate once, in maximal
+    /// single-opcode runs, sorted by `(level, opcode)`: every operand is a
+    /// source or was written at an earlier slot, so the order is
+    /// topological.
+    #[test]
+    fn tape_is_level_ordered_in_maximal_single_opcode_runs() {
+        let mut designs: Vec<Netlist> = (0..24).map(|seed| random_netlist(seed, 300)).collect();
+        let mut adder = Netlist::new();
+        let a = adder.input_bus("a", 16);
+        let b = adder.input_bus("b", 16);
+        let (sum, cout) = crate::components::adder::ripple_carry(&mut adder, &a, &b, None);
+        adder.mark_output_bus("sum", &sum);
+        adder.mark_output(cout, "cout");
+        designs.push(adder);
+        for (d, n) in designs.iter().enumerate() {
+            let sim = Simulator::new(n).unwrap();
+            let tape = &sim.tape;
+            let live = n.live_set();
+            let ops = (0..n.len())
+                .filter(|&i| live[i] && !n.gate(NodeId(i as u32)).is_source())
+                .count();
+            assert_eq!(tape.len(), ops, "design {d}: one slot per live op");
+            let mut at = 0;
+            for (i, run) in tape.runs.iter().enumerate() {
+                assert!(
+                    run.start == at && run.end > run.start,
+                    "design {d}: runs tile the tape"
+                );
+                let ops = &tape.opcode[run.start as usize..run.end as usize];
+                assert!(
+                    ops.iter().all(|&op| op == run.opcode),
+                    "design {d}: run {i} mixes opcodes"
+                );
+                if i > 0 {
+                    assert_ne!(
+                        tape.runs[i - 1].opcode,
+                        run.opcode,
+                        "design {d}: run {i} not maximal"
+                    );
+                }
+                at = run.end;
+            }
+            assert_eq!(at as usize, tape.len(), "design {d}: runs tile the tape");
+            let mut written: Vec<Option<u32>> = vec![None; n.len()];
+            let mut last = (0, 0);
+            for slot in 0..tape.len() {
+                let mut level = 0;
+                for src in [tape.src_a[slot], tape.src_b[slot], tape.src_c[slot]] {
+                    match written[src as usize] {
+                        Some(l) => level = level.max(l),
+                        None => assert!(
+                            n.gate(NodeId(src)).is_source(),
+                            "design {d}: slot {slot} reads n{src} before it is written"
+                        ),
+                    }
+                }
+                let key = (level + 1, tape.opcode[slot]);
+                assert!(
+                    key >= last,
+                    "design {d}: slot {slot} {key:?} after {last:?}"
+                );
+                last = key;
+                let dst = tape.dst[slot] as usize;
+                assert!(written[dst].is_none(), "design {d}: n{dst} written twice");
+                written[dst] = Some(key.0);
+            }
+        }
     }
 
     #[test]

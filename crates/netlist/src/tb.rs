@@ -68,8 +68,8 @@ where
             sim.reset();
             let mut rng = Rng64::seed_from_u64(batch_seed(seeds[run], batch));
             warm_up(sim, run, &mut rng);
-            // Cloning the never-recorded prototype (plain memcpys) replaces
-            // re-deriving gate kinds and the live set per batch.
+            // Cloning the never-recorded prototype copies only its snapshot
+            // and zeroed counts; the gate kinds and the live set are shared.
             let mut act = proto.get_or_insert_with(|| Activity::new(sim)).clone();
             act.rebaseline(sim);
             for _ in batch * BATCH_STEPS..steps.min((batch + 1) * BATCH_STEPS) {

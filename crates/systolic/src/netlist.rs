@@ -234,35 +234,39 @@ impl ArrayNetlist {
 
 impl ArrayNetlist {
     /// Weight-stationary switching-activity characterization of the whole
-    /// array netlist: weights loaded with the Fig. 5 skew and held, then
-    /// fresh random feature vectors every cycle — the ground truth the
-    /// analytic [`crate::energy::ArrayEnergyModel`] approximates.
+    /// array netlist, one recorder per `(mode, seed)` run: weights loaded
+    /// with the Fig. 5 skew and held, then fresh random feature vectors
+    /// every cycle — the ground truth the analytic
+    /// [`crate::energy::ArrayEnergyModel`] approximates.
     ///
-    /// The stimulus runs through the shared batched testbench
+    /// All runs go through one call of the shared batched testbench
     /// ([`bsc_netlist::tb::run_batched_activity`]), the same one that
-    /// characterizes a single vector MAC: every
+    /// characterizes a single vector MAC, so each pool worker compiles the
+    /// array's simulator once for every mode.  Every
     /// [`bsc_netlist::tb::BATCH_STEPS`]-cycle batch has its own weight load
-    /// phase, and the recorders merge in batch order, so the totals are
-    /// deterministic and worker-count independent.
+    /// phase, and each run's recorders merge in batch order, so a run's
+    /// totals depend only on its own mode and seed: they are deterministic,
+    /// worker-count independent, and the same whichever runs share the call.
     ///
     /// # Errors
     ///
     /// Propagates netlist simulation failures.
     pub fn characterize_weight_stationary(
         &self,
-        p: Precision,
         steps: usize,
-        seed: u64,
-    ) -> Result<Activity, MacError> {
-        let mut acts = bsc_netlist::tb::run_batched_activity(
+        runs: &[(Precision, u64)],
+    ) -> Result<Vec<Activity>, MacError> {
+        let seeds: Vec<u64> = runs.iter().map(|&(_, seed)| seed).collect();
+        Ok(bsc_netlist::tb::run_batched_activity(
             &self.netlist,
             steps,
-            &[seed],
+            &seeds,
             None,
-            |sim, _, rng| self.load_random_weights(sim, p, rng),
-            |sim, _, rng| self.drive_random_side(sim, p, rng, OperandSide::Activation),
-        )?;
-        Ok(acts.pop().expect("one run"))
+            |sim, run, rng| self.load_random_weights(sim, runs[run].0, rng),
+            |sim, run, rng| {
+                self.drive_random_side(sim, runs[run].0, rng, OperandSide::Activation);
+            },
+        )?)
     }
 
     /// Characterization warm-up: holds the mode pins, loads one random
@@ -423,7 +427,7 @@ mod energy_validation {
 
         // Gate-level: whole-array activity and PPA.
         let array = build_array(kind, pes, length);
-        let act = array.characterize_weight_stationary(p, 48, 9).unwrap();
+        let act = array.characterize_weight_stationary(48, &[(p, 9)]).unwrap().remove(0);
         let macs_per_cycle = (pes * array.dot_length(p)) as f64;
         let gate = analyze(array.netlist(), &act, &lib, &effort, period, macs_per_cycle)
             .unwrap();
@@ -454,7 +458,8 @@ mod energy_validation {
     /// The test drives one characterization batch itself (the array's
     /// warm-up and drive steps, on the batch's seed), enabling the probe
     /// once the warm-up has settled the design, and checks that its
-    /// recorder is the one `characterize_weight_stationary` returns.
+    /// recorder is the one `characterize_weight_stationary` returns for
+    /// that run, in a call it shares with runs in the other two modes.
     #[test]
     fn toggle_probe_bounds_the_energy_models_activity() {
         use bsc_netlist::tb::{batch_seed, BATCH_STEPS};
@@ -474,8 +479,9 @@ mod energy_validation {
                 act.record(&sim);
             }
             let probe = sim.toggle_stats().expect("probe enabled");
+            let runs = [(Precision::Int8, 7), (p, seed), (Precision::Int2, 3)];
             let characterized =
-                array.characterize_weight_stationary(p, BATCH_STEPS, seed).unwrap();
+                array.characterize_weight_stationary(BATCH_STEPS, &runs).unwrap().remove(1);
             assert!(
                 act.iter_nodes().eq(characterized.iter_nodes())
                     && act.observed_cycles() == characterized.observed_cycles(),

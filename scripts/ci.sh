@@ -230,6 +230,16 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 cmp BENCH_fig8b_gate_baseline.csv "$out/fig8b_gate/fig8b_gate.csv"
 echo "gate-level array CSV matches BENCH_fig8b_gate_baseline.csv"
 
+echo "==> extensions gate: repro extensions"
+# The extensions report (asymmetric LPC modes, DVFS, SRAM share,
+# accuracy) is seeded and prints no wall clock, so its stdout is
+# byte-stable: it pins the asymmetric-mode characterization's full
+# sweeps and the activity recorder.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    extensions >"$out/extensions.txt"
+cmp BENCH_extensions_baseline.txt "$out/extensions.txt"
+echo "extensions report matches BENCH_extensions_baseline.txt"
+
 echo "==> engine serving gate: repro serve examples/serve_manifest.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     serve examples/serve_manifest.json --report-out "$out/serve_report.json" \
