@@ -35,10 +35,10 @@
 //! Passing `--metrics-out` / `--trace-out` without naming an experiment
 //! runs just `telemetry` (which needs no characterization pass).
 //!
-//! * `simbench` benchmarks the netlist evaluator itself (full-sweep vs
-//!   event-driven incremental) and reports the characterization
-//!   wall-clock of a quick workbench; `--bench-out FILE` writes the
-//!   machine-readable `BENCH_sim.json` baseline.
+//! * `simbench` benchmarks the netlist evaluator itself (tape sweeps
+//!   and their throughput under weight-stationary stimulus) and reports
+//!   the characterization wall-clock of a quick workbench; `--bench-out
+//!   FILE` writes the machine-readable `BENCH_sim.json` baseline.
 //! * `all` prints Table I and Figs 7–9 plus the telemetry probe;
 //!   `--bench-out FILE all` also writes every number behind them as the
 //!   `BENCH_paper.json` document the CI gate diffs at `--tol 0` (name
@@ -361,7 +361,7 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("characterization failed: {e}")));
         // The workbench times its characterization with one `Instant`.
         eprintln!(
-            "characterized in {:.4}s (compiled-tape incremental evaluator, batch-sharded)\n",
+            "characterized in {:.4}s (compiled-tape evaluator, batch-sharded)\n",
             wb.characterize_wall_ns() as f64 / 1e9
         );
         Some(wb)
@@ -444,7 +444,7 @@ fn main() {
     };
 
     let run_simbench = || {
-        eprintln!("benchmarking the netlist evaluator (full sweep vs incremental)...");
+        eprintln!("benchmarking the netlist evaluator (weight-stationary step + eval)...");
         let (cycles, length) = if opts.quick { (64, 4) } else { (256, 8) };
         let reports: Vec<_> = MacKind::ALL
             .into_iter()

@@ -222,8 +222,8 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
                 random_signed_fill(&mut rng, p.bits(), w);
                 random_signed_fill(&mut rng, p.bits(), a);
             })?;
-            sim.step_incremental();
-            sim.eval_incremental();
+            sim.step();
+            sim.eval();
         }
     }
     let probe = sim.take_toggle_stats().expect("probe enabled");

@@ -60,8 +60,8 @@ impl Workbench {
     }
 
     /// Wall-clock nanoseconds the gate-level characterization took (all
-    /// three designs) — the quantity the compiled-tape /
-    /// incremental-eval rewrite is measured by.
+    /// three designs) — the quantity the compiled-tape evaluator is
+    /// measured by.
     pub fn characterize_wall_ns(&self) -> u64 {
         self.characterize_wall_ns
     }

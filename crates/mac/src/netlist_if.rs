@@ -357,9 +357,10 @@ impl MacNetlist {
     /// The stimulus runs through the shared batched testbench
     /// ([`bsc_netlist::tb::run_batched_activity`]): fixed-size batches
     /// sharded over a scoped thread pool, each worker owning its own
-    /// [`Simulator`] on the event-driven incremental path, and the
-    /// per-batch recorders merged in batch order, so results are
-    /// deterministic and independent of the worker count.
+    /// [`Simulator`], and the per-batch recorders merged in batch order,
+    /// so results are deterministic and independent of the worker count.
+    /// The operand inputs are registered, so each cycle sweeps the tape
+    /// once, after the clock edge.
     ///
     /// # Errors
     ///
@@ -381,9 +382,8 @@ impl MacNetlist {
     /// its weight vector for a whole tile) while the feature stream gets
     /// fresh uniform operands every cycle.
     ///
-    /// Because the weight cone is quiescent, the incremental evaluator
-    /// touches only the feature cone each cycle — this is the workload the
-    /// event-driven path exists for.
+    /// Each cycle still sweeps the whole tape once, after the clock edge;
+    /// holding the weights lowers how many nets toggle, not the work.
     ///
     /// # Errors
     ///
@@ -545,7 +545,7 @@ mod tests {
 
     /// The bit-plane writer against the per-lane oracle, in every design
     /// and mode: the same net words after each write, and the same words
-    /// and toggle counts after each probed incremental cycle.
+    /// and toggle counts after each probed cycle.
     #[test]
     fn lane_writer_matches_per_lane_writes() {
         let mut rng = Rng64::seed_from_u64(0x1A9E5);
@@ -575,8 +575,8 @@ mod tests {
                     let at = format!("{kind} {p} cycle {cycle}");
                     assert_eq!(planes.values(), oracle.values(), "{at}: written words");
                     for sim in [&mut oracle, &mut planes] {
-                        sim.step_incremental();
-                        sim.eval_incremental();
+                        sim.step();
+                        sim.eval();
                     }
                     assert_eq!(planes.values(), oracle.values(), "{at}: settled words");
                     assert_eq!(planes.toggle_stats(), oracle.toggle_stats(), "{at}: toggles");

@@ -144,9 +144,9 @@ impl DesignCharacterization {
     ///
     /// Each characterization run shards its independent 64-lane stimulus
     /// batches across a scoped thread pool — every worker owns a private
-    /// simulator on the event-driven incremental path and the per-batch
-    /// recorders merge in batch order, so the recorded activity is
-    /// deterministic and independent of the machine's core count.
+    /// simulator and the per-batch recorders merge in batch order, so the
+    /// recorded activity is deterministic and independent of the machine's
+    /// core count.
     ///
     /// # Errors
     ///

@@ -64,7 +64,7 @@ pub use error::NetlistError;
 pub use gate::{Gate, GateKind};
 pub use netlist::{Netlist, NodeId};
 pub use rng::Rng64;
-pub use sim::{EvalProfile, Simulator};
+pub use sim::Simulator;
 pub use stats::{GateStats, ToggleStats};
 
 /// Number of independent stimulus lanes evaluated in one packed simulation

@@ -65,7 +65,7 @@ struct Run {
 /// the order is topological: every op's operands are written at earlier
 /// slots, and every consumer of its output sits at a later one.  Grouping
 /// each level by opcode turns the tape into a few long single-opcode
-/// [`Run`]s, which the full sweep evaluates one monomorphic loop at a time.
+/// [`Run`]s, which a sweep evaluates one monomorphic loop at a time.
 #[derive(Debug)]
 struct Tape {
     opcode: Vec<u8>,
@@ -222,12 +222,14 @@ fn sweep_mux<const PROBED: bool>(
 /// At construction the live combinational logic is lowered into a compiled
 /// tape (see `Tape`), ordered by logic level and, within a level, by
 /// opcode: [`Simulator::eval`] sweeps that tape one single-opcode run at a
-/// time, and [`Simulator::eval_incremental`] is an event-driven sweep that
-/// only re-evaluates the fanout cone of nets whose values actually changed
-/// since the last evaluation — the fast path for weight-stationary
-/// workloads where most of the design is quiescent each cycle.  Both
-/// compute the same net values and toggle counts as evaluating the gates
-/// one by one in [`Netlist::levelize`] order.
+/// time.  It sweeps only when a net some tape op reads or writes has
+/// changed since the last sweep (a write, a clock edge or a reset); with
+/// nothing on the tape changed, every op already holds its function of its
+/// operands, so a sweep would flip no bit and the evaluation skips it.
+/// Registered designs gain the most: inputs that feed only flop data pins
+/// leave the tape settled, so the evaluation before each clock edge is
+/// free.  Either way the net values and toggle counts equal evaluating the
+/// gates one by one in [`Netlist::levelize`] order.
 ///
 /// Sequential designs advance with [`Simulator::step`], which evaluates the
 /// combinational logic and then clocks every flip-flop once.
@@ -263,31 +265,13 @@ pub struct Simulator<'n> {
     tape: Tape,
     /// Live constant nets and their folded values, re-applied on reset.
     const_nets: Vec<(u32, bool)>,
-    /// CSR fanout index over the tape: `fanout_edges[fanout_start[net] ..
-    /// fanout_start[net + 1]]` are the tape slots reading `net`.
-    fanout_start: Vec<u32>,
-    fanout_edges: Vec<u32>,
-    /// Per-net upper-bound estimate of the transitive fanout-cone size in
-    /// tape ops (saturating; reconvergent paths counted multiply).  The
-    /// event-driven sweep pays fanout-marking per changed op, so when the
-    /// dirty cone rivals the tape length a plain linear sweep is cheaper —
-    /// this estimate decides which to run.
-    cone_est: Vec<u32>,
-
-    // --- event-driven state ---
-    /// Nets whose value changed since the last evaluation.
-    net_dirty: Vec<bool>,
-    dirty_nets: Vec<u32>,
-    /// Packed per-tape-slot dirty bits (bit `slot % 64` of word
-    /// `slot / 64`): the incremental sweep's worklist.  A consumer's level
-    /// is above its producer's, so it sits at a later slot: a linear scan
-    /// of this bitmap visits ops in dependency order and marking a consumer
-    /// always sets a bit the scan has not passed yet.  All-zero outside an
-    /// incremental sweep.
-    op_dirty: Vec<u64>,
-    /// Set after construction / reset: the next incremental evaluation
-    /// must sweep the whole tape because every net is potentially stale.
-    needs_full: bool,
+    /// Marks each net that some tape op reads or writes: only a change to
+    /// a marked net can change what a sweep computes.
+    on_tape: Vec<bool>,
+    /// Whether a marked net has changed since the last sweep.
+    stale: bool,
+    /// Tape sweeps run since construction (see [`Simulator::sweeps`]).
+    sweeps: u64,
 
     /// Reusable next-state buffer for [`Simulator::step`] (one word per
     /// flop) so clocking allocates nothing per cycle.
@@ -297,34 +281,11 @@ pub struct Simulator<'n> {
     /// [`Simulator::reset`] — the timestamp domain for characterization
     /// traces (no wall-clock reads on the hot path).
     cycle: u64,
-
-    /// Evaluation-path counters (see [`Simulator::eval_profile`]).
-    profile: EvalProfile,
-}
-
-/// Counters describing which evaluation paths a [`Simulator`] has taken —
-/// how often [`Simulator::eval_incremental`] stayed on the event-driven
-/// sweep versus falling back to a full sweep, and how much of the tape the
-/// event-driven sweeps actually touched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalProfile {
-    /// Full linear tape sweeps (direct [`Simulator::eval`] calls plus
-    /// dense/stale fallbacks from [`Simulator::eval_incremental`]).
-    pub full_sweeps: u64,
-    /// [`Simulator::eval_incremental`] calls that ran the event-driven
-    /// worklist sweep.
-    pub incremental_sweeps: u64,
-    /// Tape ops evaluated across all event-driven sweeps.
-    pub incremental_ops: u64,
-    /// [`Simulator::eval_incremental`] calls that fell back to a full
-    /// sweep because every net was stale (fresh or just-reset simulator).
-    pub full_fallbacks: u64,
 }
 
 impl<'n> Simulator<'n> {
-    /// Prepares a simulator for `netlist`: levelizes it once, lowers the
-    /// live combinational gates into the compiled tape and builds the
-    /// fanout index for event-driven evaluation.
+    /// Prepares a simulator for `netlist`: levelizes it once and lowers the
+    /// live combinational gates into the compiled tape.
     ///
     /// # Errors
     ///
@@ -342,58 +303,12 @@ impl<'n> Simulator<'n> {
                 _ => None,
             })
             .collect();
-
-        // CSR fanout index: net -> tape slots that read it.
-        let mut fanout_start = vec![0u32; n + 1];
-        let each_src = |slot: usize, tape: &Tape| {
-            let a = tape.src_a[slot];
-            let b = tape.src_b[slot];
-            let c = tape.src_c[slot];
-            // Deduplicate repeated operands so one value change enqueues
-            // the consumer exactly once per edge list entry.
-            let b = if b == a { None } else { Some(b) };
-            let c = if Some(c) == b || c == a { None } else { Some(c) };
-            (a, b, c)
-        };
-        for slot in 0..tape.len() {
-            let (a, b, c) = each_src(slot, &tape);
-            fanout_start[a as usize + 1] += 1;
-            if let Some(b) = b {
-                fanout_start[b as usize + 1] += 1;
-            }
-            if let Some(c) = c {
-                fanout_start[c as usize + 1] += 1;
+        let mut on_tape = vec![false; n];
+        for column in [&tape.dst, &tape.src_a, &tape.src_b, &tape.src_c] {
+            for &net in column {
+                on_tape[net as usize] = true;
             }
         }
-        for i in 0..n {
-            fanout_start[i + 1] += fanout_start[i];
-        }
-        let mut fanout_edges = vec![0u32; fanout_start[n] as usize];
-        let mut cursor = fanout_start.clone();
-        for slot in 0..tape.len() {
-            let (a, b, c) = each_src(slot, &tape);
-            for src in [Some(a), b, c].into_iter().flatten() {
-                fanout_edges[cursor[src as usize] as usize] = slot as u32;
-                cursor[src as usize] += 1;
-            }
-        }
-
-        // Transitive cone-size upper bounds, in reverse topological order:
-        // an op's cone is itself plus the cone of its output net; a net's
-        // cone is the sum over its consuming slots.  Sums saturate at the
-        // tape length — beyond that the answer is already "dense".
-        let cap = u32::try_from(tape.len()).unwrap_or(u32::MAX);
-        let mut cone_est = vec![0u32; n];
-        for slot in (0..tape.len()).rev() {
-            let op_cone = cone_est[tape.dst[slot] as usize].saturating_add(1).min(cap);
-            let (a, b, c) = each_src(slot, &tape);
-            for src in [Some(a), b, c].into_iter().flatten() {
-                let e = &mut cone_est[src as usize];
-                *e = e.saturating_add(op_cone).min(cap);
-            }
-        }
-
-        let tape_len = tape.len();
         let flop_count = flops.len();
         let mut sim = Simulator {
             netlist,
@@ -402,16 +317,11 @@ impl<'n> Simulator<'n> {
             probe: None,
             tape,
             const_nets,
-            fanout_start,
-            fanout_edges,
-            cone_est,
-            net_dirty: vec![false; n],
-            dirty_nets: Vec::new(),
-            op_dirty: vec![0u64; tape_len.div_ceil(64)],
-            needs_full: true,
+            on_tape,
+            stale: true,
+            sweeps: 0,
             flop_scratch: vec![0; flop_count],
             cycle: 0,
-            profile: EvalProfile::default(),
         };
         sim.reset();
         Ok(sim)
@@ -427,8 +337,8 @@ impl<'n> Simulator<'n> {
         }
         self.reset_keep_inputs();
         self.cycle = 0;
-        // Everything combinational is stale until the next evaluation.
-        self.needs_full = true;
+        // Every combinational net now reads 0, not its function.
+        self.stale = true;
     }
 
     /// Resets only the flip-flops to their init values, leaving input
@@ -437,11 +347,7 @@ impl<'n> Simulator<'n> {
     pub fn reset_keep_inputs(&mut self) {
         for i in 0..self.flops.len() {
             let (q, _, init) = self.flops[i];
-            let v = if init { u64::MAX } else { 0 };
-            if self.values[q.index()] != v {
-                self.values[q.index()] = v;
-                self.mark_net_dirty(q.index());
-            }
+            self.set(q.index(), if init { u64::MAX } else { 0 });
         }
     }
 
@@ -450,29 +356,21 @@ impl<'n> Simulator<'n> {
         self.netlist
     }
 
+    /// Stores `word` on net `idx`; a change to a net on the tape makes the
+    /// next [`Simulator::eval`] sweep.
     #[inline]
-    fn mark_net_dirty(&mut self, idx: usize) {
-        if !self.net_dirty[idx] {
-            self.net_dirty[idx] = true;
-            self.dirty_nets.push(idx as u32);
-        }
-    }
-
-    fn clear_dirty(&mut self) {
-        for &net in &self.dirty_nets {
-            self.net_dirty[net as usize] = false;
-        }
-        self.dirty_nets.clear();
-        self.needs_full = false;
-    }
-
-    /// Writes a packed 64-lane word to an input (or any source) net.
-    pub fn write(&mut self, id: NodeId, word: u64) {
-        let idx = id.index();
+    fn set(&mut self, idx: usize, word: u64) {
         if self.values[idx] != word {
             self.values[idx] = word;
-            self.mark_net_dirty(idx);
+            self.stale |= self.on_tape[idx];
         }
+    }
+
+    /// Writes a packed 64-lane word to an input (or any source) net.  A
+    /// word written over a combinational net lasts until the next
+    /// [`Simulator::eval`], which recomputes it.
+    pub fn write(&mut self, id: NodeId, word: u64) {
+        self.set(id.index(), word);
     }
 
     /// Reads the packed 64-lane word on any net.
@@ -496,10 +394,7 @@ impl<'n> Simulator<'n> {
             } else {
                 self.values[idx] & !mask
             };
-            if self.values[idx] != word {
-                self.values[idx] = word;
-                self.mark_net_dirty(idx);
-            }
+            self.set(idx, word);
         }
     }
 
@@ -511,11 +406,7 @@ impl<'n> Simulator<'n> {
             for (lane, &v) in values.iter().take(SIM_LANES).enumerate() {
                 word |= (((v >> k) & 1) as u64) << lane;
             }
-            let idx = bit.index();
-            if self.values[idx] != word {
-                self.values[idx] = word;
-                self.mark_net_dirty(idx);
-            }
+            self.set(bit.index(), word);
         }
     }
 
@@ -564,11 +455,8 @@ impl<'n> Simulator<'n> {
     /// `eval` before enabling.
     pub fn enable_toggle_probe(&mut self) {
         if self.probe.is_none() {
-            // Settle: bring every combinational net to its steady state
-            // without counting, so probed evaluation starts from a
-            // representative baseline.
-            self.run_tape_full::<false>();
-            self.clear_dirty();
+            // The probe is still off, so this settles without counting.
+            self.eval();
             self.probe = Some(ToggleStats::new());
         }
     }
@@ -583,25 +471,6 @@ impl<'n> Simulator<'n> {
     /// was never enabled.
     pub fn take_toggle_stats(&mut self) -> Option<ToggleStats> {
         self.probe.as_mut().map(std::mem::take)
-    }
-
-    /// Computes tape op `slot` from the current net values.
-    #[inline]
-    fn compute_op(values: &[u64], tape: &Tape, slot: usize) -> u64 {
-        let a = values[tape.src_a[slot] as usize];
-        match tape.opcode[slot] {
-            OP_NOT => !a,
-            OP_AND => a & values[tape.src_b[slot] as usize],
-            OP_OR => a | values[tape.src_b[slot] as usize],
-            OP_NAND => !(a & values[tape.src_b[slot] as usize]),
-            OP_NOR => !(a | values[tape.src_b[slot] as usize]),
-            OP_XOR => a ^ values[tape.src_b[slot] as usize],
-            OP_XNOR => !(a ^ values[tape.src_b[slot] as usize]),
-            _ => {
-                (!a & values[tape.src_b[slot] as usize])
-                    | (a & values[tape.src_c[slot] as usize])
-            }
-        }
     }
 
     /// Full linear sweep over the compiled tape, one monomorphic loop per
@@ -641,139 +510,57 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Event-driven sweep: seeds the dirty-op bitmap from the dirty nets'
-    /// fanout, then scans the bitmap in tape order evaluating only ops
-    /// whose (transitive) inputs changed.  Because every consumer sits at a
-    /// higher level, hence a later slot, than its producers, marking a
-    /// consumer always sets a bit ahead of the scan position, and a whole
-    /// word of clean ops costs one load.
-    fn run_tape_incremental<const PROBED: bool>(&mut self) {
-        let mut probe = if PROBED { self.probe.take() } else { None };
-        if let Some(p) = &mut probe {
-            p.record_eval();
-        }
-        // Seed: every consumer of a dirty net is marked.
-        for di in 0..self.dirty_nets.len() {
-            let net = self.dirty_nets[di] as usize;
-            let (s, e) = (self.fanout_start[net] as usize, self.fanout_start[net + 1] as usize);
-            for ei in s..e {
-                let slot = self.fanout_edges[ei] as usize;
-                self.op_dirty[slot >> 6] |= 1u64 << (slot & 63);
-            }
-        }
-        let mut evaluated = 0u64;
-        for w in 0..self.op_dirty.len() {
-            let mut m = self.op_dirty[w];
-            if m == 0 {
-                continue;
-            }
-            self.op_dirty[w] = 0;
-            while m != 0 {
-                let slot = (w << 6) | m.trailing_zeros() as usize;
-                m &= m - 1;
-                evaluated += 1;
-                let new = Self::compute_op(&self.values, &self.tape, slot);
-                let dst = self.tape.dst[slot] as usize;
-                let diff = self.values[dst] ^ new;
-                if diff == 0 {
-                    continue;
-                }
-                if PROBED {
-                    if let Some(p) = &mut probe {
-                        p.record(opcode_kind(self.tape.opcode[slot]), u64::from(diff.count_ones()));
-                    }
-                }
-                self.values[dst] = new;
-                let (s, e) = (self.fanout_start[dst] as usize, self.fanout_start[dst + 1] as usize);
-                for ei in s..e {
-                    let succ = self.fanout_edges[ei] as usize;
-                    let bit = 1u64 << (succ & 63);
-                    if succ >> 6 == w {
-                        // Consumer in the current word: fold it straight
-                        // into the in-flight mask (its bit is above the
-                        // scan position — the tape is topo-ordered).
-                        m |= bit;
-                    } else {
-                        self.op_dirty[succ >> 6] |= bit;
-                    }
-                }
-            }
-        }
-        self.profile.incremental_ops += evaluated;
-        if PROBED {
-            self.probe = probe;
-        }
-    }
-
-    /// Evaluates all combinational logic for the current input words with
-    /// a full sweep over the compiled tape.
+    /// Evaluates all combinational logic for the current net words: sweeps
+    /// the compiled tape when a net on it has changed since the last sweep,
+    /// and otherwise leaves the already-settled values as they are.  A
+    /// skipped evaluation still counts in the probe's
+    /// [`ToggleStats::evals`], with no flips.  In debug builds a skip is
+    /// checked against recomputing every tape op.
     pub fn eval(&mut self) {
-        self.profile.full_sweeps += 1;
-        if self.probe.is_some() {
-            self.run_tape_full::<true>();
-        } else {
-            self.run_tape_full::<false>();
-        }
-        self.clear_dirty();
-    }
-
-    /// The accumulated evaluation-path counters for this simulator.
-    pub fn eval_profile(&self) -> EvalProfile {
-        self.profile
-    }
-
-    /// Event-driven incremental evaluation: recomputes only the fanout
-    /// cone of nets written (or clocked) since the last evaluation,
-    /// producing bit-identical net values — and identical
-    /// [`ToggleStats`] when the probe is enabled — to a full
-    /// [`Simulator::eval`].
-    ///
-    /// This is the hot path for weight-stationary characterization, where
-    /// the weight cone is quiescent and only the feature cone switches
-    /// each cycle.  In debug builds the result is cross-validated against
-    /// a full recomputation of every tape op.
-    pub fn eval_incremental(&mut self) {
-        if self.needs_full || self.dirty_cone_is_dense() {
-            // Post-construction / post-reset every net is stale; and when
-            // the dirty cone covers most of the tape the event-driven
-            // sweep's fanout marking costs more than it skips.  Both paths
-            // compute identical values and toggle counts, so falling back
-            // is free.
-            self.profile.full_fallbacks += 1;
-            self.eval();
-        } else {
-            self.profile.incremental_sweeps += 1;
+        if self.stale {
+            self.sweeps += 1;
+            self.stale = false;
             if self.probe.is_some() {
-                self.run_tape_incremental::<true>();
+                self.run_tape_full::<true>();
             } else {
-                self.run_tape_incremental::<false>();
+                self.run_tape_full::<false>();
             }
-            self.clear_dirty();
-        }
-        #[cfg(debug_assertions)]
-        self.debug_assert_settled();
-    }
-
-    /// Cheap pre-pass density check: the summed transitive cone estimates
-    /// of all dirty nets, against half the tape length.  The estimate
-    /// counts reconvergent paths multiply, so it errs toward the
-    /// always-correct full sweep; input nets that feed only flop D pins
-    /// have empty cones, which is what makes pre-clock-edge evaluations of
-    /// registered designs nearly free.
-    fn dirty_cone_is_dense(&self) -> bool {
-        let mut est = 0usize;
-        let budget = self.tape.len() / 2;
-        for &net in &self.dirty_nets {
-            est += self.cone_est[net as usize] as usize;
-            if est > budget {
-                return true;
+        } else {
+            #[cfg(debug_assertions)]
+            self.debug_assert_settled();
+            if let Some(p) = &mut self.probe {
+                p.record_eval();
             }
         }
-        false
     }
 
-    /// Debug-build cross-check: after an evaluation, recomputing any tape
-    /// op from the current net values must reproduce its stored output.
+    /// Tape sweeps [`Simulator::eval`] has run since construction; the
+    /// evaluations it skipped are not counted.
+    pub fn sweeps(&self) -> u64 {
+        self.sweeps
+    }
+
+    /// Computes tape op `slot` from the current net values.
+    #[cfg(debug_assertions)]
+    fn compute_op(values: &[u64], tape: &Tape, slot: usize) -> u64 {
+        let a = values[tape.src_a[slot] as usize];
+        match tape.opcode[slot] {
+            OP_NOT => !a,
+            OP_AND => a & values[tape.src_b[slot] as usize],
+            OP_OR => a | values[tape.src_b[slot] as usize],
+            OP_NAND => !(a & values[tape.src_b[slot] as usize]),
+            OP_NOR => !(a | values[tape.src_b[slot] as usize]),
+            OP_XOR => a ^ values[tape.src_b[slot] as usize],
+            OP_XNOR => !(a ^ values[tape.src_b[slot] as usize]),
+            _ => {
+                (!a & values[tape.src_b[slot] as usize])
+                    | (a & values[tape.src_c[slot] as usize])
+            }
+        }
+    }
+
+    /// Debug-build check of a skipped sweep: recomputing any tape op from
+    /// the current net values must reproduce its stored output.
     #[cfg(debug_assertions)]
     fn debug_assert_settled(&self) {
         for slot in 0..self.tape.len() {
@@ -782,14 +569,14 @@ impl<'n> Simulator<'n> {
             debug_assert_eq!(
                 self.values[dst],
                 expect,
-                "incremental eval left net n{dst} unsettled (tape slot {slot})"
+                "skipped sweep left net n{dst} unsettled (tape slot {slot})"
             );
         }
     }
 
     /// Clocks every flip-flop once from the already-evaluated data pins,
     /// counting Q-output transitions into the probe's [`GateKind::Dff`]
-    /// bucket and marking changed Q nets dirty for incremental evaluation.
+    /// bucket; a changed Q on the tape makes the next evaluation sweep.
     fn clock_flops(&mut self) {
         // Two phases so flops reading other flops' outputs all sample the
         // pre-edge values; the scratch buffer is reused across cycles.
@@ -800,12 +587,8 @@ impl<'n> Simulator<'n> {
         for i in 0..self.flops.len() {
             let q = self.flops[i].0.index();
             let new = self.flop_scratch[i];
-            let diff = self.values[q] ^ new;
-            if diff != 0 {
-                dff_flips += u64::from(diff.count_ones());
-                self.values[q] = new;
-                self.mark_net_dirty(q);
-            }
+            dff_flips += u64::from((self.values[q] ^ new).count_ones());
+            self.set(q, new);
         }
         if dff_flips != 0 {
             if let Some(p) = &mut self.probe {
@@ -827,21 +610,14 @@ impl<'n> Simulator<'n> {
         self.clock_flops();
     }
 
-    /// [`Simulator::step`] on the incremental path: evaluates the dirty
-    /// cone with [`Simulator::eval_incremental`], then clocks the flops.
-    pub fn step_incremental(&mut self) {
-        self.eval_incremental();
-        self.clock_flops();
-    }
-
     /// Snapshot of all net values (used by activity recording).
     pub fn values(&self) -> &[u64] {
         &self.values
     }
 
     /// Number of ops on the compiled evaluation tape (live combinational
-    /// gates after constant folding and dead-node pruning) — the per-pass
-    /// work of a full [`Simulator::eval`].
+    /// gates after constant folding and dead-node pruning) — the work of
+    /// one sweep.
     pub fn tape_len(&self) -> usize {
         self.tape.len()
     }
@@ -910,7 +686,7 @@ mod tests {
         let mut sim = Simulator::new(&n).unwrap();
         assert_eq!(sim.cycle(), 0);
         sim.step();
-        sim.step_incremental();
+        sim.step();
         assert_eq!(sim.cycle(), 2);
         sim.reset();
         assert_eq!(sim.cycle(), 0);
@@ -1166,101 +942,113 @@ mod tests {
         assert_eq!(sim.read(m) & 0b11, 0b11);
     }
 
+    /// An input that feeds only a flop's data pin is on no tape op: writing
+    /// it leaves the tape settled, and the sweep waits for the clock edge
+    /// that moves the flop's output, which the tape reads.
     #[test]
-    fn incremental_eval_matches_full_eval_on_random_logic() {
-        // A mixed-depth random-ish design: incremental evaluation after
-        // partial input writes must agree with a full sweep, net for net.
+    fn a_write_to_an_input_feeding_only_a_flop_does_not_sweep() {
         let mut n = Netlist::new();
-        let a = n.input_bus("a", 8);
-        let b = n.input_bus("b", 8);
-        let (sum, cout) = crate::components::adder::ripple_carry(&mut n, &a, &b, None);
-        n.mark_output_bus("sum", &sum);
-        n.mark_output(cout, "cout");
-        let x = sum
-            .bits()
-            .iter()
-            .zip(a.bits())
-            .map(|(&s, &p)| n.xor(s, p))
-            .collect::<Bus>();
-        n.mark_output_bus("x", &x);
+        let d = n.input("d");
+        let q = n.dff(d, false);
+        let y = n.not(q);
+        n.mark_output(y, "y");
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.eval();
+        assert_eq!(sim.sweeps(), 1, "a fresh simulator sweeps once");
+        sim.write(d, 0b1011);
+        sim.eval();
+        assert_eq!(sim.sweeps(), 1, "d feeds no tape op");
+        sim.step();
+        assert_eq!(sim.sweeps(), 1, "the evaluation before the edge skips");
+        sim.eval();
+        assert_eq!(sim.sweeps(), 2, "the edge moved q, which the tape reads");
+        assert_eq!(sim.read(y), !0b1011);
+    }
 
-        let mut full = Simulator::new(&n).unwrap();
-        let mut inc = Simulator::new(&n).unwrap();
-        let mut rng = Rng64::seed_from_u64(0x1C0DE);
-        for round in 0..50 {
-            // Sometimes touch only one operand (small dirty cone).
-            let va = rng.next_u64();
-            for (k, &bit) in a.bits().iter().enumerate() {
-                full.write(bit, va.rotate_left(k as u32));
-                inc.write(bit, va.rotate_left(k as u32));
-            }
-            if round % 3 == 0 {
-                let vb = rng.next_u64();
-                for (k, &bit) in b.bits().iter().enumerate() {
-                    full.write(bit, vb.rotate_left(k as u32));
-                    inc.write(bit, vb.rotate_left(k as u32));
-                }
-            }
-            full.eval();
-            inc.eval_incremental();
-            assert_eq!(full.values(), inc.values(), "round {round}");
-        }
+    /// A write that leaves a word as it was, through any writer, changes
+    /// nothing the tape reads.
+    #[test]
+    fn rewriting_the_same_value_does_not_sweep() {
+        let mut n = Netlist::new();
+        let a = n.input_bus("a", 4);
+        let b = n.input("b");
+        let y = a.and_bit(&mut n, b);
+        n.mark_output_bus("y", &y);
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.write_bus_packed(&a, &[5, -3, 7]);
+        sim.write(b, 0b110);
+        sim.eval();
+        assert_eq!(sim.sweeps(), 1);
+        sim.write_bus_packed(&a, &[5, -3, 7]);
+        sim.write_bus_lane(&a, 1, -3);
+        sim.write(b, 0b110);
+        sim.eval();
+        assert_eq!(sim.sweeps(), 1, "every word was rewritten unchanged");
+        assert_eq!(sim.read_bus_unsigned_lane(&y, 1), 0b1101);
+        sim.write_bus_lane(&a, 1, 2);
+        sim.eval();
+        assert_eq!(sim.sweeps(), 2, "lane 1 of a changed");
+        assert_eq!(sim.read_bus_unsigned_lane(&y, 1), 0b0010);
+    }
+
+    /// A reset zeroes every net, combinational ones included, so the next
+    /// evaluation sweeps although no input changed.
+    #[test]
+    fn reset_forces_a_sweep() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let y = n.not(a);
+        n.mark_output(y, "y");
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.eval();
+        assert_eq!((sim.sweeps(), sim.read(y)), (1, u64::MAX));
+        sim.reset();
+        assert_eq!(sim.read(y), 0, "reset leaves y unsettled");
+        sim.eval();
+        assert_eq!((sim.sweeps(), sim.read(y)), (2, u64::MAX));
     }
 
     #[test]
-    fn incremental_toggle_stats_match_full_eval_under_random_stimulus() {
-        // A registered design driven with randomized stimulus: the
-        // incremental path must produce the same net values AND the same
-        // ToggleStats (per kind, including the DFF bucket) as full
-        // sweeps, cycle for cycle.
+    fn a_skipped_evaluation_still_counts_in_the_probe() {
         let mut n = Netlist::new();
-        let a = n.input_bus("a", 8);
-        let b = n.input_bus("b", 8);
-        let (sum, cout) = crate::components::adder::ripple_carry(&mut n, &a, &b, None);
-        let regs: Bus = sum.bits().iter().map(|&s| n.dff(s, false)).collect();
-        let fb = regs
-            .bits()
-            .iter()
-            .zip(sum.bits())
-            .map(|(&q, &s)| n.xor(q, s))
-            .collect::<Bus>();
-        n.mark_output_bus("fb", &fb);
-        n.mark_output(cout, "cout");
+        let a = n.input("a");
+        let y = n.not(a);
+        n.mark_output(y, "y");
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.enable_toggle_probe();
+        let settled = sim.sweeps();
+        sim.eval();
+        sim.eval();
+        assert_eq!(sim.sweeps(), settled, "nothing changed since the settle");
+        let stats = sim.toggle_stats().unwrap();
+        assert_eq!((stats.evals(), stats.total_toggles()), (2, 0));
+        sim.write(a, 1);
+        sim.eval();
+        let stats = sim.toggle_stats().unwrap();
+        assert_eq!((stats.evals(), stats.toggles(GateKind::Not)), (3, 1));
+    }
 
-        let mut full = Simulator::new(&n).unwrap();
-        let mut inc = Simulator::new(&n).unwrap();
-        full.enable_toggle_probe();
-        inc.enable_toggle_probe();
-        let mut rng = Rng64::seed_from_u64(0xB17_5EED);
-        for round in 0..40 {
-            let (va, vb) = (rng.next_u64(), rng.next_u64());
-            for (k, &bit) in a.bits().iter().enumerate() {
-                full.write(bit, va.rotate_left(k as u32));
-                inc.write(bit, va.rotate_left(k as u32));
-            }
-            if round % 4 != 3 {
-                for (k, &bit) in b.bits().iter().enumerate() {
-                    full.write(bit, vb.rotate_left(k as u32));
-                    inc.write(bit, vb.rotate_left(k as u32));
-                }
-            }
-            full.step();
-            full.eval();
-            inc.step_incremental();
-            inc.eval_incremental();
-            assert_eq!(full.values(), inc.values(), "round {round}");
-        }
-        let fs = full.toggle_stats().unwrap();
-        let is = inc.toggle_stats().unwrap();
-        assert!(fs.toggles(GateKind::Dff) > 0, "registers must have switched");
-        assert_eq!(fs.evals(), is.evals());
-        assert_eq!(fs.total_toggles(), is.total_toggles());
-        for kind in [GateKind::Xor, GateKind::And, GateKind::Or, GateKind::Dff] {
-            assert_eq!(fs.toggles(kind), is.toggles(kind), "{kind:?}");
-        }
-        // The incremental simulator must actually have taken the
-        // event-driven path, not just fallen back to full sweeps.
-        assert!(inc.eval_profile().incremental_sweeps > 0);
+    /// A tape op's output net is on the tape, so a word written over it is
+    /// recomputed by the next evaluation, and its consumers see the
+    /// recomputed value, not the written one.  That holds for an output
+    /// that no op reads, too.
+    #[test]
+    fn a_write_to_a_combinational_net_is_recomputed() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let y = n.and(a, b);
+        let z = n.not(y);
+        n.mark_output(z, "z");
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.eval();
+        sim.write(y, !0);
+        sim.eval();
+        assert_eq!((sim.read(y), sim.read(z)), (0, !0));
+        sim.write(z, 0);
+        sim.eval();
+        assert_eq!(sim.read(z), !0, "z recomputed");
+        assert_eq!(sim.sweeps(), 3);
     }
 
     #[test]

@@ -36,9 +36,11 @@ pub fn batch_seed(seed: u64, batch: usize) -> u64 {
 /// simulator, seeds its RNG from [`batch_seed`]`(seeds[run], batch)`,
 /// calls `warm_up(sim, run, rng)` (which must leave the design settled),
 /// and records its share of the run's cycles, each one
-/// `drive(sim, run, rng)` followed by [`Simulator::step_incremental`] and
-/// [`Simulator::eval_incremental`], into a clone of one pristine
-/// [`Activity`] prototype.  A run's batches merge in batch order, so each
+/// `drive(sim, run, rng)` followed by [`Simulator::step`] and
+/// [`Simulator::eval`], into a clone of one pristine [`Activity`]
+/// prototype.  When `drive` writes only inputs that feed flop data pins,
+/// as the MAC and array testbenches do, the evaluation before each clock
+/// edge skips its sweep and each cycle costs one sweep.  A run's batches merge in batch order, so each
 /// returned recorder depends only on the batch structure, never on the
 /// worker count or on which runs share a call.
 ///
@@ -74,8 +76,8 @@ where
             act.rebaseline(sim);
             for _ in batch * BATCH_STEPS..steps.min((batch + 1) * BATCH_STEPS) {
                 drive(sim, run, &mut rng);
-                sim.step_incremental();
-                sim.eval_incremental();
+                sim.step();
+                sim.eval();
                 act.record(sim);
             }
             Ok::<Activity, NetlistError>(act)
@@ -202,7 +204,7 @@ mod tests {
     }
 
     /// The batched testbench against a plain loop that builds a fresh
-    /// simulator per batch and runs full sweeps: per-net toggles and
+    /// simulator per batch: per-net toggles and
     /// observed cycles match for every run, at one worker and at three,
     /// with a short last batch and with zero steps.
     #[test]

@@ -474,8 +474,8 @@ mod energy_validation {
             let mut act = Activity::new(&sim);
             for _ in 0..BATCH_STEPS {
                 array.drive_random_side(&mut sim, p, &mut rng, OperandSide::Activation);
-                sim.step_incremental();
-                sim.eval_incremental();
+                sim.step();
+                sim.eval();
                 act.record(&sim);
             }
             let probe = sim.toggle_stats().expect("probe enabled");

@@ -119,8 +119,10 @@ if command -v python3 >/dev/null 2>&1; then
     echo "bench JSON valid"
 fi
 
-echo "==> perf regression gate: repro diff BENCH_baseline.json"
-diff_gate BENCH_baseline.json "$out/BENCH_sim.json"
+echo "==> evaluator work gate: repro diff BENCH_baseline.json --tol 0"
+# Tape ops, cycles and sweeps are deterministic; the timings are ignored.
+# An evaluation that stops skipping its sweep doubles `sweeps`.
+diff_gate BENCH_baseline.json "$out/BENCH_sim.json" --tol 0
 
 echo "==> paper figures gate: repro --bench-out BENCH_paper.json all"
 # Table I and every Fig 7/8a/8b/9 number at paper scale (32 PEs x L=32)

@@ -2,15 +2,16 @@
 //! the netlist's gates one at a time in `Netlist::levelize()` order.
 //!
 //! After every evaluation under seeded stimulus, every net value and every
-//! per-kind toggle count must agree, on the full-sweep and the incremental
-//! path, with the toggle probe on and off.  Covered: random netlists over
-//! every combinational kind with flops and dead logic, every vector MAC
-//! design in every precision mode at L=4, and a small gate-level PE array.
+//! per-kind toggle count must agree, with the toggle probe on and off,
+//! whether the evaluation swept the tape or found nothing on it changed
+//! and skipped the sweep.  Covered: random netlists over every
+//! combinational kind with flops and dead logic, every vector MAC design
+//! in every precision mode at L=4, and a small gate-level PE array.
 
 use bsc_mac::{build_netlist, MacKind, Precision};
 use bsc_netlist::rng::Rng64;
 use bsc_netlist::tb::drive_random;
-use bsc_netlist::{Bus, EvalProfile, Gate, GateKind, Netlist, NodeId, Simulator};
+use bsc_netlist::{Bus, Gate, GateKind, Netlist, NodeId, Simulator};
 
 fn word(bit: bool) -> u64 {
     if bit {
@@ -106,16 +107,14 @@ impl<'n> Oracle<'n> {
     }
 }
 
-/// One simulator under test: which evaluation path it takes, and whether
-/// its probe is on.
+/// One simulator under test, and whether its probe is on.
 struct Subject<'n> {
     sim: Simulator<'n>,
-    incremental: bool,
     probed: bool,
 }
 
 fn assert_agrees(s: &Subject<'_>, oracle: &Oracle<'_>, at: &str) {
-    let at = format!("{at} (incremental {}, probed {})", s.incremental, s.probed);
+    let at = format!("{at} (probed {})", s.probed);
     if let Some(net) = (0..oracle.values.len()).find(|&i| s.sim.values()[i] != oracle.values[i]) {
         panic!("{at}: net n{net} differs from the oracle");
     }
@@ -136,35 +135,39 @@ fn assert_agrees(s: &Subject<'_>, oracle: &Oracle<'_>, at: &str) {
     }
 }
 
-/// Runs `cycles` cycles of seeded stimulus through the oracle and four
-/// simulators of `netlist` (full sweeps and incremental, each with the
-/// probe on and off).  Each cycle `drive` writes the inputs of the first
-/// simulator, which the others and the oracle copy; then a clocked and a
-/// settling evaluation follow, each compared with the oracle.  Returns the
-/// two incremental simulators' evaluation-path counters, so callers can
-/// check that the event-driven sweep really ran.
+/// The sweeps one simulator under test ran during the stimulus: in each
+/// cycle's evaluation before the clock edge (0 or 1), and in all.
+#[derive(Debug)]
+struct Swept {
+    pre_edge: Vec<u64>,
+    total: u64,
+}
+
+/// Runs `cycles` cycles of seeded stimulus through the oracle and two
+/// simulators of `netlist`, with the probe on and off.  Each cycle `drive`
+/// writes the inputs of the first simulator, which the other and the
+/// oracle copy; then a clocked and a settling evaluation follow, each
+/// compared with the oracle.  Returns what each simulator swept, so
+/// callers can check which evaluations skipped.
 fn check_against_oracle(
     netlist: &Netlist,
     cycles: usize,
     seed: u64,
     mut drive: impl FnMut(&mut Simulator<'_>, &mut Rng64),
-) -> Vec<EvalProfile> {
+) -> Vec<Swept> {
     let mut oracle = Oracle::new(netlist);
-    let mut subjects: Vec<Subject<'_>> =
-        [(false, true), (true, true), (false, false), (true, false)]
-            .into_iter()
-            .map(|(incremental, probed)| {
-                let mut sim = Simulator::new(netlist).expect("acyclic netlist");
-                if probed {
-                    sim.enable_toggle_probe();
-                }
-                Subject {
-                    sim,
-                    incremental,
-                    probed,
-                }
-            })
-            .collect();
+    let mut subjects: Vec<Subject<'_>> = [true, false]
+        .into_iter()
+        .map(|probed| {
+            let mut sim = Simulator::new(netlist).expect("acyclic netlist");
+            if probed {
+                sim.enable_toggle_probe();
+            }
+            Subject { sim, probed }
+        })
+        .collect();
+    let start: Vec<u64> = subjects.iter().map(|s| s.sim.sweeps()).collect();
+    let mut pre_edge = vec![Vec::new(); subjects.len()];
     oracle.enable_probe();
     let mut rng = Rng64::seed_from_u64(seed);
     for cycle in 0..cycles {
@@ -181,46 +184,63 @@ fn check_against_oracle(
             }
         }
         oracle.step();
-        for s in &mut subjects {
-            if s.incremental {
-                s.sim.step_incremental();
-            } else {
-                s.sim.step();
-            }
+        for (s, pre_edge) in subjects.iter_mut().zip(&mut pre_edge) {
+            let before = s.sim.sweeps();
+            s.sim.step();
+            pre_edge.push(s.sim.sweeps() - before);
             assert_agrees(s, &oracle, &format!("cycle {cycle}, clocked"));
         }
         oracle.eval();
         for s in &mut subjects {
-            if s.incremental {
-                s.sim.eval_incremental();
-            } else {
-                s.sim.eval();
-            }
+            s.sim.eval();
             assert_agrees(s, &oracle, &format!("cycle {cycle}, settled"));
         }
     }
     subjects
         .iter()
-        .filter(|s| s.incremental)
-        .map(|s| s.sim.eval_profile())
+        .zip(start)
+        .zip(pre_edge)
+        .map(|((s, start), pre_edge)| Swept {
+            pre_edge,
+            total: s.sim.sweeps() - start,
+        })
         .collect()
 }
 
-/// Writes a fresh random word to each of `inputs` with probability
-/// `1 / every`.
-fn drive_some_inputs(sim: &mut Simulator<'_>, inputs: &[NodeId], rng: &mut Rng64, every: u32) {
-    for &input in inputs {
-        if rng.gen_range(0..every) == 0 {
-            sim.write(input, rng.next_u64());
+/// Asserts that the evaluations of a `cycles`-cycle run both swept and
+/// skipped.
+fn assert_swept_and_skipped(swept: &[Swept], cycles: usize, at: &str) {
+    let evaluations = 2 * cycles as u64;
+    assert!(
+        swept.iter().all(|s| 0 < s.total && s.total < evaluations),
+        "{at}: {swept:?} of {evaluations} evaluations"
+    );
+}
+
+/// Stimulus over `inputs`: each cycle writes a fresh random word to each
+/// input with probability `1 / every`, except every third cycle, which
+/// writes nothing, so the evaluation before its clock edge finds the tape
+/// settled.
+fn drive_some_inputs(
+    inputs: &[NodeId],
+    every: u32,
+) -> impl FnMut(&mut Simulator<'_>, &mut Rng64) + '_ {
+    let mut cycle = 0;
+    move |sim, rng| {
+        if cycle % 3 != 2 {
+            for &input in inputs {
+                if rng.gen_range(0..every) == 0 {
+                    sim.write(input, rng.next_u64());
+                }
+            }
         }
+        cycle += 1;
     }
 }
 
 /// A random netlist over every combinational kind, with flops and dead
 /// logic (gates, inputs and a flop that no output reaches).  It is built
-/// as independent blocks, each over its own two inputs and its own flop,
-/// so that writing a few inputs leaves most of the tape quiet and the
-/// incremental path runs event-driven sweeps.
+/// as independent blocks, each over its own two inputs and its own flop.
 fn random_netlist(seed: u64, blocks: usize, gates: usize) -> Netlist {
     let mut rng = Rng64::seed_from_u64(seed);
     let mut n = Netlist::new();
@@ -267,13 +287,8 @@ fn random_netlists_match_the_levelized_gate_walk() {
         for &id in &n.levelize().unwrap() {
             kinds_seen[n.gate(id).kind() as usize] = true;
         }
-        let paths = check_against_oracle(&n, 24, seed ^ 0x0AC1E, |sim, rng| {
-            drive_some_inputs(sim, n.inputs(), rng, 6);
-        });
-        assert!(
-            paths.iter().all(|path| path.incremental_ops > 0),
-            "seed {seed}: {paths:?}"
-        );
+        let swept = check_against_oracle(&n, 24, seed ^ 0x0AC1E, drive_some_inputs(n.inputs(), 6));
+        assert_swept_and_skipped(&swept, 24, &format!("seed {seed}"));
     }
     for kind in GateKind::ALL {
         assert!(kinds_seen[kind as usize], "no live {kind}");
@@ -286,12 +301,11 @@ fn every_mac_design_and_mode_matches_the_levelized_gate_walk() {
         let mac = build_netlist(kind, 4);
         for p in Precision::ALL {
             // Weight-stationary stimulus: fresh activations every cycle,
-            // fresh weights every fourth.  Dirty cones through a MAC's
-            // multipliers and adder tree always read as dense, so the
-            // event-driven sweeps here are the pre-clock ones, whose dirty
-            // nets feed only the input registers.
+            // fresh weights every fourth.  Both operand streams feed only
+            // input registers, so once the first cycle has set the mode
+            // pins, every evaluation before a clock edge skips its sweep.
             let mut cycle = 0;
-            let paths = check_against_oracle(
+            let swept = check_against_oracle(
                 mac.netlist(),
                 12,
                 0x3AC ^ u64::from(p.bits()),
@@ -304,9 +318,12 @@ fn every_mac_design_and_mode_matches_the_levelized_gate_walk() {
                     cycle += 1;
                 },
             );
+            assert_swept_and_skipped(&swept, 12, &format!("{kind} {p}"));
             assert!(
-                paths.iter().all(|path| path.incremental_sweeps > 0),
-                "{kind} {p}: {paths:?}"
+                swept
+                    .iter()
+                    .all(|s| s.pre_edge[1..].iter().all(|&n| n == 0)),
+                "{kind} {p}: {swept:?}"
             );
         }
     }
@@ -317,12 +334,7 @@ fn a_small_pe_array_matches_the_levelized_gate_walk() {
     for kind in MacKind::ALL {
         let array = bsc_systolic::netlist::build_array(kind, 2, 2);
         let n = array.netlist();
-        let paths = check_against_oracle(n, 16, 0xA77A, |sim, rng| {
-            drive_some_inputs(sim, n.inputs(), rng, 4);
-        });
-        assert!(
-            paths.iter().all(|path| path.incremental_ops > 0),
-            "{kind}: {paths:?}"
-        );
+        let swept = check_against_oracle(n, 16, 0xA77A, drive_some_inputs(n.inputs(), 4));
+        assert_swept_and_skipped(&swept, 16, &format!("{kind}"));
     }
 }
