@@ -116,7 +116,7 @@ use std::path::PathBuf;
 use bsc_bench::diff::{diff_documents, render_diff, DiffOptions};
 use bsc_bench::{
     dse, experiments, memexp, observatory, online, profile, serve, simbench, telemetry_probe,
-    Workbench,
+    Workbench, MAX_WORKERS,
 };
 use bsc_mac::MacKind;
 
@@ -210,8 +210,8 @@ fn parse_args() -> Options {
                 let parsed: usize = n
                     .parse()
                     .unwrap_or_else(|_| die(&format!("--workers: `{n}` is not a number")));
-                if parsed == 0 {
-                    die("--workers: must be positive");
+                if !(1..=MAX_WORKERS).contains(&parsed) {
+                    die(&format!("--workers: expected 1..={MAX_WORKERS}"));
                 }
                 workers = Some(parsed);
             }

@@ -29,8 +29,8 @@ use bsc_systolic::{
 use bsc_telemetry::{JsonBuilder, JsonValue, ProfileSnapshot, Profiler};
 
 use crate::manifest::{
-    array_field, err_at, mac_kind, mem_config, str_field, u64_field, MAX_ROWS, MAX_STEPS,
-    MAX_VECTOR_LENGTH,
+    array_field, err_at, mac_kind, mem_config, str_field, u64_field, workers_field, MAX_ROWS,
+    MAX_STEPS, MAX_VECTOR_LENGTH,
 };
 
 /// One memory hierarchy under sweep: a preset plus optional bandwidth
@@ -264,15 +264,7 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
             .collect::<Result<Vec<_>, _>>()?,
     };
 
-    let workers = u64_field(&doc, "manifest", "workers")?
-        .map(|w| {
-            if w == 0 {
-                Err("manifest: workers: must be positive".to_string())
-            } else {
-                Ok(w as usize)
-            }
-        })
-        .transpose()?;
+    let workers = workers_field(&doc, "manifest")?;
 
     Ok(DseManifest {
         name,
@@ -643,6 +635,7 @@ pub fn to_json(run: &DseRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_WORKERS;
 
     /// A sweep small enough to characterize in a unit test: one kind,
     /// one vector length, all three dataflows, a bandwidth-starved and
@@ -701,12 +694,14 @@ mod tests {
             ("steps", r#"{"steps": 4097}"#),
             ("steps", r#"{"steps": 1000000000000000}"#),
             ("period_ps", r#"{"period_ps": 0}"#),
+            ("workers", r#"{"workers": 257}"#),
         ] {
             let err = parse_dse_manifest(bad).unwrap_err();
             assert!(err.contains(field), "{bad}: {err}");
         }
-        let edge = parse_dse_manifest(r#"{"steps": 4096, "period_ps": 1}"#).unwrap();
-        assert_eq!((edge.steps, edge.period_ps), (4096, 1.0));
+        let edge =
+            parse_dse_manifest(r#"{"steps": 4096, "period_ps": 1, "workers": 256}"#).unwrap();
+        assert_eq!((edge.steps, edge.period_ps, edge.workers), (4096, 1.0, Some(MAX_WORKERS)));
     }
 
     #[test]

@@ -24,4 +24,5 @@ pub mod telemetry_probe;
 pub mod timing;
 pub mod workbench;
 
+pub use manifest::MAX_WORKERS;
 pub use workbench::Workbench;

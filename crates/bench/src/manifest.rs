@@ -28,6 +28,9 @@ pub(crate) const MAX_VECTOR_LENGTH: u64 = 64;
 /// stimulus buffers grow linearly with the count (about 43× the
 /// library's default of 96).
 pub(crate) const MAX_STEPS: u64 = 4096;
+/// Worker threads a manifest's `workers` or `repro --workers` may ask
+/// for: each worker is one OS thread.
+pub const MAX_WORKERS: usize = 256;
 /// `serve`: the most jobs a manifest may expand to once every job's
 /// `count` is applied (2^20).
 pub(crate) const MAX_SERVE_JOBS: u64 = 1 << 20;
@@ -54,6 +57,20 @@ pub(crate) fn u64_field(obj: &JsonValue, ctx: &str, key: &str) -> Result<Option<
     field(obj, ctx, key, "a non-negative integer", |v| {
         v.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as u64)
     })
+}
+
+/// The optional `workers` count of `obj`: `None` when absent (one worker
+/// per core), and an error naming `{ctx}.workers` outside
+/// `1..=MAX_WORKERS`.
+pub(crate) fn workers_field(obj: &JsonValue, ctx: &str) -> Result<Option<usize>, String> {
+    u64_field(obj, ctx, "workers")?
+        .map(|w| {
+            usize::try_from(w)
+                .ok()
+                .filter(|w| (1..=MAX_WORKERS).contains(w))
+                .ok_or_else(|| format!("{ctx}.workers: expected 1..={MAX_WORKERS}"))
+        })
+        .transpose()
 }
 
 pub(crate) fn str_field<'a>(

@@ -52,7 +52,7 @@ use bsc_telemetry::{JsonBuilder, JsonValue};
 
 use crate::manifest::{
     accel_config, array_field, err_at, job_template, mem_config, object_field, parse_tenants,
-    render_tenants, str_field, u64_field, write_queue_wait, write_slo_tenants,
+    render_tenants, str_field, u64_field, workers_field, write_queue_wait, write_slo_tenants,
 };
 
 /// The result of one online run: the deterministic report plus the
@@ -159,11 +159,7 @@ pub fn parse_online_manifest(text: &str) -> Result<OnlineConfig, String> {
     let event_log_cap = u64_field(cluster, "cluster", "event_log_cap")?
         .map(|c| c as usize)
         .unwrap_or(EVENT_LOG_CAP);
-    let workers = u64_field(cluster, "cluster", "workers")?
-        .map(|w| {
-            if w == 0 { Err("cluster.workers: must be positive".to_string()) } else { Ok(w as usize) }
-        })
-        .transpose()?;
+    let workers = workers_field(cluster, "cluster")?;
 
     let tenants = parse_tenants(&doc)?;
 
@@ -565,6 +561,7 @@ pub fn perfetto_json(run: &OnlineRun) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::MAX_WORKERS;
     use bsc_mac::MacKind;
 
     pub(crate) const MANIFEST: &str = r#"{
@@ -627,6 +624,12 @@ pub(crate) mod tests {
         assert!(parse_online_manifest(&bad).unwrap_err().contains("weibull"));
         let bad = MANIFEST.replace("micro", "alexnet");
         assert!(parse_online_manifest(&bad).unwrap_err().contains("alexnet"));
+        // Each worker is an OS thread, so the count is bounded.
+        let workers = |n: usize| MANIFEST.replace(r#""workers": 2"#, &format!(r#""workers": {n}"#));
+        let err = parse_online_manifest(&workers(MAX_WORKERS + 1)).unwrap_err();
+        assert!(err.contains("cluster.workers"), "{err}");
+        let most = parse_online_manifest(&workers(MAX_WORKERS)).unwrap();
+        assert_eq!(most.workers, Some(MAX_WORKERS));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use bsc_telemetry::{JsonBuilder, SpanSnapshot};
 
 use crate::manifest::{
     accel_config, array_field, err_at, job_template, object_field, parse_tenants, render_tenants,
-    u64_field, write_queue_wait, write_slo_tenants, MAX_SERVE_JOBS,
+    u64_field, workers_field, write_queue_wait, write_slo_tenants, MAX_SERVE_JOBS,
 };
 
 /// A parsed manifest: engine parameters plus the job list.
@@ -103,12 +103,7 @@ pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
         }
         config.queue_capacity = usize::try_from(cap).unwrap_or(usize::MAX);
     }
-    if let Some(w) = u64_field(eng, "engine", "workers")? {
-        if w == 0 {
-            return Err("engine.workers: must be positive".into());
-        }
-        config.workers = Some(usize::try_from(w).unwrap_or(usize::MAX));
-    }
+    config.workers = workers_field(eng, "engine")?;
     config.max_backlog_cycles = u64_field(eng, "engine", "max_backlog_cycles")?;
 
     let tenants = parse_tenants(&doc)?;
@@ -385,6 +380,7 @@ pub fn events_jsonl(run: &ServeRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_WORKERS;
 
     const MANIFEST: &str = r#"{
       "engine": {"kind": "bsc", "quick": true, "queue_capacity": 4, "workers": 2},
@@ -415,6 +411,12 @@ mod tests {
         assert!(parse_manifest(&bad_net).unwrap_err().contains("alexnet"));
         let bad_precision = MANIFEST.replace("int8", "int3");
         assert!(parse_manifest(&bad_precision).unwrap_err().contains("precision"));
+        // Each worker is an OS thread, so the count is bounded.
+        let workers = |n: usize| MANIFEST.replace(r#""workers": 2"#, &format!(r#""workers": {n}"#));
+        let err = parse_manifest(&workers(MAX_WORKERS + 1)).unwrap_err();
+        assert!(err.contains("engine.workers"), "{err}");
+        let most = parse_manifest(&workers(MAX_WORKERS)).unwrap();
+        assert_eq!(most.engine.workers, Some(MAX_WORKERS));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the accelerator stack that exercises every probe layer at once —
 //! dataflow counters against the closed-form model (all three precision
 //! modes), per-layer / per-PE utilization through the tile compiler, and
-//! gate-level switching activity through the simulator's toggle probe —
-//! and serializes the lot through the `bsc-telemetry` sinks.
+//! gate-level switching activity recorded by an `Activity` — and
+//! serializes the lot through the `bsc-telemetry` sinks.
 //!
 //! Unlike the figure experiments this one needs no characterized
 //! workbench: it measures cycles and toggles, not energy.
@@ -15,7 +15,7 @@ use bsc_accel::compiler::{compile_conv, execute};
 use bsc_mac::{MacKind, Precision};
 use bsc_netlist::rng::Rng64;
 use bsc_netlist::tb::random_signed_fill;
-use bsc_netlist::Simulator;
+use bsc_netlist::{Activity, GateKind, Simulator};
 use bsc_nn::ops::ConvWeights;
 use bsc_nn::Tensor;
 use bsc_systolic::mapping::ConvShape;
@@ -71,12 +71,12 @@ pub struct LayerTelemetry {
     pub pe_utilization: Vec<f64>,
 }
 
-/// Switching activity of one gate kind in the probed MAC netlist.
+/// Switching activity of one gate kind in the MAC netlist testbench.
 #[derive(Debug, Clone)]
 pub struct ToggleRow {
     /// Cell name (library naming, e.g. `XOR2`).
     pub gate: String,
-    /// Total bit flips recorded by the simulator probe.
+    /// Total bit flips on the kind's nets.
     pub toggles: u64,
 }
 
@@ -95,7 +95,7 @@ pub struct TelemetryReport {
     pub layers: Vec<LayerTelemetry>,
     /// Gate-level toggle counts of the MAC netlist testbench.
     pub toggles: Vec<ToggleRow>,
-    /// Simulator evaluations behind the toggle counts.
+    /// Simulator evaluations behind the toggle counts, two per cycle.
     pub toggle_evals: u64,
     /// Wall-clock nanoseconds of the whole probe run.
     pub elapsed_ns: u64,
@@ -205,13 +205,14 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
         });
     }
 
-    // --- gate-level switching activity through the simulator probe ---
+    // --- gate-level switching activity, recorded by `Activity` ---
     let mac = bsc_mac::build_netlist(kind, 4);
     let mut sim = Simulator::new(mac.netlist())?;
-    // The probe settles the design internally before counting, so the
-    // post-reset transitions to steady state are not reported as toggles;
-    // flop Q transitions land in the probe's `DFF` bucket.
-    sim.enable_toggle_probe();
+    // Settle first, so the post-reset transitions to steady state are not
+    // counted.
+    sim.eval();
+    let mut activity = Activity::new(&sim);
+    let mut toggle_evals = 0;
     let mut rng = Rng64::seed_from_u64(0x70661E);
     for p in Precision::ALL {
         mac.set_mode(&mut sim, p);
@@ -222,13 +223,23 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
                 random_signed_fill(&mut rng, p.bits(), w);
                 random_signed_fill(&mut rng, p.bits(), a);
             })?;
+            // Each record sees at most one sweep and one clock edge, so
+            // every net flip is counted once.  The clocked evaluation
+            // sweeps only on the first cycle after a mode change (the
+            // operands are registered), and only then needs its own record.
+            let sweeps = sim.sweeps();
             sim.step();
+            if sim.sweeps() != sweeps {
+                activity.record(&sim);
+            }
             sim.eval();
+            activity.record(&sim);
+            toggle_evals += 2;
         }
     }
-    let probe = sim.take_toggle_stats().expect("probe enabled");
-    let toggles: Vec<ToggleRow> = probe
+    let toggles: Vec<ToggleRow> = activity
         .iter()
+        .filter(|(kind, _)| GateKind::CELLS.contains(kind))
         .map(|(kind, flips)| ToggleRow { gate: kind.to_string(), toggles: flips })
         .collect();
 
@@ -239,7 +250,7 @@ pub fn telemetry_report(kind: MacKind) -> Result<TelemetryReport, Box<dyn std::e
         checks,
         layers,
         toggles,
-        toggle_evals: probe.evals(),
+        toggle_evals,
         elapsed_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         trace: hub.trace.snapshot(),
     })
@@ -457,14 +468,25 @@ mod tests {
         assert!(!without.contains("repro.telemetry_ns"));
     }
 
+    /// Every design's toggle table, pinned.  A record that spans two
+    /// sweeps nets a flip and its flip back to nothing, so recording only
+    /// once per cycle (missing the sweep a mode change forces before the
+    /// clock edge) moves these counts.
     #[test]
-    fn toggle_counts_are_deterministic_across_runs() {
-        let a = telemetry_report(MacKind::Lpc).unwrap();
-        let b = telemetry_report(MacKind::Lpc).unwrap();
-        let flat = |r: &TelemetryReport| {
-            r.toggles.iter().map(|t| (t.gate.clone(), t.toggles)).collect::<Vec<_>>()
-        };
-        assert_eq!(flat(&a), flat(&b));
-        assert_eq!(a.toggle_evals, b.toggle_evals);
+    fn toggle_tables_are_pinned_for_every_design() {
+        let pins: [(MacKind, [u64; 6]); 3] = [
+            (MacKind::Bsc, [290_621, 2_071_343, 1_048_605, 2_161_788, 672_773, 294_404]),
+            (MacKind::Lpc, [743_771, 3_557_112, 1_984_337, 4_039_251, 1_710_334, 394_779]),
+            (MacKind::Hps, [232_453, 1_736_117, 837_317, 1_883_301, 339_184, 197_487]),
+        ];
+        for (kind, counts) in pins {
+            let report = telemetry_report(kind).unwrap();
+            let table: Vec<(&str, u64)> =
+                report.toggles.iter().map(|t| (t.gate.as_str(), t.toggles)).collect();
+            let pinned: Vec<(&str, u64)> =
+                ["INV", "AND2", "OR2", "XOR2", "MUX2", "DFF"].into_iter().zip(counts).collect();
+            assert_eq!(table, pinned, "{kind}");
+            assert_eq!(report.toggle_evals, 144, "{kind}");
+        }
     }
 }

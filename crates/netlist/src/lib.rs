@@ -65,7 +65,7 @@ pub use gate::{Gate, GateKind};
 pub use netlist::{Netlist, NodeId};
 pub use rng::Rng64;
 pub use sim::Simulator;
-pub use stats::{GateStats, ToggleStats};
+pub use stats::GateStats;
 
 /// Number of independent stimulus lanes evaluated in one packed simulation
 /// pass (one bit of a `u64` word per lane).

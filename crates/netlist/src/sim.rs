@@ -1,5 +1,4 @@
-use crate::stats::ToggleStats;
-use crate::{Bus, Gate, GateKind, Netlist, NetlistError, NodeId, SIM_LANES};
+use crate::{Bus, Gate, Netlist, NetlistError, NodeId, SIM_LANES};
 
 /// Tape opcodes — one byte per combinational gate.  They fit in three
 /// bits, which the tape's `(level, opcode)` sort key relies on.
@@ -12,20 +11,6 @@ const OP_XOR: u8 = 5;
 const OP_XNOR: u8 = 6;
 const OP_MUX: u8 = 7;
 const OPCODE_BITS: u32 = 3;
-
-#[inline]
-fn opcode_kind(op: u8) -> GateKind {
-    match op {
-        OP_NOT => GateKind::Not,
-        OP_AND => GateKind::And,
-        OP_OR => GateKind::Or,
-        OP_NAND => GateKind::Nand,
-        OP_NOR => GateKind::Nor,
-        OP_XOR => GateKind::Xor,
-        OP_XNOR => GateKind::Xnor,
-        _ => GateKind::Mux,
-    }
-}
 
 /// The tape op of a combinational gate, `(opcode, a, b, c)` with unused
 /// operand slots repeating a used one, or `None` for a source (input,
@@ -148,68 +133,29 @@ impl Tape {
     }
 }
 
-/// Evaluates one run of a one-input opcode: reads only `src_a`.  Returns
-/// the run's bit flips when `PROBED` (0 otherwise).
+/// Evaluates one run of a one-input opcode: reads only `src_a`.
 #[inline(always)]
-fn sweep1<const PROBED: bool>(
-    values: &mut [u64],
-    dst: &[u32],
-    a: &[u32],
-    f: impl Fn(u64) -> u64,
-) -> u64 {
-    let mut flips = 0u64;
+fn sweep1(values: &mut [u64], dst: &[u32], a: &[u32], f: impl Fn(u64) -> u64) {
     for (&d, &x) in dst.iter().zip(a) {
-        let new = f(values[x as usize]);
-        let d = d as usize;
-        if PROBED {
-            flips += u64::from((values[d] ^ new).count_ones());
-        }
-        values[d] = new;
+        values[d as usize] = f(values[x as usize]);
     }
-    flips
 }
 
 /// [`sweep1`] for a two-input opcode: reads `src_a` and `src_b`.
 #[inline(always)]
-fn sweep2<const PROBED: bool>(
-    values: &mut [u64],
-    dst: &[u32],
-    a: &[u32],
-    b: &[u32],
-    f: impl Fn(u64, u64) -> u64,
-) -> u64 {
-    let mut flips = 0u64;
+fn sweep2(values: &mut [u64], dst: &[u32], a: &[u32], b: &[u32], f: impl Fn(u64, u64) -> u64) {
     for ((&d, &x), &y) in dst.iter().zip(a).zip(b) {
-        let new = f(values[x as usize], values[y as usize]);
-        let d = d as usize;
-        if PROBED {
-            flips += u64::from((values[d] ^ new).count_ones());
-        }
-        values[d] = new;
+        values[d as usize] = f(values[x as usize], values[y as usize]);
     }
-    flips
 }
 
 /// [`sweep1`] for `MUX`: reads `src_a` (select), `src_b` and `src_c`.
 #[inline(always)]
-fn sweep_mux<const PROBED: bool>(
-    values: &mut [u64],
-    dst: &[u32],
-    sel: &[u32],
-    a: &[u32],
-    b: &[u32],
-) -> u64 {
-    let mut flips = 0u64;
+fn sweep_mux(values: &mut [u64], dst: &[u32], sel: &[u32], a: &[u32], b: &[u32]) {
     for (((&d, &s), &x), &y) in dst.iter().zip(sel).zip(a).zip(b) {
         let s = values[s as usize];
-        let new = (!s & values[x as usize]) | (s & values[y as usize]);
-        let d = d as usize;
-        if PROBED {
-            flips += u64::from((values[d] ^ new).count_ones());
-        }
-        values[d] = new;
+        values[d as usize] = (!s & values[x as usize]) | (s & values[y as usize]);
     }
-    flips
 }
 
 /// A levelized, 64-lane bit-parallel netlist simulator.
@@ -228,11 +174,13 @@ fn sweep_mux<const PROBED: bool>(
 /// operands, so a sweep would flip no bit and the evaluation skips it.
 /// Registered designs gain the most: inputs that feed only flop data pins
 /// leave the tape settled, so the evaluation before each clock edge is
-/// free.  Either way the net values and toggle counts equal evaluating the
-/// gates one by one in [`Netlist::levelize`] order.
+/// free.  Either way the net values equal evaluating the gates one by one
+/// in [`Netlist::levelize`] order.
 ///
 /// Sequential designs advance with [`Simulator::step`], which evaluates the
-/// combinational logic and then clocks every flip-flop once.
+/// combinational logic and then clocks every flip-flop once.  The simulator
+/// counts no switching activity itself: an [`crate::Activity`] recorder
+/// reads the net values after the evaluations it observes.
 ///
 /// # Example
 ///
@@ -259,7 +207,6 @@ pub struct Simulator<'n> {
     netlist: &'n Netlist,
     flops: Vec<(NodeId, NodeId, bool)>,
     values: Vec<u64>,
-    probe: Option<ToggleStats>,
 
     // --- compiled tape ---
     tape: Tape,
@@ -276,11 +223,6 @@ pub struct Simulator<'n> {
     /// Reusable next-state buffer for [`Simulator::step`] (one word per
     /// flop) so clocking allocates nothing per cycle.
     flop_scratch: Vec<u64>,
-
-    /// Monotonic clock-edge count since construction or the last
-    /// [`Simulator::reset`] — the timestamp domain for characterization
-    /// traces (no wall-clock reads on the hot path).
-    cycle: u64,
 }
 
 impl<'n> Simulator<'n> {
@@ -314,14 +256,12 @@ impl<'n> Simulator<'n> {
             netlist,
             flops,
             values: vec![0; n],
-            probe: None,
             tape,
             const_nets,
             on_tape,
             stale: true,
             sweeps: 0,
             flop_scratch: vec![0; flop_count],
-            cycle: 0,
         };
         sim.reset();
         Ok(sim)
@@ -336,7 +276,6 @@ impl<'n> Simulator<'n> {
             self.values[idx as usize] = if c { u64::MAX } else { 0 };
         }
         self.reset_keep_inputs();
-        self.cycle = 0;
         // Every combinational net now reads 0, not its function.
         self.stale = true;
     }
@@ -444,93 +383,41 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Enables the switching-activity probe: subsequent
-    /// [`Simulator::eval`] passes count bit flips on every combinational
-    /// net, and [`Simulator::step`] counts flip-flop output transitions
-    /// (the [`GateKind::Dff`] bucket), grouped by [`crate::GateKind`].
-    ///
-    /// The design is settled first (one unprobed evaluation pass), so the
-    /// probe never counts the spurious transitions away from stale
-    /// post-reset net values — callers no longer need a manual settling
-    /// `eval` before enabling.
-    pub fn enable_toggle_probe(&mut self) {
-        if self.probe.is_none() {
-            // The probe is still off, so this settles without counting.
-            self.eval();
-            self.probe = Some(ToggleStats::new());
-        }
-    }
-
-    /// The accumulated toggle statistics, when the probe is enabled.
-    pub fn toggle_stats(&self) -> Option<&ToggleStats> {
-        self.probe.as_ref()
-    }
-
-    /// Takes the accumulated toggle statistics, leaving the probe enabled
-    /// and empty.  Returns `None`, and leaves the probe off, when the probe
-    /// was never enabled.
-    pub fn take_toggle_stats(&mut self) -> Option<ToggleStats> {
-        self.probe.as_mut().map(std::mem::take)
-    }
-
     /// Full linear sweep over the compiled tape, one monomorphic loop per
     /// single-opcode run, each reading only the operand columns its opcode
-    /// uses.  Monomorphized over the probe, so the unprobed path carries no
-    /// per-gate branch for it; the probed sweep adds each run's flips into
-    /// its opcode's counter and folds them into the probe once at the end.
-    fn run_tape_full<const PROBED: bool>(&mut self) {
-        let mut flips_by_op = [0u64; OP_MUX as usize + 1];
+    /// uses.
+    fn run_tape_full(&mut self) {
         let values = &mut self.values;
         let tape = &self.tape;
         for run in &tape.runs {
             let r = run.start as usize..run.end as usize;
             let (dst, a) = (&tape.dst[r.clone()], &tape.src_a[r.clone()]);
             let b = &tape.src_b[r.clone()];
-            let flips = match run.opcode {
-                OP_NOT => sweep1::<PROBED>(values, dst, a, |x| !x),
-                OP_AND => sweep2::<PROBED>(values, dst, a, b, |x, y| x & y),
-                OP_OR => sweep2::<PROBED>(values, dst, a, b, |x, y| x | y),
-                OP_NAND => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x & y)),
-                OP_NOR => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x | y)),
-                OP_XOR => sweep2::<PROBED>(values, dst, a, b, |x, y| x ^ y),
-                OP_XNOR => sweep2::<PROBED>(values, dst, a, b, |x, y| !(x ^ y)),
-                _ => sweep_mux::<PROBED>(values, dst, a, b, &tape.src_c[r]),
-            };
-            if PROBED {
-                flips_by_op[usize::from(run.opcode)] += flips;
-            }
-        }
-        if PROBED {
-            if let Some(p) = &mut self.probe {
-                p.record_eval();
-                for (op, flips) in (0..).zip(flips_by_op) {
-                    p.record(opcode_kind(op), flips);
-                }
+            match run.opcode {
+                OP_NOT => sweep1(values, dst, a, |x| !x),
+                OP_AND => sweep2(values, dst, a, b, |x, y| x & y),
+                OP_OR => sweep2(values, dst, a, b, |x, y| x | y),
+                OP_NAND => sweep2(values, dst, a, b, |x, y| !(x & y)),
+                OP_NOR => sweep2(values, dst, a, b, |x, y| !(x | y)),
+                OP_XOR => sweep2(values, dst, a, b, |x, y| x ^ y),
+                OP_XNOR => sweep2(values, dst, a, b, |x, y| !(x ^ y)),
+                _ => sweep_mux(values, dst, a, b, &tape.src_c[r]),
             }
         }
     }
 
     /// Evaluates all combinational logic for the current net words: sweeps
     /// the compiled tape when a net on it has changed since the last sweep,
-    /// and otherwise leaves the already-settled values as they are.  A
-    /// skipped evaluation still counts in the probe's
-    /// [`ToggleStats::evals`], with no flips.  In debug builds a skip is
-    /// checked against recomputing every tape op.
+    /// and otherwise leaves the already-settled values as they are.  In
+    /// debug builds a skip is checked against recomputing every tape op.
     pub fn eval(&mut self) {
         if self.stale {
             self.sweeps += 1;
             self.stale = false;
-            if self.probe.is_some() {
-                self.run_tape_full::<true>();
-            } else {
-                self.run_tape_full::<false>();
-            }
+            self.run_tape_full();
         } else {
             #[cfg(debug_assertions)]
             self.debug_assert_settled();
-            if let Some(p) = &mut self.probe {
-                p.record_eval();
-            }
         }
     }
 
@@ -574,34 +461,17 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Clocks every flip-flop once from the already-evaluated data pins,
-    /// counting Q-output transitions into the probe's [`GateKind::Dff`]
-    /// bucket; a changed Q on the tape makes the next evaluation sweep.
+    /// Clocks every flip-flop once from the already-evaluated data pins; a
+    /// changed Q on the tape makes the next evaluation sweep.
     fn clock_flops(&mut self) {
         // Two phases so flops reading other flops' outputs all sample the
         // pre-edge values; the scratch buffer is reused across cycles.
         for (i, &(_, d, _)) in self.flops.iter().enumerate() {
             self.flop_scratch[i] = self.values[d.index()];
         }
-        let mut dff_flips = 0u64;
         for i in 0..self.flops.len() {
-            let q = self.flops[i].0.index();
-            let new = self.flop_scratch[i];
-            dff_flips += u64::from((self.values[q] ^ new).count_ones());
-            self.set(q, new);
+            self.set(self.flops[i].0.index(), self.flop_scratch[i]);
         }
-        if dff_flips != 0 {
-            if let Some(p) = &mut self.probe {
-                p.record(GateKind::Dff, dff_flips);
-            }
-        }
-        self.cycle += 1;
-    }
-
-    /// Clock edges applied since construction or the last
-    /// [`Simulator::reset`].
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Evaluates combinational logic and then clocks every flip-flop once.
@@ -627,6 +497,7 @@ impl<'n> Simulator<'n> {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+    use crate::{Activity, GateKind};
 
     #[test]
     fn packed_lanes_are_independent() {
@@ -678,21 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_counter_tracks_clock_edges_and_reset() {
-        let mut n = Netlist::new();
-        let d = n.input("d");
-        let q = n.dff(d, false);
-        n.mark_output(q, "q");
-        let mut sim = Simulator::new(&n).unwrap();
-        assert_eq!(sim.cycle(), 0);
-        sim.step();
-        sim.step();
-        assert_eq!(sim.cycle(), 2);
-        sim.reset();
-        assert_eq!(sim.cycle(), 0);
-    }
-
-    #[test]
     fn constants_survive_reset_and_fold_into_the_tape() {
         let mut n = Netlist::new();
         let one = n.constant(true);
@@ -708,56 +564,6 @@ mod tests {
         assert_eq!(sim.read(q), 0, "flop back at init");
         // Constants are folded: they occupy no tape slot.
         assert_eq!(sim.tape_len(), 0);
-    }
-
-    #[test]
-    fn toggle_probe_counts_exact_bit_flips() {
-        let mut n = Netlist::new();
-        let a = n.input("a");
-        let b = n.input("b");
-        let y = n.xor(a, b);
-        n.mark_output(y, "y");
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.eval(); // settle at all-zero
-        sim.enable_toggle_probe();
-        sim.write(a, 0b101);
-        sim.eval(); // y: 0 -> 0b101, lanes 0 and 2 flip
-        sim.write(b, 0b001);
-        sim.eval(); // y: 0b101 -> 0b100, one lane flips
-        let stats = sim.toggle_stats().unwrap();
-        assert_eq!(stats.toggles(crate::GateKind::Xor), 3);
-        assert_eq!(stats.total_toggles(), 3);
-        assert_eq!(stats.evals(), 2);
-        assert!((stats.toggles_per_eval() - 1.5).abs() < 1e-12);
-        let taken = sim.take_toggle_stats().unwrap();
-        assert_eq!(taken.total_toggles(), 3);
-        assert_eq!(sim.toggle_stats().unwrap().total_toggles(), 0);
-    }
-
-    #[test]
-    fn take_toggle_stats_leaves_a_disabled_probe_off() {
-        let mut n = Netlist::new();
-        let a = n.input("a");
-        let y = n.not(a);
-        n.mark_output(y, "y");
-        let mut sim = Simulator::new(&n).unwrap();
-        assert_eq!(sim.take_toggle_stats(), None);
-        assert!(
-            sim.toggle_stats().is_none(),
-            "taking the stats enabled the probe"
-        );
-        // An enabled but unsettled probe would count y's post-reset
-        // transition to all ones here.
-        sim.eval();
-        assert!(sim.toggle_stats().is_none());
-        sim.enable_toggle_probe();
-        sim.eval();
-        assert_eq!(sim.take_toggle_stats().map(|t| t.total_toggles()), Some(0));
-        assert_eq!(
-            sim.toggle_stats(),
-            Some(&ToggleStats::new()),
-            "taken, still enabled"
-        );
     }
 
     /// A random netlist over every combinational kind, with flops that read
@@ -864,68 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn enable_toggle_probe_settles_first() {
-        // Without a manual settling eval, the probe must not count the
-        // transitions from the stale all-zero post-reset state.
-        let mut n = Netlist::new();
-        let a = n.input("a");
-        let b = n.input("b");
-        let y = n.not(a); // all-ones at the a=0 steady state
-        let z = n.nand(y, b); // all-ones at the b=0 steady state
-        n.mark_output(z, "z");
-        let mut sim = Simulator::new(&n).unwrap();
-        // No manual eval here: enable_toggle_probe settles internally, so
-        // the 0 -> all-ones transitions of y and z are not counted.
-        sim.enable_toggle_probe();
-        sim.eval();
-        let stats = sim.toggle_stats().unwrap();
-        assert_eq!(
-            stats.total_toggles(),
-            0,
-            "inputs unchanged since settle: no transitions to count"
-        );
-    }
-
-    #[test]
-    fn toggle_probe_agrees_with_external_activity_recorder() {
-        use crate::Activity;
-        let mut n = Netlist::new();
-        let a = n.input_bus("a", 8);
-        let b = n.input_bus("b", 8);
-        let x = a
-            .bits()
-            .iter()
-            .zip(b.bits())
-            .map(|(&p, &q)| n.xor(p, q))
-            .collect::<Bus>();
-        n.mark_output_bus("x", &x);
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.eval();
-        sim.enable_toggle_probe();
-        let mut act = Activity::new(&sim);
-        let mut state = 0xD1CEu64;
-        for _ in 0..32 {
-            let va = crate::rng::splitmix64(&mut state);
-            let vb = crate::rng::splitmix64(&mut state);
-            for (k, &bit) in a.bits().iter().enumerate() {
-                sim.write(bit, va.rotate_left(k as u32));
-            }
-            for (k, &bit) in b.bits().iter().enumerate() {
-                sim.write(bit, vb.rotate_left(k as u32));
-            }
-            sim.eval();
-            act.record(&sim);
-        }
-        let probe = sim.toggle_stats().unwrap();
-        assert!(probe.toggles(crate::GateKind::Xor) > 0);
-        assert_eq!(
-            probe.toggles(crate::GateKind::Xor),
-            act.toggles(crate::GateKind::Xor),
-            "probe and Activity must count the same switching activity"
-        );
-    }
-
-    #[test]
     fn mux_semantics() {
         let mut n = Netlist::new();
         let s = n.input("s");
@@ -1008,26 +752,6 @@ mod tests {
         assert_eq!((sim.sweeps(), sim.read(y)), (2, u64::MAX));
     }
 
-    #[test]
-    fn a_skipped_evaluation_still_counts_in_the_probe() {
-        let mut n = Netlist::new();
-        let a = n.input("a");
-        let y = n.not(a);
-        n.mark_output(y, "y");
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.enable_toggle_probe();
-        let settled = sim.sweeps();
-        sim.eval();
-        sim.eval();
-        assert_eq!(sim.sweeps(), settled, "nothing changed since the settle");
-        let stats = sim.toggle_stats().unwrap();
-        assert_eq!((stats.evals(), stats.total_toggles()), (2, 0));
-        sim.write(a, 1);
-        sim.eval();
-        let stats = sim.toggle_stats().unwrap();
-        assert_eq!((stats.evals(), stats.toggles(GateKind::Not)), (3, 1));
-    }
-
     /// A tape op's output net is on the tape, so a word written over it is
     /// recomputed by the next evaluation, and its consumers see the
     /// recomputed value, not the written one.  That holds for an output
@@ -1051,28 +775,30 @@ mod tests {
         assert_eq!(sim.sweeps(), 3);
     }
 
+    /// One flop driven by its own inverse: Q flips every cycle in every
+    /// lane, and a recorder reading after each cycle's settling
+    /// evaluation counts each flip once.
     #[test]
-    fn dff_toggles_are_counted_by_the_probe() {
-        // One flop driven by its own inverse: Q flips every cycle in
-        // every lane, and the probe's DFF bucket must see it.
+    fn dff_toggles_are_counted_by_activity() {
         let mut n = Netlist::new();
         let q = n.dff_deferred(false);
         let nq = n.not(q);
         n.bind_dff(q, nq);
         n.mark_output(q, "q");
         let mut sim = Simulator::new(&n).unwrap();
-        sim.enable_toggle_probe();
+        sim.eval();
+        let mut act = Activity::new(&sim);
         for _ in 0..4 {
             sim.step();
             sim.eval();
+            act.record(&sim);
         }
-        let stats = sim.toggle_stats().unwrap();
         assert_eq!(
-            stats.toggles(GateKind::Dff),
+            act.toggles(GateKind::Dff),
             4 * 64,
             "Q flips once per cycle in all 64 lanes"
         );
         // The inverter flips right along with it.
-        assert_eq!(stats.toggles(GateKind::Not), 4 * 64);
+        assert_eq!(act.toggles(GateKind::Not), 4 * 64);
     }
 }

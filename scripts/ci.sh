@@ -426,6 +426,22 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 [ $? -eq 1 ] || { echo "deep manifest: must exit 1"; exit 1; }
 grep -q "nesting deeper than 128 levels" "$out/deep.err" \
     || { echo "deep manifest: error must name the depth limit"; cat "$out/deep.err"; exit 1; }
+# Each worker is one OS thread, so a worker count above 256, from a
+# manifest or from `--workers`, is an error (exit 1) naming its field,
+# and nothing runs before it.
+sed 's/"workers": 2/"workers": 257/' examples/serve_manifest.json > "$out/workers.json"
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    serve "$out/workers.json" >"$out/workers.out" 2>"$out/workers.err"
+[ $? -eq 1 ] || { echo "serve with 257 workers: must exit 1"; exit 1; }
+grep -q "engine.workers" "$out/workers.err" \
+    || { echo "serve with 257 workers: error must name engine.workers"; cat "$out/workers.err"; exit 1; }
+[ ! -s "$out/workers.out" ] || { echo "serve with 257 workers: must run nothing"; exit 1; }
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    dse examples/dse_manifest.json --workers 257 >"$out/workers.out" 2>"$out/workers.err"
+[ $? -eq 1 ] || { echo "dse --workers 257: must exit 1"; exit 1; }
+grep -q -- "--workers" "$out/workers.err" \
+    || { echo "dse --workers 257: error must name --workers"; cat "$out/workers.err"; exit 1; }
+[ ! -s "$out/workers.out" ] || { echo "dse --workers 257: must run nothing"; exit 1; }
 set -e
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/online_report.json" "$out/online_slo.json" \

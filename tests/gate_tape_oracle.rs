@@ -1,17 +1,18 @@
 //! The simulator's compiled tape against a reference evaluator that walks
 //! the netlist's gates one at a time in `Netlist::levelize()` order.
 //!
-//! After every evaluation under seeded stimulus, every net value and every
-//! per-kind toggle count must agree, with the toggle probe on and off,
-//! whether the evaluation swept the tape or found nothing on it changed
-//! and skipped the sweep.  Covered: random netlists over every
+//! After every evaluation under seeded stimulus, every net value must
+//! agree, whether the evaluation swept the tape or found nothing on it
+//! changed and skipped the sweep.  An `Activity` recorded after every
+//! evaluation must count, per cell kind, the flips the walk counts gate by
+//! gate from the settled start.  Covered: random netlists over every
 //! combinational kind with flops and dead logic, every vector MAC design
 //! in every precision mode at L=4, and a small gate-level PE array.
 
 use bsc_mac::{build_netlist, MacKind, Precision};
 use bsc_netlist::rng::Rng64;
 use bsc_netlist::tb::drive_random;
-use bsc_netlist::{Bus, Gate, GateKind, Netlist, NodeId, Simulator};
+use bsc_netlist::{Activity, Bus, Gate, GateKind, Netlist, NodeId, Simulator};
 
 fn word(bit: bool) -> u64 {
     if bit {
@@ -22,15 +23,15 @@ fn word(bit: bool) -> u64 {
 }
 
 /// The reference evaluator: one `match` per gate, in levelization order.
-/// Like the simulator it computes only live logic, and it counts flips per
-/// gate kind once its probe is on.
+/// Like the simulator it computes only live logic, and it counts each
+/// gate's flips by gate kind.
 struct Oracle<'n> {
     netlist: &'n Netlist,
     order: Vec<NodeId>,
     flops: Vec<(NodeId, NodeId, bool)>,
     values: Vec<u64>,
-    /// Toggles by `GateKind as usize`, and evaluations, once enabled.
-    probe: Option<([u64; GateKind::ALL.len()], u64)>,
+    /// Toggles by `GateKind as usize` since the last [`Oracle::settle`].
+    toggles: [u64; GateKind::ALL.len()],
 }
 
 impl<'n> Oracle<'n> {
@@ -51,14 +52,12 @@ impl<'n> Oracle<'n> {
             order,
             flops,
             values,
-            probe: None,
+            toggles: [0; GateKind::ALL.len()],
         }
     }
 
     fn count(&mut self, kind: GateKind, old: u64, new: u64) {
-        if let Some((toggles, _)) = &mut self.probe {
-            toggles[kind as usize] += u64::from((old ^ new).count_ones());
-        }
+        self.toggles[kind as usize] += u64::from((old ^ new).count_ones());
     }
 
     fn eval(&mut self) {
@@ -80,9 +79,6 @@ impl<'n> Oracle<'n> {
             self.count(gate.kind(), self.values[id.index()], new);
             self.values[id.index()] = new;
         }
-        if let Some((_, evals)) = &mut self.probe {
-            *evals += 1;
-        }
     }
 
     /// Evaluates, then clocks every flop from the pre-edge data pins.
@@ -100,119 +96,84 @@ impl<'n> Oracle<'n> {
         }
     }
 
-    /// Settles without counting, then counts from the settled state.
-    fn enable_probe(&mut self) {
+    /// Evaluates, then counts from the settled state.
+    fn settle(&mut self) {
         self.eval();
-        self.probe = Some(([0; GateKind::ALL.len()], 0));
+        self.toggles = [0; GateKind::ALL.len()];
     }
 }
 
-/// One simulator under test, and whether its probe is on.
-struct Subject<'n> {
-    sim: Simulator<'n>,
-    probed: bool,
-}
-
-fn assert_agrees(s: &Subject<'_>, oracle: &Oracle<'_>, at: &str) {
-    let at = format!("{at} (probed {})", s.probed);
-    if let Some(net) = (0..oracle.values.len()).find(|&i| s.sim.values()[i] != oracle.values[i]) {
+/// The simulator and its recorder against the oracle: every net value,
+/// and every cell kind's toggles.
+fn assert_agrees(sim: &Simulator<'_>, act: &Activity, oracle: &Oracle<'_>, at: &str) {
+    if let Some(net) = (0..oracle.values.len()).find(|&i| sim.values()[i] != oracle.values[i]) {
         panic!("{at}: net n{net} differs from the oracle");
     }
-    match (s.sim.toggle_stats(), &oracle.probe) {
-        (None, _) => assert!(!s.probed, "{at}: the probe is off"),
-        (Some(stats), Some((toggles, evals))) => {
-            assert!(s.probed, "{at}: the probe is on");
-            assert_eq!(stats.evals(), *evals, "{at}: evaluations");
-            for kind in GateKind::ALL {
-                assert_eq!(
-                    stats.toggles(kind),
-                    toggles[kind as usize],
-                    "{at}: {kind} toggles"
-                );
-            }
-        }
-        (Some(_), None) => unreachable!("the oracle's probe is always on"),
+    for kind in GateKind::CELLS {
+        assert_eq!(
+            act.toggles(kind),
+            oracle.toggles[kind as usize],
+            "{at}: {kind} toggles"
+        );
     }
 }
 
-/// The sweeps one simulator under test ran during the stimulus: in each
-/// cycle's evaluation before the clock edge (0 or 1), and in all.
+/// The sweeps the simulator ran during the stimulus: in each cycle's
+/// evaluation before the clock edge (0 or 1), and in all.
 #[derive(Debug)]
 struct Swept {
     pre_edge: Vec<u64>,
     total: u64,
 }
 
-/// Runs `cycles` cycles of seeded stimulus through the oracle and two
-/// simulators of `netlist`, with the probe on and off.  Each cycle `drive`
-/// writes the inputs of the first simulator, which the other and the
-/// oracle copy; then a clocked and a settling evaluation follow, each
-/// compared with the oracle.  Returns what each simulator swept, so
+/// Runs `cycles` cycles of seeded stimulus through the oracle and a
+/// simulator of `netlist`, both settled first.  Each cycle `drive` writes
+/// the simulator's inputs, which the oracle copies; then a clocked and a
+/// settling evaluation follow, each recorded into an `Activity` and
+/// compared with the oracle.  Returns what the simulator swept, so
 /// callers can check which evaluations skipped.
 fn check_against_oracle(
     netlist: &Netlist,
     cycles: usize,
     seed: u64,
     mut drive: impl FnMut(&mut Simulator<'_>, &mut Rng64),
-) -> Vec<Swept> {
+) -> Swept {
     let mut oracle = Oracle::new(netlist);
-    let mut subjects: Vec<Subject<'_>> = [true, false]
-        .into_iter()
-        .map(|probed| {
-            let mut sim = Simulator::new(netlist).expect("acyclic netlist");
-            if probed {
-                sim.enable_toggle_probe();
-            }
-            Subject { sim, probed }
-        })
-        .collect();
-    let start: Vec<u64> = subjects.iter().map(|s| s.sim.sweeps()).collect();
-    let mut pre_edge = vec![Vec::new(); subjects.len()];
-    oracle.enable_probe();
+    oracle.settle();
+    let mut sim = Simulator::new(netlist).expect("acyclic netlist");
+    sim.eval();
+    let mut act = Activity::new(&sim);
+    let start = sim.sweeps();
+    let mut pre_edge = Vec::with_capacity(cycles);
     let mut rng = Rng64::seed_from_u64(seed);
     for cycle in 0..cycles {
-        drive(&mut subjects[0].sim, &mut rng);
-        let words: Vec<(NodeId, u64)> = netlist
-            .inputs()
-            .iter()
-            .map(|&i| (i, subjects[0].sim.read(i)))
-            .collect();
-        for &(input, w) in &words {
-            oracle.values[input.index()] = w;
-            for s in &mut subjects[1..] {
-                s.sim.write(input, w);
-            }
+        drive(&mut sim, &mut rng);
+        for &input in netlist.inputs() {
+            oracle.values[input.index()] = sim.read(input);
         }
         oracle.step();
-        for (s, pre_edge) in subjects.iter_mut().zip(&mut pre_edge) {
-            let before = s.sim.sweeps();
-            s.sim.step();
-            pre_edge.push(s.sim.sweeps() - before);
-            assert_agrees(s, &oracle, &format!("cycle {cycle}, clocked"));
-        }
+        let before = sim.sweeps();
+        sim.step();
+        pre_edge.push(sim.sweeps() - before);
+        act.record(&sim);
+        assert_agrees(&sim, &act, &oracle, &format!("cycle {cycle}, clocked"));
         oracle.eval();
-        for s in &mut subjects {
-            s.sim.eval();
-            assert_agrees(s, &oracle, &format!("cycle {cycle}, settled"));
-        }
+        sim.eval();
+        act.record(&sim);
+        assert_agrees(&sim, &act, &oracle, &format!("cycle {cycle}, settled"));
     }
-    subjects
-        .iter()
-        .zip(start)
-        .zip(pre_edge)
-        .map(|((s, start), pre_edge)| Swept {
-            pre_edge,
-            total: s.sim.sweeps() - start,
-        })
-        .collect()
+    Swept {
+        pre_edge,
+        total: sim.sweeps() - start,
+    }
 }
 
 /// Asserts that the evaluations of a `cycles`-cycle run both swept and
 /// skipped.
-fn assert_swept_and_skipped(swept: &[Swept], cycles: usize, at: &str) {
+fn assert_swept_and_skipped(swept: &Swept, cycles: usize, at: &str) {
     let evaluations = 2 * cycles as u64;
     assert!(
-        swept.iter().all(|s| 0 < s.total && s.total < evaluations),
+        0 < swept.total && swept.total < evaluations,
         "{at}: {swept:?} of {evaluations} evaluations"
     );
 }
@@ -320,9 +281,7 @@ fn every_mac_design_and_mode_matches_the_levelized_gate_walk() {
             );
             assert_swept_and_skipped(&swept, 12, &format!("{kind} {p}"));
             assert!(
-                swept
-                    .iter()
-                    .all(|s| s.pre_edge[1..].iter().all(|&n| n == 0)),
+                swept.pre_edge[1..].iter().all(|&n| n == 0),
                 "{kind} {p}: {swept:?}"
             );
         }
